@@ -3,6 +3,7 @@ key exchange.
 
 Modules:
     qcore    exact few-qubit state math (vectors, densities, measurement)
+             and BB84 qubit batches as arrays
     gf2      binary codes: syndromes, coset keys, the UE codeword sampler
     channel  qubit / classical / covert time-bin channels and the warden
     bb84     the prepare-and-measure protocol with coset-key extraction

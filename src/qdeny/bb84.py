@@ -32,6 +32,7 @@ __all__ = [
     "run_bb84",
     "run_session",
     "sift",
+    "block_keys",
     "extract_key",
     "required_slots",
 ]
@@ -134,6 +135,14 @@ def sift(a, b, a_prime, b_prime) -> np.ndarray:
     return np.where(arrays[1] == arrays[3])[0]
 
 
+def block_keys(pair: NestedCodePair, words: np.ndarray) -> np.ndarray:
+    """Key bits of a run of code-length blocks, concatenated in block order:
+    each block is decoded to its nearest C1 codeword and labeled by its
+    coset modulo C2."""
+    blocks = gf2.decode_to_codeword(pair.c1, np.asarray(words).reshape(-1, pair.c1.n))
+    return gf2.key_from_coset(pair, blocks).reshape(-1)
+
+
 def extract_key(
     pair: NestedCodePair, v_alice: np.ndarray, v_bob: np.ndarray, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,17 +154,10 @@ def extract_key(
     within the code's correction radius.
     """
     v_alice, v_bob, u = gf2.bits(v_alice), gf2.bits(v_bob), gf2.bits(u)
-    nb = pair.c1.n
-    if not (v_alice.size == v_bob.size == u.size) or v_alice.size % nb:
+    if not (v_alice.size == v_bob.size == u.size) or v_alice.size % pair.c1.n:
         raise ValueError("payload length must be a shared multiple of the block length")
-    announced = u ^ v_alice
-    k_a, k_b = [], []
-    for start in range(0, u.size, nb):
-        sl = slice(start, start + nb)
-        k_a.append(gf2.key_from_coset(pair, u[sl]))
-        u_hat = gf2.decode_to_codeword(pair.c1, v_bob[sl] ^ announced[sl])
-        k_b.append(gf2.key_from_coset(pair, u_hat))
-    return np.concatenate(k_a), np.concatenate(k_b)
+    k_a = gf2.key_from_coset(pair, u.reshape(-1, pair.c1.n)).reshape(-1)
+    return k_a, block_keys(pair, v_bob ^ u ^ v_alice)
 
 
 def _mask(length: int, positions: np.ndarray) -> np.ndarray:
@@ -185,14 +187,10 @@ def run_bb84(
 
     a = rng_a.bits(q_count)
     b = rng_a.bits(q_count)
-    states = [qcore.prepare_bb84(int(a[i]), qcore.Basis.from_bit(b[i])) for i in range(q_count)]
-    delivered, eve_record = transmit(qchan, states, rng_env)
+    delivered, eve_record = transmit(qchan, qcore.prepare_bb84(a, b), rng_env)
 
     b_prime = rng_b.bits(q_count)
-    a_prime = np.empty(q_count, dtype=np.uint8)
-    for i, state in enumerate(delivered):
-        outcome, _ = qcore.measure(state, qcore.Basis.from_bit(b_prime[i]), rng_b)
-        a_prime[i] = outcome
+    a_prime, _ = qcore.measure(delivered, b_prime, rng_b)
 
     cchan.send("alice", "bases", b)
     sifted = sift(a, b, a_prime, b_prime)
@@ -224,9 +222,7 @@ def run_bb84(
                             {"outcomes": a_prime, "bases": b_prime}, aborted=True)
         return Bb84Outcome(True, alice, bob, session)
 
-    u = np.concatenate(
-        [gf2.sample_codeword(config.codes.c1, rng_a) for _ in range(config.blocks)]
-    )
+    u = gf2.sample_codeword(config.codes.c1, rng_a, config.blocks).reshape(-1)
     v_alice = a[payload_positions]
     v_bob = a_prime[payload_positions]
     cchan.send("alice", "correction", u ^ v_alice)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Protocol
 
 import numpy as np
 from scipy import stats
@@ -22,7 +21,6 @@ from . import qcore
 from .rng import WEAK_SEED_BITS, CounterModePrng, RandomStream
 
 __all__ = [
-    "Interceptor",
     "QubitChannel",
     "Message",
     "ClassicalAuthChannel",
@@ -39,12 +37,6 @@ __all__ = [
 ]
 
 
-class Interceptor(Protocol):
-    """Adversarial hook applied to qubits in flight (see the denial module)."""
-
-    def intercept(self, states, rng: RandomStream): ...
-
-
 @dataclass(frozen=True)
 class QubitChannel:
     """Single-qubit channel with independent bit-flip noise and an optional
@@ -54,6 +46,10 @@ class QubitChannel:
     encodings but leaves diagonal ones invariant up to phase; after sifting,
     a random-basis protocol therefore observes an error rate of half the
     flip probability.
+
+    An interceptor is any object with a method
+    `intercept(qubits, rng) -> (qubits, record)` taking and returning a
+    `qcore.Bb84Qubits` batch; `denial.EvePolicy` is the one used here.
     """
 
     flip_probability: float = 0.0
@@ -109,20 +105,20 @@ class ClassicalAuthChannel:
 
 
 def transmit(
-    channel: QubitChannel, states: list[qcore.StateVector], rng: RandomStream
-) -> tuple[list[qcore.StateVector], object | None]:
-    """Deliver qubits: interceptor first, then per-qubit Pauli-X noise."""
-    if any(s.n_qubits != 1 for s in states):
-        raise ValueError("transmit() carries single-qubit states only")
+    channel: QubitChannel, qubits: qcore.Bb84Qubits | list[qcore.StateVector], rng: RandomStream
+) -> tuple[qcore.Bb84Qubits, object | None]:
+    """Deliver qubits: interceptor first, then per-qubit Pauli-X noise.
+
+    A list of dense single-qubit BB84 states is accepted too and converted
+    once with `Bb84Qubits.from_states`.
+    """
+    if not isinstance(qubits, qcore.Bb84Qubits):
+        qubits = qcore.Bb84Qubits.from_states(qubits)
     record = None
     if channel.interceptor is not None:
-        states, record = channel.interceptor.intercept(states, rng)
-    flips = rng.uniforms(len(states)) < channel.flip_probability  # one draw per qubit
-    states = [
-        qcore.StateVector(1, s.amplitudes[::-1]) if f else s  # Pauli-X swaps amplitudes
-        for s, f in zip(states, flips)
-    ]
-    return states, record
+        qubits, record = channel.interceptor.intercept(qubits, rng)
+    flips = rng.uniforms(len(qubits)) < channel.flip_probability  # one draw per qubit
+    return qcore.Bb84Qubits(qubits.bits, qubits.bases, qubits.flips ^ flips), record
 
 
 @dataclass(frozen=True)

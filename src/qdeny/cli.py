@@ -26,6 +26,7 @@ from . import denial as denial_mod
 from . import distill as distill_mod
 from . import ue as ue_mod
 from .channel import QubitChannel, TimeBinChannel
+from .games import ExperimentConfig
 from .rng import RandomStream
 
 __all__ = ["main", "entrypoint"]
@@ -154,13 +155,13 @@ def _run_bb84(params: dict, seed: int, trials: int):
 
 
 def _run_attack_deny(params: dict, seed: int, trials: int):
-    est = denial_mod.detection_probability(
+    est = _validated(lambda: denial_mod.detection_probability(
         n_qubits=int(params["N"]),
         n_decoys=int(params["eta"]),
         flips=int(params["flips"]),
         trials=trials,
         master_seed=seed,
-    )
+    ))
     columns = ["experiment", "N", "eta", "flips", "trials",
                "estimate", "ci_low", "ci_high", "seed"]
     row = ["attack-deny", int(params["N"]), int(params["eta"]), int(params["flips"]),
@@ -223,6 +224,7 @@ _COVERT_DEFAULTS = {
 
 
 def _run_covert(params: dict, seed: int, trials: int):
+    _validated(lambda: ExperimentConfig(trials, seed))
     config = _covert_config(params)
     warden = _pick_warden(params["warden"], config)
     est = dcqke_mod.covert_game(config, trials, seed, warden=warden)
@@ -237,6 +239,7 @@ def _run_covert(params: dict, seed: int, trials: int):
 def _run_dcqke(params: dict, seed: int, trials: int):
     params = dict(params)
     params.setdefault("n_used", None)
+    _validated(lambda: ExperimentConfig(trials, seed))
     config = _covert_config(params)
     _validated(config.require_session_capacity)
     warden = _pick_warden(params["warden"], config)

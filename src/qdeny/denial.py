@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from . import bb84 as bb84_mod
-from . import gf2, qcore
+from . import qcore
 from .channel import QubitChannel
 from .games import AdvantageEstimate, ExperimentConfig, RateEstimate, rate_estimate, run_experiment
 from .rng import RandomStream
@@ -53,8 +53,8 @@ class EvePolicy:
         if not 0.0 <= self.measure_probability <= 1.0:
             raise ValueError("measure_probability must lie in [0, 1]")
 
-    def intercept(self, states, rng: RandomStream):
-        return eve_decoy_attack(self, states, rng)
+    def intercept(self, qubits, rng: RandomStream):
+        return eve_decoy_attack(self, qubits, rng)
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,6 @@ class EveRecord:
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def entries(self) -> list[tuple[int, qcore.Basis, int]]:
-        return [
-            (int(p), qcore.Basis.from_bit(b), int(o))
-            for p, b, o in zip(self.positions, self.bases, self.outcomes)
-        ]
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -107,26 +100,26 @@ class JudgeVerdict:
 
 
 def eve_decoy_attack(
-    policy: EvePolicy, states: list[qcore.StateVector], rng: RandomStream
-) -> tuple[list[qcore.StateVector], EveRecord]:
-    """Measure-and-forward on a random subset of the qubits in flight."""
-    forwarded: list[qcore.StateVector] = []
-    positions, bases, outcomes = [], [], []
-    for i, state in enumerate(states):
+    policy: EvePolicy, qubits: qcore.Bb84Qubits | list[qcore.StateVector], rng: RandomStream
+) -> tuple[qcore.Bb84Qubits, EveRecord]:
+    """Measure-and-forward on a random subset of the qubits in flight.
+
+    Draws per qubit, in order: one uniform to decide whether to measure,
+    then for a measured qubit its basis bit and its measurement uniform. A
+    list of dense BB84 states is converted once with `from_states`.
+    """
+    if not isinstance(qubits, qcore.Bb84Qubits):
+        qubits = qcore.Bb84Qubits.from_states(qubits)
+    positions, bases, uniforms = [], [], []
+    for i in range(len(qubits)):
         if rng.random() < policy.measure_probability:
-            basis_bit = rng.bit()
-            outcome, post = qcore.measure(state, qcore.Basis.from_bit(basis_bit), rng)
-            forwarded.append(post)
             positions.append(i)
-            bases.append(basis_bit)
-            outcomes.append(outcome)
-        else:
-            forwarded.append(state)
-    return forwarded, EveRecord(
-        np.array(positions, dtype=np.int64),
-        np.array(bases, dtype=np.uint8),
-        np.array(outcomes, dtype=np.uint8),
-    )
+            bases.append(rng.bit())
+            uniforms.append(rng.random())
+    positions = np.array(positions, dtype=np.int64)
+    bases = np.array(bases, dtype=np.uint8)
+    outcomes, forwarded = qubits.measured(bases, np.array(uniforms), at=positions)
+    return forwarded, EveRecord(positions, bases, outcomes)
 
 
 def judge_check(claim: DenialClaim, record: EveRecord) -> JudgeVerdict:
@@ -164,10 +157,15 @@ def detection_probability(
     """Monte-Carlo judge-detection rate for flipping random sifted bits.
 
     Trials whose sifted set is smaller than `flips` are redrawn, which at
-    these sizes is vanishingly rare.
+    these sizes is vanishingly rare; `flips` above `n_qubits` could never
+    be met and is rejected.
     """
     if flips < 1:
         raise ValueError("need at least one flip")
+    if flips > n_qubits:
+        raise ValueError(f"cannot flip {flips} of {n_qubits} qubits")
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if not 0 <= n_decoys <= n_qubits:
         raise ValueError("n_decoys must lie in [0, n_qubits]")
     g = RandomStream(master_seed).substream("detection-mc").generator
@@ -288,13 +286,8 @@ class NaiveBb84DenialProtocol:
         # keep the announced correction word consistent with the new claim
         payload_claim = claimed_bits[session.payload_positions]
         claimed_u = (session.u ^ session.a[session.payload_positions]) ^ payload_claim
-        key_parts = []
-        nb = self.config.codes.c1.n
-        for start in range(0, claimed_u.size, nb):
-            block = gf2.decode_to_codeword(self.config.codes.c1, claimed_u[start : start + nb])
-            key_parts.append(gf2.key_from_coset(self.config.codes, block))
         return CoercionView(
-            key=np.concatenate(key_parts),
+            key=bb84_mod.block_keys(self.config.codes, claimed_u),
             randomness={
                 "raw_bits": claimed_bits,
                 "bases": session.b,

@@ -311,9 +311,7 @@ def qke_over_teleportation(
         nb = codes.c1.n
         usable = (payload_pos.size // nb) * nb
         if usable:
-            u = np.concatenate(
-                [sample_codeword(codes.c1, rng_a) for _ in range(usable // nb)]
-            )
+            u = sample_codeword(codes.c1, rng_a, usable // nb).reshape(-1)
             cchan.send("alice", "correction", u ^ key_a[:usable])
             key_a, key_b = extract_key(codes, key_a[:usable], key_b[:usable], u)
     return key_a, key_b, cchan.log

@@ -1,10 +1,13 @@
 """Binary linear algebra and the small code machinery the protocols use.
 
 Bit vectors are numpy uint8 arrays with entries in {0, 1}; matrices are
-2-D uint8 arrays. Codes are immutable after construction and precompute
-exact coset-leader tables (block lengths stay tiny here, so exhaustive
-minimum-distance decoding is the simplest correct choice). Wherever a
-minimum-weight choice is ambiguous, ties break lexicographically.
+2-D uint8 arrays. Codes are immutable after construction and build exact
+coset-leader tables on first use (block lengths stay tiny here, so
+exhaustive minimum-distance decoding is the simplest correct choice).
+Wherever a minimum-weight choice is ambiguous, ties break
+lexicographically. The per-block operations (syndromes, coset leaders,
+decoding, coset labels) take one word or a matrix of words, one block per
+row, and treat every row alike.
 """
 
 from __future__ import annotations
@@ -138,8 +141,23 @@ def nullspace(m: np.ndarray) -> np.ndarray:
     return basis
 
 
-def _mul(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (np.asarray(m, dtype=np.uint8) @ bits(v)).astype(np.uint8) % 2
+def _mul(m: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """m @ w over GF(2) for a word w, or for each row w of a matrix."""
+    return (words @ m.T).astype(np.uint8) % 2
+
+
+def _words(values, width: int, what: str) -> np.ndarray:
+    """A bit vector, or a matrix with one word per row, of `width` bits."""
+    arr = np.asarray(values)
+    if arr.ndim == 2:
+        arr = arr.astype(np.uint8)
+        if np.any(arr > 1):
+            raise ValueError("bit entries must be 0 or 1")
+    else:
+        arr = bits(values)
+    if arr.shape[-1] != width:
+        raise ValueError(f"{what} length {arr.shape[-1]} != {width}")
+    return arr
 
 
 # -- codes ------------------------------------------------------------------
@@ -195,8 +213,9 @@ class BinaryLinearCode:
             self._cache["distance"] = int(w[w > 0].min())
         return self._cache["distance"]
 
-    def leader_table(self) -> dict[bytes, np.ndarray]:
-        """Syndrome -> minimum-weight coset leader, lexicographic tie-break."""
+    def leader_table(self) -> np.ndarray:
+        """Minimum-weight coset leaders, lexicographic tie-break; row s is
+        the leader of the syndrome whose big-endian value is s."""
         if "leaders" not in self._cache:
             if self.n > _TABLE_CAP:
                 raise ValueError(f"exact decoding tables are capped at n <= {_TABLE_CAP}")
@@ -204,43 +223,51 @@ class BinaryLinearCode:
                 np.uint8
             )
             order = np.lexsort((np.arange(1 << self.n), words.sum(axis=1)))
-            syndromes = (words @ self.parity_check.T) % 2
-            table: dict[bytes, np.ndarray] = {}
-            for i in order:
-                key = syndromes[i].tobytes()
-                if key not in table:
-                    table[key] = words[i]
+            index = _syndrome_index(_mul(self.parity_check, words[order]))
+            _, first = np.unique(index, return_index=True)  # lightest word per syndrome
+            table = np.empty((1 << (self.n - self.k), self.n), dtype=np.uint8)
+            table[index[first]] = words[order[first]]
+            table.setflags(write=False)
             self._cache["leaders"] = table
         return self._cache["leaders"]
 
 
+def _syndrome_index(syn: np.ndarray) -> np.ndarray:
+    """Big-endian integer value of each syndrome (last axis)."""
+    weights = 1 << np.arange(syn.shape[-1] - 1, -1, -1)
+    return syn.astype(np.int64) @ weights
+
+
 def syndrome(code: BinaryLinearCode, v: np.ndarray) -> np.ndarray:
-    """Parity-check image of v, length n - k."""
-    v = bits(v)
-    if v.size != code.n:
-        raise ValueError(f"vector length {v.size} != block length {code.n}")
-    return _mul(code.parity_check, v)
+    """Parity-check image of v (or of each row of v), length n - k."""
+    return _mul(code.parity_check, _words(v, code.n, "vector"))
 
 
 def coset_leader(code: BinaryLinearCode, syn: np.ndarray) -> np.ndarray:
-    """Minimum-weight vector with the given syndrome (lexicographic ties)."""
-    syn = bits(syn)
-    if syn.size != code.n - code.k:
-        raise ValueError("syndrome length mismatch")
-    return code.leader_table()[syn.tobytes()].copy()
+    """Minimum-weight vector with the given syndrome (lexicographic ties);
+    one leader per row for a matrix of syndromes."""
+    syn = _words(syn, code.n - code.k, "syndrome")
+    return code.leader_table()[_syndrome_index(syn)].copy()
 
 
 def decode_to_codeword(code: BinaryLinearCode, word: np.ndarray) -> np.ndarray:
-    """Nearest codeword under Hamming distance (exact, via coset leaders)."""
-    word = bits(word)
-    if word.size != code.n:
-        raise ValueError("word length mismatch")
+    """Nearest codeword under Hamming distance (exact, via coset leaders),
+    of a word or of each row of a matrix of words."""
+    word = _words(word, code.n, "word")
     return word ^ coset_leader(code, syndrome(code, word))
 
 
-def sample_codeword(code: BinaryLinearCode, rng: RandomStream) -> np.ndarray:
-    """Uniformly random codeword."""
-    return _mul(code.generator.T, rng.bits(code.k))
+def sample_codeword(
+    code: BinaryLinearCode, rng: RandomStream, count: int | None = None
+) -> np.ndarray:
+    """Uniformly random codeword, or a (count x n) matrix of them.
+
+    Each codeword takes its own `rng.bits(k)` draw, so a matrix holds the
+    codewords that `count` single calls would return, in order.
+    """
+    messages = [rng.bits(code.k) for _ in range(1 if count is None else count)]
+    words = _mul(code.generator.T, np.array(messages, dtype=np.uint8).reshape(-1, code.k))
+    return words[0] if count is None else words
 
 
 @dataclass(frozen=True)
@@ -276,8 +303,9 @@ class NestedCodePair:
 
 
 def key_from_coset(pair: NestedCodePair, u: np.ndarray) -> np.ndarray:
-    """Canonical (k1 - k2)-bit label of the coset u + C2 inside C1."""
-    u = bits(u)
+    """Canonical (k1 - k2)-bit label of the coset u + C2 inside C1; one
+    label per row for a matrix of codewords."""
+    u = _words(u, pair.c1.n, "codeword")
     if np.any(syndrome(pair.c1, u)):
         raise ValueError("u is not a codeword of C1")
     h2, t = pair._coset_map()

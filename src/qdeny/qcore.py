@@ -8,12 +8,20 @@ Qubit 0 is the leftmost / most significant index bit, so the basis state
 Everything is immutable and pure: operations that need randomness take an
 explicit RandomStream and consume exactly one uniform draw per measurement
 (cumulative-probability inversion), which keeps seeded runs reproducible.
+
+BB84 product states under Pauli-X noise never need the dense form:
+`Bb84Qubits` holds a batch of them as three bit arrays, and measuring a
+batch looks each qubit's outcome-0 probability up in a table built from the
+dense states with the dense formula, drawing all uniforms in one call
+(Philox gives the same values as one scalar draw per qubit). The dense
+classes remain for entangled states and as the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +34,9 @@ __all__ = [
     "BellKind",
     "StateVector",
     "DensityMatrix",
+    "Bb84Qubits",
     "PAULI_I",
     "PAULI_X",
-    "PAULI_Y",
     "PAULI_Z",
     "HADAMARD",
     "prepare_bb84",
@@ -57,7 +65,6 @@ _UNITARY_TOL = 1e-10
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -160,13 +167,137 @@ def _build_bb84_states() -> dict[tuple[int, Basis], StateVector]:
 
 
 _BB84_STATES = _build_bb84_states()
+# Rows in batch index order 2 * basis + bit, for matching dense states.
+_BB84_AMPS = np.array(
+    [_BB84_STATES[(bit, Basis.from_bit(basis))].amplitudes for basis in (0, 1) for bit in (0, 1)]
+)
+_BB84_TOL = 1e-9
 
 
-def prepare_bb84(bit: int, basis: Basis) -> StateVector:
+def _p0(amplitudes: np.ndarray, basis: Basis) -> float:
+    """Born probability of outcome 0 for a single-qubit state."""
+    a0, a1 = amplitudes
+    if basis is Basis.COMPUTATIONAL:
+        return abs(a0) ** 2
+    return abs(a0 + a1) ** 2 / 2
+
+
+def _flipped(state: StateVector) -> StateVector:
+    return StateVector(1, state.amplitudes[::-1])  # Pauli-X swaps amplitudes
+
+
+def _build_p0_table() -> np.ndarray:
+    """P(outcome 0) indexed [bit, basis, flip, measurement basis].
+
+    Taken from the dense states with the dense formula, rounding included:
+    a diagonal state gives 0.5000000000000001 in the computational basis
+    and 1.0000000000000002 or 0.0 in the diagonal one.
+    """
+    table = np.empty((2, 2, 2, 2))
+    for bit, basis, flip, m_basis in product((0, 1), repeat=4):
+        state = _BB84_STATES[(bit, Basis.from_bit(basis))]
+        if flip:
+            state = _flipped(state)
+        table[bit, basis, flip, m_basis] = _p0(state.amplitudes, Basis.from_bit(m_basis))
+    table.setflags(write=False)
+    return table
+
+
+_BB84_P0 = _build_p0_table()
+
+
+def _bit_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.uint8)
+    if np.any(arr > 1):
+        raise ValueError("BB84 bits, bases and flips must be 0 or 1")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Bb84Qubits:
+    """A batch of single-qubit BB84 states X^flip |bit>_basis.
+
+    Three equal-length uint8 vectors: the prepared bit, the basis (0
+    computational, 1 diagonal) and the Pauli-X flag. Indexing or iterating
+    yields each qubit's dense StateVector: the shared `prepare_bb84`
+    instance when unflipped, the same state with its amplitudes swapped
+    when flipped.
+    """
+
+    bits: np.ndarray
+    bases: np.ndarray
+    flips: np.ndarray
+
+    def __post_init__(self):
+        names = ("bits", "bases", "flips")
+        arrays = [_bit_array(getattr(self, name)) for name in names]
+        if arrays[0].ndim != 1 or len({arr.shape for arr in arrays}) != 1:
+            raise ValueError("bits, bases and flips must be vectors of equal length")
+        for name, arr in zip(names, arrays):
+            object.__setattr__(self, name, arr)
+
+    @classmethod
+    def from_states(cls, states: Sequence[StateVector]) -> "Bb84Qubits":
+        """Batch of dense single-qubit states.
+
+        Each state must equal one of the four BB84 states up to global phase
+        (fidelity within 1e-9), else ValueError. It is stored as that state
+        with the flip flag 0, so BB84 states round-trip exactly and Pauli-X
+        images round-trip up to global phase.
+        """
+        states = list(states)
+        if any(not isinstance(s, StateVector) or s.n_qubits != 1 for s in states):
+            raise ValueError("a BB84 batch holds single-qubit states only")
+        amps = np.array([s.amplitudes for s in states], dtype=complex).reshape(-1, 2)
+        match = np.abs(amps.conj() @ _BB84_AMPS.T) ** 2 > 1.0 - _BB84_TOL
+        found = match.any(axis=1)
+        if not np.all(found):
+            raise ValueError(f"state {int(np.argmin(found))} is not a BB84 state")
+        index = match.argmax(axis=1)
+        return cls(index & 1, index >> 1, np.zeros(index.size, dtype=np.uint8))
+
+    def __len__(self) -> int:
+        return int(self.bits.size)
+
+    def __getitem__(self, i: int) -> StateVector:
+        state = _BB84_STATES[(int(self.bits[i]), Basis.from_bit(self.bases[i]))]
+        return _flipped(state) if self.flips[i] else state
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def measured(
+        self, bases, uniforms: np.ndarray, at=slice(None)
+    ) -> tuple[np.ndarray, "Bb84Qubits"]:
+        """Measure the qubits at positions `at` in `bases`, one uniform each.
+
+        Outcome 0 iff u < P(outcome 0), as in the dense measurement. Returns
+        the outcomes and the batch with those qubits collapsed onto the
+        measured eigenstates.
+        """
+        bases = _bit_array(bases)
+        bits, flips = self.bits[at], self.flips[at]
+        uniforms = np.asarray(uniforms)
+        if not bases.shape == uniforms.shape == bits.shape:
+            raise ValueError("need one basis and one uniform per measured qubit")
+        outcomes = (uniforms >= _BB84_P0[bits, self.bases[at], flips, bases]).astype(np.uint8)
+        post = [self.bits.copy(), self.bases.copy(), self.flips.copy()]
+        post[0][at], post[1][at], post[2][at] = outcomes, bases, 0
+        return outcomes, Bb84Qubits(*post)
+
+
+def prepare_bb84(
+    bit: int | np.ndarray, basis: Basis | np.ndarray
+) -> StateVector | Bb84Qubits:
     """Single qubit encoding `bit` in `basis`; the four BB84 states.
 
-    States are immutable, so the four instances are shared.
+    States are immutable, so the four instances are shared. Given arrays of
+    bits and basis bits instead, returns them as an unflipped Bb84Qubits
+    batch.
     """
+    if not isinstance(basis, Basis):
+        return Bb84Qubits(bit, basis, np.zeros(np.shape(bit), dtype=np.uint8))
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     return _BB84_STATES[(bit, basis)]
@@ -207,17 +338,19 @@ def measure_subsystem(
 
 def _measure_single(state: StateVector, basis: Basis, rng: RandomStream) -> tuple[int, StateVector]:
     # direct Born probabilities; the post-measurement state is a shared eigenstate
-    a0, a1 = state.amplitudes
-    if basis is Basis.COMPUTATIONAL:
-        p0 = abs(a0) ** 2
-    else:
-        p0 = abs(a0 + a1) ** 2 / 2
-    outcome = 0 if rng.random() < p0 else 1
+    outcome = 0 if rng.random() < _p0(state.amplitudes, basis) else 1
     return outcome, _BB84_STATES[(outcome, basis)]
 
 
-def measure(state: StateVector, basis: Basis, rng: RandomStream) -> tuple[int, StateVector]:
-    """Measure a single-qubit state; returns (outcome, post-measurement state)."""
+def measure(state: StateVector | Bb84Qubits, basis: Basis | np.ndarray, rng: RandomStream):
+    """Measure a single-qubit state; returns (outcome, post-measurement state).
+
+    A Bb84Qubits batch is measured in the basis bits `basis`, one per qubit,
+    with a single `rng.uniforms(n)` call (the values of n scalar draws);
+    the outcomes come back as a uint8 array with the collapsed batch.
+    """
+    if isinstance(state, Bb84Qubits):
+        return state.measured(basis, rng.uniforms(len(state)))
     if state.n_qubits != 1:
         raise ValueError("measure() takes a single-qubit state; use measure_subsystem")
     return _measure_single(state, basis, rng)

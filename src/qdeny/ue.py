@@ -25,7 +25,7 @@ import numpy as np
 from . import gf2
 from .channel import ClassicalAuthChannel
 from .gf2 import DualContainingPair
-from .qcore import Basis, StateVector, measure, prepare_bb84
+from .qcore import Bb84Qubits, StateVector, measure, prepare_bb84
 from .rng import RandomStream
 
 __all__ = [
@@ -305,7 +305,7 @@ def _block_slices(params: UeParams):
 
 def _encode(
     params: UeParams, key: UeKey, message: np.ndarray, rng: RandomStream
-) -> tuple[list[StateVector], np.ndarray]:
+) -> tuple[Bb84Qubits, np.ndarray]:
     message = gf2.bits(message)
     if message.size != params.n:
         raise ValueError(f"message must hold {params.n} bits")
@@ -314,13 +314,12 @@ def _encode(
     z = np.empty(params.n_qubits, dtype=np.uint8)
     for pay_sl, syn_sl, code_sl in _block_slices(params):
         z[code_sl] = gf2.encode_ue_codeword(params.pair, key.c1_syn[syn_sl], y[pay_sl], rng)
-    states = [prepare_bb84(int(z[i]), Basis.from_bit(key.b[i])) for i in range(params.n_qubits)]
-    return states, z
+    return prepare_bb84(z, key.b), z
 
 
 def ue_encrypt(
     params: UeParams, key: UeKey, message: np.ndarray, rng: RandomStream
-) -> list[StateVector]:
+) -> Bb84Qubits:
     """Encode message||tag XOR pad into per-block random codewords, one qubit
     per codeword bit in the pre-shared basis sequence."""
     return _encode(params, key, message, rng)[0]
@@ -338,27 +337,26 @@ class DecryptionOutcome:
 
 
 def ue_decrypt(
-    params: UeParams, key: UeKey, states: list[StateVector], rng: RandomStream
+    params: UeParams, key: UeKey, qubits: Bb84Qubits | list[StateVector], rng: RandomStream
 ) -> DecryptionOutcome:
     """Measure in the key bases, correct relative to the key syndromes,
     apply the quotient checks, strip the pad and verify the tag.
 
     Measurement outcomes on tampered qubits are genuinely random, hence the
-    explicit stream argument.
+    explicit stream argument. A list of dense BB84 states is converted once
+    with `Bb84Qubits.from_states`.
     """
     key.check_shape(params)
-    if len(states) != params.n_qubits:
-        raise ValueError(f"expected {params.n_qubits} qubits, got {len(states)}")
-    z_meas = np.empty(params.n_qubits, dtype=np.uint8)
-    for i, state in enumerate(states):
-        outcome, _ = measure(state, Basis.from_bit(key.b[i]), rng)
-        z_meas[i] = outcome
-    y = np.empty(params.n + params.s, dtype=np.uint8)
-    for pay_sl, syn_sl, code_sl in _block_slices(params):
-        block = z_meas[code_sl]
-        rel_syn = gf2.syndrome(params.pair.c1, block) ^ key.c1_syn[syn_sl]
-        corrected = block ^ gf2.coset_leader(params.pair.c1, rel_syn)
-        y[pay_sl] = (params.pair.quotient_checks @ corrected) % 2
+    if not isinstance(qubits, Bb84Qubits):
+        qubits = Bb84Qubits.from_states(qubits)
+    if len(qubits) != params.n_qubits:
+        raise ValueError(f"expected {params.n_qubits} qubits, got {len(qubits)}")
+    z_meas, _ = measure(qubits, key.b, rng)
+    c1 = params.pair.c1
+    blocks = z_meas.reshape(params.blocks, c1.n)
+    rel_syn = gf2.syndrome(c1, blocks) ^ key.c1_syn.reshape(params.blocks, c1.n - c1.k)
+    corrected = blocks ^ gf2.coset_leader(c1, rel_syn)
+    y = ((corrected @ params.pair.quotient_checks.T) % 2).reshape(-1)
     x = y ^ key.e
     message, tag = x[: params.n], x[params.n :]
     if mac_verify(params.scheme, key.k, message, tag):
@@ -445,12 +443,12 @@ def qke_from_ue(
     key.check_shape(params)
     cchan = ClassicalAuthChannel()
     x_key = rng.substream("key-material").bits(params.n)
-    states, sent = _encode(params, key, x_key, rng.substream("encoder"))
+    qubits, sent = _encode(params, key, x_key, rng.substream("encoder"))
     if interceptor is not None:
-        states, _ = interceptor.intercept(states, rng.substream("interceptor"))
+        qubits, _ = interceptor.intercept(qubits, rng.substream("interceptor"))
     cchan.send("bob", "received", [1])
     cchan.send("alice", "mac-key", key.k)
-    outcome = ue_decrypt(params, key, states, rng.substream("decoder"))
+    outcome = ue_decrypt(params, key, qubits, rng.substream("decoder"))
     cchan.send("bob", "valid", [int(outcome.accepted)])
     if not outcome.accepted:
         return QkeFromUeResult(False, None, None, cchan.log, sent)

@@ -1,0 +1,174 @@
+"""The BB84 array path against the dense qcore oracle.
+
+`qcore.Bb84Qubits` replaces one StateVector per qubit in the BB84 layer.
+These tests pin it to the dense path: the outcome-0 probability table
+against the dense measurement's own threshold, and whole `run_bb84`
+attempts against a per-qubit dense replay of the same substreams.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+
+from qdeny import bb84, gf2, qcore
+from qdeny.channel import ClassicalAuthChannel, QubitChannel
+from qdeny.denial import EvePolicy
+from qdeny.qcore import Basis, Bb84Qubits, StateVector
+from qdeny.rng import RandomStream
+
+
+class FixedDraws:
+    """Stand-in stream whose every uniform is `u`."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+    def uniforms(self, n: int) -> np.ndarray:
+        return np.full(n, self.u)
+
+
+def _dense(bit: int, basis: int, flip: int) -> StateVector:
+    state = qcore.prepare_bb84(bit, Basis.from_bit(basis))
+    return StateVector(1, state.amplitudes[::-1]) if flip else state
+
+
+@pytest.mark.parametrize("bit, basis, flip, m_basis", list(product((0, 1), repeat=4)))
+def test_p0_table_is_the_dense_threshold(bit, basis, flip, m_basis):
+    p0 = qcore._BB84_P0[bit, basis, flip, m_basis]
+    state = _dense(bit, basis, flip)
+    batch = Bb84Qubits([bit], [basis], [flip])
+    below = np.nextafter(p0, -np.inf)
+    # outcome 0 exactly when u < p0, in the dense and in the batch measurement
+    assert qcore._measure_single(state, Basis.from_bit(m_basis), FixedDraws(p0))[0] == 1
+    assert qcore.measure(batch, [m_basis], FixedDraws(p0))[0][0] == 1
+    if p0 > 0:
+        assert qcore._measure_single(state, Basis.from_bit(m_basis), FixedDraws(below))[0] == 0
+        assert qcore.measure(batch, [m_basis], FixedDraws(below))[0][0] == 0
+
+
+def test_p0_table_keeps_dense_rounding():
+    # diagonal states: 0.5 + 1 ulp in the computational basis, 1 + 2 ulp in their own
+    assert qcore._BB84_P0[0, 1, 0, 0] == 0.5000000000000001
+    assert qcore._BB84_P0[0, 1, 0, 1] == 1.0000000000000002
+    assert qcore._BB84_P0[1, 1, 0, 1] == 0.0
+
+
+def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
+    """run_bb84 rebuilt on the dense path: one StateVector and one scalar
+    measurement per qubit, per-block codeword sampling and decoding.
+    Returns (a_prime, eve record or None, keys, or None on shortfall or
+    "abort")."""
+    q, n = config.qubit_count, config.n
+    a, b = rng_a.bits(q), rng_a.bits(q)
+    states = [qcore.prepare_bb84(int(a[i]), Basis.from_bit(b[i])) for i in range(q)]
+    record = None
+    if qchan.interceptor is not None:
+        record, forwarded = ([], [], []), []
+        for i, state in enumerate(states):
+            if rng_env.random() < qchan.interceptor.measure_probability:
+                basis_bit = rng_env.bit()
+                outcome, state = qcore.measure(state, Basis.from_bit(basis_bit), rng_env)
+                for column, value in zip(record, (i, basis_bit, outcome)):
+                    column.append(value)
+            forwarded.append(state)
+        states = forwarded
+    flips = rng_env.uniforms(q) < qchan.flip_probability
+    states = [StateVector(1, s.amplitudes[::-1]) if f else s for s, f in zip(states, flips)]
+    b_prime = rng_b.bits(q)
+    a_prime = np.array(
+        [qcore.measure(s, Basis.from_bit(b_prime[i]), rng_b)[0] for i, s in enumerate(states)],
+        dtype=np.uint8,
+    )
+    sifted = np.where(b == b_prime)[0]
+    if sifted.size < 2 * n:
+        return a_prime, record, None
+    retained = sifted[rng_a.choice_distinct(sifted.size, 2 * n)]
+    check = retained[rng_a.choice_distinct(2 * n, n)]
+    payload = np.setdiff1d(retained, check)
+    if np.mean(a[check] ^ a_prime[check]) > config.error_threshold:
+        return a_prime, record, "abort"
+    pair, nb = config.codes, config.codes.c1.n
+    k_a, k_b = [], []
+    for j in range(config.blocks):
+        u = gf2.sample_codeword(pair.c1, rng_a)
+        sl = slice(j * nb, (j + 1) * nb)
+        k_a.append(gf2.key_from_coset(pair, u))
+        noisy = a_prime[payload][sl] ^ u ^ a[payload][sl]
+        k_b.append(gf2.key_from_coset(pair, gf2.decode_to_codeword(pair.c1, noisy)))
+    return a_prime, record, (np.concatenate(k_a), np.concatenate(k_b))
+
+
+def _streams(seed):
+    root = RandomStream(seed)
+    return root.substream("alice"), root.substream("bob"), root.substream("environment")
+
+
+SETTINGS = {
+    "n14-decoys": (bb84.Bb84Config(n=14), QubitChannel(0.0, interceptor=EvePolicy(8 / 63))),
+    "n70-flips": (bb84.Bb84Config(n=70), QubitChannel(0.05)),
+}
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_run_bb84_matches_dense_replay(setting):
+    config, qchan = SETTINGS[setting]
+    completed = 0
+    for seed in range(50):
+        a_prime, record, keys = _dense_attempt(config, qchan, *_streams(seed))
+        if keys is None:
+            with pytest.raises(bb84.SiftShortfall):
+                bb84.run_bb84(config, qchan, ClassicalAuthChannel(), *_streams(seed))
+            continue
+        out = bb84.run_bb84(config, qchan, ClassicalAuthChannel(), *_streams(seed))
+        assert np.array_equal(out.session.a_prime, a_prime)
+        if record is None:
+            assert out.session.eve_record is None
+        else:
+            eve = out.session.eve_record
+            for got, want in zip((eve.positions, eve.bases, eve.outcomes), record):
+                assert np.array_equal(got, np.array(want, dtype=got.dtype))
+        assert out.aborted == (keys == "abort")
+        if not out.aborted:
+            assert np.array_equal(out.alice.session_key, keys[0])
+            assert np.array_equal(out.bob.session_key, keys[1])
+            completed += 1
+    assert completed >= 25
+
+
+class TestFromStates:
+    def test_bb84_states_round_trip(self):
+        states = [qcore.prepare_bb84(bit, basis) for bit in (0, 1) for basis in Basis]
+        batch = Bb84Qubits.from_states(states)
+        assert not batch.flips.any()
+        assert all(got is want for got, want in zip(batch, states))
+
+    def test_flipped_and_phased_states_round_trip_up_to_phase(self):
+        states = [_dense(bit, basis, 1) for bit in (0, 1) for basis in (0, 1)]
+        states.append(StateVector(1, 1j * qcore.prepare_bb84(0, Basis.DIAGONAL).amplitudes))
+        for got, want in zip(Bb84Qubits.from_states(states), states):
+            assert abs(np.vdot(got.amplitudes, want.amplitudes)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_flipped_batch_yields_swapped_amplitudes(self):
+        batch = Bb84Qubits([0, 1], [1, 1], [1, 1])
+        for got, bit in zip(batch, (0, 1)):
+            want = qcore.prepare_bb84(bit, Basis.DIAGONAL).amplitudes[::-1]
+            assert np.array_equal(got.amplitudes, want)
+
+    def test_bell_state_rejected(self):
+        with pytest.raises(ValueError):
+            Bb84Qubits.from_states([qcore.bell_state(qcore.BellKind.PHI_PLUS)])
+
+    def test_non_bb84_qubit_rejected(self):
+        tilted = StateVector(1, np.array([np.cos(0.3), np.sin(0.3)]))
+        with pytest.raises(ValueError):
+            Bb84Qubits.from_states([qcore.prepare_bb84(0, Basis.COMPUTATIONAL), tilted])
+
+    def test_bad_batch_fields_rejected(self):
+        with pytest.raises(ValueError):
+            Bb84Qubits([0, 2], [0, 0], [0, 0])
+        with pytest.raises(ValueError):
+            Bb84Qubits([0, 1], [0], [0, 0])

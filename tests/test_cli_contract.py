@@ -1,0 +1,52 @@
+"""Inputs that once hung or crashed: each must now exit 2 with a one-line
+message, checked in a subprocess under a time limit so a regression fails
+instead of stalling the suite."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TIMEOUT_S = 60
+
+
+def _python(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=TIMEOUT_S, env=env
+    )
+
+
+def _assert_config_error(proc: subprocess.CompletedProcess) -> None:
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), proc.stderr
+
+
+@pytest.mark.parametrize("params", [{"N": 0, "eta": 0}, {"N": 4, "eta": 2, "flips": 5}])
+def test_attack_deny_unreachable_flips_exit_2(tmp_path, params):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "attack-deny", "params": params}))
+    _assert_config_error(_python("-m", "qdeny.cli", "attack-deny", "--config", str(cfg),
+                                 "--trials", "100"))
+
+
+@pytest.mark.parametrize("call, message", [
+    ("d(4, 2, 5, 100, 1)", "ValueError: cannot flip 5 of 4"),
+    ("d(10, 2, 1, 0, 1)", "ValueError: need at least one trial"),
+])
+def test_detection_probability_rejects_unrunnable_input(call, message):
+    proc = _python("-c", f"from qdeny.denial import detection_probability as d; {call}")
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith(message)
+
+
+@pytest.mark.parametrize("experiment, trials", [("covert", "5"), ("dcqke", "50")])
+def test_game_trials_below_100_exit_2(experiment, trials):
+    _assert_config_error(_python("-m", "qdeny.cli", experiment, "--trials", trials))

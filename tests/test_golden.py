@@ -1,0 +1,140 @@
+"""Golden digests of seeded protocol outputs.
+
+`tests/golden/digests.json` pins a SHA-256 digest per case over the seeded
+outputs of BB84 sessions, UE key exchange and key exchange over
+teleportation, so a refactor can show that it changed no seeded output.
+A declared change to a random stream's layout regenerates the file with
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from qdeny import bb84, denial, distill, gf2, ue
+from qdeny.channel import QubitChannel
+from qdeny.rng import RandomStream
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+MASTER_SEED = 0x601DE7
+SESSIONS = 5
+UE_RUNS = 20
+
+
+class _Digest:
+    """SHA-256 over labelled values; arrays hash by shape and integer value."""
+
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def add(self, label: str, value) -> None:
+        if value is None:
+            data = b"none"
+        else:
+            arr = np.asarray(value).astype(np.int64)
+            data = repr(arr.shape).encode() + arr.tobytes()
+        self._h.update(label.encode() + b"=" + data + b";")
+
+    def add_transcript(self, messages) -> None:
+        for m in messages:
+            self.add(f"msg:{m.sender}:{m.label}", m.bits)
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def _add_outcome(d: _Digest, i: int, out: bb84.Bb84Outcome) -> None:
+    s = out.session
+    d.add(f"{i}.aborted", int(out.aborted))
+    for name in ("a", "b", "b_prime", "a_prime"):
+        d.add(f"{i}.{name}", getattr(s, name))
+    d.add(f"{i}.key_alice", out.alice.session_key)
+    d.add(f"{i}.key_bob", out.bob.session_key)
+    rec = s.eve_record
+    for name in ("positions", "bases", "outcomes"):
+        d.add(f"{i}.eve.{name}", None if rec is None else getattr(rec, name))
+
+
+def _bb84_long() -> str:
+    config = bb84.Bb84Config(n=700)
+    qchan = QubitChannel(flip_probability=0.05)
+    master = RandomStream(MASTER_SEED).substream("bb84-n700")
+    d = _Digest()
+    for i in range(SESSIONS):
+        _add_outcome(d, i, bb84.run_session(config, qchan, master.substream("session", i)))
+    return d.hexdigest()
+
+
+def _bb84_decoys() -> str:
+    protocol = denial.NaiveBb84DenialProtocol(bb84.Bb84Config(n=14), n_decoys=8, flips=1)
+    master = RandomStream(MASTER_SEED).substream("bb84-n14-decoys")
+    d = _Digest()
+    for i in range(SESSIONS):
+        r = master.substream("trial", i)
+        out = protocol.run_session(r.substream("session"))
+        _add_outcome(d, i, out)
+        fake = protocol.fake(out, r.substream("fake"))
+        d.add(f"{i}.fake_key", fake.key)
+        d.add(f"{i}.fake_codeword", fake.randomness["codeword"])
+    return d.hexdigest()
+
+
+def _ue(interceptor) -> str:
+    params = ue.UeParams(4, 4)
+    master = RandomStream(MASTER_SEED).substream("ue")
+    d = _Digest()
+    for i in range(UE_RUNS):
+        r = master.substream("run", i)
+        key = ue.generate_ue_key(params, r.substream("key"))
+        res = ue.qke_from_ue(params, key, r.substream("session"), interceptor=interceptor)
+        d.add(f"{i}.accepted", int(res.accepted))
+        d.add(f"{i}.key_alice", res.key_alice)
+        d.add(f"{i}.key_bob", res.key_bob)
+        d.add(f"{i}.sent", res.sent_codeword)
+        d.add_transcript(res.transcript)
+    return d.hexdigest()
+
+
+def _teleport() -> str:
+    codes = gf2.default_nested_pair()
+    master = RandomStream(MASTER_SEED).substream("teleport")
+    d = _Digest()
+    for i in range(SESSIONS):
+        key_a, key_b, transcript = distill.qke_over_teleportation(
+            14, math.pi / 6, master.substream("run", i), codes=codes
+        )
+        d.add(f"{i}.key_a", key_a)
+        d.add(f"{i}.key_b", key_b)
+        d.add_transcript(transcript)
+    return d.hexdigest()
+
+
+CASES = {
+    "bb84_n700_flip0.05": _bb84_long,
+    "bb84_n14_decoys8": _bb84_decoys,
+    "ue_4_4": lambda: _ue(None),
+    "ue_4_4_eve1.0": lambda: _ue(denial.EvePolicy(1.0)),
+    "teleport_m14_codes": _teleport,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digest(case):
+    golden = json.loads(GOLDEN.read_text())
+    assert CASES[case]() == golden[case]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python tests/test_golden.py --write")
+    digests = {name: compute() for name, compute in CASES.items()}
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(GOLDEN.read_text(), end="")

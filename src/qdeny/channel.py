@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from . import qcore
-from .rng import WEAK_SEED_BITS, CounterModePrng, RandomStream
+from .rng import WEAK_SEED_BITS, CounterModePrng, RandomStream, _distinct_rows
 
 __all__ = [
     "QubitChannel",
@@ -242,16 +242,22 @@ def max_covert_slots(channel: TimeBinChannel, bias_target: float) -> int:
     return lo
 
 
+_TABLE_CHUNK = 64  # seeds per batch in weak_schedule_table
+
+
 @lru_cache(maxsize=8)
 def weak_schedule_table(n_slots: int, n_used: int) -> np.ndarray:
     """Schedules for every 16-bit seed, one row per seed.
 
     This is the exhaustive search space handed to the seed-search warden in
-    the broken-generator experiments.
+    the broken-generator experiments. Row `seed` equals
+    `CounterModePrng(seed, 16).sample_distinct(n_slots, n_used)`; the rows
+    are expanded a small chunk of seeds at a time, which keeps the build's
+    working memory far below the table's own.
     """
     table = np.empty((1 << WEAK_SEED_BITS, n_used), dtype=np.int32)
-    for seed in range(1 << WEAK_SEED_BITS):
-        prng = CounterModePrng(seed, WEAK_SEED_BITS)
-        table[seed] = prng.sample_distinct(n_slots, n_used)
+    for start in range(0, 1 << WEAK_SEED_BITS, _TABLE_CHUNK):
+        seeds = range(start, start + _TABLE_CHUNK)
+        table[start : start + _TABLE_CHUNK] = _distinct_rows(seeds, n_slots, n_used)
     table.setflags(write=False)
     return table

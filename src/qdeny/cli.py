@@ -75,12 +75,16 @@ def _load_config(path: str, experiment: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     if "experiment" not in data:
         raise ConfigError("missing required config key 'experiment'")
     if data["experiment"] != experiment:
         raise ConfigError(
             f"config is for experiment {data['experiment']!r}, not {experiment!r}"
         )
+    if not isinstance(data.get("params", {}), dict):
+        raise ConfigError("config key 'params' must be an object")
     return data
 
 
@@ -213,7 +217,7 @@ def _pick_warden(name: str, config: dcqke_mod.CovertQkeConfig):
     if name == "count":
         return dcqke_mod.CountTestWarden(config)
     if name == "seed-search":
-        return dcqke_mod.SeedSearchWarden(config)
+        return _validated(lambda: dcqke_mod.SeedSearchWarden(config))
     raise ConfigError(f"unknown warden {name!r}")
 
 
@@ -253,7 +257,7 @@ def _run_dcqke(params: dict, seed: int, trials: int):
 
 
 def _run_distill(params: dict, seed: int, trials: int):
-    theta = float(params["theta"])
+    theta = _validated(lambda: distill_mod.PartialPair(float(params["theta"]))).theta
     _, report = distill_mod.distill_batch(trials, theta, RandomStream(seed).substream("batch"))
     if report.succeeded == 0:
         raise ExperimentAbort("no pair survived the filter")

@@ -18,8 +18,10 @@ so that the reduction inequality can be checked on paired seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from . import bb84 as bb84_mod
 from .channel import (
@@ -53,6 +55,7 @@ __all__ = [
     "reduction_distinguisher",
     "CountTestWarden",
     "SeedSearchWarden",
+    "seed_slot_incidence",
 ]
 
 
@@ -197,7 +200,9 @@ class SeedSearchWarden:
 
     Guesses 'session ran' when some candidate schedule collects at least
     `threshold` detections; the default threshold sits halfway between the
-    dark and signal expectations over one schedule.
+    dark and signal expectations over one schedule. Every seed's detection
+    count comes from one product of the seed x slot incidence matrix with
+    the detection vector.
     """
 
     name = "seed-search"
@@ -205,18 +210,37 @@ class SeedSearchWarden:
     def __init__(self, config: CovertQkeConfig, threshold: float | None = None):
         if config.prng.kind != "weak":
             raise ValueError("seed search only makes sense against the weak generator")
-        self._table = weak_schedule_table(
-            config.timebin.n_slots, config.effective_n_used
-        )
+        self._incidence = seed_slot_incidence(config.timebin.n_slots, config.effective_n_used)
         if threshold is None:
             tb = config.timebin
             threshold = config.effective_n_used * (tb.p_dark + tb.p_signal) / 2
         self._threshold = threshold
 
     def decide(self, observation, rng: RandomStream) -> int:
-        det = _window_of(observation).detections
-        per_seed = det[self._table].sum(axis=1)
+        det = _window_of(observation).detections.astype(self._incidence.dtype, copy=False)
+        per_seed = self._incidence @ det
         return 0 if per_seed.max() >= self._threshold else 1
+
+
+@lru_cache(maxsize=4)
+def seed_slot_incidence(n_slots: int, n_used: int) -> sparse.csr_matrix:
+    """Seed x slot incidence matrix of `weak_schedule_table(n_slots, n_used)`.
+
+    Row `seed` holds a one at each slot of that seed's schedule. Its column
+    indices alias the cached table rather than copy it, and its values use
+    the smallest unsigned dtype that holds n_used: scipy accumulates a
+    product in the operands' common dtype, and no seed's count can exceed
+    n_used, so a detection vector of the same dtype gives exact counts
+    without upcasting the values on every call.
+    """
+    table = weak_schedule_table(n_slots, n_used)
+    n_seeds = table.shape[0]
+    dtype = np.min_scalar_type(n_used)
+    indptr = np.arange(n_seeds + 1, dtype=np.int32) * np.int32(n_used)
+    data = np.ones(table.size, dtype=dtype)
+    for arr in (indptr, data):
+        arr.setflags(write=False)  # shared by every caller, like the table
+    return sparse.csr_matrix((data, table.reshape(-1), indptr), shape=(n_seeds, n_slots), copy=False)
 
 
 def _window_of(observation) -> WardenObservation:

@@ -159,6 +159,12 @@ def detection_probability(
     Trials whose sifted set is smaller than `flips` are redrawn, which at
     these sizes is vanishingly rare; `flips` above `n_qubits` could never
     be met and is rejected.
+
+    Eve measures a qubit when a float32 uniform falls below
+    `n_decoys / n_qubits`, and the comparison runs in float32: the ratio is
+    rounded to float32 and the uniforms lie on a 2**-24 grid, so the decoy
+    rate is a quantized ratio that differs from the exact fraction by at
+    most 2**-23.
     """
     if flips < 1:
         raise ValueError("need at least one flip")

@@ -24,6 +24,7 @@ Two constructions live here:
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -134,14 +135,10 @@ class CounterModePrng:
         self._buffer = np.empty(0, dtype=np.uint32)
 
     def _refill(self, n_words: int) -> None:
-        blocks = []
-        need = n_words - self._buffer.size
-        n_blocks = (need + 7) // 8
-        for _ in range(n_blocks):
-            h = hashlib.sha256(self._key_bytes + self._counter.to_bytes(8, "big"))
-            blocks.append(h.digest())
-            self._counter += 1
-        fresh = np.frombuffer(b"".join(blocks), dtype=">u4").astype(np.uint32)
+        n_blocks = (n_words - self._buffer.size + 7) // 8
+        counters = range(self._counter, self._counter + n_blocks)
+        fresh = _words(_blocks([self._key_bytes], counters), 1)[0]
+        self._counter += n_blocks
         self._buffer = np.concatenate([self._buffer, fresh])
 
     def words(self, n_words: int) -> np.ndarray:
@@ -161,13 +158,72 @@ class CounterModePrng:
             raise ValueError(f"cannot schedule {n_used} of {n_slots} slots")
         if n_used == n_slots:
             return np.arange(n_slots, dtype=np.int64)
-        limit = (1 << 32) - ((1 << 32) % n_slots)
+        limit = _accept_limit(n_slots)
         accepted = np.empty(0, dtype=np.int64)
         while True:
-            u = self.words(max(16, int(1.2 * (n_used - accepted.size)) + 8))
+            u = self.words(_refill_size(n_used - accepted.size))
             keep = u < limit
             accepted = np.concatenate([accepted, (u[keep] % n_slots).astype(np.int64)])
             _, first = np.unique(accepted, return_index=True)
             if first.size >= n_used:
                 ordered = accepted[np.sort(first)]
                 return np.sort(ordered[:n_used])
+
+
+def _distinct_rows(seeds: Sequence[int], n_slots: int, n_used: int) -> np.ndarray:
+    """`CounterModePrng(seed, 16).sample_distinct(n_slots, n_used)` for every
+    seed, one int32 row per seed, from one batch of keystream words.
+
+    sample_distinct returns the first n_used distinct accepted words in
+    keystream order, sorted, however its refills are chunked. Here every
+    seed's first draw is hashed at once; a row-wise sort of
+    value * width + position puts each value's first occurrence at the head
+    of its run, the n_used earliest first occurrences are kept, and they come
+    out in ascending order. Rows the first draw cannot fill fall back to the
+    scalar path.
+    """
+    if n_slots > 1 << 31:
+        raise ValueError("int32 rows hold at most 2**31 slots")
+    if n_used == n_slots or n_used == 0:
+        return np.tile(np.arange(n_used, dtype=np.int32), (len(seeds), 1))
+    width = _refill_size(n_used)
+    key_bytes = [seed.to_bytes(16, "big") for seed in seeds]
+    u = _words(_blocks(key_bytes, range((width + 7) // 8)), len(seeds))[:, :width]
+    values = np.where(u < _accept_limit(n_slots), u % n_slots, n_slots).astype(np.int64)
+    order = np.sort(values * width + np.arange(width), axis=1)
+    values, position = np.divmod(order, width)
+    first = np.empty(values.shape, dtype=bool)
+    first[:, 0] = True
+    np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
+    first &= values < n_slots
+    first_position = np.where(first, position, width)
+    cutoff = np.partition(first_position, n_used - 1, axis=1)[:, n_used - 1]
+    keep = first_position <= cutoff[:, None]
+    full = cutoff < width
+    out = np.empty((len(seeds), n_used), dtype=np.int32)
+    out[full] = values[keep & full[:, None]].reshape(-1, n_used)
+    for row in np.flatnonzero(~full):
+        out[row] = CounterModePrng(seeds[row], WEAK_SEED_BITS).sample_distinct(n_slots, n_used)
+    return out
+
+def _accept_limit(n_slots: int) -> int:
+    """Words at or above this bound are rejected, so `word % n_slots` is uniform."""
+    return (1 << 32) - ((1 << 32) % n_slots)
+
+
+def _refill_size(shortfall: int) -> int:
+    """Words sample_distinct draws while `shortfall` = n_used minus the words
+    accepted so far; its first draw is `_refill_size(n_used)`."""
+    return max(16, int(1.2 * shortfall) + 8)
+
+
+def _blocks(key_bytes: list[bytes], counters: range) -> bytes:
+    """Keystream blocks `counters` of every key, key-major."""
+    suffixes = [j.to_bytes(8, "big") for j in counters]
+    sha256 = hashlib.sha256
+    return b"".join([sha256(key + c).digest() for key in key_bytes for c in suffixes])
+
+
+def _words(blocks: bytes, n_keys: int) -> np.ndarray:
+    """Big-endian uint32 words of `_blocks` output, one row per key."""
+    return np.frombuffer(blocks, dtype=">u4").astype(np.uint32).reshape(n_keys, -1)

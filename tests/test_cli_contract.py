@@ -50,3 +50,29 @@ def test_detection_probability_rejects_unrunnable_input(call, message):
 @pytest.mark.parametrize("experiment, trials", [("covert", "5"), ("dcqke", "50")])
 def test_game_trials_below_100_exit_2(experiment, trials):
     _assert_config_error(_python("-m", "qdeny.cli", experiment, "--trials", trials))
+
+
+@pytest.mark.parametrize("experiment", ["covert", "dcqke"])
+def test_seed_search_against_strong_generator_exit_2(tmp_path, experiment):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "params": {"warden": "seed-search"}}))
+    _assert_config_error(_python("-m", "qdeny.cli", experiment, "--config", str(cfg)))
+
+
+@pytest.mark.parametrize("data", [
+    {"experiment": "bb84", "params": [14, 0.5]},
+    {"experiment": "bb84", "params": "n=14"},
+    ["experiment", "bb84"],
+])
+def test_config_not_an_object_exit_2(tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    _assert_config_error(_python("-m", "qdeny.cli", "bb84", "--config", str(cfg), "--trials", "1"))
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.5, 1.6, "pi"])
+def test_distill_theta_outside_open_interval_exit_2(tmp_path, theta):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "distill", "params": {"theta": theta}}))
+    _assert_config_error(_python("-m", "qdeny.cli", "distill", "--config", str(cfg),
+                                 "--trials", "10"))

@@ -1,8 +1,9 @@
 """Golden digests of seeded protocol outputs.
 
 `tests/golden/digests.json` pins a SHA-256 digest per case over the seeded
-outputs of BB84 sessions, UE key exchange and key exchange over
-teleportation, so a refactor can show that it changed no seeded output.
+outputs of BB84 sessions, UE key exchange, key exchange over teleportation,
+the weak generator's schedule tables and the seed-search warden's guesses,
+so a refactor can show that it changed no seeded output.
 A declared change to a random stream's layout regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -19,14 +20,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdeny import bb84, denial, distill, gf2, ue
-from qdeny.channel import QubitChannel
+from qdeny import bb84, dcqke, denial, distill, gf2, ue
+from qdeny.channel import QubitChannel, TimeBinChannel, weak_schedule_table
 from qdeny.rng import RandomStream
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 MASTER_SEED = 0x601DE7
 SESSIONS = 5
 UE_RUNS = 20
+WARDEN_TRIALS = 40
 
 
 class _Digest:
@@ -117,12 +119,61 @@ def _teleport() -> str:
     return d.hexdigest()
 
 
+def _weak_table(n_slots: int, n_used: int) -> str:
+    table = weak_schedule_table(n_slots, n_used)
+    return hashlib.sha256(repr((table.dtype.str, table.shape)).encode() + table.tobytes()).hexdigest()
+
+
+class _Enough(Exception):
+    """Ends a game after WARDEN_TRIALS decisions; games insist on 100 trials."""
+
+
+class _RecordingWarden:
+    """Seed-search warden that records its first WARDEN_TRIALS guesses."""
+
+    def __init__(self, config):
+        self._warden = dcqke.SeedSearchWarden(config)
+        self.digest = _Digest()
+        self.n = 0
+
+    def decide(self, observation, rng):
+        if self.n == WARDEN_TRIALS:
+            raise _Enough
+        guess = self._warden.decide(observation, rng)
+        window = getattr(observation, "covert_window", observation)
+        self.digest.add(f"{self.n}.count", window.count)
+        self.digest.add(f"{self.n}.guess", guess)
+        self.n += 1
+        return guess
+
+
+def _seed_search(game: str) -> str:
+    config = dcqke.CovertQkeConfig(
+        bb84.Bb84Config(n=7, delta=0.5), TimeBinChannel(16384, 0.3, 0.95), dcqke.PrngSpec("weak")
+    )
+    warden = _RecordingWarden(config)
+    try:
+        if game == "covert":
+            dcqke.covert_game(config, 100, MASTER_SEED, warden=warden)
+        else:
+            dcqke.deniability_experiment(config, warden, 100, MASTER_SEED)
+    except _Enough:
+        pass
+    assert warden.n == WARDEN_TRIALS
+    return warden.digest.hexdigest()
+
+
 CASES = {
     "bb84_n700_flip0.05": _bb84_long,
     "bb84_n14_decoys8": _bb84_decoys,
     "ue_4_4": lambda: _ue(None),
     "ue_4_4_eve1.0": lambda: _ue(denial.EvePolicy(1.0)),
     "teleport_m14_codes": _teleport,
+    "weak_table_16384_182": lambda: _weak_table(16384, 182),
+    "weak_table_2048_24": lambda: _weak_table(2048, 24),
+    "weak_table_1000_37": lambda: _weak_table(1000, 37),
+    "seed_search_covert_40": lambda: _seed_search("covert"),
+    "seed_search_deniability_40": lambda: _seed_search("deniability"),
 }
 
 

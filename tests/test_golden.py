@@ -65,27 +65,54 @@ def _add_outcome(d: _Digest, i: int, out: bb84.Bb84Outcome) -> None:
         d.add(f"{i}.eve.{name}", None if rec is None else getattr(rec, name))
 
 
-def _bb84_long() -> str:
+def _bb84_long_sessions():
     config = bb84.Bb84Config(n=700)
     qchan = QubitChannel(flip_probability=0.05)
     master = RandomStream(MASTER_SEED).substream("bb84-n700")
-    d = _Digest()
     for i in range(SESSIONS):
-        _add_outcome(d, i, bb84.run_session(config, qchan, master.substream("session", i)))
+        yield bb84.run_session(config, qchan, master.substream("session", i))
+
+
+def _bb84_long() -> str:
+    d = _Digest()
+    for i, out in enumerate(_bb84_long_sessions()):
+        _add_outcome(d, i, out)
     return d.hexdigest()
 
 
-def _bb84_decoys() -> str:
+def _bb84_decoy_trials():
+    """(outcome, fake view) of the n=14 denial sessions under 8 decoys."""
     protocol = denial.NaiveBb84DenialProtocol(bb84.Bb84Config(n=14), n_decoys=8, flips=1)
     master = RandomStream(MASTER_SEED).substream("bb84-n14-decoys")
-    d = _Digest()
     for i in range(SESSIONS):
         r = master.substream("trial", i)
         out = protocol.run_session(r.substream("session"))
+        yield out, protocol.fake(out, r.substream("fake"))
+
+
+def _bb84_decoys() -> str:
+    d = _Digest()
+    for i, (out, fake) in enumerate(_bb84_decoy_trials()):
         _add_outcome(d, i, out)
-        fake = protocol.fake(out, r.substream("fake"))
         d.add(f"{i}.fake_key", fake.key)
         d.add(f"{i}.fake_codeword", fake.randomness["codeword"])
+    return d.hexdigest()
+
+
+def _transcripts(outcomes) -> str:
+    """Every classical message of each session, in order."""
+    d = _Digest()
+    for i, out in enumerate(outcomes):
+        d.add(f"{i}.messages", len(out.session.transcript))
+        d.add_transcript(out.session.transcript)
+    return d.hexdigest()
+
+
+def _fake_randomness_names() -> str:
+    d = _Digest()
+    for i, (_, fake) in enumerate(_bb84_decoy_trials()):
+        for name in sorted(fake.randomness):
+            d.add(f"{i}.randomness:{name}", None)
     return d.hexdigest()
 
 
@@ -166,6 +193,9 @@ def _seed_search(game: str) -> str:
 CASES = {
     "bb84_n700_flip0.05": _bb84_long,
     "bb84_n14_decoys8": _bb84_decoys,
+    "bb84_n700_flip0.05_transcript": lambda: _transcripts(_bb84_long_sessions()),
+    "bb84_n14_decoys8_transcript": lambda: _transcripts(out for out, _ in _bb84_decoy_trials()),
+    "bb84_n14_decoys8_fake_randomness_names": _fake_randomness_names,
     "ue_4_4": lambda: _ue(None),
     "ue_4_4_eve1.0": lambda: _ue(denial.EvePolicy(1.0)),
     "teleport_m14_codes": _teleport,

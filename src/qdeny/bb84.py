@@ -10,6 +10,11 @@ discloses positions and values on the classical channel.
 All announcements use fixed-size encodings (index sets as full-length
 masks) so a session's classical bit count is a function of the
 configuration alone; the covert layer relies on that.
+
+Key exchange over teleportation (`distill.qke_over_teleportation`) shares
+every step after the quantum exchange: `announce_sift`, `split_check`,
+`compare_check` and `reconcile`. Which positions are kept, which masks are
+announced and when a check fails stay with each protocol.
 """
 
 from __future__ import annotations
@@ -32,6 +37,10 @@ __all__ = [
     "run_bb84",
     "run_session",
     "sift",
+    "announce_sift",
+    "split_check",
+    "compare_check",
+    "reconcile",
     "block_keys",
     "extract_key",
     "required_slots",
@@ -127,12 +136,39 @@ class Bb84Outcome:
         return bool(np.array_equal(self.alice.session_key, self.bob.session_key))
 
 
-def sift(a, b, a_prime, b_prime) -> np.ndarray:
+def sift(b, b_prime) -> np.ndarray:
     """Indices where preparation and measurement bases agree."""
-    arrays = [np.asarray(x) for x in (a, b, a_prime, b_prime)]
-    if len({arr.size for arr in arrays}) != 1:
-        raise ValueError("all four strings must have equal length")
-    return np.where(arrays[1] == arrays[3])[0]
+    b, b_prime = np.asarray(b), np.asarray(b_prime)
+    if b.size != b_prime.size:
+        raise ValueError("both base strings must have equal length")
+    return np.where(b == b_prime)[0]
+
+
+def announce_sift(cchan: ClassicalAuthChannel, b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
+    """Alice announces her bases and Bob the mask of matching ones; returns
+    the sifted indices."""
+    cchan.send("alice", "bases", b)
+    sifted = sift(b, b_prime)
+    cchan.send("bob", "sift-mask", _mask(b.size, sifted))
+    return sifted
+
+
+def split_check(
+    positions: np.ndarray, n_check: int, rng: RandomStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """n_check random positions for error estimation, and the rest, sorted,
+    as payload."""
+    check = positions[rng.choice_distinct(positions.size, n_check)]
+    return check, np.setdiff1d(positions, check)
+
+
+def compare_check(
+    cchan: ClassicalAuthChannel, a: np.ndarray, a_prime: np.ndarray, check: np.ndarray
+) -> int:
+    """Both parties disclose their check values; returns how many disagree."""
+    cchan.send("alice", "check-values-alice", a[check])
+    cchan.send("bob", "check-values-bob", a_prime[check])
+    return int(np.sum(a[check] ^ a_prime[check]))
 
 
 def block_keys(pair: NestedCodePair, words: np.ndarray) -> np.ndarray:
@@ -158,6 +194,21 @@ def extract_key(
         raise ValueError("payload length must be a shared multiple of the block length")
     k_a = gf2.key_from_coset(pair, u.reshape(-1, pair.c1.n)).reshape(-1)
     return k_a, block_keys(pair, v_bob ^ u ^ v_alice)
+
+
+def reconcile(
+    cchan: ClassicalAuthChannel,
+    pair: NestedCodePair,
+    v_alice: np.ndarray,
+    v_bob: np.ndarray,
+    rng: RandomStream,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Alice draws a random C1 codeword u per block of her payload and
+    announces the correction u XOR v_alice; returns (u, Alice's key, Bob's
+    key)."""
+    u = gf2.sample_codeword(pair.c1, rng, v_alice.size // pair.c1.n).reshape(-1)
+    cchan.send("alice", "correction", u ^ v_alice)
+    return (u, *extract_key(pair, v_alice, v_bob, u))
 
 
 def _mask(length: int, positions: np.ndarray) -> np.ndarray:
@@ -192,51 +243,34 @@ def run_bb84(
     b_prime = rng_b.bits(q_count)
     a_prime, _ = qcore.measure(delivered, b_prime, rng_b)
 
-    cchan.send("alice", "bases", b)
-    sifted = sift(a, b, a_prime, b_prime)
-    cchan.send("bob", "sift-mask", _mask(q_count, sifted))
+    sifted = announce_sift(cchan, b, b_prime)
     if sifted.size < 2 * n:
         raise SiftShortfall(f"only {sifted.size} sifted bits, need {2 * n}")
 
     retained = sifted[rng_a.choice_distinct(sifted.size, 2 * n)]
-    check_sel = rng_a.choice_distinct(2 * n, n)
-    check_positions = retained[check_sel]
-    payload_positions = np.setdiff1d(retained, check_positions)
+    check_positions, payload_positions = split_check(retained, n, rng_a)
     cchan.send("alice", "check-mask", _mask(q_count, check_positions))
     cchan.send("alice", "payload-mask", _mask(q_count, payload_positions))
 
-    cchan.send("alice", "check-values-alice", a[check_positions])
-    cchan.send("bob", "check-values-bob", a_prime[check_positions])
-    estimated_error = float(np.mean(a[check_positions] ^ a_prime[check_positions]))
+    estimated_error = compare_check(cchan, a, a_prime, check_positions) / n
     ok = estimated_error <= config.error_threshold
     cchan.send("alice", "verdict", [int(ok)])
 
-    if not ok:
-        session = Bb84Session(
-            config, a, b, b_prime, a_prime, sifted, check_positions, payload_positions,
-            None, estimated_error, cchan.log, eve_record,
+    u = k_a = k_b = None
+    alice_private = {"raw_bits": a, "bases": b}
+    if ok:
+        u, k_a, k_b = reconcile(
+            cchan, config.codes, a[payload_positions], a_prime[payload_positions], rng_a
         )
-        alice = SessionResult(None, "alice", cchan.log,
-                              {"raw_bits": a, "bases": b}, aborted=True)
-        bob = SessionResult(None, "bob", cchan.log,
-                            {"outcomes": a_prime, "bases": b_prime}, aborted=True)
-        return Bb84Outcome(True, alice, bob, session)
-
-    u = gf2.sample_codeword(config.codes.c1, rng_a, config.blocks).reshape(-1)
-    v_alice = a[payload_positions]
-    v_bob = a_prime[payload_positions]
-    cchan.send("alice", "correction", u ^ v_alice)
-    k_a, k_b = extract_key(config.codes, v_alice, v_bob, u)
-
+        alice_private["codeword"] = u
     session = Bb84Session(
         config, a, b, b_prime, a_prime, sifted, check_positions, payload_positions,
         u, estimated_error, cchan.log, eve_record,
     )
-    alice = SessionResult(k_a, "alice", cchan.log,
-                          {"raw_bits": a, "bases": b, "codeword": u})
+    alice = SessionResult(k_a, "alice", cchan.log, alice_private, aborted=not ok)
     bob = SessionResult(k_b, "bob", cchan.log,
-                        {"outcomes": a_prime, "bases": b_prime})
-    return Bb84Outcome(False, alice, bob, session)
+                        {"outcomes": a_prime, "bases": b_prime}, aborted=not ok)
+    return Bb84Outcome(not ok, alice, bob, session)
 
 
 def run_session(

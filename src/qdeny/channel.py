@@ -105,15 +105,9 @@ class ClassicalAuthChannel:
 
 
 def transmit(
-    channel: QubitChannel, qubits: qcore.Bb84Qubits | list[qcore.StateVector], rng: RandomStream
+    channel: QubitChannel, qubits: qcore.Bb84Qubits, rng: RandomStream
 ) -> tuple[qcore.Bb84Qubits, object | None]:
-    """Deliver qubits: interceptor first, then per-qubit Pauli-X noise.
-
-    A list of dense single-qubit BB84 states is accepted too and converted
-    once with `Bb84Qubits.from_states`.
-    """
-    if not isinstance(qubits, qcore.Bb84Qubits):
-        qubits = qcore.Bb84Qubits.from_states(qubits)
+    """Deliver qubits: interceptor first, then per-qubit Pauli-X noise."""
     record = None
     if channel.interceptor is not None:
         qubits, record = channel.interceptor.intercept(qubits, rng)

@@ -15,7 +15,9 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,20 +46,58 @@ class ExperimentAbort(Exception):
     pass
 
 
-def _parse_seed(text: str) -> int:
-    text = text.strip().lower()
-    if len(text) != 32 or set(text) - set("0123456789abcdef"):
+def _parse_seed(text) -> int:
+    clean = text.strip().lower() if isinstance(text, str) else ""
+    if len(clean) != 32 or set(clean) - set("0123456789abcdef"):
         raise ConfigError(f"seed must be 32 hex characters, got {text!r}")
-    return int(text, 16)
+    return int(clean, 16)
+
+
+def _finite(value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
+def _prng(value) -> dict:
+    if not isinstance(value, dict) or "kind" not in value:
+        raise ValueError('expected an object like {"kind": "strong"}')
+    seed = value.get("seed")
+    if seed is not None:
+        seed = int(seed, 16) if isinstance(seed, str) else int(seed)
+    return {"kind": value["kind"], "seed": seed}
+
+
+# How each parameter is read from JSON; keys not listed pass through as given.
+_PARAM_TYPES = {
+    **dict.fromkeys(("n", "s", "N", "eta", "flips", "n_slots"), int),
+    **dict.fromkeys(
+        ("delta", "flip_probability", "error_threshold", "p_dark", "p_signal", "theta"), _finite
+    ),
+    "n_used": lambda value: None if value is None else int(value),
+    "prng": _prng,
+}
 
 
 def _merge_params(defaults: dict, config_params: dict, experiment: str) -> dict:
+    """Defaults overridden by the config, each value converted to its type once."""
     params = dict(defaults)
     for key, value in config_params.items():
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for experiment {experiment!r}")
         params[key] = value
+    for key, convert in _PARAM_TYPES.items():
+        if key in params:
+            params[key] = _convert(key, params[key], convert)
     return params
+
+
+def _convert(key: str, value, convert):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value {value!r} for config key {key!r}: {exc}")
 
 
 def _validated(builder):
@@ -112,12 +152,9 @@ def _load_code_pair(params: dict):
 def _run_bb84(params: dict, seed: int, trials: int):
     codes = _load_code_pair(params)
     cfg = _validated(lambda: bb84_mod.Bb84Config(
-        n=int(params["n"]),
-        delta=float(params["delta"]),
-        error_threshold=float(params["error_threshold"]),
-        codes=codes,
+        n=params["n"], delta=params["delta"], error_threshold=params["error_threshold"], codes=codes
     ))
-    qchan = _validated(lambda: QubitChannel(flip_probability=float(params["flip_probability"])))
+    qchan = _validated(lambda: QubitChannel(flip_probability=params["flip_probability"]))
     master = RandomStream(seed)
     agree = aborts = 0
     err_sum = 0.0
@@ -138,7 +175,7 @@ def _run_bb84(params: dict, seed: int, trials: int):
         "trials", "agreement_rate", "abort_rate", "mean_error", "seed",
     ]
     row = [
-        "bb84", cfg.n, cfg.delta, float(params["flip_probability"]), cfg.error_threshold,
+        "bb84", cfg.n, cfg.delta, qchan.flip_probability, cfg.error_threshold,
         trials, (agree / completed if completed else 0.0), aborts / trials,
         err_sum / trials, f"{seed:032x}",
     ]
@@ -160,21 +197,18 @@ def _run_bb84(params: dict, seed: int, trials: int):
 
 def _run_attack_deny(params: dict, seed: int, trials: int):
     est = _validated(lambda: denial_mod.detection_probability(
-        n_qubits=int(params["N"]),
-        n_decoys=int(params["eta"]),
-        flips=int(params["flips"]),
-        trials=trials,
-        master_seed=seed,
+        n_qubits=params["N"], n_decoys=params["eta"], flips=params["flips"],
+        trials=trials, master_seed=seed,
     ))
     columns = ["experiment", "N", "eta", "flips", "trials",
                "estimate", "ci_low", "ci_high", "seed"]
-    row = ["attack-deny", int(params["N"]), int(params["eta"]), int(params["flips"]),
+    row = ["attack-deny", params["N"], params["eta"], params["flips"],
            trials, est.rate, est.ci_low, est.ci_high, f"{seed:032x}"]
     return columns, [row], None
 
 
 def _run_ue(params: dict, seed: int, trials: int):
-    ue_params = _validated(lambda: ue_mod.UeParams(n=int(params["n"]), s=int(params["s"])))
+    ue_params = _validated(lambda: ue_mod.UeParams(n=params["n"], s=params["s"]))
     master = RandomStream(seed)
     accepted = 0
     first_key_json = None
@@ -192,24 +226,13 @@ def _run_ue(params: dict, seed: int, trials: int):
 
 
 def _covert_config(params: dict) -> dcqke_mod.CovertQkeConfig:
-    prng_cfg = params["prng"]
-    if not isinstance(prng_cfg, dict) or "kind" not in prng_cfg:
-        raise ConfigError("prng must be an object like {\"kind\": \"strong\"}")
-    prng_spec = _validated(lambda: dcqke_mod.PrngSpec(
-        kind=prng_cfg["kind"],
-        seed=int(prng_cfg["seed"], 16) if isinstance(prng_cfg.get("seed"), str)
-        else prng_cfg.get("seed"),
-    ))
+    prng = _validated(lambda: dcqke_mod.PrngSpec(**params["prng"]))
     timebin = _validated(lambda: TimeBinChannel(
-        n_slots=int(params["n_slots"]),
-        p_dark=float(params["p_dark"]),
-        p_signal=float(params["p_signal"]),
+        n_slots=params["n_slots"], p_dark=params["p_dark"], p_signal=params["p_signal"]
     ))
-    bb = _validated(lambda: bb84_mod.Bb84Config(n=int(params["n"]), delta=float(params["delta"])))
-    n_used = params["n_used"]
+    bb = _validated(lambda: bb84_mod.Bb84Config(n=params["n"], delta=params["delta"]))
     return _validated(lambda: dcqke_mod.CovertQkeConfig(
-        bb84=bb, timebin=timebin, prng=prng_spec,
-        n_used=int(n_used) if n_used is not None else None,
+        bb84=bb, timebin=timebin, prng=prng, n_used=params["n_used"]
     ))
 
 
@@ -227,37 +250,28 @@ _COVERT_DEFAULTS = {
 }
 
 
-def _run_covert(params: dict, seed: int, trials: int):
+def _run_covert_game(experiment: str, params: dict, seed: int, trials: int):
+    """The covert-detection game ("covert") or the deniability game of the
+    dual-session construction ("dcqke"), against the configured warden."""
     _validated(lambda: ExperimentConfig(trials, seed))
     config = _covert_config(params)
+    if experiment == "dcqke":
+        _validated(config.require_session_capacity)
     warden = _pick_warden(params["warden"], config)
-    est = dcqke_mod.covert_game(config, trials, seed, warden=warden)
+    if experiment == "dcqke":
+        est = dcqke_mod.deniability_experiment(config, warden, trials, seed)
+    else:
+        est = dcqke_mod.covert_game(config, trials, seed, warden=warden)
     columns = ["experiment", "prng", "n_slots", "n_used", "p_dark", "p_signal",
                "trials", "advantage", "ci_low", "ci_high", "seed"]
-    row = ["covert", config.prng.kind, config.timebin.n_slots, config.effective_n_used,
-           config.timebin.p_dark, config.timebin.p_signal, trials,
-           est.advantage, est.ci_low, est.ci_high, f"{seed:032x}"]
-    return columns, [row], None
-
-
-def _run_dcqke(params: dict, seed: int, trials: int):
-    params = dict(params)
-    params.setdefault("n_used", None)
-    _validated(lambda: ExperimentConfig(trials, seed))
-    config = _covert_config(params)
-    _validated(config.require_session_capacity)
-    warden = _pick_warden(params["warden"], config)
-    est = dcqke_mod.deniability_experiment(config, warden, trials, seed)
-    columns = ["experiment", "prng", "n_slots", "n_used", "p_dark", "p_signal",
-               "trials", "advantage", "ci_low", "ci_high", "seed"]
-    row = ["dcqke", config.prng.kind, config.timebin.n_slots, config.effective_n_used,
+    row = [experiment, config.prng.kind, config.timebin.n_slots, config.effective_n_used,
            config.timebin.p_dark, config.timebin.p_signal, trials,
            est.advantage, est.ci_low, est.ci_high, f"{seed:032x}"]
     return columns, [row], None
 
 
 def _run_distill(params: dict, seed: int, trials: int):
-    theta = _validated(lambda: distill_mod.PartialPair(float(params["theta"]))).theta
+    theta = _validated(lambda: distill_mod.PartialPair(params["theta"])).theta
     _, report = distill_mod.distill_batch(trials, theta, RandomStream(seed).substream("batch"))
     if report.succeeded == 0:
         raise ExperimentAbort("no pair survived the filter")
@@ -273,8 +287,8 @@ _RUNNERS = {
                          "error_threshold": 0.11, "c1_file": None, "c2_file": None}),
     "attack-deny": (_run_attack_deny, {"N": 512, "eta": 32, "flips": 1}),
     "ue": (_run_ue, {"n": 4, "s": 4}),
-    "covert": (_run_covert, dict(_COVERT_DEFAULTS)),
-    "dcqke": (_run_dcqke, {**_COVERT_DEFAULTS, "n_used": None}),
+    "covert": (partial(_run_covert_game, "covert"), _COVERT_DEFAULTS),
+    "dcqke": (partial(_run_covert_game, "dcqke"), {**_COVERT_DEFAULTS, "n_used": None}),
     "distill": (_run_distill, {"theta": float(np.pi / 6)}),
 }
 
@@ -399,7 +413,7 @@ def main(argv=None) -> int:
             config_params = data.get("params", {})
             seed_hex = data.get("seed")
             if "trials" in data:
-                trials = int(data["trials"])
+                trials = _convert("trials", data["trials"], int)
         if args.seed is not None:  # flags override the config file
             seed_hex = args.seed
         if args.trials is not None:

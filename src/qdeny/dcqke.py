@@ -32,7 +32,6 @@ from .channel import (
     WardenObservation,
     count_distributions,
     covert_schedule,
-    warden_bias_exact,
     warden_observe,
     weak_schedule_table,
 )
@@ -52,7 +51,7 @@ __all__ = [
     "faking_program",
     "build_views",
     "deniability_experiment",
-    "reduction_distinguisher",
+    "ReductionDistinguisher",
     "CountTestWarden",
     "SeedSearchWarden",
     "seed_slot_incidence",
@@ -72,6 +71,8 @@ class PrngSpec:
     def __post_init__(self):
         if self.kind not in ("strong", "weak"):
             raise ValueError("prng kind must be 'strong' or 'weak'")
+        if self.seed is not None and not 0 <= self.seed < 1 << self.bits:
+            raise ValueError(f"prng seed out of range for the {self.bits}-bit generator")
 
     @property
     def bits(self) -> int:
@@ -411,11 +412,3 @@ class ReductionDistinguisher:
         guess_fake = self.adversary.decide(view, rng.substream("wrapped"))
         return 0 if guess_fake == 0 else 1
 
-
-def reduction_distinguisher(adversary, config: CovertQkeConfig) -> ReductionDistinguisher:
-    return ReductionDistinguisher(adversary, config)
-
-
-def exact_bias(config: CovertQkeConfig) -> float:
-    """Exact covert-detection bias for this configuration's occupancy."""
-    return warden_bias_exact(config.timebin, config.effective_n_used)

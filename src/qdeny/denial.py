@@ -82,7 +82,6 @@ class EveRecord:
 class DenialClaim:
     claimed_bits: np.ndarray
     claimed_bases: np.ndarray
-    flipped_positions: np.ndarray
 
     def __post_init__(self):
         if np.asarray(self.claimed_bits).size != np.asarray(self.claimed_bases).size:
@@ -100,16 +99,13 @@ class JudgeVerdict:
 
 
 def eve_decoy_attack(
-    policy: EvePolicy, qubits: qcore.Bb84Qubits | list[qcore.StateVector], rng: RandomStream
+    policy: EvePolicy, qubits: qcore.Bb84Qubits, rng: RandomStream
 ) -> tuple[qcore.Bb84Qubits, EveRecord]:
     """Measure-and-forward on a random subset of the qubits in flight.
 
     Draws per qubit, in order: one uniform to decide whether to measure,
-    then for a measured qubit its basis bit and its measurement uniform. A
-    list of dense BB84 states is converted once with `from_states`.
+    then for a measured qubit its basis bit and its measurement uniform.
     """
-    if not isinstance(qubits, qcore.Bb84Qubits):
-        qubits = qcore.Bb84Qubits.from_states(qubits)
     positions, bases, uniforms = [], [], []
     for i in range(len(qubits)):
         if rng.random() < policy.measure_probability:
@@ -262,8 +258,9 @@ class NaiveBb84DenialProtocol:
 
     The faking program flips `flips` uniformly random sifted positions in
     the claimed raw bits, keeps bases honest, and rebuilds the codeword
-    claim so the announced correction still matches. It makes no attempt at
-    record consistency; that is the weakness under study.
+    claim so the announced correction still matches. It discloses the same
+    randomness fields as the honest view, and makes no attempt at record
+    consistency; that is the weakness under study.
     """
 
     def __init__(self, config: bb84_mod.Bb84Config, n_decoys: int, flips: int = 1):
@@ -294,12 +291,7 @@ class NaiveBb84DenialProtocol:
         claimed_u = (session.u ^ session.a[session.payload_positions]) ^ payload_claim
         return CoercionView(
             key=bb84_mod.block_keys(self.config.codes, claimed_u),
-            randomness={
-                "raw_bits": claimed_bits,
-                "bases": session.b,
-                "codeword": claimed_u,
-                "flipped_positions": chosen,
-            },
+            randomness={"raw_bits": claimed_bits, "bases": session.b, "codeword": claimed_u},
             eve_record=session.eve_record,
             transcript=session.transcript,
         )
@@ -311,9 +303,5 @@ class JudgeDistinguisher:
     name = "judge-check"
 
     def decide(self, view: CoercionView, rng: RandomStream) -> int:
-        claim = DenialClaim(
-            claimed_bits=view.randomness["raw_bits"],
-            claimed_bases=view.randomness["bases"],
-            flipped_positions=view.randomness.get("flipped_positions", np.empty(0, np.int64)),
-        )
+        claim = DenialClaim(view.randomness["raw_bits"], view.randomness["bases"])
         return int(judge_check(claim, view.eve_record).detected)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
+from . import bb84, qcore
 from .channel import ClassicalAuthChannel
 from .gf2 import NestedCodePair
 from .qcore import Basis, BellKind, StateVector
@@ -255,14 +255,16 @@ def qke_over_teleportation(
     check steps on the measurement records. The classical transcript holds
     exactly 2m teleportation bits plus the usual protocol messages.
 
-    Key extraction is skipped (keys are the sifted check-passing bits
-    directly) when no code pair is given; with one, payload bits feed the
-    same coset construction as the plain protocol.
+    Sifting, the check-bit exchange and reconciliation are the plain
+    protocol's own steps from `bb84`; here half of the sifted bits are
+    checked and any disagreement aborts. Key extraction is skipped (keys
+    are the sifted check-passing bits directly) when no code pair is given;
+    with one, whole blocks of payload bits feed the same coset construction
+    as the plain protocol.
     """
     if m < 1:
         raise ValueError("need at least one teleported qubit")
     needed = m + max(4, m // 4)  # sacrifice margin for verification
-    pair = PartialPair(theta)
     ebits: list[StateVector] = []
     for attempt in range(attempt_budget):
         batch, _ = distill_batch(needed * 2, theta, rng.substream("filter", attempt))
@@ -290,28 +292,15 @@ def qke_over_teleportation(
         a_prime[i] = outcome
     cchan.send("alice", "teleport-bits", teleport_bits)
 
-    cchan.send("alice", "bases", b)
-    matched = np.where(b == b_prime)[0]
-    cchan.send("bob", "sift-mask", np.isin(np.arange(m), matched).astype(np.uint8))
-    half = matched.size // 2
-    check_sel = rng_a.choice_distinct(matched.size, half)
-    check_pos = matched[check_sel]
-    payload_pos = np.setdiff1d(matched, check_pos)
-    cchan.send("alice", "check-values-alice", a[check_pos])
-    cchan.send("bob", "check-values-bob", a_prime[check_pos])
-    errors = int(np.sum(a[check_pos] ^ a_prime[check_pos]))
+    matched = bb84.announce_sift(cchan, b, b_prime)
+    check_pos, payload_pos = bb84.split_check(matched, matched.size // 2, rng_a)
+    errors = bb84.compare_check(cchan, a, a_prime, check_pos)
     cchan.send("alice", "verdict", [int(errors == 0)])
     if errors:
         raise RuntimeError("teleported qubits disagreed on check bits")
     key_a, key_b = a[payload_pos], a_prime[payload_pos]
     if codes is not None:
-        from .bb84 import extract_key
-        from .gf2 import sample_codeword
-
-        nb = codes.c1.n
-        usable = (payload_pos.size // nb) * nb
+        usable = payload_pos.size - payload_pos.size % codes.c1.n
         if usable:
-            u = sample_codeword(codes.c1, rng_a, usable // nb).reshape(-1)
-            cchan.send("alice", "correction", u ^ key_a[:usable])
-            key_a, key_b = extract_key(codes, key_a[:usable], key_b[:usable], u)
+            _, key_a, key_b = bb84.reconcile(cchan, codes, key_a[:usable], key_b[:usable], rng_a)
     return key_a, key_b, cchan.log

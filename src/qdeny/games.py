@@ -34,7 +34,6 @@ __all__ = [
     "RandomStream",
     "run_experiment",
     "wilson_interval",
-    "kappa_lengths",
 ]
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -59,7 +58,6 @@ class CoinFlipDistinguisher:
 class ExperimentConfig:
     trials: int
     master_seed: int
-    kappa: int = 8
 
     def __post_init__(self):
         if self.trials < 100:
@@ -147,18 +145,3 @@ def run_experiment(
         wins += int(guess == b)
     return AdvantageEstimate.from_wins(wins, config.trials)
 
-
-def kappa_lengths(kappa: int) -> dict[str, int]:
-    """Concrete lengths for security parameter kappa.
-
-    key_bits = kappa, MAC tag s = round(kappa / 2) (MAC key is 2s), pad
-    covers message plus tag. Documented here so every module maps kappa
-    the same way.
-    """
-    s = max(1, round(kappa / 2))
-    return {
-        "key_bits": kappa,
-        "mac_tag_bits": s,
-        "mac_key_bits": 2 * s,
-        "pad_bits": kappa + s,
-    }

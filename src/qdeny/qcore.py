@@ -167,11 +167,6 @@ def _build_bb84_states() -> dict[tuple[int, Basis], StateVector]:
 
 
 _BB84_STATES = _build_bb84_states()
-# Rows in batch index order 2 * basis + bit, for matching dense states.
-_BB84_AMPS = np.array(
-    [_BB84_STATES[(bit, Basis.from_bit(basis))].amplitudes for basis in (0, 1) for bit in (0, 1)]
-)
-_BB84_TOL = 1e-9
 
 
 def _p0(amplitudes: np.ndarray, basis: Basis) -> float:
@@ -180,10 +175,6 @@ def _p0(amplitudes: np.ndarray, basis: Basis) -> float:
     if basis is Basis.COMPUTATIONAL:
         return abs(a0) ** 2
     return abs(a0 + a1) ** 2 / 2
-
-
-def _flipped(state: StateVector) -> StateVector:
-    return StateVector(1, state.amplitudes[::-1])  # Pauli-X swaps amplitudes
 
 
 def _build_p0_table() -> np.ndarray:
@@ -197,7 +188,7 @@ def _build_p0_table() -> np.ndarray:
     for bit, basis, flip, m_basis in product((0, 1), repeat=4):
         state = _BB84_STATES[(bit, Basis.from_bit(basis))]
         if flip:
-            state = _flipped(state)
+            state = StateVector(1, state.amplitudes[::-1])  # Pauli-X swaps amplitudes
         table[bit, basis, flip, m_basis] = _p0(state.amplitudes, Basis.from_bit(m_basis))
     table.setflags(write=False)
     return table
@@ -219,10 +210,9 @@ class Bb84Qubits:
     """A batch of single-qubit BB84 states X^flip |bit>_basis.
 
     Three equal-length uint8 vectors: the prepared bit, the basis (0
-    computational, 1 diagonal) and the Pauli-X flag. Indexing or iterating
-    yields each qubit's dense StateVector: the shared `prepare_bb84`
-    instance when unflipped, the same state with its amplitudes swapped
-    when flipped.
+    computational, 1 diagonal) and the Pauli-X flag. Channels, interceptors
+    and decryption take BB84 qubits in this form only; the dense per-qubit
+    view is kept in the tests as the oracle.
     """
 
     bits: np.ndarray
@@ -237,35 +227,8 @@ class Bb84Qubits:
         for name, arr in zip(names, arrays):
             object.__setattr__(self, name, arr)
 
-    @classmethod
-    def from_states(cls, states: Sequence[StateVector]) -> "Bb84Qubits":
-        """Batch of dense single-qubit states.
-
-        Each state must equal one of the four BB84 states up to global phase
-        (fidelity within 1e-9), else ValueError. It is stored as that state
-        with the flip flag 0, so BB84 states round-trip exactly and Pauli-X
-        images round-trip up to global phase.
-        """
-        states = list(states)
-        if any(not isinstance(s, StateVector) or s.n_qubits != 1 for s in states):
-            raise ValueError("a BB84 batch holds single-qubit states only")
-        amps = np.array([s.amplitudes for s in states], dtype=complex).reshape(-1, 2)
-        match = np.abs(amps.conj() @ _BB84_AMPS.T) ** 2 > 1.0 - _BB84_TOL
-        found = match.any(axis=1)
-        if not np.all(found):
-            raise ValueError(f"state {int(np.argmin(found))} is not a BB84 state")
-        index = match.argmax(axis=1)
-        return cls(index & 1, index >> 1, np.zeros(index.size, dtype=np.uint8))
-
     def __len__(self) -> int:
         return int(self.bits.size)
-
-    def __getitem__(self, i: int) -> StateVector:
-        state = _BB84_STATES[(int(self.bits[i]), Basis.from_bit(self.bases[i]))]
-        return _flipped(state) if self.flips[i] else state
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     def measured(
         self, bases, uniforms: np.ndarray, at=slice(None)

@@ -25,7 +25,7 @@ import numpy as np
 from . import gf2
 from .channel import ClassicalAuthChannel
 from .gf2 import DualContainingPair
-from .qcore import Bb84Qubits, StateVector, measure, prepare_bb84
+from .qcore import Bb84Qubits, measure, prepare_bb84
 from .rng import RandomStream
 
 __all__ = [
@@ -337,18 +337,15 @@ class DecryptionOutcome:
 
 
 def ue_decrypt(
-    params: UeParams, key: UeKey, qubits: Bb84Qubits | list[StateVector], rng: RandomStream
+    params: UeParams, key: UeKey, qubits: Bb84Qubits, rng: RandomStream
 ) -> DecryptionOutcome:
     """Measure in the key bases, correct relative to the key syndromes,
     apply the quotient checks, strip the pad and verify the tag.
 
     Measurement outcomes on tampered qubits are genuinely random, hence the
-    explicit stream argument. A list of dense BB84 states is converted once
-    with `Bb84Qubits.from_states`.
+    explicit stream argument.
     """
     key.check_shape(params)
-    if not isinstance(qubits, Bb84Qubits):
-        qubits = Bb84Qubits.from_states(qubits)
     if len(qubits) != params.n_qubits:
         raise ValueError(f"expected {params.n_qubits} qubits, got {len(qubits)}")
     z_meas, _ = measure(qubits, key.b, rng)

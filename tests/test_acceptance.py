@@ -183,7 +183,7 @@ def test_criterion_7_reduction_inequality_grid():
         sigma = np.sqrt(den.std_error**2 + cov.std_error**2)
         ok = ok and den.advantage <= cov.advantage + 2 * sigma
         if name.startswith("strong"):
-            exact = dcqke.exact_bias(config)
+            exact = warden_bias_exact(config.timebin, config.effective_n_used)
             ok = ok and den.ci_low <= exact <= den.ci_high
             ok = ok and cov.ci_low <= exact <= cov.ci_high
             details.append(f"{name}: den {den.advantage:.3f} cov {cov.advantage:.3f} exact {exact:.3f}")

@@ -19,26 +19,25 @@ def config():
 class TestSift:
     def test_all_match(self):
         b = np.array([0, 1, 0, 1], dtype=np.uint8)
-        idx = sift(np.zeros(4, np.uint8), b, np.zeros(4, np.uint8), b.copy())
+        idx = sift(b, b.copy())
         assert np.array_equal(idx, np.arange(4))
 
     def test_none_match(self):
         b = np.array([0, 1, 0, 1], dtype=np.uint8)
-        idx = sift(np.zeros(4, np.uint8), b, np.zeros(4, np.uint8), 1 - b)
+        idx = sift(b, 1 - b)
         assert idx.size == 0
 
     def test_retention_is_half(self):
         rng = RandomStream(1)
         n = 10_000
         b, b_prime = rng.bits(n), rng.bits(n)
-        idx = sift(rng.bits(n), b, rng.bits(n), b_prime)
+        idx = sift(b, b_prime)
         sigma = np.sqrt(0.25 / n)
         assert abs(idx.size / n - 0.5) < 3 * sigma
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            sift(np.zeros(3, np.uint8), np.zeros(4, np.uint8),
-                 np.zeros(4, np.uint8), np.zeros(4, np.uint8))
+            sift(np.zeros(3, np.uint8), np.zeros(4, np.uint8))
 
 
 class TestExtractKey:

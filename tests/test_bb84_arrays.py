@@ -1,9 +1,10 @@
 """The BB84 array path against the dense qcore oracle.
 
-`qcore.Bb84Qubits` replaces one StateVector per qubit in the BB84 layer.
-These tests pin it to the dense path: the outcome-0 probability table
-against the dense measurement's own threshold, and whole `run_bb84`
-attempts against a per-qubit dense replay of the same substreams.
+`qcore.Bb84Qubits` is the only form of BB84 qubits in the package. These
+tests pin it to the dense path: the outcome-0 probability table against
+the dense measurement's own threshold, and whole `run_bb84` attempts
+against a per-qubit dense replay of the same substreams. The conversions
+between a batch and dense states live here, with the oracle.
 """
 
 from itertools import product
@@ -34,6 +35,37 @@ class FixedDraws:
 def _dense(bit: int, basis: int, flip: int) -> StateVector:
     state = qcore.prepare_bb84(bit, Basis.from_bit(basis))
     return StateVector(1, state.amplitudes[::-1]) if flip else state
+
+
+def dense_states(batch: Bb84Qubits) -> list[StateVector]:
+    """Each qubit of a batch as a dense state: the shared `prepare_bb84`
+    instance when unflipped, the same state with its amplitudes swapped when
+    flipped."""
+    return [_dense(*map(int, q)) for q in zip(batch.bits, batch.bases, batch.flips)]
+
+
+# Dense BB84 states in batch index order 2 * basis + bit.
+_BB84_AMPS = np.array([_dense(bit, basis, 0).amplitudes for basis in (0, 1) for bit in (0, 1)])
+
+
+def from_states(states) -> Bb84Qubits:
+    """Batch of dense single-qubit states.
+
+    Each state must equal one of the four BB84 states up to global phase
+    (fidelity within 1e-9), else ValueError. It is stored as that state
+    with the flip flag 0, so BB84 states round-trip exactly and Pauli-X
+    images round-trip up to global phase.
+    """
+    states = list(states)
+    if any(not isinstance(s, StateVector) or s.n_qubits != 1 for s in states):
+        raise ValueError("a BB84 batch holds single-qubit states only")
+    amps = np.array([s.amplitudes for s in states], dtype=complex).reshape(-1, 2)
+    match = np.abs(amps.conj() @ _BB84_AMPS.T) ** 2 > 1.0 - 1e-9
+    found = match.any(axis=1)
+    if not np.all(found):
+        raise ValueError(f"state {int(np.argmin(found))} is not a BB84 state")
+    index = match.argmax(axis=1)
+    return Bb84Qubits(index & 1, index >> 1, np.zeros(index.size, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("bit, basis, flip, m_basis", list(product((0, 1), repeat=4)))
@@ -142,30 +174,30 @@ def test_run_bb84_matches_dense_replay(setting):
 class TestFromStates:
     def test_bb84_states_round_trip(self):
         states = [qcore.prepare_bb84(bit, basis) for bit in (0, 1) for basis in Basis]
-        batch = Bb84Qubits.from_states(states)
+        batch = from_states(states)
         assert not batch.flips.any()
-        assert all(got is want for got, want in zip(batch, states))
+        assert all(got is want for got, want in zip(dense_states(batch), states))
 
     def test_flipped_and_phased_states_round_trip_up_to_phase(self):
         states = [_dense(bit, basis, 1) for bit in (0, 1) for basis in (0, 1)]
         states.append(StateVector(1, 1j * qcore.prepare_bb84(0, Basis.DIAGONAL).amplitudes))
-        for got, want in zip(Bb84Qubits.from_states(states), states):
+        for got, want in zip(dense_states(from_states(states)), states):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
     def test_flipped_batch_yields_swapped_amplitudes(self):
         batch = Bb84Qubits([0, 1], [1, 1], [1, 1])
-        for got, bit in zip(batch, (0, 1)):
+        for got, bit in zip(dense_states(batch), (0, 1)):
             want = qcore.prepare_bb84(bit, Basis.DIAGONAL).amplitudes[::-1]
             assert np.array_equal(got.amplitudes, want)
 
     def test_bell_state_rejected(self):
         with pytest.raises(ValueError):
-            Bb84Qubits.from_states([qcore.bell_state(qcore.BellKind.PHI_PLUS)])
+            from_states([qcore.bell_state(qcore.BellKind.PHI_PLUS)])
 
     def test_non_bb84_qubit_rejected(self):
         tilted = StateVector(1, np.array([np.cos(0.3), np.sin(0.3)]))
         with pytest.raises(ValueError):
-            Bb84Qubits.from_states([qcore.prepare_bb84(0, Basis.COMPUTATIONAL), tilted])
+            from_states([qcore.prepare_bb84(0, Basis.COMPUTATIONAL), tilted])
 
     def test_bad_batch_fields_rejected(self):
         with pytest.raises(ValueError):

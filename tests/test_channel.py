@@ -16,7 +16,6 @@ from qdeny.channel import (
     warden_bias_exact,
     warden_observe,
 )
-from qdeny.qcore import Basis
 from qdeny.rng import CounterModePrng, RandomStream
 
 
@@ -39,30 +38,35 @@ def bias_oracle(n_slots, p_dark, p_signal, n_used):
 
 class TestQubitTransmission:
     def test_noiseless_identity(self):
-        states = [qcore.prepare_bb84(b, Basis.COMPUTATIONAL) for b in (0, 1, 0)]
-        out, record = transmit(QubitChannel(0.0), states, RandomStream(1))
+        sent = qcore.prepare_bb84(np.array([0, 1, 0]), np.zeros(3, np.uint8))
+        out, record = transmit(QubitChannel(0.0), sent, RandomStream(1))
         assert record is None
-        for before, after in zip(states, out):
-            np.testing.assert_allclose(before.amplitudes, after.amplitudes)
+        for name in ("bits", "bases", "flips"):
+            assert np.array_equal(getattr(out, name), getattr(sent, name))
 
     def test_certain_flip(self):
-        out, _ = transmit(
-            QubitChannel(1.0), [qcore.basis_state("0")], RandomStream(1)
-        )
-        np.testing.assert_allclose(out[0].amplitudes, [0, 1], atol=1e-15)
+        sent = qcore.prepare_bb84(np.zeros(1, np.uint8), np.zeros(1, np.uint8))
+        out, _ = transmit(QubitChannel(1.0), sent, RandomStream(1))
+        assert out.flips.tolist() == [1]
+        assert qcore._BB84_P0[0, 0, 1, 0] == 0.0  # X|0> = |1>: outcome 1 is certain
 
     def test_flip_rate_monte_carlo(self):
         n = 10_000
-        states = [qcore.basis_state("0")] * n
-        out, _ = transmit(QubitChannel(0.1), states, RandomStream(2))
-        rng = RandomStream(3)
-        errors = sum(qcore.measure(s, Basis.COMPUTATIONAL, rng)[0] for s in out)
+        sent = qcore.prepare_bb84(np.zeros(n, np.uint8), np.zeros(n, np.uint8))
+        out, _ = transmit(QubitChannel(0.1), sent, RandomStream(2))
+        errors = int(qcore.measure(out, np.zeros(n, np.uint8), RandomStream(3))[0].sum())
         sigma = np.sqrt(0.1 * 0.9 / n)
         assert abs(errors / n - 0.1) < 3 * sigma
 
     def test_multiqubit_rejected(self):
+        # a batch holds one single-qubit state per entry; a two-qubit entry
+        # cannot be formed, so it never reaches the channel
         with pytest.raises(ValueError):
-            transmit(QubitChannel(0.0), [qcore.bell_state(qcore.BellKind.PHI_PLUS)], RandomStream(1))
+            transmit(
+                QubitChannel(0.0),
+                qcore.Bb84Qubits([[0, 0]], [[0, 0]], [[0, 0]]),
+                RandomStream(1),
+            )
 
     def test_bad_probability(self):
         with pytest.raises(ValueError):

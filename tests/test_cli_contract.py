@@ -1,6 +1,7 @@
 """Inputs that once hung or crashed: each must now exit 2 with a one-line
 message, checked in a subprocess under a time limit so a regression fails
-instead of stalling the suite."""
+instead of stalling the suite, or in process where the input fails before
+any experiment runs."""
 
 import json
 import os
@@ -9,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from qdeny import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TIMEOUT_S = 60
@@ -76,3 +79,22 @@ def test_distill_theta_outside_open_interval_exit_2(tmp_path, theta):
     cfg.write_text(json.dumps({"experiment": "distill", "params": {"theta": theta}}))
     _assert_config_error(_python("-m", "qdeny.cli", "distill", "--config", str(cfg),
                                  "--trials", "10"))
+
+
+@pytest.mark.parametrize("experiment, config", [
+    ("bb84", '{"experiment": "bb84", "params": {"n": null}}'),
+    ("ue", '{"experiment": "ue", "params": {"n": [1]}}'),
+    ("distill", '{"experiment": "distill", "params": {"theta": null}}'),
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": [1]}}}'),
+    ("bb84", '{"experiment": "bb84", "params": {"n": 1e400}}'),
+    ("bb84", '{"experiment": "bb84", "trials": null}'),
+    ("bb84", '{"experiment": "bb84", "seed": 5}'),
+])
+def test_mistyped_config_value_exit_2(tmp_path, capsys, experiment, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert cli.main([experiment, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error:"), err

@@ -6,17 +6,17 @@ from scipy import stats
 
 from qdeny import dcqke
 from qdeny.bb84 import Bb84Config, run_session
-from qdeny.channel import QubitChannel, TimeBinChannel
+from qdeny.channel import QubitChannel, TimeBinChannel, warden_bias_exact
 from qdeny.dcqke import (
     CountTestWarden,
     CovertQkeConfig,
     PrngSpec,
+    ReductionDistinguisher,
     SeedSearchWarden,
     build_views,
     covert_game,
     deniability_experiment,
     faking_program,
-    reduction_distinguisher,
     run_covert_qke,
     run_dc_qke,
 )
@@ -86,12 +86,12 @@ class TestCovertGame:
     def test_zero_occupancy_no_advantage(self):
         config = strong_config(n_used=0)
         est = covert_game(config, 600, master_seed=5)
-        assert dcqke.exact_bias(config) == 0.0
+        assert warden_bias_exact(config.timebin, config.effective_n_used) == 0.0
         assert est.ci_low == 0.0
 
     def test_strong_prng_matches_exact_bias(self):
         config = strong_config(n_slots=4096, p_dark=0.05, p_signal=0.08, n_used=128)
-        exact = dcqke.exact_bias(config)
+        exact = warden_bias_exact(config.timebin, config.effective_n_used)
         est = covert_game(config, 20_000, master_seed=6)
         sigma = np.sqrt(0.25 / est.trials)
         assert abs(est.advantage - exact) < 3 * sigma
@@ -100,7 +100,7 @@ class TestCovertGame:
         # strongly detectable occupancy: the bias is essentially maximal and
         # the game tracks it just the same
         config = strong_config(n_slots=4096, p_dark=0.01, p_signal=0.5, n_used=64)
-        exact = dcqke.exact_bias(config)
+        exact = warden_bias_exact(config.timebin, config.effective_n_used)
         est = covert_game(config, 2000, master_seed=60)
         assert exact > 0.45
         assert abs(est.advantage - exact) < 3 * np.sqrt(0.25 / est.trials)
@@ -170,9 +170,7 @@ class TestDcQkeSessions:
         for i in range(300):
             result = run_dc_qke(config, root.substream("t", i), fake_interceptor=policy)
             claim = DenialClaim(
-                result.fake_randomness["raw_bits"],
-                result.fake_randomness["bases"],
-                np.empty(0, np.int64),
+                result.fake_randomness["raw_bits"], result.fake_randomness["bases"]
             )
             assert not judge_check(claim, result.fake_eve_record).detected
 
@@ -235,7 +233,7 @@ class TestDeniabilityExperiment:
         config = strong_config()
         warden = CountTestWarden(config)
         est = deniability_experiment(config, warden, 2000, master_seed=18)
-        exact = dcqke.exact_bias(config)
+        exact = warden_bias_exact(config.timebin, config.effective_n_used)
         assert est.ci_low <= exact <= est.ci_high
 
 
@@ -294,7 +292,7 @@ class TestJudgeAdversaryAgainstDcQke:
 class TestReductionWrapper:
     def test_wrapped_coin_flip_near_zero(self):
         config = strong_config()
-        wrapper = reduction_distinguisher(CoinFlipDistinguisher(), config)
+        wrapper = ReductionDistinguisher(CoinFlipDistinguisher(), config)
         est = covert_game(config, 300, master_seed=101, warden=wrapper)
         assert est.ci_low == 0.0
 
@@ -302,13 +300,13 @@ class TestReductionWrapper:
         config = strong_config()
         warden = CountTestWarden(config)
         den = deniability_experiment(config, warden, 300, master_seed=20)
-        wrapper = reduction_distinguisher(warden, config)
+        wrapper = ReductionDistinguisher(warden, config)
         cov = covert_game(config, 300, master_seed=20, warden=wrapper)
         sigma = np.sqrt(den.std_error**2 + cov.std_error**2)
         assert cov.advantage >= den.advantage - 2 * sigma
 
     def test_one_invocation_per_trial(self):
         config = strong_config()
-        wrapper = reduction_distinguisher(CoinFlipDistinguisher(), config)
+        wrapper = ReductionDistinguisher(CoinFlipDistinguisher(), config)
         covert_game(config, 150, master_seed=21, warden=wrapper)
         assert wrapper.invocations == 150

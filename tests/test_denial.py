@@ -1,5 +1,6 @@
 """Decoy eavesdropping, judge soundness, detection rates, coercer game."""
 
+import hashlib
 from fractions import Fraction
 from math import comb
 
@@ -8,6 +9,8 @@ import pytest
 
 from qdeny import denial, qcore
 from qdeny.bb84 import Bb84Config
+from qdeny.channel import TimeBinChannel
+from qdeny.dcqke import CountTestWarden, CovertQkeConfig, PrngSpec, build_views, run_dc_qke
 from qdeny.denial import (
     DenialClaim,
     EvePolicy,
@@ -21,12 +24,7 @@ from qdeny.denial import (
     judge_check,
 )
 from qdeny.games import CoinFlipDistinguisher
-from qdeny.qcore import Basis
 from qdeny.rng import RandomStream
-
-
-def _states_for(bits, bases):
-    return [qcore.prepare_bb84(int(b), Basis.from_bit(x)) for b, x in zip(bits, bases)]
 
 
 def naive_detection_oracle(n_qubits: int, flips: int, p_check: Fraction) -> float:
@@ -58,16 +56,16 @@ class TestEveDecoyAttack:
     def test_zero_rate_is_transparent(self):
         rng = RandomStream(1)
         bits, bases = rng.bits(32), rng.bits(32)
-        states = _states_for(bits, bases)
+        states = qcore.prepare_bb84(bits, bases)
         forwarded, record = eve_decoy_attack(EvePolicy(0.0), states, rng)
         assert len(record) == 0
-        for before, after in zip(states, forwarded):
-            assert before is after
+        for name in ("bits", "bases", "flips"):
+            assert np.array_equal(getattr(forwarded, name), getattr(states, name))
 
     def test_full_rate_matched_bases_reproduce_bits(self):
         rng = RandomStream(2)
         bits, bases = rng.bits(200), rng.bits(200)
-        states = _states_for(bits, bases)
+        states = qcore.prepare_bb84(bits, bases)
         _, record = eve_decoy_attack(EvePolicy(1.0), states, rng)
         assert len(record) == 200
         matched = record.bases == bases
@@ -77,14 +75,14 @@ class TestEveDecoyAttack:
     def test_record_size_binomial(self):
         rng = RandomStream(3)
         n, eta = 10_000, 100
-        states = _states_for(rng.bits(n), rng.bits(n))
+        states = qcore.prepare_bb84(rng.bits(n), rng.bits(n))
         _, record = eve_decoy_attack(EvePolicy(eta / n), states, rng)
         sigma = np.sqrt(eta * (1 - eta / n))
         assert abs(len(record) - eta) < 3 * sigma
 
     def test_positions_strictly_increasing(self):
         rng = RandomStream(4)
-        states = _states_for(rng.bits(64), rng.bits(64))
+        states = qcore.prepare_bb84(rng.bits(64), rng.bits(64))
         _, record = eve_decoy_attack(EvePolicy(0.5), states, rng)
         assert np.all(np.diff(record.positions) > 0)
 
@@ -93,14 +91,14 @@ class TestJudge:
     def _session_record(self, seed, eta_rate=0.5, n=64):
         rng = RandomStream(seed)
         bits, bases = rng.bits(n), rng.bits(n)
-        states = _states_for(bits, bases)
+        states = qcore.prepare_bb84(bits, bases)
         _, record = eve_decoy_attack(EvePolicy(eta_rate), states, rng)
         return bits, bases, record
 
     def test_honest_claim_never_detected(self):
         for seed in range(20):
             bits, bases, record = self._session_record(seed)
-            claim = DenialClaim(bits, bases, np.empty(0, np.int64))
+            claim = DenialClaim(bits, bases)
             assert not judge_check(claim, record).detected
 
     def test_flip_at_checked_position_detected(self):
@@ -109,7 +107,7 @@ class TestJudge:
         pos = int(matched[0])
         claimed = bits.copy()
         claimed[pos] ^= 1
-        verdict = judge_check(DenialClaim(claimed, bases, np.array([pos])), record)
+        verdict = judge_check(DenialClaim(claimed, bases), record)
         assert verdict.detected and verdict.witness_position == pos
 
     def test_flip_outside_record_unnoticed(self):
@@ -117,15 +115,13 @@ class TestJudge:
         untouched = sorted(set(range(64)) - set(record.positions.tolist()))
         claimed = bits.copy()
         claimed[untouched[0]] ^= 1
-        assert not judge_check(DenialClaim(claimed, bases, np.array(untouched[:1])), record).detected
+        assert not judge_check(DenialClaim(claimed, bases), record).detected
 
     def test_wrong_basis_record_is_ignored(self):
         # entry measured in the other basis cannot witness a flip
         record = EveRecord(np.array([3]), np.array([1], np.uint8), np.array([0], np.uint8))
         claim = DenialClaim(
-            claimed_bits=np.array([0, 0, 0, 1], np.uint8),
-            claimed_bases=np.zeros(4, np.uint8),
-            flipped_positions=np.array([3]),
+            claimed_bits=np.array([0, 0, 0, 1], np.uint8), claimed_bases=np.zeros(4, np.uint8)
         )
         assert not judge_check(claim, record).detected
 
@@ -184,10 +180,7 @@ class TestFullQuantumPathAgreement:
         for i in range(trials):
             outcome = proto.run_session(root.substream("s", i))
             fake = proto.fake(outcome, root.substream("f", i))
-            claim = DenialClaim(
-                fake.randomness["raw_bits"], fake.randomness["bases"],
-                fake.randomness["flipped_positions"],
-            )
+            claim = DenialClaim(fake.randomness["raw_bits"], fake.randomness["bases"])
             detected += int(judge_check(claim, outcome.session.eve_record).detected)
         expect = n_decoys / (2 * config.qubit_count)
         sigma = np.sqrt(expect * (1 - expect) / trials)
@@ -239,3 +232,87 @@ class TestCoercerExperiment:
 
         with pytest.raises(TypeError):
             coercer_experiment(KeyOnly(), CoinFlipDistinguisher(), 200, master_seed=1)
+
+
+class DcQkeViews:
+    """DC-QKE in the coercer game's form, with the views of `build_views`."""
+
+    def __init__(self):
+        self.config = CovertQkeConfig(
+            Bb84Config(n=7, delta=0.5), TimeBinChannel(4096, 0.05, 0.08), PrngSpec("strong")
+        )
+
+    def run_session(self, rng):
+        return build_views(run_dc_qke(self.config, rng))
+
+    def real_view(self, views):
+        return views[0]
+
+    def fake(self, views, rng):
+        return views[1]
+
+
+class KeySetDistinguisher:
+    """Calls a view faked exactly when its randomness names differ from an
+    honest view's."""
+
+    def __init__(self, honest_names):
+        self.honest_names = set(honest_names)
+
+    def decide(self, view, rng):
+        return int(set(view.randomness) != self.honest_names)
+
+
+class RowRecorder:
+    """Wraps a distinguisher; hashes each trial's row of guess, channel
+    evidence (decoy record length or window count) and key."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sha = hashlib.sha256()
+
+    def decide(self, view, rng):
+        guess = self.inner.decide(view, rng)
+        record = getattr(view, "eve_record", None)
+        evidence = len(record) if record is not None else view.covert_window.count
+        self.sha.update(f"{guess} {evidence} {view.key.size}:{np.packbits(view.key).tobytes().hex()};".encode())
+        return guess
+
+
+# protocol, the distinguisher behind its seeded rows, and those rows' digest
+# as recorded before the fake view stopped disclosing flipped positions
+VIEW_PROTOCOLS = {
+    "naive-bb84-denial": (
+        lambda: NaiveBb84DenialProtocol(Bb84Config(n=14), n_decoys=8, flips=1),
+        lambda proto: JudgeDistinguisher(),
+        "86e68b656ee58c3c65dac8c5cd0257649a7c46add525159bed3d6815ce8c66f2",
+    ),
+    "dc-qke": (
+        DcQkeViews,
+        lambda proto: CountTestWarden(proto.config),
+        "3a76639adca8d36788db9351ae69a5dc3267e12c96cae63c2799098ecb7dec27",
+    ),
+}
+
+
+def _layout(view) -> dict:
+    return {name: (value.shape, value.dtype) for name, value in view.randomness.items()}
+
+
+@pytest.mark.parametrize("name", sorted(VIEW_PROTOCOLS))
+def test_fake_view_discloses_what_the_real_view_does(name):
+    make, make_row_distinguisher, rows_digest = VIEW_PROTOCOLS[name]
+    proto = make()
+    root = RandomStream(41)
+    for i in range(20):
+        session = proto.run_session(root.substream("s", i))
+        real, fake = proto.real_view(session), proto.fake(session, root.substream("f", i))
+        assert _layout(fake) == _layout(real)
+    # equal names in every trial: the key-set guess never depends on the
+    # challenge bit, so its advantage is zero and the game cannot tell
+    # it apart from zero
+    est = coercer_experiment(proto, KeySetDistinguisher(real.randomness), 200, master_seed=42)
+    assert est.ci_low == 0.0
+    rows = RowRecorder(make_row_distinguisher(proto))
+    coercer_experiment(proto, rows, 100, master_seed=43)
+    assert rows.sha.hexdigest() == rows_digest

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qdeny import qcore
+from qdeny import bb84, gf2, qcore
+from qdeny.channel import ClassicalAuthChannel
 from qdeny.distill import (
     PartialPair,
     binary_entropy,
@@ -226,6 +227,33 @@ class TestTeleportedKeyExchange:
         assert by_label["teleport-bits"].n_bits == 2 * m
         protocol_bits = sum(msg.n_bits for msg in transcript) - 2 * m
         assert protocol_bits > 0  # ordinary chatter rides alongside
+
+    def test_transcript_is_the_shared_bb84_steps(self):
+        # after the teleportation bits, every message is one that the bb84
+        # sifting, check and reconciliation steps send: replay those steps
+        # on a fresh channel from the announced bases and sift mask
+        m, codes = 40, gf2.default_nested_pair()
+        k_a, k_b, transcript = qke_over_teleportation(m, np.pi / 6, RandomStream(27), codes=codes)
+        by_label = {msg.label: msg.bits for msg in transcript}
+        b = by_label["bases"]
+        b_prime = b ^ 1 ^ by_label["sift-mask"]  # matches exactly where the mask is set
+        replay = ClassicalAuthChannel()
+        sifted = bb84.announce_sift(replay, b, b_prime)
+        check, payload = bb84.split_check(sifted, sifted.size // 2, RandomStream(0))
+        bits = np.zeros(m, np.uint8)
+        assert bb84.compare_check(replay, bits, bits, check) == 0
+        replay.send("alice", "verdict", [1])
+        usable = payload.size - payload.size % codes.c1.n
+        assert usable > 0
+        bb84.reconcile(replay, codes, bits[payload][:usable], bits[payload][:usable], RandomStream(1))
+        shape = [(msg.sender, msg.label, msg.n_bits) for msg in transcript]
+        assert shape[0] == ("alice", "teleport-bits", 2 * m)
+        assert shape[1:] == [(msg.sender, msg.label, msg.n_bits) for msg in replay.log]
+        for label in ("bases", "sift-mask"):
+            assert np.array_equal(by_label[label], replay.find(label).bits)
+        assert np.array_equal(by_label["check-values-alice"], by_label["check-values-bob"])
+        assert by_label["verdict"].tolist() == [1]
+        assert k_a.size == k_b.size == usable // codes.c1.n * codes.key_bits
 
     def test_distillation_shortfall_raises(self):
         with pytest.raises(RuntimeError):

@@ -6,7 +6,6 @@ from qdeny.games import (
     AdvantageEstimate,
     CoinFlipDistinguisher,
     ExperimentConfig,
-    kappa_lengths,
     run_experiment,
     wilson_interval,
 )
@@ -100,11 +99,3 @@ class TestRunExperiment:
             covered += int(est.ci_low == 0.0)
         assert covered >= 93
 
-
-class TestKappa:
-    def test_table(self):
-        lengths = kappa_lengths(8)
-        assert lengths == {"key_bits": 8, "mac_tag_bits": 4, "mac_key_bits": 8, "pad_bits": 12}
-
-    def test_minimum_tag(self):
-        assert kappa_lengths(1)["mac_tag_bits"] == 1

@@ -6,6 +6,7 @@ from scipy import stats
 
 from qdeny import gf2, ue
 from qdeny.denial import DenialClaim, EvePolicy, judge_check
+from qdeny.qcore import Bb84Qubits
 from qdeny.rng import RandomStream
 from qdeny.ue import (
     MacScheme,
@@ -98,13 +99,14 @@ class TestRoundTrip:
         for pos_in_block in range(params.block_length):
             r = root.substream("flip", pos_in_block)
             states = ue_encrypt(params, key, m, r.substream("enc"))
-            tampered = list(states)
+            bits, flips = states.bits.copy(), states.flips.copy()
             for blk in range(params.blocks):
                 idx = blk * params.block_length + pos_in_block
-                flipped = tampered[idx].amplitudes[::-1]
-                if key.b[idx]:  # diagonal encoding: flip sign instead
-                    flipped = tampered[idx].amplitudes * np.array([1, -1])
-                tampered[idx] = type(tampered[idx])(1, flipped)
+                if key.b[idx]:  # diagonal encoding: Z maps it to the other diagonal state
+                    bits[idx] ^= 1
+                else:  # computational encoding: X flips it
+                    flips[idx] ^= 1
+            tampered = Bb84Qubits(bits, states.bases, flips)
             out = ue_decrypt(params, key, tampered, r.substream("dec"))
             assert out.accepted and np.array_equal(out.message, m)
 
@@ -256,7 +258,7 @@ class TestQkeFromUe:
             pos = int(r.substream("flip").integers(0, n_qubits))
             claimed = z_sent.copy()
             claimed[pos] ^= 1
-            claim = DenialClaim(claimed, key.b, np.array([pos]))
+            claim = DenialClaim(claimed, key.b)
             detected += int(judge_check(claim, record).detected)
         expect = n_decoys / (2 * n_qubits)
         sigma = np.sqrt(expect * (1 - expect) / trials)

@@ -11,10 +11,9 @@ All announcements use fixed-size encodings (index sets as full-length
 masks) so a session's classical bit count is a function of the
 configuration alone; the covert layer relies on that.
 
-Key exchange over teleportation (`distill.qke_over_teleportation`) shares
-every step after the quantum exchange: `announce_sift`, `split_check`,
-`compare_check` and `reconcile`. Which positions are kept, which masks are
-announced and when a check fails stay with each protocol.
+The classical steps (`announce_sift`, `split_check`, `compare_check`,
+`reconcile`) are shared with `distill.qke_over_teleportation`; which
+positions are kept and when a check fails stay with each protocol.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -53,10 +52,9 @@ def _parse_seed(text) -> int:
     return int(clean, 16)
 
 
-def _finite(value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError("must be finite")
+def _file_name(value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise TypeError("expected a file name")
     return value
 
 
@@ -73,9 +71,11 @@ def _prng(value) -> dict:
 _PARAM_TYPES = {
     **dict.fromkeys(("n", "s", "N", "eta", "flips", "n_slots"), int),
     **dict.fromkeys(
-        ("delta", "flip_probability", "error_threshold", "p_dark", "p_signal", "theta"), _finite
+        ("delta", "flip_probability", "error_threshold", "p_dark", "p_signal", "theta"), float
     ),
     "n_used": lambda value: None if value is None else int(value),
+    "c1_file": _file_name,
+    "c2_file": _file_name,
     "prng": _prng,
 }
 
@@ -104,7 +104,7 @@ def _validated(builder):
     """Turn parameter-validation failures into configuration errors."""
     try:
         return builder()
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: e.g. an infinite delta
         raise ConfigError(str(exc))
 
 

@@ -96,8 +96,8 @@ class CovertQkeConfig:
     n_used: int | None = None  # defaults to the session's own slot demand
 
     def __post_init__(self):
-        if self.effective_n_used > self.timebin.n_slots:
-            raise ValueError("schedule demand exceeds the channel's slot count")
+        if not 0 <= self.effective_n_used <= self.timebin.n_slots:
+            raise ValueError("schedule demand must lie between 0 and the channel's slot count")
 
     @property
     def slots_required(self) -> int:

@@ -87,10 +87,14 @@ def test_distill_theta_outside_open_interval_exit_2(tmp_path, theta):
     ("distill", '{"experiment": "distill", "params": {"theta": null}}'),
     ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": [1]}}}'),
     ("bb84", '{"experiment": "bb84", "params": {"n": 1e400}}'),
+    ("bb84", '{"experiment": "bb84", "params": {"delta": 1e400}}'),
     ("bb84", '{"experiment": "bb84", "trials": null}'),
     ("bb84", '{"experiment": "bb84", "seed": 5}'),
+    ("bb84", '{"experiment": "bb84", "params": {"c1_file": 5, "c2_file": 5}}'),
+    ("covert", '{"experiment": "covert", "params": {"n_used": -5}}'),
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": 70000}}}'),
 ])
-def test_mistyped_config_value_exit_2(tmp_path, capsys, experiment, config):
+def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
     assert cli.main([experiment, "--config", str(cfg)]) == 2

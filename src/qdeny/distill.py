@@ -19,6 +19,7 @@ decoupling that eve_decoupling_check certifies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 _EBIT_TOL = 1e-9
-_FIDELITY_TOL = 1e-10
+_PHI_PLUS = qcore.bell_state(BellKind.PHI_PLUS)
 
 
 @dataclass(frozen=True)
@@ -99,16 +100,14 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1 - p) * np.log2(1 - p))
 
 
-def procrustean_filter(pair: PartialPair, rng: RandomStream) -> StateVector | None:
-    """Single-pair local filtering; returns the ebit on success, else None.
+@lru_cache(maxsize=64)
+def _filter_output(theta: float) -> tuple[StateVector, float, float]:
+    """(ebit, success probability, fidelity with Phi+) of the filter at theta.
 
-    The first qubit passes through the two-outcome operation with Kraus
-    elements diag(t, 1) and diag(sqrt(1 - t^2), 0) where t = tan(theta)
-    (amplitudes swap roles for theta > pi/4). One uniform draw decides the
-    outcome; the success branch is exactly the Phi+ ebit.
+    Everything here depends on theta alone, so every success shares one
+    immutable ebit.
     """
-    theta = pair.theta
-    amps = pair.state.amplitudes.copy()
+    amps = PartialPair(theta).state.amplitudes
     if theta <= np.pi / 4:
         scale = np.tan(theta)  # shrink the |00> amplitude down to the |11> one
         filtered = np.array([amps[0] * scale, 0, 0, amps[3]], dtype=complex)
@@ -116,9 +115,28 @@ def procrustean_filter(pair: PartialPair, rng: RandomStream) -> StateVector | No
         scale = 1 / np.tan(theta)
         filtered = np.array([amps[0], 0, 0, amps[3] * scale], dtype=complex)
     p_success = float(np.sum(np.abs(filtered) ** 2))
+    ebit = StateVector(2, filtered / np.sqrt(p_success))
+    return ebit, p_success, qcore.fidelity(_PHI_PLUS, qcore.to_density(ebit))
+
+
+def _is_ebit(state: StateVector) -> bool:
+    """|<Phi+|state>|^2 >= 1 - 1e-9: the pure-state fidelity with the ebit."""
+    return abs(np.vdot(_PHI_PLUS.amplitudes, state.amplitudes)) ** 2 >= 1.0 - _EBIT_TOL
+
+
+def procrustean_filter(pair: PartialPair, rng: RandomStream) -> StateVector | None:
+    """Single-pair local filtering; returns the ebit on success, else None.
+
+    The first qubit passes through the two-outcome operation with Kraus
+    elements diag(t, 1) and diag(sqrt(1 - t^2), 0) where t = tan(theta)
+    (amplitudes swap roles for theta > pi/4). One uniform draw decides the
+    outcome; the success branch is exactly the Phi+ ebit, the same shared
+    state on every success at this theta.
+    """
+    ebit, p_success, _ = _filter_output(pair.theta)
     if rng.random() >= p_success:
         return None
-    return StateVector(2, filtered / np.sqrt(p_success))
+    return ebit
 
 
 def distill_batch(
@@ -128,19 +146,13 @@ def distill_batch(
     if n < 1:
         raise ValueError("need at least one pair")
     pair = PartialPair(theta)
-    phi_plus = qcore.bell_state(BellKind.PHI_PLUS)
-    ebits: list[StateVector] = []
-    min_fid = 1.0
-    for _ in range(n):
-        out = procrustean_filter(pair, rng)
-        if out is not None:
-            ebits.append(out)
-            min_fid = min(min_fid, qcore.fidelity(phi_plus, qcore.to_density(out)))
+    ebits = [out for out in (procrustean_filter(pair, rng) for _ in range(n)) if out is not None]
+    fid = _filter_output(theta)[2]
     bound = binary_entropy(float(np.cos(theta) ** 2))
     report = DistillReport(
         attempted=n,
         succeeded=len(ebits),
-        output_fidelity_min=min_fid if ebits else 0.0,
+        output_fidelity_min=min(1.0, fid) if ebits else 0.0,
         rate_bound=bound,
     )
     return ebits, report
@@ -161,11 +173,8 @@ def verify_ebits(
         raise ValueError("sample fraction must lie in (0, 1]")
     n_sample = max(1, int(round(sample_fraction * len(pairs))))
     chosen = set(rng.choice_distinct(len(pairs), n_sample).tolist())
-    phi_plus = qcore.bell_state(BellKind.PHI_PLUS)
-    for i in chosen:
-        if qcore.fidelity(phi_plus, qcore.to_density(pairs[i])) < 1.0 - _EBIT_TOL:
-            return False, [p for j, p in enumerate(pairs) if j not in chosen]
-    return True, [p for j, p in enumerate(pairs) if j not in chosen]
+    passed = all(_is_ebit(pairs[i]) for i in chosen)
+    return passed, [p for j, p in enumerate(pairs) if j not in chosen]
 
 
 _CNOT = np.array(
@@ -186,8 +195,7 @@ def teleport(
         raise ValueError("can only teleport a single qubit")
     if ebit.n_qubits != 2:
         raise ValueError("the shared pair must be two qubits")
-    phi_plus = qcore.bell_state(BellKind.PHI_PLUS)
-    if qcore.fidelity(phi_plus, qcore.to_density(ebit)) < 1.0 - _EBIT_TOL:
+    if not _is_ebit(ebit):
         raise ValueError("shared pair is not a Phi+ ebit")
 
     joint = qcore.tensor(psi, ebit)  # qubits: 0 input, 1 sender half, 2 receiver
@@ -260,7 +268,10 @@ def qke_over_teleportation(
     checked and any disagreement aborts. Key extraction is skipped (keys
     are the sifted check-passing bits directly) when no code pair is given;
     with one, whole blocks of payload bits feed the same coset construction
-    as the plain protocol.
+    as the plain protocol. Reconciliation needs at least one full block of
+    payload: at m=14 about 7 bases match and half of them are checked, so
+    the 7-bit blocks of the default pair are (almost) never filled and the
+    keys are the raw payload bits even when a pair is given.
     """
     if m < 1:
         raise ValueError("need at least one teleported qubit")

@@ -324,6 +324,7 @@ class DualContainingPair:
     c1: BinaryLinearCode
     c2: BinaryLinearCode
     quotient_checks: np.ndarray = None  # type: ignore[assignment]
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c1.n != self.c2.n:
@@ -357,6 +358,26 @@ class DualContainingPair:
     @property
     def payload_bits(self) -> int:
         return self.c1.k + self.c2.k - self.c1.n
+
+    def _encoder(self) -> tuple[np.ndarray, int]:
+        """(E, dim): the UE codeword for syndrome c1_syn, payload y and
+        nullspace coefficients r (dim bits) is [c1_syn, y, r] @ E over GF(2).
+
+        For A = [H1; Q], `solve(A, b)` is GF(2)-linear in b (its elimination
+        steps depend on A alone, and A has full row rank), so row j of E is
+        `solve(A, e_j)` for each unit vector e_j; the last dim rows are
+        `nullspace(A)`. Built once per pair.
+        """
+        if "encoder" not in self._cache:
+            a = np.vstack([self.c1.parity_check, self.quotient_checks])
+            columns = [solve(a, unit) for unit in np.eye(a.shape[0], dtype=np.uint8)]
+            if any(col is None for col in columns):
+                raise RuntimeError("constraint system inconsistent; pair invariants are broken")
+            basis = nullspace(a)
+            encoder = np.vstack([np.array(columns, dtype=np.uint8), basis])
+            encoder.setflags(write=False)
+            self._cache["encoder"] = (encoder, basis.shape[0])
+        return self._cache["encoder"]
 
 
 def is_nested(c1: BinaryLinearCode, c2: BinaryLinearCode) -> bool:
@@ -399,27 +420,24 @@ def verify_nesting(pair) -> bool:
 def encode_ue_codeword(
     pair: DualContainingPair, c1_syn: np.ndarray, y: np.ndarray, rng: RandomStream
 ) -> np.ndarray:
-    """Uniform z with C1-syndrome c1_syn and quotient image y.
+    """Uniform z with C1-syndrome c1_syn and quotient image y; for matrices
+    of syndromes and payloads, one codeword per row.
 
-    Solves the stacked linear system and adds a uniformly random nullspace
-    element, so repeated calls sample the whole solution coset.
+    A particular solution of the stacked linear system plus a uniformly
+    random nullspace element, so repeated calls sample the whole solution
+    coset. Each row takes its own `rng.bits(dim)` draw, in row order, so a
+    matrix holds the codewords that single calls would return.
     """
-    c1_syn = bits(c1_syn)
-    y = bits(y)
-    if c1_syn.size != pair.c1.n - pair.c1.k:
-        raise ValueError("c1 syndrome length mismatch")
-    if y.size != pair.payload_bits:
-        raise ValueError("payload length mismatch")
-    a = np.vstack([pair.c1.parity_check, pair.quotient_checks])
-    b = np.concatenate([c1_syn, y])
-    particular = solve(a, b)
-    if particular is None:
-        raise RuntimeError("constraint system inconsistent; pair invariants are broken")
-    basis = nullspace(a)
-    if basis.shape[0]:
-        coeffs = rng.bits(basis.shape[0])
-        particular = particular ^ _mul(basis.T, coeffs)
-    return particular
+    c1_syn = _words(c1_syn, pair.c1.n - pair.c1.k, "c1 syndrome")
+    y = _words(y, pair.payload_bits, "payload")
+    if c1_syn.ndim != y.ndim or c1_syn.shape[:-1] != y.shape[:-1]:
+        raise ValueError("need one c1 syndrome per payload")
+    encoder, dim = pair._encoder()
+    rows = np.atleast_2d(np.concatenate([c1_syn, y], axis=-1))
+    draws = [rng.bits(dim) for _ in range(len(rows))] if dim else []
+    coeffs = np.array(draws, dtype=np.uint8).reshape(len(rows), dim)
+    z = _mul(encoder.T, np.hstack([rows, coeffs]))
+    return z if c1_syn.ndim == 2 else z[0]
 
 
 # -- text format and stock codes ---------------------------------------------

@@ -66,10 +66,6 @@ class RandomStream:
             self._key = seed.to_bytes(16, "big")
         self._gen = np.random.Generator(np.random.Philox(key=int.from_bytes(self._key, "big")))
 
-    @property
-    def key_hex(self) -> str:
-        return self._key.hex()
-
     def substream(self, label: str, index: int = 0) -> "RandomStream":
         """Independent child stream for (label, index)."""
         return RandomStream(0, _key=_derive_key(self._key, label, index))

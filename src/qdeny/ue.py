@@ -292,17 +292,6 @@ def _padded_plaintext(params: UeParams, key: UeKey, message: np.ndarray) -> np.n
     return x ^ key.e  # y = x XOR pad
 
 
-def _block_slices(params: UeParams):
-    per = params.pair.payload_bits
-    nb, syn = params.block_length, params.pair.c1.n - params.pair.c1.k
-    for i in range(params.blocks):
-        yield (
-            slice(i * per, (i + 1) * per),  # payload bits
-            slice(i * syn, (i + 1) * syn),  # syndrome bits
-            slice(i * nb, (i + 1) * nb),  # codeword bits
-        )
-
-
 def _encode(
     params: UeParams, key: UeKey, message: np.ndarray, rng: RandomStream
 ) -> tuple[Bb84Qubits, np.ndarray]:
@@ -310,10 +299,9 @@ def _encode(
     if message.size != params.n:
         raise ValueError(f"message must hold {params.n} bits")
     key.check_shape(params)
-    y = _padded_plaintext(params, key, message)
-    z = np.empty(params.n_qubits, dtype=np.uint8)
-    for pay_sl, syn_sl, code_sl in _block_slices(params):
-        z[code_sl] = gf2.encode_ue_codeword(params.pair, key.c1_syn[syn_sl], y[pay_sl], rng)
+    y = _padded_plaintext(params, key, message).reshape(params.blocks, -1)
+    c1_syn = key.c1_syn.reshape(params.blocks, -1)
+    z = gf2.encode_ue_codeword(params.pair, c1_syn, y, rng).reshape(-1)
     return prepare_bb84(z, key.b), z
 
 
@@ -399,12 +387,10 @@ def fake_opens_consistently(
     claimed_key.check_shape(params)
     if z.size != params.n_qubits:
         raise ValueError("record length mismatch")
-    y = np.empty(params.n + params.s, dtype=np.uint8)
-    for pay_sl, syn_sl, code_sl in _block_slices(params):
-        block = z[code_sl]
-        if np.any(gf2.syndrome(params.pair.c1, block) ^ claimed_key.c1_syn[syn_sl]):
-            return False
-        y[pay_sl] = (params.pair.quotient_checks @ block) % 2
+    blocks = z.reshape(params.blocks, params.block_length)
+    if np.any(gf2.syndrome(params.pair.c1, blocks) ^ claimed_key.c1_syn.reshape(params.blocks, -1)):
+        return False
+    y = ((blocks @ params.pair.quotient_checks.T) % 2).reshape(-1)
     x = y ^ claimed_key.e
     message, tag = x[: params.n], x[params.n :]
     if not np.array_equal(message, m_claimed):

@@ -29,6 +29,31 @@ def random_qubit(gen) -> StateVector:
 PHI_PLUS = qcore.bell_state(BellKind.PHI_PLUS)
 
 
+def dense_filter(pair: PartialPair, rng: RandomStream):
+    """The oracle: build the filtered state afresh on every call."""
+    amps = pair.state.amplitudes.copy()
+    if pair.theta <= np.pi / 4:
+        filtered = np.array([amps[0] * np.tan(pair.theta), 0, 0, amps[3]], dtype=complex)
+    else:
+        filtered = np.array([amps[0], 0, 0, amps[3] / np.tan(pair.theta)], dtype=complex)
+    p_success = float(np.sum(np.abs(filtered) ** 2))
+    if rng.random() >= p_success:
+        return None
+    return StateVector(2, filtered / np.sqrt(p_success))
+
+
+def dense_is_ebit(state: StateVector) -> bool:
+    """The oracle: fidelity with Phi+ through the density matrix."""
+    return qcore.fidelity(PHI_PLUS, qcore.to_density(state)) >= 1.0 - 1e-9
+
+
+def near_ebit(infidelity: float) -> StateVector:
+    """sqrt(1 - e) Phi+ + sqrt(e) Phi-: fidelity 1 - e with Phi+."""
+    phi_minus = qcore.bell_state(BellKind.PHI_MINUS).amplitudes
+    amps = np.sqrt(1 - infidelity) * PHI_PLUS.amplitudes + np.sqrt(infidelity) * phi_minus
+    return StateVector(2, amps)
+
+
 class TestFilter:
     def test_maximally_entangled_always_succeeds(self):
         rng = RandomStream(1)
@@ -67,6 +92,34 @@ class TestFilter:
         assert abs(len(hits) / 2000 - 0.5) < 3 * np.sqrt(0.25 / 2000)
         for out in hits[:20]:
             assert qcore.fidelity(PHI_PLUS, qcore.to_density(out)) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [float(t) for t in np.linspace(0.05, np.pi / 4 - 0.01, 10)]
+        + [float(t) for t in np.linspace(np.pi / 4 + 0.01, np.pi / 2 - 0.05, 10)],
+    )
+    def test_cached_output_equals_per_call_construction(self, theta):
+        pair = PartialPair(theta)
+        fast, dense = RandomStream(30), RandomStream(30)
+        hits = 0
+        for _ in range(2000):
+            got, want = procrustean_filter(pair, fast), dense_filter(pair, dense)
+            assert (got is None) == (want is None)
+            if got is not None:
+                hits += 1
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert hits > 0
+        _, report = distill_batch(2000, theta, RandomStream(31))
+        ebit, rng = None, RandomStream(32)
+        while ebit is None:
+            ebit = dense_filter(pair, rng)
+        fid = qcore.fidelity(PHI_PLUS, qcore.to_density(ebit))
+        assert report.output_fidelity_min == min(1.0, fid)
+
+    def test_successes_share_one_immutable_ebit(self):
+        ebits, _ = distill_batch(200, np.pi / 6, RandomStream(33))
+        assert len({id(e) for e in ebits}) == 1
+        assert not ebits[0].amplitudes.flags.writeable
 
     def test_theta_domain(self):
         with pytest.raises(ValueError):
@@ -171,6 +224,29 @@ class TestTeleport:
         with pytest.raises(ValueError):
             teleport(qcore.basis_state("0"), qcore.basis_state("00"), RandomStream(19))
 
+    @pytest.mark.parametrize(
+        "pair, accepted",
+        [
+            (PHI_PLUS, True),
+            (near_ebit(1e-11), True),
+            (near_ebit(1e-8), False),
+            (qcore.bell_state(BellKind.PHI_MINUS), False),
+            (qcore.bell_state(BellKind.PSI_PLUS), False),
+        ],
+        ids=["phi+", "fidelity 1-1e-11", "fidelity 1-1e-8", "phi-", "psi+"],
+    )
+    def test_ebit_check_matches_density_oracle(self, pair, accepted):
+        assert dense_is_ebit(pair) is accepted
+        psi = qcore.basis_state("1")
+        if accepted:
+            out, _ = teleport(psi, pair, RandomStream(40))
+            assert abs(np.vdot(psi.amplitudes, out.amplitudes)) ** 2 == pytest.approx(1.0)
+        else:
+            with pytest.raises(ValueError, match="not a Phi\\+ ebit"):
+                teleport(psi, pair, RandomStream(40))
+        ok, _ = verify_ebits([pair], 1.0, RandomStream(41))
+        assert ok is accepted
+
 
 class TestDecoupling:
     def test_product_with_spectator_true(self):
@@ -254,6 +330,30 @@ class TestTeleportedKeyExchange:
         assert np.array_equal(by_label["check-values-alice"], by_label["check-values-bob"])
         assert by_label["verdict"].tolist() == [1]
         assert k_a.size == k_b.size == usable // codes.c1.n * codes.key_bits
+
+    def test_reconciles_only_with_a_full_block_of_payload(self):
+        # at m=14 about 7 bases match and half of them are checked, so the
+        # payload never fills a 7-bit block: no correction message, and the
+        # keys are the raw payload bits; at m=40 most sessions reconcile
+        codes = gf2.default_nested_pair()
+        root = RandomStream(28)
+        reconciled = {14: 0, 40: 0}
+        for m in reconciled:
+            for i in range(25):
+                k_a, _, transcript = qke_over_teleportation(
+                    m, np.pi / 6, root.substream(f"m{m}", i), codes=codes
+                )
+                sifted = int(next(msg for msg in transcript if msg.label == "sift-mask").bits.sum())
+                payload = sifted - sifted // 2
+                if any(msg.label == "correction" for msg in transcript):
+                    reconciled[m] += 1
+                    assert payload >= codes.c1.n
+                    assert k_a.size == payload // codes.c1.n * codes.key_bits
+                else:
+                    assert payload < codes.c1.n
+                    assert k_a.size == payload
+        assert reconciled[14] == 0
+        assert reconciled[40] >= 20
 
     def test_distillation_shortfall_raises(self):
         with pytest.raises(RuntimeError):

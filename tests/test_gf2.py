@@ -193,6 +193,86 @@ class TestUeCodewordSampler:
         assert len(outputs) <= 8
 
 
+def even_weight_over_hamming():
+    """C1 the [7,6] even-weight code, C2 Hamming[7,4]: three payload bits."""
+    h = np.ones((1, 7), dtype=np.uint8)
+    even = gf2.BinaryLinearCode(n=7, k=6, generator=gf2.nullspace(h), parity_check=h)
+    return gf2.DualContainingPair(c1=even, c2=gf2.hamming74())
+
+
+def dense_encode(pair, c1_syn, y, rng):
+    """The oracle: solve the stacked system for this block and add a random
+    nullspace element, eliminating afresh on every call."""
+    a = np.vstack([pair.c1.parity_check, pair.quotient_checks])
+    z = gf2.solve(a, np.concatenate([c1_syn, y]))
+    basis = gf2.nullspace(a)
+    if basis.shape[0]:
+        z = z ^ (rng.bits(basis.shape[0]) @ basis).astype(np.uint8) % 2
+    return z
+
+
+class TestUeEncoderOracle:
+    """The cached encoder map against per-call elimination."""
+
+    CASES = 2000
+
+    @pytest.fixture(params=["hamming_self_dual", "even_weight_over_hamming"])
+    def pair(self, request):
+        if request.param == "hamming_self_dual":
+            return gf2.default_dual_pair()
+        return even_weight_over_hamming()
+
+    def test_shapes(self, pair):
+        a = np.vstack([pair.c1.parity_check, pair.quotient_checks])
+        dim = gf2.nullspace(a).shape[0]
+        assert (pair.payload_bits, dim) in ((1, 3), (3, 3))
+
+    def test_single_blocks_equal_oracle(self, pair):
+        root = RandomStream(11)
+        for i in range(self.CASES):
+            r = root.substream("case", i)
+            c1_syn, y = r.bits(pair.c1.n - pair.c1.k), r.bits(pair.payload_bits)
+            got = gf2.encode_ue_codeword(pair, c1_syn, y, r.substream("stream"))
+            want = dense_encode(pair, c1_syn, y, r.substream("stream"))
+            assert got.dtype == want.dtype == np.uint8
+            assert got.tobytes() == want.tobytes(), i
+
+    def test_matrix_equals_single_calls_in_row_order(self, pair):
+        root = RandomStream(12)
+        for i in range(self.CASES // 20):
+            r = root.substream("case", i)
+            rows = 1 + i % 20
+            c1_syn = r.bits(rows * (pair.c1.n - pair.c1.k)).reshape(rows, -1)
+            y = r.bits(rows * pair.payload_bits).reshape(rows, -1)
+            got = gf2.encode_ue_codeword(pair, c1_syn, y, r.substream("stream"))
+            oracle = r.substream("stream")
+            want = np.array([dense_encode(pair, s, p, oracle) for s, p in zip(c1_syn, y)])
+            assert got.shape == (rows, pair.c1.n)
+            assert got.tobytes() == want.tobytes(), i
+
+    def test_constraints_hold_on_every_row(self, pair):
+        rng = RandomStream(13)
+        c1_syn = rng.bits(500 * (pair.c1.n - pair.c1.k)).reshape(500, -1)
+        y = rng.bits(500 * pair.payload_bits).reshape(500, -1)
+        z = gf2.encode_ue_codeword(pair, c1_syn, y, rng)
+        assert np.array_equal(gf2.syndrome(pair.c1, z), c1_syn)
+        assert np.array_equal((z @ pair.quotient_checks.T) % 2, y)
+
+    def test_mismatched_shapes_rejected(self, pair):
+        rng = RandomStream(14)
+        syn_bits, pay_bits = pair.c1.n - pair.c1.k, pair.payload_bits
+        with pytest.raises(ValueError):
+            gf2.encode_ue_codeword(pair, rng.bits(syn_bits + 1), rng.bits(pay_bits), rng)
+        with pytest.raises(ValueError):
+            gf2.encode_ue_codeword(pair, rng.bits(syn_bits), rng.bits(pay_bits + 1), rng)
+        with pytest.raises(ValueError):  # two syndromes, three payloads
+            gf2.encode_ue_codeword(
+                pair, np.zeros((2, syn_bits), np.uint8), np.zeros((3, pay_bits), np.uint8), rng
+            )
+        with pytest.raises(ValueError):  # a matrix of syndromes with one payload
+            gf2.encode_ue_codeword(pair, np.zeros((1, syn_bits), np.uint8), rng.bits(pay_bits), rng)
+
+
 class TestNesting:
     def test_default_nested_true(self, nested):
         assert gf2.verify_nesting(nested)

@@ -1,9 +1,11 @@
 """Golden digests of seeded protocol outputs.
 
 `tests/golden/digests.json` pins a SHA-256 digest per case over the seeded
-outputs of BB84 sessions, UE key exchange, key exchange over teleportation,
-the weak generator's schedule tables and the seed-search warden's guesses,
-so a refactor can show that it changed no seeded output.
+outputs of BB84 sessions, UE key exchange and the UE codeword sampler, key
+exchange over teleportation, the weak generator's schedule tables and the
+seed-search warden's guesses, so a refactor can show that it changed no
+seeded output. The distillation cases pin text instead of a digest: the
+`repr` of every `DistillReport` field and the `distill` CLI's CSV row.
 A declared change to a random stream's layout regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -11,16 +13,20 @@ A declared change to a random stream's layout regenerates the file with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qdeny import bb84, dcqke, denial, distill, gf2, ue
+from qdeny.cli import main as cli_main
 from qdeny.channel import QubitChannel, TimeBinChannel, weak_schedule_table
 from qdeny.rng import RandomStream
 
@@ -29,6 +35,8 @@ MASTER_SEED = 0x601DE7
 SESSIONS = 5
 UE_RUNS = 20
 WARDEN_TRIALS = 40
+UE_BLOCKS = 200
+DISTILL_PAIRS = 4000
 
 
 class _Digest:
@@ -146,6 +154,47 @@ def _teleport() -> str:
     return d.hexdigest()
 
 
+def _even_weight_over_hamming() -> gf2.DualContainingPair:
+    """C1 the [7,6] even-weight code, C2 Hamming[7,4]: three payload bits
+    and a three-dimensional nullspace per block."""
+    h = np.ones((1, 7), dtype=np.uint8)
+    even = gf2.BinaryLinearCode(n=7, k=6, generator=gf2.nullspace(h), parity_check=h)
+    return gf2.DualContainingPair(c1=even, c2=gf2.hamming74())
+
+
+def _ue_codewords() -> str:
+    """UE_BLOCKS single-block encodings, each from its own stream."""
+    pair = _even_weight_over_hamming()
+    master = RandomStream(MASTER_SEED).substream("ue-codeword")
+    d = _Digest()
+    for i in range(UE_BLOCKS):
+        r = master.substream("block", i)
+        c1_syn = r.bits(pair.c1.n - pair.c1.k)
+        y = r.bits(pair.payload_bits)
+        d.add(f"{i}.z", gf2.encode_ue_codeword(pair, c1_syn, y, r.substream("encoder")))
+    return d.hexdigest()
+
+
+def _distill_report(theta: float) -> str:
+    rng = RandomStream(MASTER_SEED).substream("distill", int(theta * 1e6))
+    _, report = distill.distill_batch(DISTILL_PAIRS, theta, rng)
+    return " ".join(
+        f"{name}={getattr(report, name)!r}"
+        for name in ("attempted", "succeeded", "output_fidelity_min", "rate_bound", "rate")
+    )
+
+
+def _distill_cli_row(theta: float) -> str:
+    """The `distill` CSV data row at the default seed and 2000 pairs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "distill.json"
+        config.write_text(json.dumps({"experiment": "distill", "params": {"theta": theta}}))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli_main(["distill", "--config", str(config), "--trials", "2000"]) == 0
+    return out.getvalue().splitlines()[1]
+
+
 def _weak_table(n_slots: int, n_used: int) -> str:
     table = weak_schedule_table(n_slots, n_used)
     return hashlib.sha256(repr((table.dtype.str, table.shape)).encode() + table.tobytes()).hexdigest()
@@ -199,6 +248,13 @@ CASES = {
     "ue_4_4": lambda: _ue(None),
     "ue_4_4_eve1.0": lambda: _ue(denial.EvePolicy(1.0)),
     "teleport_m14_codes": _teleport,
+    "ue_codeword_even7_hamming7": _ue_codewords,
+    "distill_report_pi_6": lambda: _distill_report(math.pi / 6),
+    "distill_report_pi_4": lambda: _distill_report(math.pi / 4),
+    "distill_report_1.2": lambda: _distill_report(1.2),
+    "distill_report_0.05": lambda: _distill_report(0.05),
+    "distill_cli_row_1.2": lambda: _distill_cli_row(1.2),
+    "distill_cli_row_0.05": lambda: _distill_cli_row(0.05),
     "weak_table_16384_182": lambda: _weak_table(16384, 182),
     "weak_table_2048_24": lambda: _weak_table(2048, 24),
     "weak_table_1000_37": lambda: _weak_table(1000, 37),

@@ -1,5 +1,7 @@
 """Uncloneable encryption: MAC soundness, round trips, fake-pad denial."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,6 +21,8 @@ from qdeny.ue import (
     ue_decrypt,
     ue_encrypt,
     ue_fake,
+    ue_key_from_json,
+    ue_key_to_json,
 )
 
 
@@ -209,6 +213,44 @@ class TestFakePad:
         wrong = gf2.bits("1100")
         # honest key but wrong claimed message: replay must fail
         assert not fake_opens_consistently(params, key, wrong, out.measured)
+
+    def test_replay_rejects_a_record_off_the_key_syndromes(self, params):
+        root = RandomStream(12)
+        key = generate_ue_key(params, root.substream("key"))
+        m = gf2.bits("0110")
+        out = ue_decrypt(params, key, ue_encrypt(params, key, m, root.substream("enc")),
+                         root.substream("dec"))
+        assert fake_opens_consistently(params, key, m, out.measured)
+        for block in range(params.blocks):
+            record = out.measured.copy()
+            record[block * params.block_length] ^= 1  # one bit off in this block
+            assert not fake_opens_consistently(params, key, m, record)
+
+
+class TestKeyJson:
+    def test_round_trip(self, params):
+        for i in range(20):
+            key = generate_ue_key(params, RandomStream(50).substream("key", i))
+            back = ue_key_from_json(params, ue_key_to_json(params, key))
+            for name in ("k", "e", "c1_syn", "b"):
+                assert np.array_equal(getattr(back, name), getattr(key, name))
+
+    def test_other_parameters_rejected(self, params):
+        text = ue_key_to_json(params, generate_ue_key(params, RandomStream(51)))
+        for other in (UeParams(n=3, s=4), UeParams(n=4, s=3)):
+            with pytest.raises(ValueError, match="different parameters"):
+                ue_key_from_json(other, text)
+
+    @pytest.mark.parametrize("field", ["k", "e", "c1_syn", "b"])
+    def test_padding_bits_and_short_hex_rejected(self, field):
+        params = UeParams(n=3, s=2)  # 4, 5, 15 and 35 bits: every field is padded
+        data = json.loads(ue_key_to_json(params, generate_ue_key(params, RandomStream(52))))
+        raw = bytes.fromhex(data[field])
+        padded = raw[:-1] + bytes([raw[-1] | 1])  # set the last padding bit
+        assert padded != raw
+        for bad in (padded.hex(), raw[:-1].hex()):
+            with pytest.raises(ValueError, match="exactly"):
+                ue_key_from_json(params, json.dumps({**data, field: bad}))
 
 
 class TestQkeFromUe:

@@ -430,7 +430,7 @@ def encode_ue_codeword(
     """
     c1_syn = _words(c1_syn, pair.c1.n - pair.c1.k, "c1 syndrome")
     y = _words(y, pair.payload_bits, "payload")
-    if c1_syn.ndim != y.ndim or c1_syn.shape[:-1] != y.shape[:-1]:
+    if c1_syn.shape[:-1] != y.shape[:-1]:
         raise ValueError("need one c1 syndrome per payload")
     encoder, dim = pair._encoder()
     rows = np.atleast_2d(np.concatenate([c1_syn, y], axis=-1))

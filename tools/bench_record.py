@@ -3,17 +3,17 @@
 Runs `perfbench/run.py --trace 0` once per workload and seed, in this
 checkout and, with `--parent`, in a checkout of the parent commit too. The
 two trees run back to back for each (seed, workload), and which one goes
-first alternates from seed to seed. Then, unless `--skip-tier1` is given,
-each tree runs the Tier-1 suite once with `--durations=5`. The record goes
-to BENCH_<label>.json at the root of this checkout: per workload and tree
-the median and quartiles of every end-to-end metric, the ratio of the
-medians and how many pairs the change won (direction taken from
-BENCHMARK.json), every run's values, the environment, and per tree the
-Tier-1 wall time with its five slowest tests. Workloads already in the
-file and not run again are kept, so a record can be built up in several
-invocations.
+first alternates from seed to seed. Then each tree runs the Tier-1 suite
+once with `--durations=5`. Workloads and metric directions come from
+BENCHMARK.json, and the run length is perfbench's own. The record goes to
+BENCH_<label>.json at the root of this checkout, written whole from this
+one invocation: per workload and tree the median and quartiles of every
+end-to-end metric, the ratio of the medians and how many pairs the change
+won, every run's values, the environment, each tree's HEAD and whether it
+had uncommitted edits, and per tree the Tier-1 wall time with its five
+slowest tests.
 
-    python3 tools/bench_record.py --label pr7 --parent ../parent --seeds 1 2 3 4 5
+    python3 tools/bench_record.py --label pr7 --parent ../parent --seeds 1 2 3 4 5 6 7 8 9 10
 
 Timing never feeds a result row; the runs measure only their own processes.
 """
@@ -32,7 +32,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("bb84-long", "deny-short", "weak-warden", "ue-teleport")
 TIER1 = ["-m", "pytest", "-q", "--durations=5", "-p", "no:cacheprovider"]
 
 
@@ -50,9 +49,9 @@ def commit(tree: Path) -> dict:
             "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def bench_run(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} failed in {tree.name}:\n{done.stderr}")
@@ -121,47 +120,43 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--parent", type=Path, help="checkout of the parent commit")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=15)
-    parser.add_argument("--skip-tier1", action="store_true")
     args = parser.parse_args(argv)
 
     trees = {"change": ROOT}
     if args.parent is not None:
         trees["parent"] = args.parent.resolve()
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
-    path = ROOT / f"BENCH_{args.label}.json"
-    record = json.loads(path.read_text()) if path.exists() else {"workloads": {}}
-    record.update(
-        label=args.label,
-        env=environment(),
-        commits={name: commit(tree) for name, tree in trees.items()},
-        benchmark={"command": "perfbench/run.py --trace 0", "seconds": args.seconds,
-                   "order": "trees back to back per (seed, workload); first tree alternates"},
-    )
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    record = {
+        "label": args.label,
+        "env": environment(),
+        "commits": {name: commit(tree) for name, tree in trees.items()},
+        "benchmark": {"command": "perfbench/run.py --trace 0", "seeds": args.seeds,
+                      "order": "trees back to back per (seed, workload); first tree alternates"},
+        "workloads": {},
+        "tier1": {},
+    }
 
-    runs = {w: {name: [] for name in trees} for w in args.workloads}
+    runs = {w: {name: [] for name in trees} for w in workloads}
     for i, seed in enumerate(args.seeds):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        for workload in args.workloads:
+        for workload in workloads:
             for name in order:
                 log(f"seed {seed} {workload} {name}")
-                runs[workload][name].append(bench_run(trees[name], workload, seed, args.seconds))
+                runs[workload][name].append(bench_run(trees[name], workload, seed))
     for workload, tree_runs in runs.items():
         record["workloads"][workload] = {
-            "seeds": args.seeds,
             "correct": all(r["correct"] for rs in tree_runs.values() for r in rs),
             "metrics": summarize(tree_runs, better),
             "runs": tree_runs,
         }
 
-    if not args.skip_tier1:
-        record["tier1"] = {}
-        for name, tree in trees.items():
-            log(f"tier-1 {name}")
-            record["tier1"][name] = tier1(tree)
+    for name, tree in trees.items():
+        log(f"tier-1 {name}")
+        record["tier1"][name] = tier1(tree)
 
+    path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     log(f"wrote {path.name}")
     return 0

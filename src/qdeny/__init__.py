@@ -11,7 +11,8 @@ Modules:
     ue       uncloneable encryption, fake pads, key exchange over UE
     dcqke    covert QKE, the dual-session deniable construction, reduction
     distill  entanglement filtering, teleportation, decoupling checks
-    games    experiment harness, advantage statistics, seeded streams
+    games    experiment harness and advantage statistics
+    rng      seeded streams and the covert-schedule generator
     cli      batch runner (`qdeny <experiment> --seed ... --trials ...`)
 """
 

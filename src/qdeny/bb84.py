@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_ERROR_THRESHOLD = 0.11  # conventional BB84 abort point
+MAX_ATTEMPTS = 100  # run_session resamples a session at most this often
 
 
 class SiftShortfall(RuntimeError):
@@ -228,11 +229,9 @@ def run_bb84(
     cchan: ClassicalAuthChannel,
     rng_a: RandomStream,
     rng_b: RandomStream,
-    rng_env: RandomStream | None = None,
+    rng_env: RandomStream,
 ) -> Bb84Outcome:
     """One protocol attempt. Raises SiftShortfall if under 2n bases match."""
-    if rng_env is None:
-        rng_env = rng_a.substream("environment")
     q_count, n = config.qubit_count, config.n
 
     a = rng_a.bits(q_count)
@@ -276,7 +275,6 @@ def run_session(
     config: Bb84Config,
     qchan: QubitChannel,
     rng: RandomStream,
-    max_attempts: int = 100,
     retry_abort: bool = False,
 ) -> Bb84Outcome:
     """Run until a full session completes, resampling on sift shortfall.
@@ -285,7 +283,7 @@ def run_session(
     experiments that need a completed key (detection-rate studies with an
     interceptor present).
     """
-    for attempt in range(max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         cchan = ClassicalAuthChannel()
         try:
             outcome = run_bb84(
@@ -301,4 +299,4 @@ def run_session(
         if outcome.aborted and retry_abort:
             continue
         return outcome
-    raise RuntimeError(f"no usable session after {max_attempts} attempts")
+    raise RuntimeError(f"no usable session after {MAX_ATTEMPTS} attempts")

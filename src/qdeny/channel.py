@@ -91,18 +91,6 @@ class ClassicalAuthChannel:
     def log(self) -> tuple[Message, ...]:
         return tuple(self._log)
 
-    def find(self, label: str) -> Message:
-        for msg in self._log:
-            if msg.label == label:
-                return msg
-        raise KeyError(f"no message labeled {label!r}")
-
-    def labels(self) -> list[str]:
-        return [m.label for m in self._log]
-
-    def total_bits(self) -> int:
-        return sum(m.n_bits for m in self._log)
-
 
 def transmit(
     channel: QubitChannel, qubits: qcore.Bb84Qubits, rng: RandomStream

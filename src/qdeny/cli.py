@@ -110,9 +110,7 @@ def _validated(builder):
 
 def _load_config(path: str, experiment: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
@@ -141,11 +139,8 @@ def _load_code_pair(params: dict):
         raise ConfigError("c1_file and c2_file must be given together")
     if c1_file is None:
         return gf2.default_nested_pair()
-    try:
-        c1 = gf2.load_code(Path(c1_file).read_text())
-        c2 = gf2.load_code(Path(c2_file).read_text())
-    except FileNotFoundError as exc:
-        raise ConfigError(f"code file not found: {exc.filename}")
+    c1, c2 = (_validated(lambda: gf2.load_code(Path(name).read_text(encoding="utf-8")))
+              for name in (c1_file, c2_file))
     return _validated(lambda: gf2.NestedCodePair(c1=c1, c2=c2))
 
 
@@ -339,7 +334,7 @@ def _run_report(out_dir: str) -> int:
     for path in sorted(directory.glob("*.csv")):
         if path.name == "report.csv":
             continue
-        with path.open() as fh:
+        with path.open(encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
                 name = row.get("experiment")
                 if not name:
@@ -430,7 +425,8 @@ def main(argv=None) -> int:
         else:
             _emit(_render_json(args.experiment, columns, rows, detail), args.out)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, OSError, UnicodeDecodeError, csv.Error) as exc:
+        # a file that cannot be read, decoded, parsed or written is a configuration error
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ExperimentAbort, RuntimeError) as exc:

@@ -130,20 +130,18 @@ class View:
 class CovertRunResult:
     key: np.ndarray
     schedule: CovertSchedule
-    messages: tuple[Message, ...]  # covert sub-session chatter (hidden in slots)
     warden_view: WardenObservation
     randomness: dict[str, np.ndarray]
-    prng_seed: int
 
 
 def _sample_window(
     config: CovertQkeConfig, trial_rng: RandomStream, active: bool
-) -> tuple[WardenObservation, CovertSchedule | None, int | None]:
+) -> tuple[WardenObservation, CovertSchedule | None]:
     """Warden observation for one trial; labels are shared between the covert
     game and the deniability experiment so paired seeds see identical draws."""
     if not active:
         obs = warden_observe(config.timebin, None, trial_rng.substream("idle-window"))
-        return obs, None, None
+        return obs, None
     seed = config.prng.draw_seed(trial_rng.substream("prng-seed"))
     schedule = covert_schedule(
         config.timebin.n_slots,
@@ -151,7 +149,7 @@ def _sample_window(
         CounterModePrng(seed, config.prng.bits),
     )
     obs = warden_observe(config.timebin, schedule, trial_rng.substream("window"))
-    return obs, schedule, seed
+    return obs, schedule
 
 
 def run_covert_qke(config: CovertQkeConfig, rng: RandomStream) -> CovertRunResult:
@@ -162,17 +160,15 @@ def run_covert_qke(config: CovertQkeConfig, rng: RandomStream) -> CovertRunResul
     effective_n_used occupied slots regardless of message content.
     """
     config.require_session_capacity()
-    obs, schedule, seed = _sample_window(config, rng, active=True)
+    obs, schedule = _sample_window(config, rng, active=True)
     outcome = bb84_mod.run_session(
         config.bb84, QubitChannel(flip_probability=0.0), rng.substream("bb84")
     )
     return CovertRunResult(
         key=outcome.alice.session_key,
         schedule=schedule,
-        messages=outcome.session.transcript,
         warden_view=obs,
         randomness=dict(outcome.alice.private_values),
-        prng_seed=seed,
     )
 
 
@@ -269,8 +265,8 @@ def covert_game(
         warden = CountTestWarden(config)
 
     def setup(trial_rng: RandomStream):
-        active, _, _ = _sample_window(config, trial_rng, active=True)
-        idle, _, _ = _sample_window(config, trial_rng, active=False)
+        active, _ = _sample_window(config, trial_rng, active=True)
+        idle, _ = _sample_window(config, trial_rng, active=False)
         return active, idle
 
     return run_experiment(setup, warden, ExperimentConfig(trials, master_seed))
@@ -285,12 +281,9 @@ class DcQkeResult:
     fake_key: np.ndarray
     real_randomness: dict[str, np.ndarray]
     fake_randomness: dict[str, np.ndarray]
-    covert_messages: tuple[Message, ...]
     covert_window: WardenObservation
     noncovert_transcript: tuple[Message, ...]
     idle_window: WardenObservation  # fresh idle sample for the faked story
-    schedule: CovertSchedule
-    prng_seed: int
     fake_eve_record: object | None = None
 
     def __post_init__(self):
@@ -316,18 +309,15 @@ def run_dc_qke(
         rng.substream("fake-session"),
         retry_abort=fake_interceptor is not None,
     )
-    idle, _, _ = _sample_window(config, rng, active=False)
+    idle, _ = _sample_window(config, rng, active=False)
     return DcQkeResult(
         real_key=covert.key,
         fake_key=fake.alice.session_key,
         real_randomness=covert.randomness,
         fake_randomness=dict(fake.alice.private_values),
-        covert_messages=covert.messages,
         covert_window=covert.warden_view,
         noncovert_transcript=fake.session.transcript,
         idle_window=idle,
-        schedule=covert.schedule,
-        prng_seed=covert.prng_seed,
         fake_eve_record=fake.session.eve_record,
     )
 

@@ -141,6 +141,8 @@ def judge_check(claim: DenialClaim, record: EveRecord) -> JudgeVerdict:
 # simulates those per-position masks directly, which is exact for BB84 with
 # single-qubit states; the full quantum path is cross-checked in tests.
 
+_CHUNK = 20000  # trials per block of draws; the block layout fixes the stream
+
 
 def detection_probability(
     n_qubits: int,
@@ -148,7 +150,6 @@ def detection_probability(
     flips: int,
     trials: int,
     master_seed: int,
-    chunk: int = 20000,
 ) -> RateEstimate:
     """Monte-Carlo judge-detection rate for flipping random sifted bits.
 
@@ -174,7 +175,7 @@ def detection_probability(
     detected = 0
     done = 0
     while done < trials:
-        m = min(chunk, trials - done)
+        m = min(_CHUNK, trials - done)
         sifted = g.integers(0, 2, (m, n_qubits), dtype=np.uint8).astype(bool)
         enough = sifted.sum(axis=1) >= flips
         while not np.all(enough):  # redraw shortfall rows

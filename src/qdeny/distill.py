@@ -32,7 +32,6 @@ from .rng import RandomStream
 __all__ = [
     "PartialPair",
     "DistillReport",
-    "TeleportRecord",
     "binary_entropy",
     "procrustean_filter",
     "distill_batch",
@@ -43,6 +42,7 @@ __all__ = [
 ]
 
 _EBIT_TOL = 1e-9
+FILTER_ATTEMPTS = 50  # filter batches qke_over_teleportation runs before it gives up
 _PHI_PLUS = qcore.bell_state(BellKind.PHI_PLUS)
 
 
@@ -82,14 +82,6 @@ class DistillReport:
     @property
     def rate(self) -> float:
         return self.succeeded / self.attempted if self.attempted else 0.0
-
-
-@dataclass(frozen=True)
-class TeleportRecord:
-    """Two classical bits per teleported qubit plus the applied correction."""
-
-    classical_bits: tuple[int, int]
-    correction: str  # 'I', 'X', 'Z' or 'XZ'
 
 
 def binary_entropy(p: float) -> float:
@@ -184,12 +176,12 @@ _CNOT = np.array(
 
 def teleport(
     psi: StateVector, ebit: StateVector, rng: RandomStream
-) -> tuple[StateVector, TeleportRecord]:
+) -> tuple[StateVector, tuple[int, int]]:
     """Teleport a single-qubit state through a shared Phi+ pair.
 
-    Bell measurement on (input, sender half), two classical bits out,
-    conditional Pauli fix-up on the receiver half. Anything but a perfect
-    ebit is rejected up front.
+    Bell measurement on (input, sender half), two classical bits
+    (m_phase, m_bit) out, conditional Pauli fix-up on the receiver half.
+    Anything but a perfect ebit is rejected up front.
     """
     if psi.n_qubits != 1:
         raise ValueError("can only teleport a single qubit")
@@ -204,18 +196,14 @@ def teleport(
     m_phase, joint = qcore.measure_subsystem(joint, 0, Basis.COMPUTATIONAL, rng)
     m_bit, joint = qcore.measure_subsystem(joint, 1, Basis.COMPUTATIONAL, rng)
 
-    correction = ""
     if m_bit:
         joint = qcore.apply_unitary(joint, qcore.PAULI_X, [2])
-        correction += "X"
     if m_phase:
         joint = qcore.apply_unitary(joint, qcore.PAULI_Z, [2])
-        correction += "Z"
 
     # qubits 0 and 1 are collapsed; the receiver qubit is the surviving slice
     out = StateVector(1, joint.tensor_shape()[m_phase, m_bit, :])
-    record = TeleportRecord(classical_bits=(m_phase, m_bit), correction=correction or "I")
-    return out, record
+    return out, (m_phase, m_bit)
 
 
 def eve_decoupling_check(
@@ -254,7 +242,6 @@ def qke_over_teleportation(
     theta: float,
     rng: RandomStream,
     codes: NestedCodePair | None = None,
-    attempt_budget: int = 50,
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Key exchange where the quantum layer rides teleportation.
 
@@ -277,7 +264,7 @@ def qke_over_teleportation(
         raise ValueError("need at least one teleported qubit")
     needed = m + max(4, m // 4)  # sacrifice margin for verification
     ebits: list[StateVector] = []
-    for attempt in range(attempt_budget):
+    for attempt in range(FILTER_ATTEMPTS):
         batch, _ = distill_batch(needed * 2, theta, rng.substream("filter", attempt))
         ebits.extend(batch)
         if len(ebits) >= needed:
@@ -297,8 +284,8 @@ def qke_over_teleportation(
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
         state = qcore.prepare_bb84(int(a[i]), Basis.from_bit(b[i]))
-        received, record = teleport(state, ebits[i], rng.substream("teleport", i))
-        teleport_bits[2 * i : 2 * i + 2] = record.classical_bits
+        received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
+        teleport_bits[2 * i : 2 * i + 2] = bits
         outcome, _ = qcore.measure(received, Basis.from_bit(b_prime[i]), rng_b)
         a_prime[i] = outcome
     cchan.send("alice", "teleport-bits", teleport_bits)

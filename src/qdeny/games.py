@@ -31,7 +31,6 @@ __all__ = [
     "ExperimentConfig",
     "AdvantageEstimate",
     "RateEstimate",
-    "RandomStream",
     "run_experiment",
     "wilson_interval",
 ]

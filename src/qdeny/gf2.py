@@ -172,7 +172,7 @@ class BinaryLinearCode:
     generator: np.ndarray
     parity_check: np.ndarray
     min_distance: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.generator, dtype=np.uint8) % 2
@@ -276,7 +276,7 @@ class NestedCodePair:
 
     c1: BinaryLinearCode
     c2: BinaryLinearCode
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c1.n != self.c2.n:
@@ -323,17 +323,15 @@ class DualContainingPair:
 
     c1: BinaryLinearCode
     c2: BinaryLinearCode
-    quotient_checks: np.ndarray = None  # type: ignore[assignment]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    quotient_checks: np.ndarray = field(init=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c1.n != self.c2.n:
             raise ValueError("codes must share a block length")
         if not is_dual_containing(self.c1, self.c2):
             raise ValueError("the dual of C2 is not contained in C1")
-        if self.quotient_checks is None:
-            object.__setattr__(self, "quotient_checks", self._build_quotient_checks())
-        q = np.asarray(self.quotient_checks, dtype=np.uint8) % 2
+        q = self._build_quotient_checks()
         q.setflags(write=False)
         object.__setattr__(self, "quotient_checks", q)
         if not verify_nesting(self):

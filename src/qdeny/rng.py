@@ -10,7 +10,9 @@ Two constructions live here:
     General-purpose stream backed by numpy's Philox counter-based bit
     generator. Substreams are derived by hashing (parent key, label, index)
     with SHA-256; streams under distinct labels are independent for every
-    statistical purpose in this package.
+    statistical purpose in this package. No stream reads the OS entropy
+    pool: each generator starts from one fixed ``SeedSequence`` and then
+    takes its key from the stream's own 128 bits.
 
 ``CounterModePrng``
     The covert-schedule expander. Block ``j`` of the keystream is
@@ -34,6 +36,10 @@ STRONG_SEED_BITS = 128
 WEAK_SEED_BITS = 16
 
 _DOMAIN = b"qdeny.rng.v1"
+# Philox(key=...) builds a SeedSequence() that reads OS entropy and is then
+# ignored; a fixed one reads nothing, and the key is set right after.
+_FIXED_SEED_SEQUENCE = np.random.SeedSequence(0)
+_WORD = (1 << 64) - 1
 
 
 def _derive_key(parent: bytes, label: str, index: int) -> bytes:
@@ -43,6 +49,16 @@ def _derive_key(parent: bytes, label: str, index: int) -> bytes:
     h.update(label.encode("utf-8"))
     h.update(int(index).to_bytes(8, "big"))
     return h.digest()[:16]
+
+
+def _philox(key: int) -> np.random.Philox:
+    """The same bit generator as `np.random.Philox(key=key)`: counter 0 and
+    the 128-bit key as two 64-bit words, low word first."""
+    bit_generator = np.random.Philox(_FIXED_SEED_SEQUENCE)
+    state = bit_generator.state
+    state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+    bit_generator.state = state
+    return bit_generator
 
 
 class RandomStream:
@@ -64,7 +80,7 @@ class RandomStream:
             if seed < 0 or seed >= 1 << 128:
                 raise ValueError("integer seed must fit in 128 bits")
             self._key = seed.to_bytes(16, "big")
-        self._gen = np.random.Generator(np.random.Philox(key=int.from_bytes(self._key, "big")))
+        self._gen = np.random.Generator(_philox(int.from_bytes(self._key, "big")))
 
     def substream(self, label: str, index: int = 0) -> "RandomStream":
         """Independent child stream for (label, index)."""
@@ -86,21 +102,12 @@ class RandomStream:
         """Uniform bit vector of length n (dtype uint8)."""
         return self._gen.integers(0, 2, size=int(n), dtype=np.uint8)
 
-    def integers(self, low: int, high: int | None = None, size=None):
-        return self._gen.integers(low, high, size=size)
-
-    def binomial(self, n, p, size=None):
-        return self._gen.binomial(n, p, size=size)
-
     def choice_distinct(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), sorted ascending."""
         if k > n:
             raise ValueError(f"cannot draw {k} distinct values from {n}")
         picked = self._gen.choice(n, size=k, replace=False)
         return np.sort(picked)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
     @property
     def generator(self) -> np.random.Generator:

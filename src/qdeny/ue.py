@@ -129,7 +129,7 @@ class MacScheme:
     """One-time polynomial-evaluation MAC with s-bit tags and 2s-bit keys."""
 
     s: int
-    modulus: int = 0
+    modulus: int = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.s <= _MAX_TAG_BITS:
@@ -186,13 +186,15 @@ def mac_verify(scheme: MacScheme, key: np.ndarray, message: np.ndarray, tag: np.
 
 @dataclass(frozen=True)
 class UeParams:
-    """Message length n, tag length s, and the per-block code pair."""
+    """Message length n and tag length s over the stock per-block code pair
+    (`gf2.default_dual_pair`)."""
 
     n: int
     s: int
-    pair: DualContainingPair = field(default_factory=gf2.default_dual_pair)
+    pair: DualContainingPair = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "pair", gf2.default_dual_pair())
         if self.n < 1:
             raise ValueError("message length must be positive")
         per_block = self.pair.payload_bits
@@ -324,6 +326,15 @@ class DecryptionOutcome:
             raise ValueError("accepted decryptions carry the message")
 
 
+def _open(params: UeParams, key: UeKey, blocks: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(message, tag verifies) of one C1 codeword per row under `key`: the
+    quotient checks give the padded string, the pad comes off, and the
+    message and tag split apart."""
+    x = ((blocks @ params.pair.quotient_checks.T) % 2).reshape(-1) ^ key.e
+    message, tag = x[: params.n], x[params.n :]
+    return message, mac_verify(params.scheme, key.k, message, tag)
+
+
 def ue_decrypt(
     params: UeParams, key: UeKey, qubits: Bb84Qubits, rng: RandomStream
 ) -> DecryptionOutcome:
@@ -340,13 +351,8 @@ def ue_decrypt(
     c1 = params.pair.c1
     blocks = z_meas.reshape(params.blocks, c1.n)
     rel_syn = gf2.syndrome(c1, blocks) ^ key.c1_syn.reshape(params.blocks, c1.n - c1.k)
-    corrected = blocks ^ gf2.coset_leader(c1, rel_syn)
-    y = ((corrected @ params.pair.quotient_checks.T) % 2).reshape(-1)
-    x = y ^ key.e
-    message, tag = x[: params.n], x[params.n :]
-    if mac_verify(params.scheme, key.k, message, tag):
-        return DecryptionOutcome(True, message, z_meas)
-    return DecryptionOutcome(False, None, z_meas)
+    message, verified = _open(params, key, blocks ^ gf2.coset_leader(c1, rel_syn))
+    return DecryptionOutcome(verified, message if verified else None, z_meas)
 
 
 def ue_fake(
@@ -390,12 +396,8 @@ def fake_opens_consistently(
     blocks = z.reshape(params.blocks, params.block_length)
     if np.any(gf2.syndrome(params.pair.c1, blocks) ^ claimed_key.c1_syn.reshape(params.blocks, -1)):
         return False
-    y = ((blocks @ params.pair.quotient_checks.T) % 2).reshape(-1)
-    x = y ^ claimed_key.e
-    message, tag = x[: params.n], x[params.n :]
-    if not np.array_equal(message, m_claimed):
-        return False
-    return mac_verify(params.scheme, claimed_key.k, message, tag)
+    message, verified = _open(params, claimed_key, blocks)
+    return verified and np.array_equal(message, m_claimed)
 
 
 # -- key exchange from UE --------------------------------------------------------

@@ -78,9 +78,10 @@ class TestClassicalChannel:
         chan = ClassicalAuthChannel()
         chan.send("alice", "first", [1, 0])
         chan.send("bob", "second", [1])
-        assert chan.labels() == ["first", "second"]
-        assert chan.total_bits() == 3
-        assert chan.find("first").sender == "alice"
+        log = chan.log
+        assert [(m.sender, m.label, m.n_bits) for m in log] == [
+            ("alice", "first", 2), ("bob", "second", 1)
+        ]
 
     def test_messages_immutable(self):
         chan = ClassicalAuthChannel()

@@ -97,8 +97,58 @@ def test_distill_theta_outside_open_interval_exit_2(tmp_path, theta):
 def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    assert cli.main([experiment, "--config", str(cfg)]) == 2
+    _assert_main_config_error(capsys, [experiment, "--config", str(cfg)])
+
+
+def _assert_main_config_error(capsys, argv) -> None:
+    assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), err
+
+
+def _code_files(tmp_path, c1: Path, c2: Path) -> Path:
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bb84",
+                               "params": {"c1_file": str(c1), "c2_file": str(c2)}}))
+    return cfg
+
+
+def test_out_in_missing_directory_exit_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    _assert_main_config_error(capsys, ["distill", "--trials", "10", "--out", str(out)])
+
+
+def test_config_is_a_directory_exit_2(tmp_path, capsys):
+    _assert_main_config_error(capsys, ["bb84", "--config", str(tmp_path)])
+
+
+@pytest.mark.parametrize("name", ["missing.json", "latin1.json"])
+def test_config_unreadable_exit_2(tmp_path, capsys, name):
+    (tmp_path / "latin1.json").write_bytes(b'{"experiment": "bb84", "params": {"n": "\xe9"}}')
+    _assert_main_config_error(capsys, ["bb84", "--config", str(tmp_path / name)])
+
+
+@pytest.mark.parametrize("c1, c2", [
+    ("dir", "dir"), ("missing.txt", "missing.txt"), ("empty.txt", "empty.txt"),
+    ("hamming.txt", "latin1.txt"),
+])
+def test_code_file_unusable_exit_2(tmp_path, capsys, c1, c2):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "empty.txt").write_text("")
+    (tmp_path / "hamming.txt").write_text("7 4\n1110000\n1001100\n0101010\n1101001\n")
+    (tmp_path / "latin1.txt").write_bytes(b"7 1\n\xff\xff\xff\xff\xff\xff\xff\n")
+    cfg = _code_files(tmp_path, tmp_path / c1, tmp_path / c2)
+    _assert_main_config_error(capsys, ["bb84", "--config", str(cfg), "--trials", "1"])
+
+
+@pytest.mark.parametrize("setup", ["latin1", "directory", "long-field"])
+def test_report_over_unreadable_csv_exit_2(tmp_path, capsys, setup):
+    if setup == "latin1":
+        (tmp_path / "a.csv").write_bytes(b"experiment,n\nbb84,\xe9\n")
+    elif setup == "directory":
+        (tmp_path / "d.csv").mkdir()
+    else:
+        (tmp_path / "a.csv").write_text("experiment,n\nbb84," + "7" * 131073 + "\n")
+    _assert_main_config_error(capsys, ["report", "--out", str(tmp_path)])

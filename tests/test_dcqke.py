@@ -73,7 +73,7 @@ class TestCovertRuns:
         config = strong_config()
         trial = RandomStream(77).substream("trial", 5)
         full = run_dc_qke(config, trial)
-        obs, _, _ = dcqke._sample_window(config, RandomStream(77).substream("trial", 5), True)
+        obs, _ = dcqke._sample_window(config, RandomStream(77).substream("trial", 5), True)
         assert np.array_equal(full.covert_window.detections, obs.detections)
 
 

@@ -196,8 +196,8 @@ class TestTeleport:
         counts = np.zeros(4, dtype=int)
         trials = 10_000
         for _ in range(trials):
-            _, record = teleport(plus, PHI_PLUS, rng)
-            counts[2 * record.classical_bits[0] + record.classical_bits[1]] += 1
+            _, (m_phase, m_bit) = teleport(plus, PHI_PLUS, rng)
+            counts[2 * m_phase + m_bit] += 1
         _, p = stats.chisquare(counts)
         assert p > 1e-3
 
@@ -210,8 +210,8 @@ class TestTeleport:
         for _ in range(trials):
             bit, basis_bit = int(gen.integers(0, 2)), int(gen.integers(0, 2))
             psi = qcore.prepare_bb84(bit, qcore.Basis.from_bit(basis_bit))
-            _, record = teleport(psi, PHI_PLUS, rng)
-            joint[2 * bit + basis_bit, 2 * record.classical_bits[0] + record.classical_bits[1]] += 1
+            _, (m_phase, m_bit) = teleport(psi, PHI_PLUS, rng)
+            joint[2 * bit + basis_bit, 2 * m_phase + m_bit] += 1
         pxy = joint / trials
         px = pxy.sum(axis=1, keepdims=True)
         py = pxy.sum(axis=0, keepdims=True)
@@ -322,11 +322,12 @@ class TestTeleportedKeyExchange:
         usable = payload.size - payload.size % codes.c1.n
         assert usable > 0
         bb84.reconcile(replay, codes, bits[payload][:usable], bits[payload][:usable], RandomStream(1))
+        replayed = {msg.label: msg.bits for msg in replay.log}
         shape = [(msg.sender, msg.label, msg.n_bits) for msg in transcript]
         assert shape[0] == ("alice", "teleport-bits", 2 * m)
         assert shape[1:] == [(msg.sender, msg.label, msg.n_bits) for msg in replay.log]
         for label in ("bases", "sift-mask"):
-            assert np.array_equal(by_label[label], replay.find(label).bits)
+            assert np.array_equal(by_label[label], replayed[label])
         assert np.array_equal(by_label["check-values-alice"], by_label["check-values-bob"])
         assert by_label["verdict"].tolist() == [1]
         assert k_a.size == k_b.size == usable // codes.c1.n * codes.key_bits
@@ -356,8 +357,8 @@ class TestTeleportedKeyExchange:
         assert reconciled[40] >= 20
 
     def test_distillation_shortfall_raises(self):
-        with pytest.raises(RuntimeError):
-            qke_over_teleportation(64, 0.02, RandomStream(25), attempt_budget=1)
+        with pytest.raises(RuntimeError, match="distillation shortfall"):
+            qke_over_teleportation(64, 0.02, RandomStream(25))
 
     def test_teleport_bits_tell_judge_nothing(self):
         # sweep sessions; the announced bit pairs are uniform regardless of

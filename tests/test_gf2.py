@@ -285,6 +285,10 @@ class TestNesting:
         for row in dual.c2.parity_check:
             assert not gf2.syndrome(dual.c1, row).any()
 
+    def test_quotient_checks_are_built_not_given(self, hamming):
+        with pytest.raises(TypeError):
+            gf2.DualContainingPair(hamming, hamming, np.ones((1, 7), np.uint8))
+
     def test_wrong_order_rejected(self, hamming):
         rep = gf2.repetition_code(7)
         assert not gf2.is_nested(rep, hamming)

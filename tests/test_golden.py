@@ -3,7 +3,8 @@
 `tests/golden/digests.json` pins a SHA-256 digest per case over the seeded
 outputs of BB84 sessions, UE key exchange and the UE codeword sampler, key
 exchange over teleportation, the weak generator's schedule tables and the
-seed-search warden's guesses, so a refactor can show that it changed no
+seed-search warden's guesses, and the `--format json` output of every CLI
+experiment at the default seed, so a refactor can show that it changed no
 seeded output. The distillation cases pin text instead of a digest: the
 `repr` of every `DistillReport` field and the `distill` CLI's CSV row.
 A declared change to a random stream's layout regenerates the file with
@@ -20,6 +21,7 @@ import json
 import math
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,8 @@ UE_RUNS = 20
 WARDEN_TRIALS = 40
 UE_BLOCKS = 200
 DISTILL_PAIRS = 4000
+CLI_TRIALS = {"bb84": 20, "attack-deny": 20000, "ue": 50, "covert": 200, "dcqke": 100,
+              "distill": 2000}
 
 
 class _Digest:
@@ -195,6 +199,15 @@ def _distill_cli_row(theta: float) -> str:
     return out.getvalue().splitlines()[1]
 
 
+def _cli_json(experiment: str) -> str:
+    """Digest of the `--format json` output (rows and `detail`) at the default seed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        args = [experiment, "--trials", str(CLI_TRIALS[experiment]), "--format", "json"]
+        assert cli_main(args) == 0
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
 def _weak_table(n_slots: int, n_used: int) -> str:
     table = weak_schedule_table(n_slots, n_used)
     return hashlib.sha256(repr((table.dtype.str, table.shape)).encode() + table.tobytes()).hexdigest()
@@ -260,6 +273,7 @@ CASES = {
     "weak_table_1000_37": lambda: _weak_table(1000, 37),
     "seed_search_covert_40": lambda: _seed_search("covert"),
     "seed_search_deniability_40": lambda: _seed_search("deniability"),
+    **{f"cli_json_{name}": partial(_cli_json, name) for name in CLI_TRIALS},
 }
 
 

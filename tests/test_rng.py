@@ -1,5 +1,8 @@
 """Determinism and independence of the seeded stream machinery."""
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
@@ -46,6 +49,35 @@ class TestRandomStream:
     def test_seed_range_checked(self):
         with pytest.raises(ValueError):
             RandomStream(1 << 128)
+
+    @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, (1 << 128) - 1, (1 << 64) + 5])
+    def test_generator_is_philox_keyed_by_the_stream(self, seed):
+        for stream in (RandomStream(seed), RandomStream(seed).substream("x", 7)):
+            key = int.from_bytes(stream._key, "big")
+            want = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(stream.uniforms(50), want.random(50))
+            assert np.array_equal(stream.bits(70), want.integers(0, 2, size=70, dtype=np.uint8))
+
+    def test_no_os_entropy_read(self):
+        # count calls of the os.urandom builtin however they are reached
+        # (numpy's SeedSequence() goes through random.SystemRandom)
+        reads = 0
+
+        def profile(frame, event, arg):
+            nonlocal reads
+            if event == "c_call" and arg is os.urandom:
+                reads += 1
+
+        root = RandomStream(3)
+        sys.setprofile(profile)
+        try:
+            for i in range(1000):
+                stream = root.substream("s", i)
+                stream.bits(8)
+                stream.random()
+        finally:
+            sys.setprofile(None)
+        assert reads == 0
 
 
 class TestCounterModePrng:

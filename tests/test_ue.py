@@ -82,6 +82,15 @@ class TestMac:
             mod = MacScheme(s).modulus
             assert mod.bit_length() == s + 1
 
+    def test_modulus_and_pair_are_not_settable(self):
+        # the modulus is always the field's own, the pair always the stock one
+        with pytest.raises(TypeError):
+            MacScheme(4, 7)
+        with pytest.raises(TypeError):
+            UeParams(4, 4, gf2.default_dual_pair())
+        assert MacScheme(4).modulus == 0b10011
+        assert gf2.verify_nesting(UeParams(4, 4).pair)
+
 
 class TestRoundTrip:
     def test_exact_on_random_messages(self, params):
@@ -297,7 +306,7 @@ class TestQkeFromUe:
             out = ue_decrypt(params, key, forwarded, r.substream("dec"))
             # deny one uniformly chosen codeword bit, bases revealed honestly
             z_sent = _sent_codeword(params, key, m, r.substream("enc"))
-            pos = int(r.substream("flip").integers(0, n_qubits))
+            pos = int(r.substream("flip").generator.integers(0, n_qubits))
             claimed = z_sent.copy()
             claimed[pos] ^= 1
             claim = DenialClaim(claimed, key.b)

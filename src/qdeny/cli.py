@@ -139,8 +139,8 @@ def _load_code_pair(params: dict):
         raise ConfigError("c1_file and c2_file must be given together")
     if c1_file is None:
         return gf2.default_nested_pair()
-    c1, c2 = (_validated(lambda: gf2.load_code(Path(name).read_text(encoding="utf-8")))
-              for name in (c1_file, c2_file))
+    c1 = _validated(lambda: gf2.load_code(Path(c1_file).read_text(encoding="utf-8")))
+    c2 = _validated(lambda: gf2.load_code(Path(c2_file).read_text(encoding="utf-8")))
     return _validated(lambda: gf2.NestedCodePair(c1=c1, c2=c2))
 
 

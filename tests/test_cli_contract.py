@@ -108,13 +108,6 @@ def _assert_main_config_error(capsys, argv) -> None:
     assert len(lines) == 1 and lines[0].startswith("config error:"), err
 
 
-def _code_files(tmp_path, c1: Path, c2: Path) -> Path:
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "bb84",
-                               "params": {"c1_file": str(c1), "c2_file": str(c2)}}))
-    return cfg
-
-
 def test_out_in_missing_directory_exit_2(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     _assert_main_config_error(capsys, ["distill", "--trials", "10", "--out", str(out)])
@@ -139,7 +132,9 @@ def test_code_file_unusable_exit_2(tmp_path, capsys, c1, c2):
     (tmp_path / "empty.txt").write_text("")
     (tmp_path / "hamming.txt").write_text("7 4\n1110000\n1001100\n0101010\n1101001\n")
     (tmp_path / "latin1.txt").write_bytes(b"7 1\n\xff\xff\xff\xff\xff\xff\xff\n")
-    cfg = _code_files(tmp_path, tmp_path / c1, tmp_path / c2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bb84", "params": {
+        "c1_file": str(tmp_path / c1), "c2_file": str(tmp_path / c2)}}))
     _assert_main_config_error(capsys, ["bb84", "--config", str(cfg), "--trials", "1"])
 
 

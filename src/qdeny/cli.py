@@ -108,9 +108,18 @@ def _validated(builder):
         raise ConfigError(str(exc))
 
 
+def _read_text(path: str) -> str:
+    """A UTF-8 input file's text; a file that does not decode is a
+    configuration error that names it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 def _load_config(path: str, experiment: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
@@ -139,8 +148,8 @@ def _load_code_pair(params: dict):
         raise ConfigError("c1_file and c2_file must be given together")
     if c1_file is None:
         return gf2.default_nested_pair()
-    c1 = _validated(lambda: gf2.load_code(Path(c1_file).read_text(encoding="utf-8")))
-    c2 = _validated(lambda: gf2.load_code(Path(c2_file).read_text(encoding="utf-8")))
+    c1 = _validated(lambda: gf2.load_code(_read_text(c1_file)))
+    c2 = _validated(lambda: gf2.load_code(_read_text(c2_file)))
     return _validated(lambda: gf2.NestedCodePair(c1=c1, c2=c2))
 
 
@@ -334,11 +343,14 @@ def _run_report(out_dir: str) -> int:
     for path in sorted(directory.glob("*.csv")):
         if path.name == "report.csv":
             continue
-        with path.open(encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                name = row.get("experiment")
-                if not name:
-                    continue
+        try:
+            with path.open(encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ConfigError(f"{path}: {exc}")
+        for row in rows:
+            name = row.get("experiment")
+            if name:
                 grouped.setdefault(name, []).append(row)
     if not grouped:
         raise ConfigError(f"no experiment CSV rows found under {out_dir!r}")

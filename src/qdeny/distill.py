@@ -172,6 +172,73 @@ def verify_ebits(
 _CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+# An accepted pair has fidelity at least 1 - eps with Phi+, which moves each
+# teleportation branch probability off 1/4 by at most sqrt(eps) + 2 eps.
+_BRANCH_TOL = np.sqrt(_EBIT_TOL) + 2 * _EBIT_TOL
+
+
+class _ByBytes:
+    """A state that hashes and compares by its amplitude bytes, so that
+    lru_cache can key on it and the builder still gets the state itself."""
+
+    __slots__ = ("state", "_key")
+
+    def __init__(self, state: StateVector):
+        self.state = state
+        self._key = state.amplitudes.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __eq__(self, other) -> bool:
+        return self._key == other._key
+
+
+class _ForcedDraw:
+    """Stands in for a RandomStream with one fixed draw: 0.0 forces outcome 0
+    of `qcore.measure_subsystem`, the largest double below 1 outcome 1."""
+
+    def __init__(self, outcome: int):
+        self._u = float(np.nextafter(1.0, 0.0)) if outcome else 0.0
+
+    def random(self) -> float:
+        return self._u
+
+
+@lru_cache(maxsize=256)
+def _teleport_table(psi: _ByBytes, ebit: _ByBytes):
+    """(p_phase, p_bit, outputs) of teleporting psi through ebit.
+
+    The dense circuit is run once per branch: p_phase is P(m_phase = 0) and
+    p_bit[m_phase] is P(m_bit = 0) after that outcome, both computed as
+    `qcore.measure_subsystem` computes its threshold, and
+    outputs[m_phase][m_bit] is the fixed-up receiver qubit. Everything
+    depends on the two states' amplitudes alone, so every call with the
+    same (state, ebit) shares one table and its immutable outputs.
+    """
+    computational = Basis.COMPUTATIONAL
+    joint = qcore.tensor(psi.state, ebit.state)  # qubits: 0 input, 1 sender half, 2 receiver
+    joint = qcore.apply_unitary(joint, _CNOT, [0, 1])
+    joint = qcore.apply_unitary(joint, qcore.HADAMARD, [0])
+    p_phase = qcore._p0_of_qubit(joint.tensor_shape(), 0)
+    p_bit, outputs = [], []
+    for m_phase in (0, 1):
+        _, phased = qcore.measure_subsystem(joint, 0, computational, _ForcedDraw(m_phase))
+        p_bit.append(qcore._p0_of_qubit(phased.tensor_shape(), 1))
+        row = []
+        for m_bit in (0, 1):
+            p = abs(m_phase - p_phase) * abs(m_bit - p_bit[m_phase])  # P(m) is |m - P(0)|
+            if abs(p - 0.25) > _BRANCH_TOL:
+                raise RuntimeError(f"teleportation branch {m_phase}{m_bit} has probability {p}")
+            _, fixed = qcore.measure_subsystem(phased, 1, computational, _ForcedDraw(m_bit))
+            if m_bit:
+                fixed = qcore.apply_unitary(fixed, qcore.PAULI_X, [2])
+            if m_phase:
+                fixed = qcore.apply_unitary(fixed, qcore.PAULI_Z, [2])
+            # qubits 0 and 1 are collapsed; the receiver qubit is the surviving slice
+            row.append(StateVector(1, fixed.tensor_shape()[m_phase, m_bit, :]))
+        outputs.append(tuple(row))
+    return p_phase, tuple(p_bit), tuple(outputs)
 
 
 def teleport(
@@ -181,7 +248,11 @@ def teleport(
 
     Bell measurement on (input, sender half), two classical bits
     (m_phase, m_bit) out, conditional Pauli fix-up on the receiver half.
-    Anything but a perfect ebit is rejected up front.
+    Anything but a perfect ebit is rejected up front. The circuit is run
+    once per (state, ebit) and its branches kept (`_teleport_table`); a
+    call draws `rng.random()` for m_phase and then for m_bit against the
+    thresholds of the two dense measurements and returns that branch's
+    shared output.
     """
     if psi.n_qubits != 1:
         raise ValueError("can only teleport a single qubit")
@@ -189,21 +260,10 @@ def teleport(
         raise ValueError("the shared pair must be two qubits")
     if not _is_ebit(ebit):
         raise ValueError("shared pair is not a Phi+ ebit")
-
-    joint = qcore.tensor(psi, ebit)  # qubits: 0 input, 1 sender half, 2 receiver
-    joint = qcore.apply_unitary(joint, _CNOT, [0, 1])
-    joint = qcore.apply_unitary(joint, qcore.HADAMARD, [0])
-    m_phase, joint = qcore.measure_subsystem(joint, 0, Basis.COMPUTATIONAL, rng)
-    m_bit, joint = qcore.measure_subsystem(joint, 1, Basis.COMPUTATIONAL, rng)
-
-    if m_bit:
-        joint = qcore.apply_unitary(joint, qcore.PAULI_X, [2])
-    if m_phase:
-        joint = qcore.apply_unitary(joint, qcore.PAULI_Z, [2])
-
-    # qubits 0 and 1 are collapsed; the receiver qubit is the surviving slice
-    out = StateVector(1, joint.tensor_shape()[m_phase, m_bit, :])
-    return out, (m_phase, m_bit)
+    p_phase, p_bit, outputs = _teleport_table(_ByBytes(psi), _ByBytes(ebit))
+    m_phase = 0 if rng.random() < p_phase else 1
+    m_bit = 0 if rng.random() < p_bit[m_phase] else 1
+    return outputs[m_phase][m_bit], (m_phase, m_bit)
 
 
 def eve_decoupling_check(

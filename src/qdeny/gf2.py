@@ -13,6 +13,7 @@ row, and treat every row alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -489,6 +490,11 @@ def default_nested_pair() -> NestedCodePair:
     return NestedCodePair(c1=hamming74(), c2=repetition_code(7))
 
 
+@lru_cache(maxsize=None)
 def default_dual_pair() -> DualContainingPair:
-    """C1 = C2 = Hamming[7,4]; one payload bit per seven-qubit block."""
+    """C1 = C2 = Hamming[7,4]; one payload bit per seven-qubit block.
+
+    One shared pair: it is immutable apart from its caches, which only
+    ever fill with maps derived from the two codes.
+    """
     return DualContainingPair(c1=hamming74(), c2=hamming74())

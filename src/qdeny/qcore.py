@@ -270,6 +270,12 @@ def _hadamard_axis(tensor: np.ndarray, axis: int) -> np.ndarray:
     return np.moveaxis(np.tensordot(HADAMARD, tensor, axes=([1], [axis])), 0, axis)
 
 
+def _p0_of_qubit(psi: np.ndarray, qubit_index: int) -> float:
+    """Born probability that the qubit at `qubit_index` of the state tensor
+    `psi` reads 0 in the computational basis: measure_subsystem's threshold."""
+    return float(np.sum(np.abs(np.take(psi, 0, axis=qubit_index)) ** 2))
+
+
 def measure_subsystem(
     state: StateVector, qubit_index: int, basis: Basis, rng: RandomStream
 ) -> tuple[int, StateVector]:
@@ -285,8 +291,7 @@ def measure_subsystem(
     psi = state.tensor_shape()
     if basis is Basis.DIAGONAL:
         psi = _hadamard_axis(psi, qubit_index)
-    zero_slice = np.take(psi, 0, axis=qubit_index)
-    p0 = float(np.sum(np.abs(zero_slice) ** 2))
+    p0 = _p0_of_qubit(psi, qubit_index)
     outcome = 0 if rng.random() < p0 else 1
     prob = p0 if outcome == 0 else 1.0 - p0
     collapsed = np.zeros_like(psi)

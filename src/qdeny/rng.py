@@ -11,8 +11,8 @@ Two constructions live here:
     generator. Substreams are derived by hashing (parent key, label, index)
     with SHA-256; streams under distinct labels are independent for every
     statistical purpose in this package. No stream reads the OS entropy
-    pool: each generator starts from one fixed ``SeedSequence`` and then
-    takes its key from the stream's own 128 bits.
+    pool or hashes a ``SeedSequence``: each generator is handed the
+    stream's own 128 bits as its Philox key.
 
 ``CounterModePrng``
     The covert-schedule expander. Block ``j`` of the keystream is
@@ -36,9 +36,6 @@ STRONG_SEED_BITS = 128
 WEAK_SEED_BITS = 16
 
 _DOMAIN = b"qdeny.rng.v1"
-# Philox(key=...) builds a SeedSequence() that reads OS entropy and is then
-# ignored; a fixed one reads nothing, and the key is set right after.
-_FIXED_SEED_SEQUENCE = np.random.SeedSequence(0)
 _WORD = (1 << 64) - 1
 
 
@@ -51,14 +48,20 @@ def _derive_key(parent: bytes, label: str, index: int) -> bytes:
     return h.digest()[:16]
 
 
-def _philox(key: int) -> np.random.Philox:
-    """The same bit generator as `np.random.Philox(key=key)`: counter 0 and
-    the 128-bit key as two 64-bit words, low word first."""
-    bit_generator = np.random.Philox(_FIXED_SEED_SEQUENCE)
-    state = bit_generator.state
-    state["state"]["key"] = np.array([key & _WORD, key >> 64], dtype=np.uint64)
-    bit_generator.state = state
-    return bit_generator
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Seeds `np.random.Philox` with a given 128-bit key: Philox asks its
+    seed sequence for two uint64 words and uses them as the key, low word
+    first, with counter 0, which is `np.random.Philox(key=key)`. Unlike
+    `Philox(key=...)` it builds no `SeedSequence`, so nothing reads OS
+    entropy or runs the seed hash."""
+
+    def __init__(self, key: int):
+        self._words = np.array([key & _WORD, key >> 64], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError(f"a Philox key is two uint64 words, not {n_words} of {dtype}")
+        return self._words
 
 
 class RandomStream:
@@ -80,7 +83,8 @@ class RandomStream:
             if seed < 0 or seed >= 1 << 128:
                 raise ValueError("integer seed must fit in 128 bits")
             self._key = seed.to_bytes(16, "big")
-        self._gen = np.random.Generator(_philox(int.from_bytes(self._key, "big")))
+        key = int.from_bytes(self._key, "big")
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
     def substream(self, label: str, index: int = 0) -> "RandomStream":
         """Independent child stream for (label, index)."""

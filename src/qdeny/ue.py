@@ -147,34 +147,29 @@ class MacScheme:
         return self.blocks(message_bits) / float(1 << self.s)
 
 
-def _bits_to_int(v: np.ndarray) -> int:
-    out = 0
-    for b in v:
-        out = (out << 1) | int(b)
-    return out
-
-
-def _int_to_bits(x: int, length: int) -> np.ndarray:
-    return np.array([(x >> (length - 1 - i)) & 1 for i in range(length)], dtype=np.uint8)
-
-
 def mac_tag(scheme: MacScheme, key: np.ndarray, message: np.ndarray) -> np.ndarray:
     """Tag = poly-eval of the 1-padded message at the point half of the key,
-    masked with the other half. Deterministic in (key, message)."""
+    masked with the other half. Deterministic in (key, message).
+
+    Each s-bit block is read most significant bit first; the key halves and
+    the message blocks are packed into integers by one product with the bit
+    weights, and the tag is unpacked by one shift.
+    """
     key = gf2.bits(key)
     message = gf2.bits(message)
     if key.size != scheme.key_bits:
         raise ValueError(f"key must hold {scheme.key_bits} bits")
-    point = _bits_to_int(key[: scheme.s])
-    mask = _bits_to_int(key[scheme.s :])
-    padded = np.concatenate([message, [1]])
-    pad_len = (-padded.size) % scheme.s
-    padded = np.concatenate([padded, np.zeros(pad_len, dtype=np.uint8)])
+    s = scheme.s
+    shifts = np.arange(s - 1, -1, -1, dtype=np.int64)
+    weights = np.left_shift(1, shifts)
+    point, mask = (key.reshape(2, s) @ weights).tolist()
+    padded = np.zeros(scheme.blocks(message.size) * s, dtype=np.uint8)
+    padded[: message.size] = message
+    padded[message.size] = 1
     acc = 0
-    for start in range(0, padded.size, scheme.s):
-        block = _bits_to_int(padded[start : start + scheme.s])
+    for block in (padded.reshape(-1, s) @ weights).tolist():
         acc = _gf_mul(acc ^ block, point, scheme.modulus)
-    return _int_to_bits(acc ^ mask, scheme.s)
+    return ((acc ^ mask) >> shifts & 1).astype(np.uint8)
 
 
 def mac_verify(scheme: MacScheme, key: np.ndarray, message: np.ndarray, tag: np.ndarray) -> bool:

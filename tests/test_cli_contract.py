@@ -100,12 +100,16 @@ def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
     _assert_main_config_error(capsys, [experiment, "--config", str(cfg)])
 
 
-def _assert_main_config_error(capsys, argv) -> None:
+def _assert_main_config_error(capsys, argv, names=None) -> None:
+    """Exit 2 with one `config error:` line, which names the file `names`
+    when given."""
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error:"), err
+    if names is not None:
+        assert str(names) in lines[0], err
 
 
 def test_out_in_missing_directory_exit_2(tmp_path, capsys):
@@ -120,7 +124,8 @@ def test_config_is_a_directory_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("name", ["missing.json", "latin1.json"])
 def test_config_unreadable_exit_2(tmp_path, capsys, name):
     (tmp_path / "latin1.json").write_bytes(b'{"experiment": "bb84", "params": {"n": "\xe9"}}')
-    _assert_main_config_error(capsys, ["bb84", "--config", str(tmp_path / name)])
+    path = tmp_path / name
+    _assert_main_config_error(capsys, ["bb84", "--config", str(path)], names=path)
 
 
 @pytest.mark.parametrize("c1, c2", [
@@ -135,7 +140,9 @@ def test_code_file_unusable_exit_2(tmp_path, capsys, c1, c2):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "bb84", "params": {
         "c1_file": str(tmp_path / c1), "c2_file": str(tmp_path / c2)}}))
-    _assert_main_config_error(capsys, ["bb84", "--config", str(cfg), "--trials", "1"])
+    # an empty file decodes, and the parse error that follows names no file
+    named = None if c1 == "empty.txt" else tmp_path / c2
+    _assert_main_config_error(capsys, ["bb84", "--config", str(cfg), "--trials", "1"], names=named)
 
 
 @pytest.mark.parametrize("setup", ["latin1", "directory", "long-field"])
@@ -146,4 +153,6 @@ def test_report_over_unreadable_csv_exit_2(tmp_path, capsys, setup):
         (tmp_path / "d.csv").mkdir()
     else:
         (tmp_path / "a.csv").write_text("experiment,n\nbb84," + "7" * 131073 + "\n")
-    _assert_main_config_error(capsys, ["report", "--out", str(tmp_path)])
+    (tmp_path / "b.csv").write_text("experiment,n\nbb84,14\n")
+    bad = tmp_path / ("d.csv" if setup == "directory" else "a.csv")
+    _assert_main_config_error(capsys, ["report", "--out", str(tmp_path)], names=bad)

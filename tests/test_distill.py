@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qdeny import bb84, gf2, qcore
+from qdeny import bb84, distill, gf2, qcore
 from qdeny.channel import ClassicalAuthChannel
 from qdeny.distill import (
     PartialPair,
@@ -45,6 +45,44 @@ def dense_filter(pair: PartialPair, rng: RandomStream):
 def dense_is_ebit(state: StateVector) -> bool:
     """The oracle: fidelity with Phi+ through the density matrix."""
     return qcore.fidelity(PHI_PLUS, qcore.to_density(state)) >= 1.0 - 1e-9
+
+
+def dense_teleport(psi: StateVector, ebit: StateVector, rng):
+    """The oracle: the dense circuit run afresh on every call."""
+    if psi.n_qubits != 1 or ebit.n_qubits != 2 or not dense_is_ebit(ebit):
+        raise ValueError("can only teleport a single qubit through a Phi+ ebit")
+    cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    joint = qcore.tensor(psi, ebit)
+    joint = qcore.apply_unitary(joint, cnot, [0, 1])
+    joint = qcore.apply_unitary(joint, qcore.HADAMARD, [0])
+    m_phase, joint = qcore.measure_subsystem(joint, 0, qcore.Basis.COMPUTATIONAL, rng)
+    m_bit, joint = qcore.measure_subsystem(joint, 1, qcore.Basis.COMPUTATIONAL, rng)
+    if m_bit:
+        joint = qcore.apply_unitary(joint, qcore.PAULI_X, [2])
+    if m_phase:
+        joint = qcore.apply_unitary(joint, qcore.PAULI_Z, [2])
+    return StateVector(1, joint.tensor_shape()[m_phase, m_bit, :]), (m_phase, m_bit)
+
+
+class NearHalfStream:
+    """Seeded uniforms, two thirds of them moved next to 1/2: onto a grid of
+    ulps around it, or to within 5e-6 of it.
+
+    Teleportation's Born thresholds sit an ulp or two from 1/2 (a few 1e-6
+    for an accepted near-ebit), so plain uniforms almost never fall between
+    a threshold and a slightly wrong one; these draws do.
+    """
+
+    def __init__(self, seed: int):
+        self._gen = RandomStream(seed).generator
+
+    def random(self) -> float:
+        kind, u = int(self._gen.integers(3)), float(self._gen.random())
+        if kind == 0:
+            return u
+        if kind == 1:
+            return 0.5 + (u - 0.5) * 1e-5
+        return 0.5 + int(self._gen.integers(-4, 5)) * 2.0**-54
 
 
 def near_ebit(infidelity: float) -> StateVector:
@@ -219,6 +257,48 @@ class TestTeleport:
         mi = float(np.sum(pxy[nz] * np.log2(pxy[nz] / (px @ py)[nz])))
         # plug-in MI bias is about (|X|-1)(|Y|-1) / (2 N ln 2)
         assert mi < 9 / (2 * trials * np.log(2)) * 3 + 1e-3
+
+    def assert_matches_dense(self, psi, ebit, seed, draws):
+        fast, dense = NearHalfStream(seed), NearHalfStream(seed)
+        shared = {}
+        for _ in range(draws):
+            got, got_bits = teleport(psi, ebit, fast)
+            want, want_bits = dense_teleport(psi, ebit, dense)
+            assert got_bits == want_bits
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert shared.setdefault(got_bits, got) is got
+        return set(shared)
+
+    @pytest.mark.parametrize(
+        "theta",
+        [float(t) for t in np.linspace(0.05, np.pi / 4 - 0.01, 6)]
+        + [float(t) for t in np.linspace(np.pi / 4 + 0.01, np.pi / 2 - 0.05, 6)],
+    )
+    def test_bb84_states_through_filter_ebit_equal_dense_oracle(self, theta):
+        ebit, rng = None, RandomStream(42)
+        while ebit is None:
+            ebit = procrustean_filter(PartialPair(theta), rng)
+        for i, (bit, basis) in enumerate(np.ndindex(2, 2)):
+            psi = qcore.prepare_bb84(bit, qcore.Basis.from_bit(basis))
+            assert len(self.assert_matches_dense(psi, ebit, 50 + i, draws=300)) == 4
+            p_phase, p_bit, _ = distill._teleport_table(distill._ByBytes(psi), distill._ByBytes(ebit))
+            for p in (p_phase, *p_bit):
+                assert abs(p - 0.5) < 1e-12
+
+    def test_bb84_states_and_random_states_through_phi_plus_equal_dense_oracle(self):
+        for i, (bit, basis) in enumerate(np.ndindex(2, 2)):
+            psi = qcore.prepare_bb84(bit, qcore.Basis.from_bit(basis))
+            assert len(self.assert_matches_dense(psi, PHI_PLUS, 60 + i, draws=300)) == 4
+        gen = RandomStream(61).generator
+        for i in range(300):
+            self.assert_matches_dense(random_qubit(gen), PHI_PLUS, 1000 + i, draws=3)
+
+    def test_accepted_near_ebit_equals_dense_oracle(self):
+        # thresholds a few 1e-6 off 1/2, still within the branch tolerance
+        ebit = near_ebit(1e-11)
+        for i in range(20):
+            psi = random_qubit(RandomStream(70 + i).generator)
+            assert len(self.assert_matches_dense(psi, ebit, 80 + i, draws=100)) == 4
 
     def test_rejects_non_ebit(self):
         with pytest.raises(ValueError):

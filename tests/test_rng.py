@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qdeny.rng import CounterModePrng, RandomStream
+from qdeny.rng import CounterModePrng, RandomStream, _PhiloxKey
 
 
 class TestRandomStream:
@@ -57,6 +57,11 @@ class TestRandomStream:
             want = np.random.Generator(np.random.Philox(key=key))
             assert np.array_equal(stream.uniforms(50), want.random(50))
             assert np.array_equal(stream.bits(70), want.integers(0, 2, size=70, dtype=np.uint8))
+
+    @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint32), (1, np.uint64)])
+    def test_philox_key_serves_only_the_key_request(self, n_words, dtype):
+        with pytest.raises(ValueError, match="two uint64 words"):
+            _PhiloxKey(5).generate_state(n_words, dtype)
 
     def test_no_os_entropy_read(self):
         # count calls of the os.urandom builtin however they are reached

@@ -31,6 +31,25 @@ def params():
     return UeParams(n=4, s=4)
 
 
+def loop_mac_tag(scheme: MacScheme, key: np.ndarray, message: np.ndarray) -> np.ndarray:
+    """The oracle: the tag built bit by bit and block by block in Python."""
+
+    def to_int(v):
+        out = 0
+        for b in v:
+            out = (out << 1) | int(b)
+        return out
+
+    point, mask = to_int(key[: scheme.s]), to_int(key[scheme.s :])
+    padded = np.concatenate([message, [1]])
+    padded = np.concatenate([padded, np.zeros((-padded.size) % scheme.s, dtype=np.uint8)])
+    acc = 0
+    for start in range(0, padded.size, scheme.s):
+        acc = ue._gf_mul(acc ^ to_int(padded[start : start + scheme.s]), point, scheme.modulus)
+    tag = acc ^ mask
+    return np.array([(tag >> (scheme.s - 1 - i)) & 1 for i in range(scheme.s)], dtype=np.uint8)
+
+
 class TestMac:
     def test_deterministic(self):
         scheme = MacScheme(8)
@@ -73,6 +92,18 @@ class TestMac:
         base = 2**-6
         assert rate <= base + 3 * np.sqrt(base * (1 - base) / trials)
 
+    @pytest.mark.parametrize("s", list(range(1, 9)) + [32])
+    def test_packed_tag_equals_loop_oracle(self, s):
+        scheme = MacScheme(s)
+        root = RandomStream(5)
+        for i in range(300):
+            r = root.substream("case", i)
+            key = r.bits(2 * s)
+            message = r.bits(int(r.generator.integers(0, 3 * s + 2)))
+            got = mac_tag(scheme, key, message)
+            assert got.dtype == np.uint8
+            assert got.tobytes() == loop_mac_tag(scheme, key, message).tobytes()
+
     def test_key_length_enforced(self):
         with pytest.raises(ValueError):
             mac_tag(MacScheme(4), np.zeros(4, np.uint8), np.zeros(4, np.uint8))
@@ -90,6 +121,19 @@ class TestMac:
             UeParams(4, 4, gf2.default_dual_pair())
         assert MacScheme(4).modulus == 0b10011
         assert gf2.verify_nesting(UeParams(4, 4).pair)
+
+    def test_params_share_one_stock_pair_with_unchanged_encodings(self):
+        shared = UeParams(4, 4).pair
+        assert UeParams(8, 6).pair is shared is gf2.default_dual_pair()
+        fresh = gf2.DualContainingPair(c1=gf2.hamming74(), c2=gf2.hamming74())
+        assert np.array_equal(shared.quotient_checks, fresh.quotient_checks)
+        root = RandomStream(6)
+        for i in range(200):
+            r = root.substream("case", i)
+            c1_syn, y = r.bits(3 * 8).reshape(8, 3), r.bits(8).reshape(8, 1)
+            got = gf2.encode_ue_codeword(shared, c1_syn, y, r.substream("encoder"))
+            want = gf2.encode_ue_codeword(fresh, c1_syn, y, r.substream("encoder"))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRoundTrip:

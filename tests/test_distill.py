@@ -280,7 +280,7 @@ class TestTeleport:
             ebit = procrustean_filter(PartialPair(theta), rng)
         for i, (bit, basis) in enumerate(np.ndindex(2, 2)):
             psi = qcore.prepare_bb84(bit, qcore.Basis.from_bit(basis))
-            assert len(self.assert_matches_dense(psi, ebit, 50 + i, draws=300)) == 4
+            assert len(self.assert_matches_dense(psi, ebit, 50 + i, draws=40)) == 4
             p_phase, p_bit, _ = distill._teleport_table(distill._ByBytes(psi), distill._ByBytes(ebit))
             for p in (p_phase, *p_bit):
                 assert abs(p - 0.5) < 1e-12
@@ -288,17 +288,17 @@ class TestTeleport:
     def test_bb84_states_and_random_states_through_phi_plus_equal_dense_oracle(self):
         for i, (bit, basis) in enumerate(np.ndindex(2, 2)):
             psi = qcore.prepare_bb84(bit, qcore.Basis.from_bit(basis))
-            assert len(self.assert_matches_dense(psi, PHI_PLUS, 60 + i, draws=300)) == 4
+            assert len(self.assert_matches_dense(psi, PHI_PLUS, 60 + i, draws=100)) == 4
         gen = RandomStream(61).generator
-        for i in range(300):
-            self.assert_matches_dense(random_qubit(gen), PHI_PLUS, 1000 + i, draws=3)
+        for i in range(200):
+            self.assert_matches_dense(random_qubit(gen), PHI_PLUS, 1000 + i, draws=2)
 
     def test_accepted_near_ebit_equals_dense_oracle(self):
         # thresholds a few 1e-6 off 1/2, still within the branch tolerance
         ebit = near_ebit(1e-11)
-        for i in range(20):
+        for i in range(10):
             psi = random_qubit(RandomStream(70 + i).generator)
-            assert len(self.assert_matches_dense(psi, ebit, 80 + i, draws=100)) == 4
+            assert len(self.assert_matches_dense(psi, ebit, 80 + i, draws=40)) == 4
 
     def test_rejects_non_ebit(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,6 @@ from . import denial as denial_mod
 from . import distill as distill_mod
 from . import ue as ue_mod
 from .channel import QubitChannel, TimeBinChannel
-from .games import ExperimentConfig
 from .rng import RandomStream
 
 __all__ = ["main", "entrypoint"]
@@ -100,14 +99,6 @@ def _convert(key: str, value, convert):
         raise ConfigError(f"bad value {value!r} for config key {key!r}: {exc}")
 
 
-def _validated(builder):
-    """Turn parameter-validation failures into configuration errors."""
-    try:
-        return builder()
-    except (ValueError, OverflowError) as exc:  # OverflowError: e.g. an infinite delta
-        raise ConfigError(str(exc))
-
-
 def _read_text(path: str) -> str:
     """A UTF-8 input file's text; a file that does not decode is a
     configuration error that names it."""
@@ -148,17 +139,17 @@ def _load_code_pair(params: dict):
         raise ConfigError("c1_file and c2_file must be given together")
     if c1_file is None:
         return gf2.default_nested_pair()
-    c1 = _validated(lambda: gf2.load_code(_read_text(c1_file)))
-    c2 = _validated(lambda: gf2.load_code(_read_text(c2_file)))
-    return _validated(lambda: gf2.NestedCodePair(c1=c1, c2=c2))
+    c1 = gf2.load_code(_read_text(c1_file))
+    c2 = gf2.load_code(_read_text(c2_file))
+    return gf2.NestedCodePair(c1=c1, c2=c2)
 
 
 def _run_bb84(params: dict, seed: int, trials: int):
     codes = _load_code_pair(params)
-    cfg = _validated(lambda: bb84_mod.Bb84Config(
+    cfg = bb84_mod.Bb84Config(
         n=params["n"], delta=params["delta"], error_threshold=params["error_threshold"], codes=codes
-    ))
-    qchan = _validated(lambda: QubitChannel(flip_probability=params["flip_probability"]))
+    )
+    qchan = QubitChannel(flip_probability=params["flip_probability"])
     master = RandomStream(seed)
     agree = aborts = 0
     err_sum = 0.0
@@ -200,10 +191,10 @@ def _run_bb84(params: dict, seed: int, trials: int):
 
 
 def _run_attack_deny(params: dict, seed: int, trials: int):
-    est = _validated(lambda: denial_mod.detection_probability(
+    est = denial_mod.detection_probability(
         n_qubits=params["N"], n_decoys=params["eta"], flips=params["flips"],
         trials=trials, master_seed=seed,
-    ))
+    )
     columns = ["experiment", "N", "eta", "flips", "trials",
                "estimate", "ci_low", "ci_high", "seed"]
     row = ["attack-deny", params["N"], params["eta"], params["flips"],
@@ -212,7 +203,7 @@ def _run_attack_deny(params: dict, seed: int, trials: int):
 
 
 def _run_ue(params: dict, seed: int, trials: int):
-    ue_params = _validated(lambda: ue_mod.UeParams(n=params["n"], s=params["s"]))
+    ue_params = ue_mod.UeParams(n=params["n"], s=params["s"])
     master = RandomStream(seed)
     accepted = 0
     first_key_json = None
@@ -230,21 +221,19 @@ def _run_ue(params: dict, seed: int, trials: int):
 
 
 def _covert_config(params: dict) -> dcqke_mod.CovertQkeConfig:
-    prng = _validated(lambda: dcqke_mod.PrngSpec(**params["prng"]))
-    timebin = _validated(lambda: TimeBinChannel(
+    prng = dcqke_mod.PrngSpec(**params["prng"])
+    timebin = TimeBinChannel(
         n_slots=params["n_slots"], p_dark=params["p_dark"], p_signal=params["p_signal"]
-    ))
-    bb = _validated(lambda: bb84_mod.Bb84Config(n=params["n"], delta=params["delta"]))
-    return _validated(lambda: dcqke_mod.CovertQkeConfig(
-        bb84=bb, timebin=timebin, prng=prng, n_used=params["n_used"]
-    ))
+    )
+    bb = bb84_mod.Bb84Config(n=params["n"], delta=params["delta"])
+    return dcqke_mod.CovertQkeConfig(bb84=bb, timebin=timebin, prng=prng, n_used=params["n_used"])
 
 
 def _pick_warden(name: str, config: dcqke_mod.CovertQkeConfig):
     if name == "count":
         return dcqke_mod.CountTestWarden(config)
     if name == "seed-search":
-        return _validated(lambda: dcqke_mod.SeedSearchWarden(config))
+        return dcqke_mod.SeedSearchWarden(config)
     raise ConfigError(f"unknown warden {name!r}")
 
 
@@ -257,10 +246,9 @@ _COVERT_DEFAULTS = {
 def _run_covert_game(experiment: str, params: dict, seed: int, trials: int):
     """The covert-detection game ("covert") or the deniability game of the
     dual-session construction ("dcqke"), against the configured warden."""
-    _validated(lambda: ExperimentConfig(trials, seed))
     config = _covert_config(params)
     if experiment == "dcqke":
-        _validated(config.require_session_capacity)
+        config.require_session_capacity()
     warden = _pick_warden(params["warden"], config)
     if experiment == "dcqke":
         est = dcqke_mod.deniability_experiment(config, warden, trials, seed)
@@ -275,7 +263,7 @@ def _run_covert_game(experiment: str, params: dict, seed: int, trials: int):
 
 
 def _run_distill(params: dict, seed: int, trials: int):
-    theta = _validated(lambda: distill_mod.PartialPair(params["theta"])).theta
+    theta = distill_mod.PartialPair(params["theta"]).theta
     _, report = distill_mod.distill_batch(trials, theta, RandomStream(seed).substream("batch"))
     if report.succeeded == 0:
         raise ExperimentAbort("no pair survived the filter")
@@ -437,8 +425,9 @@ def main(argv=None) -> int:
         else:
             _emit(_render_json(args.experiment, columns, rows, detail), args.out)
         return 0
-    except (ConfigError, OSError, UnicodeDecodeError, csv.Error) as exc:
-        # a file that cannot be read, decoded, parsed or written is a configuration error
+    except (ConfigError, ValueError, OverflowError, OSError, csv.Error) as exc:
+        # a rejected parameter, or a file that cannot be read, decoded, parsed or
+        # written, is a configuration error (OverflowError: e.g. an infinite delta)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ExperimentAbort, RuntimeError) as exc:

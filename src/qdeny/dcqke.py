@@ -35,7 +35,7 @@ from .channel import (
     warden_observe,
     weak_schedule_table,
 )
-from .games import AdvantageEstimate, ExperimentConfig, run_experiment
+from .games import AdvantageEstimate, run_experiment
 from .rng import STRONG_SEED_BITS, WEAK_SEED_BITS, CounterModePrng, RandomStream
 
 __all__ = [
@@ -269,7 +269,7 @@ def covert_game(
         idle, _ = _sample_window(config, trial_rng, active=False)
         return active, idle
 
-    return run_experiment(setup, warden, ExperimentConfig(trials, master_seed))
+    return run_experiment(setup, warden, trials, master_seed)
 
 
 # -- the deniable construction -------------------------------------------------
@@ -368,7 +368,7 @@ def deniability_experiment(
         result = run_dc_qke(config, trial_rng)
         return build_views(result)
 
-    return run_experiment(setup, distinguisher, ExperimentConfig(trials, master_seed))
+    return run_experiment(setup, distinguisher, trials, master_seed)
 
 
 class ReductionDistinguisher:

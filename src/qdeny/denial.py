@@ -22,7 +22,7 @@ import numpy as np
 from . import bb84 as bb84_mod
 from . import qcore
 from .channel import QubitChannel
-from .games import AdvantageEstimate, ExperimentConfig, RateEstimate, rate_estimate, run_experiment
+from .games import AdvantageEstimate, RateEstimate, rate_estimate, run_experiment
 from .rng import RandomStream
 
 __all__ = [
@@ -142,6 +142,7 @@ def judge_check(claim: DenialClaim, record: EveRecord) -> JudgeVerdict:
 # single-qubit states; the full quantum path is cross-checked in tests.
 
 _CHUNK = 20000  # trials per block of draws; the block layout fixes the stream
+_REDRAWS = 1000  # shortfall redraw rounds per block before `flips` counts as out of reach
 
 
 def detection_probability(
@@ -155,7 +156,8 @@ def detection_probability(
 
     Trials whose sifted set is smaller than `flips` are redrawn, which at
     these sizes is vanishingly rare; `flips` above `n_qubits` could never
-    be met and is rejected.
+    be met and is rejected, and so is a `flips` so close to `n_qubits`
+    that a block still holds a short trial after 1000 redraw rounds.
 
     Eve measures a qubit when a float32 uniform falls below
     `n_decoys / n_qubits`, and the comparison runs in float32: the ratio is
@@ -178,10 +180,17 @@ def detection_probability(
         m = min(_CHUNK, trials - done)
         sifted = g.integers(0, 2, (m, n_qubits), dtype=np.uint8).astype(bool)
         enough = sifted.sum(axis=1) >= flips
-        while not np.all(enough):  # redraw shortfall rows
+        for _ in range(_REDRAWS):  # redraw shortfall rows
+            if np.all(enough):
+                break
             bad = np.where(~enough)[0]
             sifted[bad] = g.integers(0, 2, (bad.size, n_qubits), dtype=np.uint8).astype(bool)
             enough = sifted.sum(axis=1) >= flips
+        if not np.all(enough):
+            raise ValueError(
+                f"{flips} flips of {n_qubits} qubits is out of reach: trials still sift"
+                f" fewer bits after {_REDRAWS} redraws"
+            )
         measured = g.random((m, n_qubits), dtype=np.float32) < (n_decoys / n_qubits)
         matched = g.integers(0, 2, (m, n_qubits), dtype=np.uint8).astype(bool)
         checkable = measured & matched
@@ -251,7 +260,7 @@ def coercer_experiment(
         fake = protocol.fake(session, trial_rng.substream("fake"))
         return real, fake
 
-    return run_experiment(setup, adversary, ExperimentConfig(trials, master_seed))
+    return run_experiment(setup, adversary, trials, master_seed)
 
 
 class NaiveBb84DenialProtocol:

@@ -5,7 +5,7 @@ distinguisher the observation for that hypothesis, and scores its guesses.
 Reported advantage is |win rate - 1/2| with a Wilson 95% interval mapped
 through the folding, clamped to [0, 1/2].
 
-Everything is a pure function of (config, master_seed): each trial draws
+Everything is a pure function of (trials, master_seed): each trial draws
 from the substream (master_seed, "trial", index), and the challenge bit
 from ("challenge", index), so paired experiments can share observation
 substreams exactly.
@@ -28,7 +28,6 @@ from .rng import RandomStream
 __all__ = [
     "Distinguisher",
     "CoinFlipDistinguisher",
-    "ExperimentConfig",
     "AdvantageEstimate",
     "RateEstimate",
     "run_experiment",
@@ -51,16 +50,6 @@ class CoinFlipDistinguisher:
 
     def decide(self, observation, rng: RandomStream) -> int:
         return rng.bit()
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    trials: int
-    master_seed: int
-
-    def __post_init__(self):
-        if self.trials < 100:
-            raise ValueError("experiments need at least 100 trials for the interval to mean much")
 
 
 @dataclass(frozen=True)
@@ -128,19 +117,22 @@ def rate_estimate(successes: int, trials: int) -> RateEstimate:
 def run_experiment(
     setup: Callable[[RandomStream], tuple],
     dist: Distinguisher,
-    config: ExperimentConfig,
+    trials: int,
+    master_seed: int,
 ) -> AdvantageEstimate:
-    """Score `dist` over config.trials challenge rounds.
+    """Score `dist` over `trials` challenge rounds.
 
     `setup(trial_rng)` returns the observation pair (for b = 0, for b = 1);
     the harness flips b, shows the matching observation, and counts wins.
     """
-    master = RandomStream(config.master_seed)
+    if trials < 100:
+        raise ValueError("experiments need at least 100 trials for the interval to mean much")
+    master = RandomStream(master_seed)
     wins = 0
-    for i in range(config.trials):
+    for i in range(trials):
         obs_pair = setup(master.substream("trial", i))
         b = master.substream("challenge", i).bit()
         guess = dist.decide(obs_pair[b], master.substream("distinguisher", i))
         wins += int(guess == b)
-    return AdvantageEstimate.from_wins(wins, config.trials)
+    return AdvantageEstimate.from_wins(wins, trials)
 

@@ -38,7 +38,6 @@ __all__ = [
     "key_from_coset",
     "sample_codeword",
     "encode_ue_codeword",
-    "verify_nesting",
     "is_nested",
     "is_dual_containing",
     "load_code",
@@ -58,7 +57,7 @@ def bits(values: Iterable[int] | str) -> np.ndarray:
         values = [int(c) for c in values]
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     arr = arr.astype(np.uint8)
-    if arr.ndim != 1 or np.any(arr > 1):
+    if arr.ndim != 1 or (arr > 1).any():
         raise ValueError("bit vector entries must be 0 or 1")
     return arr
 
@@ -152,7 +151,7 @@ def _words(values, width: int, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim == 2:
         arr = arr.astype(np.uint8)
-        if np.any(arr > 1):
+        if (arr > 1).any():
             raise ValueError("bit entries must be 0 or 1")
     else:
         arr = bits(values)
@@ -172,7 +171,6 @@ class BinaryLinearCode:
     k: int
     generator: np.ndarray
     parity_check: np.ndarray
-    min_distance: int | None = None
     _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -190,12 +188,12 @@ class BinaryLinearCode:
         object.__setattr__(self, "parity_check", h)
 
     @classmethod
-    def from_generator(cls, g: np.ndarray, min_distance: int | None = None) -> "BinaryLinearCode":
+    def from_generator(cls, g: np.ndarray) -> "BinaryLinearCode":
         g = np.asarray(g, dtype=np.uint8) % 2
         k, n = g.shape
         if rank(g) != k:
             raise ValueError("generator rows must be independent")
-        return cls(n=n, k=k, generator=g, parity_check=nullspace(g), min_distance=min_distance)
+        return cls(n=n, k=k, generator=g, parity_check=nullspace(g))
 
     def codewords(self) -> np.ndarray:
         """All 2^k codewords, row i encodes the k-bit message with value i."""
@@ -207,8 +205,6 @@ class BinaryLinearCode:
         return self._cache["codewords"]
 
     def distance(self) -> int:
-        if self.min_distance is not None:
-            return self.min_distance
         if "distance" not in self._cache:
             w = self.codewords().sum(axis=1)
             self._cache["distance"] = int(w[w > 0].min())
@@ -282,7 +278,7 @@ class NestedCodePair:
     def __post_init__(self):
         if self.c1.n != self.c2.n:
             raise ValueError("codes must share a block length")
-        if not verify_nesting(self):
+        if not is_nested(self.c1, self.c2):
             raise ValueError("C2 is not a proper subcode of C1")
 
     @property
@@ -335,7 +331,7 @@ class DualContainingPair:
         q = self._build_quotient_checks()
         q.setflags(write=False)
         object.__setattr__(self, "quotient_checks", q)
-        if not verify_nesting(self):
+        if not is_dual_containing(self.c1, self.c2, self.quotient_checks):
             raise ValueError("pair violates dual containment or quotient-check invariants")
 
     def _build_quotient_checks(self) -> np.ndarray:
@@ -407,15 +403,6 @@ def is_dual_containing(
     return rank(np.vstack([base, q])) == rank(base) + want
 
 
-def verify_nesting(pair) -> bool:
-    """Containment check by syndromes of every relevant generator row."""
-    if isinstance(pair, NestedCodePair):
-        return is_nested(pair.c1, pair.c2)
-    if isinstance(pair, DualContainingPair):
-        return is_dual_containing(pair.c1, pair.c2, pair.quotient_checks)
-    raise TypeError(f"unsupported pair type {type(pair)!r}")
-
-
 def encode_ue_codeword(
     pair: DualContainingPair, c1_syn: np.ndarray, y: np.ndarray, rng: RandomStream
 ) -> np.ndarray:
@@ -476,13 +463,13 @@ def hamming74() -> BinaryLinearCode:
         ],
         dtype=np.uint8,
     )
-    return BinaryLinearCode(n=7, k=4, generator=nullspace(h), parity_check=h, min_distance=3)
+    return BinaryLinearCode(n=7, k=4, generator=nullspace(h), parity_check=h)
 
 
 def repetition_code(n: int = 7) -> BinaryLinearCode:
     """The [n,1] repetition code {0^n, 1^n}, distance n."""
     g = np.ones((1, n), dtype=np.uint8)
-    return BinaryLinearCode.from_generator(g, min_distance=n)
+    return BinaryLinearCode.from_generator(g)
 
 
 def default_nested_pair() -> NestedCodePair:

@@ -199,7 +199,7 @@ _BB84_P0 = _build_p0_table()
 
 def _bit_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.uint8)
-    if np.any(arr > 1):
+    if (arr > 1).any():
         raise ValueError("BB84 bits, bases and flips must be 0 or 1")
     arr.setflags(write=False)
     return arr

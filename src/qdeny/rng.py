@@ -71,10 +71,8 @@ class RandomStream:
     Instances are cheap; experiments derive one substream per trial.
     """
 
-    def __init__(self, seed: int | bytes, _key: bytes | None = None):
-        if _key is not None:
-            self._key = _key
-        elif isinstance(seed, bytes):
+    def __init__(self, seed: int | bytes):
+        if isinstance(seed, bytes):
             if len(seed) != 16:
                 raise ValueError("byte seed must be exactly 16 bytes")
             self._key = seed
@@ -88,7 +86,7 @@ class RandomStream:
 
     def substream(self, label: str, index: int = 0) -> "RandomStream":
         """Independent child stream for (label, index)."""
-        return RandomStream(0, _key=_derive_key(self._key, label, index))
+        return RandomStream(_derive_key(self._key, label, index))
 
     # -- draws -------------------------------------------------------------
 

@@ -135,6 +135,11 @@ class TestDetectionRates:
         est = detection_probability(64, 0, 1, 2000, master_seed=1)
         assert est.rate == 0.0
 
+    def test_flips_near_qubit_count_rejected_not_redrawn_forever(self):
+        # a trial sifts all 28 bits once in 2**28 draws
+        with pytest.raises(ValueError, match="out of reach"):
+            detection_probability(28, 0, 28, 3, master_seed=1)
+
     def test_paper_rate_at_bench_size(self):
         est = detection_probability(512, 32, 1, 50_000, master_seed=2)
         assert est.ci_low <= 32 / 1024 <= est.ci_high

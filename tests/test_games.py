@@ -5,7 +5,6 @@ import pytest
 from qdeny.games import (
     AdvantageEstimate,
     CoinFlipDistinguisher,
-    ExperimentConfig,
     run_experiment,
     wilson_interval,
 )
@@ -68,34 +67,33 @@ class TestAdvantageEstimate:
 
 class TestRunExperiment:
     def test_null_distinguisher_near_zero(self):
-        est = run_experiment(
-            _constant_pair_setup, CoinFlipDistinguisher(), ExperimentConfig(2000, 7)
-        )
+        est = run_experiment(_constant_pair_setup, CoinFlipDistinguisher(), 2000, 7)
         assert est.ci_low == 0.0
         assert est.advantage < 0.05
 
     def test_leaky_observation_full_advantage(self):
-        est = run_experiment(_constant_pair_setup, LeakReader(), ExperimentConfig(500, 7))
+        est = run_experiment(_constant_pair_setup, LeakReader(), 500, 7)
         assert est.advantage == 0.5
 
     def test_deterministic_given_seed(self):
         runs = [
-            run_experiment(_constant_pair_setup, CoinFlipDistinguisher(), ExperimentConfig(300, 9))
+            run_experiment(_constant_pair_setup, CoinFlipDistinguisher(), 300, 9)
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
     def test_trial_floor(self):
+        def no_trial(trial_rng):
+            raise AssertionError("the floor must reject before any trial runs")
+
         with pytest.raises(ValueError):
-            ExperimentConfig(50, 1)
+            run_experiment(no_trial, CoinFlipDistinguisher(), 50, 1)
 
     def test_interval_coverage_meta(self):
         # 95% Wilson interval should cover the null in at least 93 of 100 reps
         covered = 0
         for rep in range(100):
-            est = run_experiment(
-                _constant_pair_setup, CoinFlipDistinguisher(), ExperimentConfig(400, 20000 + rep)
-            )
+            est = run_experiment(_constant_pair_setup, CoinFlipDistinguisher(), 400, 20000 + rep)
             covered += int(est.ci_low == 0.0)
         assert covered >= 93
 

@@ -275,12 +275,12 @@ class TestUeEncoderOracle:
 
 class TestNesting:
     def test_default_nested_true(self, nested):
-        assert gf2.verify_nesting(nested)
+        assert gf2.is_nested(nested.c1, nested.c2)
         # the all-ones word really is a Hamming codeword
         assert not gf2.syndrome(nested.c1, np.ones(7, dtype=np.uint8)).any()
 
     def test_hamming_self_dual_containing(self, dual):
-        assert gf2.verify_nesting(dual)
+        assert gf2.is_dual_containing(dual.c1, dual.c2, dual.quotient_checks)
         # rows of the parity check (the dual's generator) are codewords of C1
         for row in dual.c2.parity_check:
             assert not gf2.syndrome(dual.c1, row).any()

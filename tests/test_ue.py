@@ -120,7 +120,8 @@ class TestMac:
         with pytest.raises(TypeError):
             UeParams(4, 4, gf2.default_dual_pair())
         assert MacScheme(4).modulus == 0b10011
-        assert gf2.verify_nesting(UeParams(4, 4).pair)
+        pair = UeParams(4, 4).pair
+        assert gf2.is_dual_containing(pair.c1, pair.c2, pair.quotient_checks)
 
     def test_params_share_one_stock_pair_with_unchanged_encodings(self):
         shared = UeParams(4, 4).pair

@@ -156,10 +156,13 @@ def announce_sift(cchan: ClassicalAuthChannel, b: np.ndarray, b_prime: np.ndarra
 def split_check(
     positions: np.ndarray, n_check: int, rng: RandomStream
 ) -> tuple[np.ndarray, np.ndarray]:
-    """n_check random positions for error estimation, and the rest, sorted,
-    as payload."""
-    check = positions[rng.choice_distinct(positions.size, n_check)]
-    return check, np.setdiff1d(positions, check)
+    """n_check random positions for error estimation, and the rest as
+    payload. `positions` must be sorted and distinct, as `sift` returns
+    them; both parts then come out sorted."""
+    picked = rng.choice_distinct(positions.size, n_check)
+    rest = np.ones(positions.size, dtype=bool)
+    rest[picked] = False
+    return positions[picked], positions[rest]
 
 
 def compare_check(

@@ -373,8 +373,23 @@ def _run_report(out_dir: str) -> int:
 # -- entry point --------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, `qdeny <experiment>: error: ...`,
+    and exit 2, without argparse's usage block; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # each subparser rejects its own unknown flags, so the error names the experiment
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdeny",
         description="seeded experiments on deniable and covert key exchange",
     )

@@ -259,11 +259,12 @@ def sample_codeword(
 ) -> np.ndarray:
     """Uniformly random codeword, or a (count x n) matrix of them.
 
-    Each codeword takes its own `rng.bits(k)` draw, so a matrix holds the
-    codewords that `count` single calls would return, in order.
+    The messages of all codewords come from one `rng.bit_rows(count, k)`
+    draw, whose rows equal `count` single `rng.bits(k)` draws; so a matrix
+    holds the codewords that `count` single calls would return, in order.
     """
-    messages = [rng.bits(code.k) for _ in range(1 if count is None else count)]
-    words = _mul(code.generator.T, np.array(messages, dtype=np.uint8).reshape(-1, code.k))
+    messages = rng.bit_rows(1 if count is None else count, code.k)
+    words = _mul(code.generator.T, messages)
     return words[0] if count is None else words
 
 
@@ -411,7 +412,8 @@ def encode_ue_codeword(
 
     A particular solution of the stacked linear system plus a uniformly
     random nullspace element, so repeated calls sample the whole solution
-    coset. Each row takes its own `rng.bits(dim)` draw, in row order, so a
+    coset. The coefficients of all rows come from one `rng.bit_rows` draw,
+    whose rows equal one `rng.bits(dim)` draw per row in row order; so a
     matrix holds the codewords that single calls would return.
     """
     c1_syn = _words(c1_syn, pair.c1.n - pair.c1.k, "c1 syndrome")
@@ -420,9 +422,7 @@ def encode_ue_codeword(
         raise ValueError("need one c1 syndrome per payload")
     encoder, dim = pair._encoder()
     rows = np.atleast_2d(np.concatenate([c1_syn, y], axis=-1))
-    draws = [rng.bits(dim) for _ in range(len(rows))] if dim else []
-    coeffs = np.array(draws, dtype=np.uint8).reshape(len(rows), dim)
-    z = _mul(encoder.T, np.hstack([rows, coeffs]))
+    z = _mul(encoder.T, np.hstack([rows, rng.bit_rows(len(rows), dim)]))
     return z if c1_syn.ndim == 2 else z[0]
 
 

@@ -104,6 +104,20 @@ class RandomStream:
         """Uniform bit vector of length n (dtype uint8)."""
         return self._gen.integers(0, 2, size=int(n), dtype=np.uint8)
 
+    def bit_rows(self, count: int, k: int) -> np.ndarray:
+        """(count x k) uint8 matrix whose rows are the bits that `count`
+        successive `bits(k)` calls would return, from one draw; the stream
+        is left where those calls would leave it.
+
+        Each uint8 bit takes one byte of a 32-bit Philox word, and a call
+        drops the unused bytes of its last word. So one draw of rows padded
+        to `4 * ceil(k / 4)` bits, cut to their first k, equals the
+        row-by-row draws. `tests/test_rng.py` guards this against numpy
+        changing its bounded-uint8 buffering.
+        """
+        width = -(-k // 4) * 4
+        return self.bits(width * count).reshape(count, width)[:, :k]
+
     def choice_distinct(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), sorted ascending."""
         if k > n:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qdeny import gf2
-from qdeny.bb84 import Bb84Config, extract_key, required_slots, run_session, sift
+from qdeny.bb84 import (
+    Bb84Config, extract_key, required_slots, run_session, sift, split_check,
+)
 from qdeny.channel import QubitChannel
 from qdeny.rng import RandomStream
 
@@ -38,6 +40,31 @@ class TestSift:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sift(np.zeros(3, np.uint8), np.zeros(4, np.uint8))
+
+
+class TestSplitCheck:
+    def test_equals_setdiff_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # sorted, distinct positions, as sift returns them; n_check from 0 to
+        # size, with distill's size // 2 among the cases
+        @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(seed=st.integers(0, (1 << 128) - 1), data=st.data())
+        def check(seed, data):
+            positions = np.array(
+                sorted(data.draw(st.sets(st.integers(0, 199), max_size=60))), dtype=np.int64)
+            n_check = data.draw(st.one_of(st.integers(0, positions.size),
+                                          st.just(positions.size // 2)))
+            a, b = RandomStream(seed), RandomStream(seed)
+            check_pos, payload = split_check(positions, n_check, a)
+            want_check = positions[b.choice_distinct(positions.size, n_check)]
+            assert np.array_equal(check_pos, want_check)
+            assert np.array_equal(payload, np.setdiff1d(positions, want_check))
+            assert payload.dtype == positions.dtype
+            assert a.random() == b.random()
+
+        check()
 
 
 class TestExtractKey:

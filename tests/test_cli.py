@@ -2,6 +2,12 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from qdeny.cli import main
 
@@ -127,6 +133,22 @@ class TestConfigHandling:
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--trials", "abc"], "qdeny bb84: error: argument --trials: invalid int value"),
+        (["--bogus"], "qdeny bb84: error: unrecognized arguments: --bogus"),
+        (["--format", "xml"], "qdeny bb84: error: argument --format: invalid choice"),
+    ])
+    def test_flag_error_is_one_line(self, flags, message):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-m", "qdeny.cli", "bb84", *flags],
+                              capture_output=True, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(message), proc.stderr
+        assert "usage:" not in proc.stderr and proc.stdout == ""
 
     def test_invalid_param_value_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -85,6 +85,58 @@ class TestRandomStream:
         assert reads == 0
 
 
+def _per_row(stream: RandomStream, count: int, k: int) -> np.ndarray:
+    return np.array([stream.bits(k) for _ in range(count)], dtype=np.uint8).reshape(count, k)
+
+
+def _same_position(a: RandomStream, b: RandomStream) -> bool:
+    return a.bit() == b.bit() and np.array_equal(a.bits(5), b.bits(5)) and a.random() == b.random()
+
+
+class TestBitRows:
+    def test_equals_per_row_draws(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # bit() before the rows leaves Philox's buffered half-word at either parity
+        @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(seed=st.integers(0, (1 << 128) - 1), k=st.integers(0, 16),
+                          count=st.integers(0, 40), before=st.integers(0, 5))
+        def check(seed, k, count, before):
+            a, b = RandomStream(seed), RandomStream(seed)
+            for _ in range(before):
+                assert a.bit() == b.bit()
+            got = a.bit_rows(count, k)
+            assert got.dtype == np.uint8 and got.shape == (count, k)
+            assert np.array_equal(got, _per_row(b, count, k))
+            assert _same_position(a, b)
+
+        check()
+
+    # seed, bit() calls before, count, k, the rows, then the next bits(6)
+    PINNED = [
+        (0x5EED, 0, 3, 7, [[1, 0, 1, 0, 1, 0, 1], [0, 0, 0, 1, 0, 0, 1], [1, 0, 0, 0, 0, 0, 1]],
+         [1, 0, 0, 0, 0, 0]),
+        (0x5EED, 1, 2, 5, [[1, 0, 1, 0, 0], [0, 0, 1, 1, 1]], [0, 0, 1, 0, 1, 0]),
+        (7, 0, 4, 3, [[1, 1, 1], [1, 0, 0], [1, 0, 1], [1, 0, 1]], [1, 1, 0, 0, 0, 1]),
+    ]
+
+    @pytest.mark.parametrize("seed, before, count, k, rows, after", PINNED)
+    def test_pinned_against_numpy_buffering(self, seed, before, count, k, rows, after):
+        # bit_rows relies on numpy's bounded uint8 draw taking one byte of a
+        # 32-bit word per value and dropping the rest at the end of a call;
+        # if a numpy upgrade changes that, this fails before the golden digests
+        a, b = RandomStream(seed), RandomStream(seed)
+        for _ in range(before):
+            a.bit(), b.bit()
+        per_row = _per_row(b, count, k)
+        assert per_row.tolist() == rows and b.bits(6).tolist() == after, (
+            "numpy's bit draws changed: re-derive the pinned values")
+        assert a.bit_rows(count, k).tolist() == rows and a.bits(6).tolist() == after, (
+            "RandomStream.bit_rows no longer equals one bits(k) draw per row: "
+            "numpy's bounded-uint8 buffering has changed")
+
+
 class TestCounterModePrng:
     def test_keystream_deterministic(self):
         a, b = CounterModePrng(42), CounterModePrng(42)

@@ -47,6 +47,7 @@ __all__ = [
 
 DEFAULT_ERROR_THRESHOLD = 0.11  # conventional BB84 abort point
 MAX_ATTEMPTS = 100  # run_session resamples a session at most this often
+MAX_QUBIT_COUNT = 1 << 20  # qubits per session; the largest in use is 3150 (n=700)
 
 
 class SiftShortfall(RuntimeError):
@@ -75,6 +76,10 @@ class Bb84Config:
             )
         if self.qubit_count < 2 * (2 * self.n):
             raise ValueError("qubit count must cover check bits and payload twice over")
+        if self.qubit_count > MAX_QUBIT_COUNT:
+            raise ValueError(
+                f"session needs {self.qubit_count} qubits, more than the limit {MAX_QUBIT_COUNT}"
+            )
 
     @property
     def qubit_count(self) -> int:

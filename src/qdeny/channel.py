@@ -100,7 +100,10 @@ def transmit(
     if channel.interceptor is not None:
         qubits, record = channel.interceptor.intercept(qubits, rng)
     flips = rng.uniforms(len(qubits)) < channel.flip_probability  # one draw per qubit
-    return qcore.Bb84Qubits(qubits.bits, qubits.bases, qubits.flips ^ flips), record
+    return qcore.Bb84Qubits._of_bits(qubits.bits, qubits.bases, qubits.flips ^ flips), record
+
+
+MAX_SLOTS = 1 << 20  # time-bin slots per window; the largest in use is 16384
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,8 @@ class TimeBinChannel:
     p_signal: float
 
     def __post_init__(self):
-        if self.n_slots < 1:
-            raise ValueError("need at least one slot")
+        if not 1 <= self.n_slots <= MAX_SLOTS:
+            raise ValueError(f"slot count must lie in [1, {MAX_SLOTS}]")
         if not 0.0 <= self.p_dark <= self.p_signal <= 1.0:
             raise ValueError("require 0 <= p_dark <= p_signal <= 1")
 
@@ -225,6 +228,9 @@ def max_covert_slots(channel: TimeBinChannel, bias_target: float) -> int:
 
 
 _TABLE_CHUNK = 64  # seeds per batch in weak_schedule_table
+# Slots per seed in weak_schedule_table: 65536 seeds x 1024 int32 slots is
+# 256 MiB; the largest occupancy in use is 256.
+MAX_WEAK_TABLE_SLOTS = 1024
 
 
 @lru_cache(maxsize=8)
@@ -237,6 +243,11 @@ def weak_schedule_table(n_slots: int, n_used: int) -> np.ndarray:
     are expanded a small chunk of seeds at a time, which keeps the build's
     working memory far below the table's own.
     """
+    if n_used > MAX_WEAK_TABLE_SLOTS:
+        raise ValueError(
+            f"the weak schedule table holds at most {MAX_WEAK_TABLE_SLOTS} slots per seed,"
+            f" not {n_used}"
+        )
     table = np.empty((1 << WEAK_SEED_BITS, n_used), dtype=np.int32)
     for start in range(0, 1 << WEAK_SEED_BITS, _TABLE_CHUNK):
         seeds = range(start, start + _TABLE_CHUNK)

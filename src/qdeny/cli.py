@@ -33,6 +33,8 @@ __all__ = ["main", "entrypoint"]
 
 DEFAULT_SEED_HEX = "00000000000000000000000000000001"
 
+MAX_TRIALS = 10**7  # per run; tests use at most 100000
+
 EXPERIMENTS = ("bb84", "attack-deny", "ue", "covert", "dcqke", "distill")
 
 
@@ -432,8 +434,8 @@ def main(argv=None) -> int:
         trials = 1000 if trials is None else trials
         params = _merge_params(defaults, config_params, args.experiment)
         seed = _parse_seed(seed_hex)
-        if trials < 1:
-            raise ConfigError("trials must be positive")
+        if not 1 <= trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must lie in [1, {MAX_TRIALS}], got {trials}")
         columns, rows, detail = runner(params, seed, trials)
         if args.format == "csv":
             _emit(_render_csv(columns, rows), args.out)

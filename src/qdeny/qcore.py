@@ -227,6 +227,17 @@ class Bb84Qubits:
         for name, arr in zip(names, arrays):
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _of_bits(cls, bits: np.ndarray, bases: np.ndarray, flips: np.ndarray) -> "Bb84Qubits":
+        """Batch over uint8 0/1 vectors of equal length that this package has
+        just built, without the public constructor's checks and copies; the
+        vectors become read-only."""
+        batch = object.__new__(cls)
+        for name, arr in zip(("bits", "bases", "flips"), (bits, bases, flips)):
+            arr.setflags(write=False)
+            object.__setattr__(batch, name, arr)
+        return batch
+
     def __len__(self) -> int:
         return int(self.bits.size)
 
@@ -247,7 +258,7 @@ class Bb84Qubits:
         outcomes = (uniforms >= _BB84_P0[bits, self.bases[at], flips, bases]).astype(np.uint8)
         post = [self.bits.copy(), self.bases.copy(), self.flips.copy()]
         post[0][at], post[1][at], post[2][at] = outcomes, bases, 0
-        return outcomes, Bb84Qubits(*post)
+        return outcomes, Bb84Qubits._of_bits(*post)
 
 
 def prepare_bb84(

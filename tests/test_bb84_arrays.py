@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qdeny import bb84, gf2, qcore
-from qdeny.channel import ClassicalAuthChannel, QubitChannel
+from qdeny.channel import ClassicalAuthChannel, QubitChannel, transmit
 from qdeny.denial import EvePolicy
 from qdeny.qcore import Basis, Bb84Qubits, StateVector
 from qdeny.rng import RandomStream
@@ -204,3 +204,19 @@ class TestFromStates:
             Bb84Qubits([0, 2], [0, 0], [0, 0])
         with pytest.raises(ValueError):
             Bb84Qubits([0, 1], [0], [0, 0])
+
+    def test_batches_built_inside_are_valid_and_read_only(self):
+        # transmit and measured skip the public checks; prepare_bb84 keeps them
+        with pytest.raises(ValueError):
+            qcore.prepare_bb84(np.array([0, 2]), np.array([0, 0]))
+        with pytest.raises(ValueError):
+            qcore.prepare_bb84(np.array([0, 1]), np.array([0]))
+        sent = qcore.prepare_bb84(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 1]))
+        delivered, _ = transmit(QubitChannel(flip_probability=0.5), sent, RandomStream(3))
+        _, collapsed = delivered.measured([1, 0], [0.2, 0.9], at=[0, 3])
+        for batch in (delivered, collapsed):
+            for arr in (batch.bits, batch.bases, batch.flips):
+                assert arr.dtype == np.uint8 and arr.shape == (4,)
+                assert not arr.flags.writeable and (arr <= 1).all()
+        with pytest.raises(ValueError):
+            delivered.measured([2], [0.5], at=[0])

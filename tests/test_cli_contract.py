@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qdeny import cli
+from qdeny import bb84, channel, cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TIMEOUT_S = 60
@@ -100,9 +100,33 @@ def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
     _assert_main_config_error(capsys, [experiment, "--config", str(cfg)])
 
 
+@pytest.mark.parametrize("experiment, params, trials, limit", [
+    ("bb84", {"delta": 1e9}, None, bb84.MAX_QUBIT_COUNT),  # 1.4e10 qubits per session
+    ("bb84", {"n": 7 * 10**6}, None, bb84.MAX_QUBIT_COUNT),
+    ("covert", {"n_slots": 10**9}, None, channel.MAX_SLOTS),
+    # a 65536 x 10**5 int32 schedule table would take 26 GB
+    ("dcqke", {"prng": {"kind": "weak"}, "warden": "seed-search", "n_slots": 200000,
+               "n_used": 10**5}, None, channel.MAX_WEAK_TABLE_SLOTS),
+    ("bb84", {}, 10**12, cli.MAX_TRIALS),
+    ("distill", {}, cli.MAX_TRIALS + 1, cli.MAX_TRIALS),
+])
+def test_sizes_over_their_limit_exit_2_before_running(tmp_path, capsys, experiment, params,
+                                                       trials, limit):
+    cfg = tmp_path / "cfg.json"
+    data = {"experiment": experiment, "params": params}
+    if trials is not None:
+        data["trials"] = trials
+    cfg.write_text(json.dumps(data))
+    _assert_main_config_error(capsys, [experiment, "--config", str(cfg)], names=limit)
+
+
+def test_trials_flag_over_its_limit_exit_2(capsys):
+    _assert_main_config_error(capsys, ["covert", "--trials", str(10**12)], names=cli.MAX_TRIALS)
+
+
 def _assert_main_config_error(capsys, argv, names=None) -> None:
-    """Exit 2 with one `config error:` line, which names the file `names`
-    when given."""
+    """Exit 2 with one `config error:` line, which names `names` (a file or
+    a limit) when given."""
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err

@@ -1,9 +1,11 @@
-"""Oracles for the seed-search warden's two fast paths.
+"""Oracles for the seed-search warden's fast paths.
 
 The weak schedule table is expanded in seed batches; every row must equal
-the scalar `CounterModePrng(seed, 16).sample_distinct`. The warden counts
-detections per seed with one sparse product; every decision must equal
-the dense gather-and-sum over the table.
+the scalar `CounterModePrng(seed, 16).sample_distinct`. The warden screens
+seeds on their first slots, then counts detections per seed with one
+sparse product; every decision must equal the dense gather-and-sum over
+the table, on uniform windows and on windows planted from a real seed's
+schedule.
 """
 
 import numpy as np
@@ -11,7 +13,12 @@ import pytest
 
 from qdeny import dcqke
 from qdeny.bb84 import Bb84Config
-from qdeny.channel import TimeBinChannel, WardenObservation, weak_schedule_table
+from qdeny.channel import (
+    MAX_WEAK_TABLE_SLOTS,
+    TimeBinChannel,
+    WardenObservation,
+    weak_schedule_table,
+)
 from qdeny.rng import WEAK_SEED_BITS, CounterModePrng, RandomStream, _distinct_rows
 
 N_SEEDS = 1 << WEAK_SEED_BITS
@@ -22,6 +29,7 @@ def _release_tables():
     """The tables here are large; do not keep them cached past this module."""
     yield
     dcqke.seed_slot_incidence.cache_clear()
+    dcqke.seed_head_incidence.cache_clear()
     weak_schedule_table.cache_clear()
 
 
@@ -64,6 +72,12 @@ def test_rejected_words_are_skipped_in_draw_order():
     assert np.array_equal(got, [_scalar_row(seed, n_slots, 20) for seed in seeds])
 
 
+def test_table_over_its_occupancy_limit_is_rejected():
+    # checked before the table is allocated: this one would take 26 GB
+    with pytest.raises(ValueError, match=str(MAX_WEAK_TABLE_SLOTS)):
+        weak_schedule_table(200_000, 100_000)
+
+
 def test_rows_beyond_int32_are_rejected():
     with pytest.raises(ValueError):
         _distinct_rows(range(4), 2**31 + 1, 4)
@@ -85,6 +99,43 @@ def _windows(n_slots: int, rng: np.random.Generator):
         yield (rng.random(n_slots) < p).astype(np.uint8)
 
 
+HEAD = dcqke.SCREEN_SLOTS
+
+
+def _planted(table, n_slots: int, seed: int, rng, head: int | None = None, dark: float = 0.3):
+    """Active window of `seed`: its slots fire at 0.95, the rest at `dark`.
+    With `head` given, the seed's first HEAD slots are all set to it."""
+    p = np.full(n_slots, dark)
+    p[table[seed]] = 0.95
+    det = (rng.random(n_slots) < p).astype(np.uint8)
+    if head is not None:
+        det[table[seed, :HEAD]] = head
+    return det
+
+
+def _planted_windows(table, n_slots: int, rng: np.random.Generator):
+    for seed in rng.integers(0, N_SEEDS, size=2):
+        for head in (None, 1, 0):
+            yield _planted(table, n_slots, seed, rng, head)
+
+
+class _CountedProduct:
+    """Stands in for a warden's full incidence matrix and counts products."""
+
+    def __init__(self, matrix):
+        self.matrix, self.dtype, self.calls = matrix, matrix.dtype, 0
+
+    def __matmul__(self, other):
+        self.calls += 1
+        return self.matrix @ other
+
+
+def _counted_warden(config, threshold=None):
+    warden = dcqke.SeedSearchWarden(config, threshold=threshold)
+    warden._incidence = _CountedProduct(warden._incidence)
+    return warden
+
+
 @pytest.mark.parametrize("n_slots, n_used", [(2048, 24), (1000, 37), (255, 255), (256, 256)])
 def test_sparse_counts_equal_dense_gather(n_slots, n_used):
     table = weak_schedule_table(n_slots, n_used)
@@ -92,32 +143,79 @@ def test_sparse_counts_equal_dense_gather(n_slots, n_used):
     assert incidence.shape == (N_SEEDS, n_slots)
     assert incidence.dtype == (np.uint8 if n_used < 256 else np.uint16)
     assert np.shares_memory(incidence.indices, table)
+    head = dcqke.seed_head_incidence(n_slots, n_used)
+    assert head.shape == (N_SEEDS, n_slots) and head.dtype == np.uint8
+    assert head.indices.flags.c_contiguous and not head.indices.flags.writeable
     rng = np.random.default_rng(n_slots)
-    for det in _windows(n_slots, rng):
+    for det in [*_windows(n_slots, rng), *_planted_windows(table, n_slots, rng)]:
         dense = det[table].sum(axis=1)
         assert np.array_equal(incidence @ det.astype(incidence.dtype), dense)
+        assert np.array_equal(head @ det, det[table[:, :HEAD]].sum(axis=1))
     ones = incidence @ np.ones(n_slots, dtype=incidence.dtype)
     assert np.all(ones == n_used)  # 256 would wrap to 0 in a uint8 accumulator
 
 
-@pytest.mark.parametrize("n_slots, n_used", [(2048, 24), (1000, 37), (255, 255), (256, 256), (64, 0)])
+@pytest.mark.parametrize(
+    "n_slots, n_used", [(2048, 24), (1000, 37), (255, 255), (256, 256), (100, 5), (64, 0)]
+)
 def test_decide_equals_dense_rule(n_slots, n_used):
+    """Every decision equals the dense rule, and the full product runs
+    exactly when the screen cannot answer: when no seed with at least
+    HEAD - 1 detections on its first HEAD slots reaches the threshold."""
     table = weak_schedule_table(n_slots, n_used)
     config = _config(n_slots, n_used)
     default = n_used * (0.3 + 0.95) / 2
     rng = np.random.default_rng(7 * n_slots)
     stream = RandomStream(1)
-    for det in _windows(n_slots, rng):
-        best = int(det[table].sum(axis=1).max())
-        for threshold in (default, best, best + 1, best - 0.5):
-            want = 0 if best >= threshold else 1
-            warden = dcqke.SeedSearchWarden(config, threshold=threshold)
-            assert warden.decide(WardenObservation(det), stream) == want
-        guess = dcqke.SeedSearchWarden(config).decide(WardenObservation(det), stream)
-        assert guess == (0 if best >= default else 1)
+    products = set()
+    for det in [*_windows(n_slots, rng), *_planted_windows(table, n_slots, rng)]:
+        counts = det[table].sum(axis=1)
+        best = int(counts.max())
+        screened = counts[det[table[:, :HEAD]].sum(axis=1) >= HEAD - 1] if n_used >= HEAD else counts[:0]
+        for threshold in (None, best, best + 1, best - 0.5):
+            level = default if threshold is None else threshold
+            warden = _counted_warden(config, threshold)
+            assert warden.decide(WardenObservation(det), stream) == (0 if best >= level else 1)
+            assert warden._incidence.calls == (0 if (screened >= level).any() else 1)
+            products.add(warden._incidence.calls)
+    assert products == ({0, 1} if n_used >= HEAD else {1})  # both paths ran
+
+
+def test_screen_finds_the_true_seed_and_only_it():
+    n_slots, n_used = 1000, 37
+    table = weak_schedule_table(n_slots, n_used)
+    config = _config(n_slots, n_used)
+    head = dcqke.seed_head_incidence(n_slots, n_used)
+    rng = np.random.default_rng(n_used)
+    seed = 4321
+    # the true seed is a candidate and answers before the full product
+    det = _planted(table, n_slots, seed, rng, head=1, dark=0.1)
+    assert (head @ det)[seed] == HEAD
+    warden = _counted_warden(config)
+    assert warden.decide(WardenObservation(det), None) == 0 and warden._incidence.calls == 0
+    # its head slots are dark: the screen misses it, the full product finds it
+    det = _planted(table, n_slots, seed, rng, head=0, dark=0.1)
+    det[table[seed, HEAD:]] = 1
+    assert (head @ det)[seed] == 0 and n_used - HEAD >= warden._threshold
+    warden = _counted_warden(config)
+    assert warden.decide(WardenObservation(det), None) == 0 and warden._incidence.calls == 1
+    # an idle window has false candidates, none of which reaches the threshold
+    det = (rng.random(n_slots) < 0.25).astype(np.uint8)
+    candidates = np.flatnonzero(head @ det >= HEAD - 1)
+    assert candidates.size >= 5 and det[table[candidates]].sum(axis=1).max() < warden._threshold
+    warden = _counted_warden(config)
+    assert warden.decide(WardenObservation(det), None) == 1 and warden._incidence.calls == 1
+
+
+def test_few_slots_per_seed_skip_the_screen():
+    warden = dcqke.SeedSearchWarden(_config(100, HEAD - 1))
+    assert warden._head is None
 
 
 def test_wardens_share_one_incidence_matrix():
     a = dcqke.SeedSearchWarden(_config(2048, 24))
     b = dcqke.SeedSearchWarden(_config(2048, 24, p_dark=0.01, p_signal=0.5))
     assert a._incidence is b._incidence
+    assert a._head is b._head
+    assert np.array_equal(a._table, weak_schedule_table(2048, 24))
+    assert np.shares_memory(a._table, b._table)

@@ -237,7 +237,8 @@ class SeedSearchWarden:
         det = _window_of(observation).detections
         if self._head is not None:
             candidates = np.flatnonzero(self._head @ det >= SCREEN_SLOTS - 1)
-            if candidates.size and det[self._table[candidates]].sum(axis=1).max() >= self._threshold:
+            counts = det[self._table[candidates]].sum(axis=1)
+            if candidates.size and counts.max() >= self._threshold:
                 return 0
         per_seed = self._incidence @ det.astype(self._incidence.dtype, copy=False)
         return 0 if per_seed.max() >= self._threshold else 1

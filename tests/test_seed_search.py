@@ -171,10 +171,13 @@ def test_decide_equals_dense_rule(n_slots, n_used):
     for det in [*_windows(n_slots, rng), *_planted_windows(table, n_slots, rng)]:
         counts = det[table].sum(axis=1)
         best = int(counts.max())
-        screened = counts[det[table[:, :HEAD]].sum(axis=1) >= HEAD - 1] if n_used >= HEAD else counts[:0]
+        screened = counts[:0]  # with fewer than HEAD slots per seed there is no screen
+        if n_used >= HEAD:
+            screened = counts[det[table[:, :HEAD]].sum(axis=1) >= HEAD - 1]
         for threshold in (None, best, best + 1, best - 0.5):
             level = default if threshold is None else threshold
             warden = _counted_warden(config, threshold)
+            assert (warden._head is None) == (n_used < HEAD)
             assert warden.decide(WardenObservation(det), stream) == (0 if best >= level else 1)
             assert warden._incidence.calls == (0 if (screened >= level).any() else 1)
             products.add(warden._incidence.calls)
@@ -205,11 +208,6 @@ def test_screen_finds_the_true_seed_and_only_it():
     assert candidates.size >= 5 and det[table[candidates]].sum(axis=1).max() < warden._threshold
     warden = _counted_warden(config)
     assert warden.decide(WardenObservation(det), None) == 1 and warden._incidence.calls == 1
-
-
-def test_few_slots_per_seed_skip_the_screen():
-    warden = dcqke.SeedSearchWarden(_config(100, HEAD - 1))
-    assert warden._head is None
 
 
 def test_wardens_share_one_incidence_matrix():

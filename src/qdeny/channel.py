@@ -165,7 +165,7 @@ def covert_schedule(
     if n_used > n_slots:
         raise ValueError(f"cannot occupy {n_used} of {n_slots} slots")
     if isinstance(source, CounterModePrng):
-        slots = CounterModePrng(source.key, source.key_bits).sample_distinct(n_slots, n_used)
+        slots = source.sample_distinct(n_slots, n_used)
         tag = f"prng({source.key_bits}:{source.key:x})"
     else:
         slots = source.choice_distinct(n_slots, n_used)

@@ -142,6 +142,7 @@ def judge_check(claim: DenialClaim, record: EveRecord) -> JudgeVerdict:
 # single-qubit states; the full quantum path is cross-checked in tests.
 
 _CHUNK = 20000  # trials per block of draws; the block layout fixes the stream
+MAX_DETECTION_QUBITS = 1024  # a block is 20000 x N bytes per draw; the largest N in use is 512
 _REDRAWS = 1000  # shortfall redraw rounds per block before `flips` counts as out of reach
 
 
@@ -165,6 +166,8 @@ def detection_probability(
     rate is a quantized ratio that differs from the exact fraction by at
     most 2**-23.
     """
+    if n_qubits > MAX_DETECTION_QUBITS:
+        raise ValueError(f"{n_qubits} qubits is more than the limit {MAX_DETECTION_QUBITS}")
     if flips < 1:
         raise ValueError("need at least one flip")
     if flips > n_qubits:

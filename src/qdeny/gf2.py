@@ -254,18 +254,13 @@ def decode_to_codeword(code: BinaryLinearCode, word: np.ndarray) -> np.ndarray:
     return word ^ coset_leader(code, syndrome(code, word))
 
 
-def sample_codeword(
-    code: BinaryLinearCode, rng: RandomStream, count: int | None = None
-) -> np.ndarray:
-    """Uniformly random codeword, or a (count x n) matrix of them.
+def sample_codeword(code: BinaryLinearCode, rng: RandomStream, count: int) -> np.ndarray:
+    """(count x n) matrix of uniformly random codewords.
 
     The messages of all codewords come from one `rng.bit_rows(count, k)`
-    draw, whose rows equal `count` single `rng.bits(k)` draws; so a matrix
-    holds the codewords that `count` single calls would return, in order.
+    draw, whose rows equal `count` single `rng.bits(k)` draws.
     """
-    messages = rng.bit_rows(1 if count is None else count, code.k)
-    words = _mul(code.generator.T, messages)
-    return words[0] if count is None else words
+    return _mul(code.generator.T, rng.bit_rows(count, code.k))
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ Two constructions live here:
 
 ``CounterModePrng``
     The covert-schedule expander. Block ``j`` of the keystream is
-    ``SHA-256(key_be16 || j_be8)``, consumed as big-endian 32-bit words;
-    integers below a bound come from rejection sampling on those words.
+    ``SHA-256(key_be16 || j_be8)``, read as big-endian 32-bit words, so the
+    keystream is a pure function of the key; integers below a bound come
+    from rejection sampling on those words.
     It is keyed either with a 128-bit seed (the strong instance) or a
     16-bit seed (the deliberately breakable instance used to demonstrate
     covertness collapsing together with the generator).
@@ -136,9 +137,10 @@ class CounterModePrng:
 
     block(j) = SHA-256(key as 16 bytes big-endian || j as 8 bytes big-endian)
 
-    Each block yields eight big-endian uint32 words, consumed in order.
-    ``key_bits`` only bounds the accepted key range; the construction is
-    otherwise identical for the strong and weak instances.
+    Each block yields eight big-endian uint32 words. The keystream is a pure
+    function of the key: every call reads it from block 0. ``key_bits`` only
+    bounds the accepted key range; the construction is otherwise identical
+    for the strong and weak instances.
     """
 
     def __init__(self, key: int, key_bits: int = STRONG_SEED_BITS):
@@ -150,43 +152,32 @@ class CounterModePrng:
         self.key = key
         self.key_bits = key_bits
         self._key_bytes = key.to_bytes(16, "big")
-        self._counter = 0
-        self._buffer = np.empty(0, dtype=np.uint32)
-
-    def _refill(self, n_words: int) -> None:
-        n_blocks = (n_words - self._buffer.size + 7) // 8
-        counters = range(self._counter, self._counter + n_blocks)
-        fresh = _words(_blocks([self._key_bytes], counters), 1)[0]
-        self._counter += n_blocks
-        self._buffer = np.concatenate([self._buffer, fresh])
 
     def words(self, n_words: int) -> np.ndarray:
-        """Next n_words uint32 keystream words."""
-        if self._buffer.size < n_words:
-            self._refill(n_words)
-        out, self._buffer = self._buffer[:n_words], self._buffer[n_words:]
-        return out
+        """The first n_words uint32 keystream words."""
+        return _words(_blocks([self._key_bytes], range((n_words + 7) // 8)), 1)[0, :n_words]
 
     def sample_distinct(self, n_slots: int, n_used: int) -> np.ndarray:
         """n_used distinct slot indices in [0, n_slots), sorted.
 
         Uniform words are rejection-filtered below the largest multiple of
-        n_slots, reduced mod n_slots, and deduplicated in draw order.
+        n_slots and reduced mod n_slots; the result is the first n_used
+        distinct accepted words in keystream order, read from a keystream
+        prefix that is lengthened until it holds enough.
         """
         if n_used > n_slots:
             raise ValueError(f"cannot schedule {n_used} of {n_slots} slots")
         if n_used == n_slots:
             return np.arange(n_slots, dtype=np.int64)
         limit = _accept_limit(n_slots)
-        accepted = np.empty(0, dtype=np.int64)
+        n_words = _refill_size(n_used)
         while True:
-            u = self.words(_refill_size(n_used - accepted.size))
-            keep = u < limit
-            accepted = np.concatenate([accepted, (u[keep] % n_slots).astype(np.int64)])
+            u = self.words(n_words)
+            accepted = (u[u < limit] % n_slots).astype(np.int64)
             _, first = np.unique(accepted, return_index=True)
             if first.size >= n_used:
-                ordered = accepted[np.sort(first)]
-                return np.sort(ordered[:n_used])
+                return np.sort(accepted[np.sort(first)[:n_used]])
+            n_words += _refill_size(n_used - first.size)
 
 
 def _distinct_rows(seeds: Sequence[int], n_slots: int, n_used: int) -> np.ndarray:
@@ -194,12 +185,11 @@ def _distinct_rows(seeds: Sequence[int], n_slots: int, n_used: int) -> np.ndarra
     seed, one int32 row per seed, from one batch of keystream words.
 
     sample_distinct returns the first n_used distinct accepted words in
-    keystream order, sorted, however its refills are chunked. Here every
-    seed's first draw is hashed at once; a row-wise sort of
-    value * width + position puts each value's first occurrence at the head
-    of its run, the n_used earliest first occurrences are kept, and they come
-    out in ascending order. Rows the first draw cannot fill fall back to the
-    scalar path.
+    keystream order, sorted. Here every seed's first draw is hashed at once;
+    a row-wise sort of value * width + position puts each value's first
+    occurrence at the head of its run, the n_used earliest first occurrences
+    are kept, and they come out in ascending order. Rows the first draw
+    cannot fill fall back to the scalar path.
     """
     if n_slots > 1 << 31:
         raise ValueError("int32 rows hold at most 2**31 slots")
@@ -231,8 +221,9 @@ def _accept_limit(n_slots: int) -> int:
 
 
 def _refill_size(shortfall: int) -> int:
-    """Words sample_distinct draws while `shortfall` = n_used minus the words
-    accepted so far; its first draw is `_refill_size(n_used)`."""
+    """Words sample_distinct adds to its keystream prefix while `shortfall` =
+    n_used minus the distinct words accepted so far; its first prefix is
+    `_refill_size(n_used)` words long."""
     return max(16, int(1.2 * shortfall) + 8)
 
 

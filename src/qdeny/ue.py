@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _MAX_TAG_BITS = 32
+MAX_MESSAGE_BITS = 1 << 16  # n + s per exchange; the largest in use is 14
 
 
 # -- GF(2^s) arithmetic on ints ----------------------------------------------
@@ -73,16 +74,6 @@ def _gf_mul(a: int, b: int, f: int) -> int:
     return _poly_mod(_clmul(a, b), f)
 
 
-def _gf_pow(a: int, e: int, f: int) -> int:
-    out, base = 1, a
-    while e:
-        if e & 1:
-            out = _gf_mul(out, base, f)
-        base = _gf_mul(base, base, f)
-        e >>= 1
-    return out
-
-
 def _poly_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, _poly_mod(a, b)
@@ -90,23 +81,12 @@ def _poly_gcd(a: int, b: int) -> int:
 
 
 def _is_irreducible(f: int, s: int) -> bool:
-    # Rabin: x^(2^s) == x mod f, and gcd(x^(2^(s/q)) - x, f) == 1 for prime q | s
-    x = _poly_mod(0b10, f)
-    if _gf_pow(x, 1 << s, f) != x:
-        return False
-    primes = set()
-    m = s
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            primes.add(d)
-            m //= d
-        d += 1
-    if m > 1:
-        primes.add(m)
-    for q in primes:
-        probe = _gf_pow(x, 1 << (s // q), f) ^ x
-        if _poly_gcd(f, probe) != 1:
+    # Ben-Or: f has no factor of degree i <= s/2 iff gcd(x^(2^i) - x, f) == 1,
+    # since x^(2^i) - x is the product of the irreducibles of degree dividing i
+    power = 0b10
+    for _ in range(s // 2):
+        power = _gf_mul(power, power, f)
+        if _poly_gcd(f, power ^ 0b10) != 1:
             return False
     return True
 
@@ -192,6 +172,10 @@ class UeParams:
         object.__setattr__(self, "pair", gf2.default_dual_pair())
         if self.n < 1:
             raise ValueError("message length must be positive")
+        if self.n + self.s > MAX_MESSAGE_BITS:
+            raise ValueError(
+                f"n + s = {self.n + self.s} bits, more than the limit {MAX_MESSAGE_BITS}"
+            )
         per_block = self.pair.payload_bits
         if (self.n + self.s) % per_block:
             raise ValueError(
@@ -289,9 +273,12 @@ def _padded_plaintext(params: UeParams, key: UeKey, message: np.ndarray) -> np.n
     return x ^ key.e  # y = x XOR pad
 
 
-def _encode(
+def ue_encrypt(
     params: UeParams, key: UeKey, message: np.ndarray, rng: RandomStream
-) -> tuple[Bb84Qubits, np.ndarray]:
+) -> Bb84Qubits:
+    """Encode message||tag XOR pad into per-block random codewords, one qubit
+    per codeword bit in the pre-shared basis sequence; the batch's `.bits`
+    are the transmitted codeword."""
     message = gf2.bits(message)
     if message.size != params.n:
         raise ValueError(f"message must hold {params.n} bits")
@@ -299,15 +286,7 @@ def _encode(
     y = _padded_plaintext(params, key, message).reshape(params.blocks, -1)
     c1_syn = key.c1_syn.reshape(params.blocks, -1)
     z = gf2.encode_ue_codeword(params.pair, c1_syn, y, rng).reshape(-1)
-    return prepare_bb84(z, key.b), z
-
-
-def ue_encrypt(
-    params: UeParams, key: UeKey, message: np.ndarray, rng: RandomStream
-) -> Bb84Qubits:
-    """Encode message||tag XOR pad into per-block random codewords, one qubit
-    per codeword bit in the pre-shared basis sequence."""
-    return _encode(params, key, message, rng)[0]
+    return prepare_bb84(z, key.b)
 
 
 @dataclass(frozen=True)
@@ -420,10 +399,10 @@ def qke_from_ue(
     announced back. An interceptor, when given, acts on the qubits in
     flight (tamper evidence comes from the tag check).
     """
-    key.check_shape(params)
     cchan = ClassicalAuthChannel()
     x_key = rng.substream("key-material").bits(params.n)
-    qubits, sent = _encode(params, key, x_key, rng.substream("encoder"))
+    qubits = ue_encrypt(params, key, x_key, rng.substream("encoder"))
+    sent = qubits.bits
     if interceptor is not None:
         qubits, _ = interceptor.intercept(qubits, rng.substream("interceptor"))
     cchan.send("bob", "received", [1])

@@ -72,7 +72,7 @@ class TestExtractKey:
         pair = gf2.default_nested_pair()
         rng = RandomStream(2)
         for _ in range(50):
-            u = np.concatenate([gf2.sample_codeword(pair.c1, rng) for _ in range(2)])
+            u = np.concatenate([gf2.sample_codeword(pair.c1, rng, 1)[0] for _ in range(2)])
             v = rng.bits(14)
             k_a, k_b = extract_key(pair, v, v, u)
             assert np.array_equal(k_a, k_b)
@@ -80,7 +80,7 @@ class TestExtractKey:
     def test_single_flip_per_block_corrected(self):
         pair = gf2.default_nested_pair()
         rng = RandomStream(3)
-        u = np.concatenate([gf2.sample_codeword(pair.c1, rng) for _ in range(2)])
+        u = np.concatenate([gf2.sample_codeword(pair.c1, rng, 1)[0] for _ in range(2)])
         v = rng.bits(14)
         for i in range(7):
             for j in range(7):
@@ -93,7 +93,7 @@ class TestExtractKey:
     def test_double_flip_can_fail(self):
         pair = gf2.default_nested_pair()
         rng = RandomStream(4)
-        u = gf2.sample_codeword(pair.c1, rng)
+        u = gf2.sample_codeword(pair.c1, rng, 1)[0]
         v = rng.bits(7)
         failures = 0
         for i in range(7):

@@ -126,7 +126,7 @@ def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
     pair, nb = config.codes, config.codes.c1.n
     k_a, k_b = [], []
     for j in range(config.blocks):
-        u = gf2.sample_codeword(pair.c1, rng_a)
+        u = gf2.sample_codeword(pair.c1, rng_a, 1)[0]
         sl = slice(j * nb, (j + 1) * nb)
         k_a.append(gf2.key_from_coset(pair, u))
         noisy = a_prime[payload][sl] ^ u ^ a[payload][sl]

@@ -101,6 +101,15 @@ class TestSchedules:
         assert np.array_equal(s1.used_slots, s2.used_slots)
         assert s1.source.startswith("prng(")
 
+    def test_one_prng_gives_one_schedule(self):
+        # the keystream is a function of the key alone, so reusing a source
+        # repeats its schedule, including one that needs a longer prefix
+        for n_slots, n_used in [(1024, 32), (300, 250)]:
+            prng = CounterModePrng(77)
+            first = covert_schedule(n_slots, n_used, prng)
+            assert np.array_equal(covert_schedule(n_slots, n_used, prng).used_slots,
+                                  first.used_slots)
+
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
             covert_schedule(4, 5, RandomStream(1))

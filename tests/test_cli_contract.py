@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qdeny import bb84, channel, cli
+from qdeny import bb84, channel, cli, denial, ue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TIMEOUT_S = 60
@@ -109,6 +109,9 @@ def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
                "n_used": 10**5}, None, channel.MAX_WEAK_TABLE_SLOTS),
     ("bb84", {}, 10**12, cli.MAX_TRIALS),
     ("distill", {}, cli.MAX_TRIALS + 1, cli.MAX_TRIALS),
+    # each block of draws would be 20000 x 10**9 bytes
+    ("attack-deny", {"N": 10**9}, None, denial.MAX_DETECTION_QUBITS),
+    ("ue", {"n": 10**9}, None, ue.MAX_MESSAGE_BITS),
 ])
 def test_sizes_over_their_limit_exit_2_before_running(tmp_path, capsys, experiment, params,
                                                        trials, limit):

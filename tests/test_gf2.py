@@ -49,7 +49,7 @@ class TestSyndrome:
     def test_codeword_shift_invariance(self, hamming):
         rng = RandomStream(2)
         v = rng.bits(7)
-        c = gf2.sample_codeword(hamming, rng)
+        c = gf2.sample_codeword(hamming, rng, 1)[0]
         assert np.array_equal(gf2.syndrome(hamming, v ^ c), gf2.syndrome(hamming, v))
 
     def test_length_mismatch(self, hamming):
@@ -99,7 +99,7 @@ class TestDecoding:
 
     def test_leader_deterministic(self, nested):
         rng = RandomStream(3)
-        noisy = gf2.sample_codeword(nested.c1, rng) ^ rng.bits(7)
+        noisy = gf2.sample_codeword(nested.c1, rng, 1)[0] ^ rng.bits(7)
         syn = gf2.syndrome(nested.c1, noisy)
         first = gf2.coset_leader(nested.c1, syn)
         second = gf2.coset_leader(nested.c1, syn)
@@ -113,14 +113,14 @@ class TestCosetKeys:
 
     def test_label_length(self, nested):
         rng = RandomStream(4)
-        u = gf2.sample_codeword(nested.c1, rng)
+        u = gf2.sample_codeword(nested.c1, rng, 1)[0]
         assert gf2.key_from_coset(nested, u).size == nested.c1.k - nested.c2.k == 3
 
     def test_coset_shift_invariant(self, nested):
         rng = RandomStream(5)
         ones = np.ones(7, dtype=np.uint8)
         for _ in range(20):
-            u = gf2.sample_codeword(nested.c1, rng)
+            u = gf2.sample_codeword(nested.c1, rng, 1)[0]
             assert np.array_equal(
                 gf2.key_from_coset(nested, u), gf2.key_from_coset(nested, u ^ ones)
             )
@@ -147,14 +147,14 @@ class TestSampling:
         rep = gf2.repetition_code(7)
         rng = RandomStream(6)
         trials = 100_000
-        ones = sum(int(gf2.sample_codeword(rep, rng)[0]) for _ in range(trials))
+        ones = sum(int(gf2.sample_codeword(rep, rng, 1)[0][0]) for _ in range(trials))
         sigma = np.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) < 3 * sigma
 
     def test_sampled_word_is_codeword(self, hamming):
         rng = RandomStream(7)
         for _ in range(50):
-            assert not gf2.syndrome(hamming, gf2.sample_codeword(hamming, rng)).any()
+            assert not gf2.syndrome(hamming, gf2.sample_codeword(hamming, rng, 1)[0]).any()
 
     def test_hamming_sampling_uniform_chi2(self, hamming):
         from scipy import stats
@@ -163,7 +163,7 @@ class TestSampling:
         trials = 100_000
         counts = {}
         for _ in range(trials):
-            w = gf2.sample_codeword(hamming, rng).tobytes()
+            w = gf2.sample_codeword(hamming, rng, 1)[0].tobytes()
             counts[w] = counts.get(w, 0) + 1
         assert len(counts) == 16
         _, p = stats.chisquare(list(counts.values()))

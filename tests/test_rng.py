@@ -137,6 +137,22 @@ class TestBitRows:
             "numpy's bounded-uint8 buffering has changed")
 
 
+def _keystream_walk(prng: CounterModePrng, n_slots: int, n_used: int) -> list[int]:
+    """The first n_used distinct accepted slots, read one keystream word at a
+    time in plain Python, sorted."""
+    if n_used == n_slots:
+        return list(range(n_slots))
+    limit = (1 << 32) - (1 << 32) % n_slots
+    seen = []
+    for word in prng.words(4096).tolist():
+        if len(seen) == n_used:
+            break
+        if word < limit and word % n_slots not in seen:
+            seen.append(word % n_slots)
+    assert len(seen) == n_used, "4096 keystream words held too few distinct slots"
+    return sorted(seen)
+
+
 class TestCounterModePrng:
     def test_keystream_deterministic(self):
         a, b = CounterModePrng(42), CounterModePrng(42)
@@ -145,10 +161,43 @@ class TestCounterModePrng:
     def test_keystream_differs_by_key(self):
         assert not np.array_equal(CounterModePrng(1).words(8), CounterModePrng(2).words(8))
 
-    def test_word_buffering_transparent(self):
-        a, b = CounterModePrng(7), CounterModePrng(7)
-        chunks = np.concatenate([a.words(3), a.words(5), a.words(13)])
-        assert np.array_equal(chunks, b.words(21))
+    def test_words_are_keystream_prefixes(self):
+        prng = CounterModePrng(7)
+        long = prng.words(45)
+        for n in (0, 1, 3, 8, 13, 45):
+            assert np.array_equal(prng.words(n), long[:n])
+
+    def test_sample_distinct_equals_keystream_walk(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        # n_used = n_slots - 1 above about 10 slots outgrows the first prefix;
+        # 3 << 30 slots rejects a quarter of the words
+        @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @hypothesis.given(key=st.integers(0, (1 << 128) - 1),
+                          n_slots=st.integers(1, 80) | st.sampled_from([300, 3 << 30]),
+                          pick=st.integers(0, 2))
+        @hypothesis.example(key=5, n_slots=3, pick=0)
+        @hypothesis.example(key=5, n_slots=3, pick=1)
+        @hypothesis.example(key=5, n_slots=3, pick=2)
+        def check(key, n_slots, pick):
+            n_used = ([0, n_slots - 1, n_slots] if n_slots <= 300 else [0, 1, 64])[pick]
+            got = CounterModePrng(key).sample_distinct(n_slots, n_used)
+            assert got.tolist() == _keystream_walk(CounterModePrng(key), n_slots, n_used)
+
+        check()
+
+    def test_sample_distinct_lengthens_a_short_prefix(self):
+        lengths = []
+
+        class Counted(CounterModePrng):
+            def words(self, n_words):
+                lengths.append(n_words)
+                return super().words(n_words)
+
+        got = Counted(11).sample_distinct(300, 299)
+        assert got.tolist() == _keystream_walk(CounterModePrng(11), 300, 299)
+        assert len(lengths) > 1 and lengths == sorted(set(lengths))
 
     def test_sample_distinct_basic(self):
         got = CounterModePrng(9).sample_distinct(100, 10)

@@ -26,6 +26,22 @@ from qdeny.ue import (
 )
 
 
+# The field modulus of each tag length s = 1..32, as the package has always
+# chosen it; every tag depends on it.
+PINNED_MODULI = [
+    0x3, 0x7, 0xB, 0x13, 0x25, 0x43, 0x83, 0x11B, 0x203, 0x409, 0x805, 0x1009, 0x201B,
+    0x4021, 0x8003, 0x1002B, 0x20009, 0x40009, 0x80027, 0x100009, 0x200005, 0x400003,
+    0x800021, 0x100001B, 0x2000009, 0x400001B, 0x8000027, 0x10000003, 0x20000005,
+    0x40000003, 0x80000009, 0x10000008D,
+]
+
+
+def _has_factor(f: int) -> bool:
+    """Trial division of f by every polynomial of degree 1 to deg(f) // 2."""
+    half = (f.bit_length() - 1) // 2
+    return any(ue._poly_mod(f, d) == 0 for d in range(2, 1 << (half + 1)))
+
+
 @pytest.fixture(scope="module")
 def params():
     return UeParams(n=4, s=4)
@@ -109,9 +125,19 @@ class TestMac:
             mac_tag(MacScheme(4), np.zeros(4, np.uint8), np.zeros(4, np.uint8))
 
     def test_modulus_is_irreducible_degree_s(self):
-        for s in (1, 2, 3, 4, 6, 8, 12, 16):
+        # trial division: the modulus is the lowest-valued irreducible
+        # polynomial of degree s (even ones all have the factor x)
+        for s in range(1, 17):
             mod = MacScheme(s).modulus
-            assert mod.bit_length() == s + 1
+            assert mod.bit_length() == s + 1 and not _has_factor(mod), s
+            assert all(_has_factor(f) for f in range((1 << s) | 1, mod, 2)), s
+
+    def test_moduli_pinned(self):
+        assert [MacScheme(s).modulus for s in range(1, 33)] == PINNED_MODULI
+
+    def test_irreducibility_agrees_with_trial_division(self):
+        for f in range(2, 1 << 11):
+            assert ue._is_irreducible(f, f.bit_length() - 1) == (not _has_factor(f)), bin(f)
 
     def test_modulus_and_pair_are_not_settable(self):
         # the modulus is always the field's own, the pair always the stock one
@@ -350,7 +376,7 @@ class TestQkeFromUe:
             forwarded, record = policy.intercept(states, r.substream("eve"))
             out = ue_decrypt(params, key, forwarded, r.substream("dec"))
             # deny one uniformly chosen codeword bit, bases revealed honestly
-            z_sent = _sent_codeword(params, key, m, r.substream("enc"))
+            z_sent = states.bits
             pos = int(r.substream("flip").generator.integers(0, n_qubits))
             claimed = z_sent.copy()
             claimed[pos] ^= 1
@@ -359,9 +385,3 @@ class TestQkeFromUe:
         expect = n_decoys / (2 * n_qubits)
         sigma = np.sqrt(expect * (1 - expect) / trials)
         assert abs(detected / trials - expect) < 3.5 * sigma
-
-
-def _sent_codeword(params, key, message, enc_rng):
-    """Replay the encoder's stream to recover the transmitted codeword."""
-    _, z = ue._encode(params, key, message, enc_rng)
-    return z

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import stats
 
 from . import qcore
-from .rng import WEAK_SEED_BITS, CounterModePrng, RandomStream, _distinct_rows
+from .rng import WEAK_SEED_BITS, RandomStream, _distinct_rows
 
 __all__ = [
     "QubitChannel",
@@ -26,9 +26,7 @@ __all__ = [
     "ClassicalAuthChannel",
     "TimeBinChannel",
     "WardenObservation",
-    "CovertSchedule",
     "transmit",
-    "covert_schedule",
     "warden_observe",
     "warden_bias_exact",
     "count_distributions",
@@ -133,55 +131,19 @@ class WardenObservation:
         return int(self.detections.sum())
 
 
-@dataclass(frozen=True)
-class CovertSchedule:
-    n_slots: int
-    used_slots: np.ndarray
-    source: str  # "true-random" or "prng(<hex>)"
-
-    def __post_init__(self):
-        arr = np.asarray(self.used_slots, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.n_slots):
-            raise ValueError("schedule slots out of range")
-        if np.unique(arr).size != arr.size:
-            raise ValueError("schedule slots must be distinct")
-        arr = np.sort(arr)
-        arr.setflags(write=False)
-        object.__setattr__(self, "used_slots", arr)
-
-    @property
-    def n_used(self) -> int:
-        return int(self.used_slots.size)
-
-
-def covert_schedule(
-    n_slots: int, n_used: int, source: RandomStream | CounterModePrng
-) -> CovertSchedule:
-    """Pick n_used distinct slots from the given randomness source.
-
-    A CounterModePrng source makes the schedule a pure function of its seed;
-    a RandomStream source stands in for true randomness.
-    """
-    if n_used > n_slots:
-        raise ValueError(f"cannot occupy {n_used} of {n_slots} slots")
-    if isinstance(source, CounterModePrng):
-        slots = source.sample_distinct(n_slots, n_used)
-        tag = f"prng({source.key_bits}:{source.key:x})"
-    else:
-        slots = source.choice_distinct(n_slots, n_used)
-        tag = "true-random"
-    return CovertSchedule(n_slots=n_slots, used_slots=slots, source=tag)
-
-
 def warden_observe(
-    channel: TimeBinChannel, schedule: CovertSchedule | None, rng: RandomStream
+    channel: TimeBinChannel, used_slots: np.ndarray | None, rng: RandomStream
 ) -> WardenObservation:
-    """Per-slot detections: p_signal on occupied slots, p_dark elsewhere."""
+    """Per-slot detections: p_signal on the used slots, p_dark elsewhere.
+
+    `used_slots` is a schedule as `CounterModePrng.sample_distinct` returns
+    it, or None for an idle window.
+    """
     p = np.full(channel.n_slots, channel.p_dark)
-    if schedule is not None:
-        if schedule.n_slots != channel.n_slots:
-            raise ValueError("schedule drawn for a different slot count")
-        p[schedule.used_slots] = channel.p_signal
+    if used_slots is not None:
+        if used_slots.size and (used_slots.min() < 0 or used_slots.max() >= channel.n_slots):
+            raise ValueError(f"schedule slots must lie in [0, {channel.n_slots})")
+        p[used_slots] = channel.p_signal
     detections = (rng.uniforms(channel.n_slots) < p).astype(np.uint8)
     return WardenObservation(detections)
 
@@ -235,11 +197,12 @@ MAX_WEAK_TABLE_SLOTS = 1024
 
 @lru_cache(maxsize=8)
 def weak_schedule_table(n_slots: int, n_used: int) -> np.ndarray:
-    """Schedules for every 16-bit seed, one row per seed.
+    """Schedules for every weak seed, one row per seed: the 2**16 seeds
+    that `dcqke.PrngSpec("weak")` accepts.
 
     This is the exhaustive search space handed to the seed-search warden in
     the broken-generator experiments. Row `seed` equals
-    `CounterModePrng(seed, 16).sample_distinct(n_slots, n_used)`; the rows
+    `CounterModePrng(seed).sample_distinct(n_slots, n_used)`; the rows
     are expanded a small chunk of seeds at a time, which keeps the build's
     working memory far below the table's own.
     """

@@ -25,13 +25,11 @@ from scipy import sparse
 
 from . import bb84 as bb84_mod
 from .channel import (
-    CovertSchedule,
     Message,
     QubitChannel,
     TimeBinChannel,
     WardenObservation,
     count_distributions,
-    covert_schedule,
     warden_observe,
     weak_schedule_table,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "View",
     "CovertRunResult",
     "DcQkeResult",
-    "AdvantageEstimate",
     "run_covert_qke",
     "covert_game",
     "run_dc_qke",
@@ -63,7 +60,9 @@ __all__ = [
 class PrngSpec:
     """Schedule-generator choice: 'strong' (128-bit seed) or 'weak' (16-bit).
 
-    Without a fixed seed, every run draws a fresh one from its stream.
+    Both key the same `CounterModePrng`; this is where a seed's size is
+    bounded. Without a fixed seed, every run draws a fresh one of that size
+    from its stream.
     """
 
     kind: str = "strong"
@@ -130,24 +129,22 @@ class View:
 @dataclass(frozen=True)
 class CovertRunResult:
     key: np.ndarray
-    schedule: CovertSchedule
+    schedule: np.ndarray  # the used slots, sorted
     warden_view: WardenObservation
     randomness: dict[str, np.ndarray]
 
 
 def _sample_window(
     config: CovertQkeConfig, trial_rng: RandomStream, active: bool
-) -> tuple[WardenObservation, CovertSchedule | None]:
+) -> tuple[WardenObservation, np.ndarray | None]:
     """Warden observation for one trial; labels are shared between the covert
     game and the deniability experiment so paired seeds see identical draws."""
     if not active:
         obs = warden_observe(config.timebin, None, trial_rng.substream("idle-window"))
         return obs, None
     seed = config.prng.draw_seed(trial_rng.substream("prng-seed"))
-    schedule = covert_schedule(
-        config.timebin.n_slots,
-        config.effective_n_used,
-        CounterModePrng(seed, config.prng.bits),
+    schedule = CounterModePrng(seed).sample_distinct(
+        config.timebin.n_slots, config.effective_n_used
     )
     obs = warden_observe(config.timebin, schedule, trial_rng.substream("window"))
     return obs, schedule

@@ -35,7 +35,6 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "Bb84Qubits",
-    "PAULI_I",
     "PAULI_X",
     "PAULI_Z",
     "HADAMARD",
@@ -63,7 +62,6 @@ _TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

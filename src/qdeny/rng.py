@@ -18,10 +18,11 @@ Two constructions live here:
     The covert-schedule expander. Block ``j`` of the keystream is
     ``SHA-256(key_be16 || j_be8)``, read as big-endian 32-bit words, so the
     keystream is a pure function of the key; integers below a bound come
-    from rejection sampling on those words.
-    It is keyed either with a 128-bit seed (the strong instance) or a
-    16-bit seed (the deliberately breakable instance used to demonstrate
-    covertness collapsing together with the generator).
+    from rejection sampling on those words. A schedule is the sorted array
+    that ``sample_distinct`` returns. The key is any 128-bit integer; the
+    deliberately breakable instance, used to demonstrate covertness
+    collapsing together with the generator, is the same construction keyed
+    with a 16-bit seed (``dcqke.PrngSpec`` bounds and draws it).
 """
 
 from __future__ import annotations
@@ -138,19 +139,15 @@ class CounterModePrng:
     block(j) = SHA-256(key as 16 bytes big-endian || j as 8 bytes big-endian)
 
     Each block yields eight big-endian uint32 words. The keystream is a pure
-    function of the key: every call reads it from block 0. ``key_bits`` only
-    bounds the accepted key range; the construction is otherwise identical
-    for the strong and weak instances.
+    function of the key: every call reads it from block 0. Any key in
+    [0, 2**128) is accepted; a weak seed is such a key below 2**16.
     """
 
-    def __init__(self, key: int, key_bits: int = STRONG_SEED_BITS):
+    def __init__(self, key: int):
         key = int(key)
-        if key_bits not in (WEAK_SEED_BITS, STRONG_SEED_BITS):
-            raise ValueError("key_bits must be 16 or 128")
-        if key < 0 or key >= 1 << key_bits:
-            raise ValueError(f"key out of range for {key_bits}-bit instance")
+        if key < 0 or key >= 1 << STRONG_SEED_BITS:
+            raise ValueError(f"key must fit in {STRONG_SEED_BITS} bits")
         self.key = key
-        self.key_bits = key_bits
         self._key_bytes = key.to_bytes(16, "big")
 
     def words(self, n_words: int) -> np.ndarray:
@@ -181,7 +178,7 @@ class CounterModePrng:
 
 
 def _distinct_rows(seeds: Sequence[int], n_slots: int, n_used: int) -> np.ndarray:
-    """`CounterModePrng(seed, 16).sample_distinct(n_slots, n_used)` for every
+    """`CounterModePrng(seed).sample_distinct(n_slots, n_used)` for every
     seed, one int32 row per seed, from one batch of keystream words.
 
     sample_distinct returns the first n_used distinct accepted words in
@@ -212,7 +209,7 @@ def _distinct_rows(seeds: Sequence[int], n_slots: int, n_used: int) -> np.ndarra
     out = np.empty((len(seeds), n_used), dtype=np.int32)
     out[full] = values[keep & full[:, None]].reshape(-1, n_used)
     for row in np.flatnonzero(~full):
-        out[row] = CounterModePrng(seeds[row], WEAK_SEED_BITS).sample_distinct(n_slots, n_used)
+        out[row] = CounterModePrng(seeds[row]).sample_distinct(n_slots, n_used)
     return out
 
 def _accept_limit(n_slots: int) -> int:

@@ -167,9 +167,11 @@ class UeParams:
     n: int
     s: int
     pair: DualContainingPair = field(init=False)
+    scheme: MacScheme = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "pair", gf2.default_dual_pair())
+        object.__setattr__(self, "scheme", MacScheme(self.s))
         if self.n < 1:
             raise ValueError("message length must be positive")
         if self.n + self.s > MAX_MESSAGE_BITS:
@@ -182,10 +184,6 @@ class UeParams:
                 f"n + s = {self.n + self.s} must be a multiple of the"
                 f" per-block payload {per_block}"
             )
-
-    @property
-    def scheme(self) -> MacScheme:
-        return MacScheme(self.s)
 
     @property
     def blocks(self) -> int:

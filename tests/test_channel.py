@@ -6,11 +6,9 @@ import pytest
 from qdeny import qcore
 from qdeny.channel import (
     ClassicalAuthChannel,
-    CovertSchedule,
     QubitChannel,
     TimeBinChannel,
     count_distributions,
-    covert_schedule,
     max_covert_slots,
     transmit,
     warden_bias_exact,
@@ -91,55 +89,42 @@ class TestClassicalChannel:
 
 
 class TestSchedules:
-    def test_all_slots(self):
-        sched = covert_schedule(8, 8, RandomStream(1))
-        assert np.array_equal(sched.used_slots, np.arange(8))
-
-    def test_prng_seed_reproducible(self):
-        s1 = covert_schedule(1024, 32, CounterModePrng(77))
-        s2 = covert_schedule(1024, 32, CounterModePrng(77))
-        assert np.array_equal(s1.used_slots, s2.used_slots)
-        assert s1.source.startswith("prng(")
-
     def test_one_prng_gives_one_schedule(self):
-        # the keystream is a function of the key alone, so reusing a source
+        # the keystream is a function of the key alone, so reusing a generator
         # repeats its schedule, including one that needs a longer prefix
         for n_slots, n_used in [(1024, 32), (300, 250)]:
             prng = CounterModePrng(77)
-            first = covert_schedule(n_slots, n_used, prng)
-            assert np.array_equal(covert_schedule(n_slots, n_used, prng).used_slots,
-                                  first.used_slots)
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ValueError):
-            covert_schedule(4, 5, RandomStream(1))
+            first = prng.sample_distinct(n_slots, n_used)
+            assert np.array_equal(prng.sample_distinct(n_slots, n_used), first)
+            assert np.array_equal(CounterModePrng(77).sample_distinct(n_slots, n_used), first)
 
     def test_slot_usage_uniform(self):
-        # per-slot usage frequency over many draws
+        # per-slot usage frequency over many keys
         n_slots, n_used, draws = 1 << 10, 32, 10_000
-        root = RandomStream(4)
+        keys = RandomStream(4).generator.integers(0, 1 << 63, size=draws)
         counts = np.zeros(n_slots)
-        for i in range(draws):
-            sched = covert_schedule(n_slots, n_used, root.substream("s", i))
-            counts[sched.used_slots] += 1
+        for key in keys.tolist():
+            counts[CounterModePrng(key).sample_distinct(n_slots, n_used)] += 1
         expect = draws * n_used / n_slots
         sigma = np.sqrt(draws * (n_used / n_slots) * (1 - n_used / n_slots))
         assert np.all(np.abs(counts - expect) < 5 * sigma)
         assert abs(counts.mean() - expect) < 3 * sigma / np.sqrt(n_slots)
 
-    def test_duplicate_slots_rejected(self):
-        with pytest.raises(ValueError):
-            CovertSchedule(10, np.array([1, 1]), "true-random")
-
 
 class TestWardenObserve:
     def test_deterministic_extremes(self):
         tb = TimeBinChannel(8, 0.0, 1.0)
-        sched = CovertSchedule(8, np.array([3]), "true-random")
-        obs = warden_observe(tb, sched, RandomStream(1))
+        obs = warden_observe(tb, np.array([3]), RandomStream(1))
         expect = np.zeros(8, dtype=np.uint8)
         expect[3] = 1
         assert np.array_equal(obs.detections, expect)
+
+    @pytest.mark.parametrize("slots", [[-1], [0, 8], [2, 3, 9]])
+    def test_slots_outside_the_window_rejected(self, slots):
+        tb = TimeBinChannel(8, 0.1, 0.9)
+        with pytest.raises(ValueError, match=r"\[0, 8\)"):
+            warden_observe(tb, np.array(slots), RandomStream(1))
+        warden_observe(tb, np.array([0, 7]), RandomStream(1))
 
     def test_idle_dark_counts(self):
         tb = TimeBinChannel(10_000, 0.01, 0.5)
@@ -149,7 +134,7 @@ class TestWardenObserve:
 
     def test_indistinguishable_when_rates_equal(self):
         tb = TimeBinChannel(64, 0.3, 0.3)
-        sched = covert_schedule(64, 16, RandomStream(3))
+        sched = RandomStream(3).choice_distinct(64, 16)
         # same substream: identical detections with and without the schedule
         with_sched = warden_observe(tb, sched, RandomStream(4))
         without = warden_observe(tb, None, RandomStream(4))
@@ -223,7 +208,7 @@ class TestCountTestConvergence:
             trial = root.substream("t", i)
             b = trial.bit()
             if b == 0:
-                sched = covert_schedule(tb.n_slots, n_used, trial.substream("sched"))
+                sched = trial.substream("sched").choice_distinct(tb.n_slots, n_used)
                 obs = warden_observe(tb, sched, trial.substream("obs"))
             else:
                 obs = warden_observe(tb, None, trial.substream("obs"))

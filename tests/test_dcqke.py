@@ -48,15 +48,15 @@ class TestCovertRuns:
     def test_schedule_occupancy_exact(self):
         config = strong_config()
         covert = run_covert_qke(config, RandomStream(2))
-        assert covert.schedule.n_used == config.slots_required == 182
+        assert covert.schedule.size == config.slots_required == 182
 
     def test_window_detection_rates(self):
         config = strong_config(p_dark=0.01, p_signal=0.5)
         covert = run_covert_qke(config, RandomStream(3))
         det = covert.warden_view.detections
-        on = det[covert.schedule.used_slots].mean()
+        on = det[covert.schedule].mean()
         off_mask = np.ones(config.timebin.n_slots, bool)
-        off_mask[covert.schedule.used_slots] = False
+        off_mask[covert.schedule] = False
         off = det[off_mask].mean()
         assert abs(on - 0.5) < 3 * np.sqrt(0.25 / 182)
         assert abs(off - 0.01) < 3 * np.sqrt(0.01 / off_mask.sum())

@@ -52,6 +52,34 @@ def naive_detection_oracle(n_qubits: int, flips: int, p_check: Fraction) -> floa
     return float(total / norm)
 
 
+def accepted_session_detection_oracle(config: Bb84Config, n_decoys: int) -> Fraction:
+    """Exact rate at which the judge catches one random flip in the live
+    naive-denial game, which only counts sessions that pass the check.
+
+    Sifting keeps S ~ Bin(N, 1/2) positions, resampled until S >= 2n. With
+    p = n_decoys / N, each sifted position is, independently, checkable
+    (Eve measured it in Alice's basis: p/2), an error (Eve's other basis,
+    then the other outcome: p/4), or neither. The check reads a uniform
+    n-subset of the sifted positions, and a session with k errors there is
+    accepted when k / n stays within the error threshold; its other n - k
+    check positions are then each checkable with probability
+    (p/2) / (1 - p/4). Acceptance does not depend on S, and the flip lands
+    on a uniform sifted position, so the rate is
+    E_S[(A + (S - n) p/2) / S], where A is the expected checkable count
+    among the check positions of an accepted session.
+    """
+    n, big_n = config.n, config.qubit_count
+    p = Fraction(n_decoys, big_n)
+    checkable, error = p / 2, p / 4
+    accepted = [k for k in range(n + 1) if k / n <= config.error_threshold]
+    weights = [comb(n, k) * error**k * (1 - error) ** (n - k) for k in accepted]
+    clean = sum(w * (n - k) for w, k in zip(weights, accepted)) / sum(weights)
+    a = clean * checkable / (1 - error)
+    sifts = range(2 * n, big_n + 1)
+    total = sum(comb(big_n, s) * (a + (s - n) * checkable) / s for s in sifts)
+    return total / sum(comb(big_n, s) for s in sifts)
+
+
 class TestEveDecoyAttack:
     def test_zero_rate_is_transparent(self):
         rng = RandomStream(1)
@@ -166,6 +194,15 @@ class TestDetectionRates:
             sigma = np.sqrt(exact * (1 - exact) / est.trials)
             assert abs(est.rate - exact) < 3 * sigma, (n, eta, flips)
 
+    def test_accepted_session_oracle_pinned(self):
+        # sessions that pass the check hold fewer wrong-basis decoys, so
+        # relatively more of the checkable ones: above n_decoys / 2N
+        config = Bb84Config(n=14, delta=0.5)
+        for n_decoys, want in [(32, 0.263927), (16, 0.128669), (8, 0.063755)]:
+            exact = accepted_session_detection_oracle(config, n_decoys)
+            assert float(exact) == pytest.approx(want, abs=5e-7), n_decoys
+            assert exact > Fraction(n_decoys, 2 * config.qubit_count)
+
     def test_monotone_in_decoys_and_flips(self):
         grid_eta = [exact_detection_probability(16, eta, 1) for eta in (0, 2, 4, 8, 16)]
         assert all(a <= b + 1e-15 for a, b in zip(grid_eta, grid_eta[1:]))
@@ -210,6 +247,27 @@ class TestFullQuantumPathAgreement:
         expect = n_decoys / (2 * config.qubit_count)
         sigma = np.sqrt(expect / sifted_total)
         assert abs(rate - expect) < 4 * sigma
+
+    def test_live_game_follows_the_accepted_session_oracle(self):
+        # Eve measures every qubit, so only sessions with no check error are
+        # accepted; n_decoys / 2N = 0.5 lies about 6 sigma below the oracle
+        config = Bb84Config(n=7, delta=0.5)
+        n_decoys = 32
+        proto = NaiveBb84DenialProtocol(config, n_decoys=n_decoys, flips=1)
+        exact = float(accepted_session_detection_oracle(config, n_decoys))
+        assert exact == pytest.approx(0.569933, abs=5e-7)
+        root = RandomStream(13)
+        detected = 0
+        trials = 2000
+        for i in range(trials):
+            outcome = proto.run_session(root.substream("s", i))
+            fake = proto.fake(outcome, root.substream("f", i))
+            claim = DenialClaim(fake.randomness["raw_bits"], fake.randomness["bases"])
+            detected += int(judge_check(claim, outcome.session.eve_record).detected)
+        rate = detected / trials
+        sigma = np.sqrt(exact * (1 - exact) / trials)
+        assert abs(rate - exact) < 4 * sigma
+        assert abs(rate - n_decoys / (2 * config.qubit_count)) > 4 * sigma
 
 
 class TestCoercerExperiment:

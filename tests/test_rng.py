@@ -211,11 +211,13 @@ class TestCounterModePrng:
         with pytest.raises(ValueError):
             CounterModePrng(9).sample_distinct(4, 5)
 
-    def test_weak_key_range(self):
-        CounterModePrng(0xFFFF, key_bits=16)
-        with pytest.raises(ValueError):
-            CounterModePrng(0x10000, key_bits=16)
+    def test_key_range(self):
+        CounterModePrng(0)
+        CounterModePrng((1 << 128) - 1)
+        for key in (-1, 1 << 128):
+            with pytest.raises(ValueError, match="128 bits"):
+                CounterModePrng(key)
 
     def test_weak_schedules_mostly_distinct(self):
-        seen = {CounterModePrng(k, 16).sample_distinct(256, 16).tobytes() for k in range(200)}
+        seen = {CounterModePrng(k).sample_distinct(256, 16).tobytes() for k in range(200)}
         assert len(seen) == 200

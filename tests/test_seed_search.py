@@ -1,11 +1,11 @@
 """Oracles for the seed-search warden's fast paths.
 
-The weak schedule table is expanded in seed batches; every row must equal
-the scalar `CounterModePrng(seed, 16).sample_distinct`. The warden screens
-seeds on their first slots, then counts detections per seed with one
-sparse product; every decision must equal the dense gather-and-sum over
-the table, on uniform windows and on windows planted from a real seed's
-schedule.
+The weak schedule table is expanded in seed batches; row `seed` must equal
+the scalar `CounterModePrng(seed).sample_distinct` for each 16-bit seed.
+The warden screens seeds on their first slots, then counts detections per
+seed with one sparse product; every decision must equal the dense
+gather-and-sum over the table, on uniform windows and on windows planted
+from a real seed's schedule.
 """
 
 import numpy as np
@@ -34,7 +34,7 @@ def _release_tables():
 
 
 def _scalar_row(seed: int, n_slots: int, n_used: int) -> np.ndarray:
-    return CounterModePrng(seed, WEAK_SEED_BITS).sample_distinct(n_slots, n_used)
+    return CounterModePrng(seed).sample_distinct(n_slots, n_used)
 
 
 @pytest.mark.parametrize("n_slots, n_used", [(1000, 37), (40, 40)])

@@ -149,6 +149,12 @@ class TestMac:
         pair = UeParams(4, 4).pair
         assert gf2.is_dual_containing(pair.c1, pair.c2, pair.quotient_checks)
 
+    @pytest.mark.parametrize("n, s", [(5, -1), (4, 40)])
+    def test_tag_length_checked_when_params_are_built(self, n, s):
+        # n + s is a whole number of blocks in both cases: only s is wrong
+        with pytest.raises(ValueError, match=r"tag length must lie in \[1, 32\]"):
+            UeParams(n, s)
+
     def test_params_share_one_stock_pair_with_unchanged_encodings(self):
         shared = UeParams(4, 4).pair
         assert UeParams(8, 6).pair is shared is gf2.default_dual_pair()

@@ -25,6 +25,7 @@ from . import bb84 as bb84_mod
 from . import dcqke as dcqke_mod
 from . import denial as denial_mod
 from . import distill as distill_mod
+from . import gf2
 from . import ue as ue_mod
 from .channel import QubitChannel, TimeBinChannel
 from .rng import RandomStream
@@ -34,8 +35,6 @@ __all__ = ["main", "entrypoint"]
 DEFAULT_SEED_HEX = "00000000000000000000000000000001"
 
 MAX_TRIALS = 10**7  # per run; tests use at most 100000
-
-EXPERIMENTS = ("bb84", "attack-deny", "ue", "covert", "dcqke", "distill")
 
 
 class ConfigError(Exception):
@@ -134,8 +133,6 @@ def _load_config(path: str, experiment: str) -> dict:
 
 def _load_code_pair(params: dict):
     """Optional override of the toy codes from text-format definition files."""
-    from . import gf2
-
     c1_file, c2_file = params["c1_file"], params["c2_file"]
     if (c1_file is None) != (c2_file is None):
         raise ConfigError("c1_file and c2_file must be given together")
@@ -180,10 +177,10 @@ def _run_bb84(params: dict, seed: int, trials: int):
     if last is not None and not last.aborted:
         detail = {
             "last_session": {
-                "session_key": "".join(str(int(b)) for b in last.alice.session_key),
+                "session_key": gf2.bits_to_str(last.alice.session_key),
                 "party_id": last.alice.party_id,
                 "public_values": [
-                    {"sender": m.sender, "label": m.label, "bits": "".join(str(int(x)) for x in m.bits)}
+                    {"sender": m.sender, "label": m.label, "bits": gf2.bits_to_str(m.bits)}
                     for m in last.alice.public_values
                 ],
                 "private_value_names": sorted(last.alice.private_values),
@@ -285,6 +282,7 @@ _RUNNERS = {
     "dcqke": (partial(_run_covert_game, "dcqke"), {**_COVERT_DEFAULTS, "n_used": None}),
     "distill": (_run_distill, {"theta": float(np.pi / 6)}),
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 # -- output -----------------------------------------------------------------------

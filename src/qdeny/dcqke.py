@@ -9,6 +9,9 @@ deniable construction runs the covert session for the real key and an
 ordinary, fully visible session for a fake key; under coercion the parties
 hand over the fake session's key and coins, honestly and completely.
 
+`run_dc_qke` returns both stories as `denial.CoercionView`s, the view the
+naive-denial game uses too.
+
 Distinguishing a coerced disclosure from an honest one then amounts to
 deciding whether the covert session happened at all, which is exactly the
 covert-detection game: the two experiments here share per-trial substreams
@@ -17,15 +20,14 @@ so that the reduction inequality can be checked on paired seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import sparse
 
 from . import bb84 as bb84_mod
 from .channel import (
-    Message,
     QubitChannel,
     TimeBinChannel,
     WardenObservation,
@@ -33,20 +35,17 @@ from .channel import (
     warden_observe,
     weak_schedule_table,
 )
+from .denial import CoercionView
 from .games import AdvantageEstimate, run_experiment
 from .rng import STRONG_SEED_BITS, WEAK_SEED_BITS, CounterModePrng, RandomStream
 
 __all__ = [
     "PrngSpec",
     "CovertQkeConfig",
-    "View",
     "CovertRunResult",
-    "DcQkeResult",
     "run_covert_qke",
     "covert_game",
     "run_dc_qke",
-    "faking_program",
-    "build_views",
     "deniability_experiment",
     "ReductionDistinguisher",
     "CountTestWarden",
@@ -113,17 +112,6 @@ class CovertQkeConfig:
                 f"schedule holds {self.effective_n_used} slots but the session"
                 f" needs {self.slots_required}"
             )
-
-
-@dataclass(frozen=True)
-class View:
-    """What the coercer evaluates: a key, the in-the-clear transcript, the
-    covert-window observation, and the disclosed private randomness."""
-
-    key: np.ndarray
-    classical_transcript: tuple[Message, ...]
-    covert_window: WardenObservation
-    randomness: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -282,7 +270,7 @@ def _incidence(rows: np.ndarray, n_slots: int) -> sparse.csr_matrix:
 def _window_of(observation) -> WardenObservation:
     if isinstance(observation, WardenObservation):
         return observation
-    if isinstance(observation, View):
+    if isinstance(observation, CoercionView) and observation.covert_window is not None:
         return observation.covert_window
     raise TypeError(f"no covert window in {type(observation)!r}")
 
@@ -314,82 +302,50 @@ def covert_game(
 # -- the deniable construction -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DcQkeResult:
-    real_key: np.ndarray
-    fake_key: np.ndarray
-    real_randomness: dict[str, np.ndarray]
-    fake_randomness: dict[str, np.ndarray]
-    covert_window: WardenObservation
-    noncovert_transcript: tuple[Message, ...]
-    idle_window: WardenObservation  # fresh idle sample for the faked story
-    fake_eve_record: object | None = None
-
-    def __post_init__(self):
-        if self.real_key.size != self.fake_key.size:
-            raise ValueError("real and fake keys must have equal length")
-
-
 def run_dc_qke(
     config: CovertQkeConfig, rng: RandomStream, fake_interceptor=None
-) -> DcQkeResult:
-    """Covert session for the real key plus an ordinary session for the fake
-    key; both sessions use the same protocol parameters, so disclosed coin
-    vectors have identical shapes in either story.
+) -> tuple[CoercionView, CoercionView]:
+    """Real and fake coercer views of one run of the deniable construction.
 
-    The ordinary session is the one an eavesdropper may attack head-on, so
-    it accepts an optional interceptor; its coins are disclosed honestly
-    under coercion, which is exactly why decoy records never bite.
+    A covert session makes the real key and an ordinary session the fake
+    key; both sessions use the same protocol parameters, so disclosed coin
+    vectors have identical shapes in either story, and both stories share
+    the ordinary session's public transcript. The real view carries the
+    covert session's key and coins and the warden-facing observation of the
+    covert window; no interceptor ever found the covert slots, so it holds
+    no interceptor record.
+
+    The fake view is the faking program's output: the ordinary session's
+    key, its complete coins, its interceptor record, and a fresh
+    idle-channel observation (dark counts included). Everything in it is an
+    honest record of a session that really ran; nothing references the
+    covert sub-session. The ordinary session is the one an eavesdropper may
+    attack head-on, so it accepts an optional interceptor; its coins are
+    disclosed honestly under coercion, which is exactly why decoy records
+    never bite.
     """
     covert = run_covert_qke(config, rng)
-    fake = bb84_mod.run_session(
+    ordinary = bb84_mod.run_session(
         config.bb84,
         QubitChannel(flip_probability=0.0, interceptor=fake_interceptor),
         rng.substream("fake-session"),
         retry_abort=fake_interceptor is not None,
     )
     idle, _ = _sample_window(config, rng, active=False)
-    return DcQkeResult(
-        real_key=covert.key,
-        fake_key=fake.alice.session_key,
-        real_randomness=covert.randomness,
-        fake_randomness=dict(fake.alice.private_values),
+    transcript = ordinary.session.transcript
+    real = CoercionView(
+        key=covert.key,
+        randomness=covert.randomness,
+        transcript=transcript,
+        eve_record=None,
         covert_window=covert.warden_view,
-        noncovert_transcript=fake.session.transcript,
-        idle_window=idle,
-        fake_eve_record=fake.session.eve_record,
     )
-
-
-def faking_program(result: DcQkeResult) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Denial output: the fake key and the ordinary session's complete coins.
-
-    Everything returned is an honest record of a session that really ran;
-    nothing references the covert sub-session.
-    """
-    return result.fake_key, dict(result.fake_randomness)
-
-
-def build_views(result: DcQkeResult) -> tuple[View, View]:
-    """Real and fake coercer views.
-
-    Both stories share the ordinary session's public transcript. The real
-    view carries the warden-facing observation of the covert window and the
-    covert session's coins; the fake view carries a fresh idle-channel
-    observation (dark counts included) and the ordinary session's coins.
-    """
-    real = View(
-        key=result.real_key,
-        classical_transcript=result.noncovert_transcript,
-        covert_window=result.covert_window,
-        randomness=dict(result.real_randomness),
-    )
-    fake_key, fake_coins = faking_program(result)
-    fake = View(
-        key=fake_key,
-        classical_transcript=result.noncovert_transcript,
-        covert_window=result.idle_window,
-        randomness=fake_coins,
+    fake = CoercionView(
+        key=ordinary.alice.session_key,
+        randomness=dict(ordinary.alice.private_values),
+        transcript=transcript,
+        eve_record=ordinary.session.eve_record,
+        covert_window=idle,
     )
     return real, fake
 
@@ -402,12 +358,7 @@ def deniability_experiment(
 ) -> AdvantageEstimate:
     """Coercer game for the deniable construction: real view versus the
     faking program's view, with full sessions behind every trial."""
-
-    def setup(trial_rng: RandomStream):
-        result = run_dc_qke(config, trial_rng)
-        return build_views(result)
-
-    return run_experiment(setup, distinguisher, trials, master_seed)
+    return run_experiment(partial(run_dc_qke, config), distinguisher, trials, master_seed)
 
 
 class ReductionDistinguisher:
@@ -430,14 +381,9 @@ class ReductionDistinguisher:
 
     def decide(self, observation, rng: RandomStream) -> int:
         window = _window_of(observation)
-        local = run_dc_qke(self.config, rng.substream("synth"))
-        view = View(
-            key=local.real_key,
-            classical_transcript=local.noncovert_transcript,
-            covert_window=window,
-            randomness=dict(local.real_randomness),
-        )
+        local_real, _ = run_dc_qke(self.config, rng.substream("synth"))
         self.invocations += 1
+        view = replace(local_real, covert_window=window)
         guess_fake = self.adversary.decide(view, rng.substream("wrapped"))
         return 0 if guess_fake == 0 else 1
 

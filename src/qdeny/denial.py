@@ -9,6 +9,9 @@ claimed state and the recorded one are then orthogonal, so no alternative
 preparation explains the record. With n_decoys expected measurements over
 n_qubits transmissions, a single random flip is caught with probability
 n_decoys / (2 * n_qubits).
+
+`CoercionView` is the one coercer view, here and in `dcqke`: naive denial
+fills its interceptor record, the deniable construction its covert window.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ import numpy as np
 
 from . import bb84 as bb84_mod
 from . import qcore
-from .channel import QubitChannel
+from .channel import QubitChannel, WardenObservation
 from .games import AdvantageEstimate, RateEstimate, rate_estimate, run_experiment
 from .rng import RandomStream
 
 __all__ = [
     "EvePolicy",
     "EveRecord",
-    "DenialClaim",
-    "JudgeVerdict",
     "CoercionView",
     "eve_decoy_attack",
     "judge_check",
@@ -59,43 +60,23 @@ class EvePolicy:
 
 @dataclass(frozen=True)
 class EveRecord:
-    """Measured positions with basis and outcome; positions strictly increase."""
+    """Measured positions with basis and outcome; positions strictly increase.
+    Holds read-only copies: int64 positions, uint8 bases and outcomes."""
 
     positions: np.ndarray
     bases: np.ndarray  # 0 computational, 1 diagonal
     outcomes: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.int64)
-        if pos.size and np.any(np.diff(pos) <= 0):
-            raise ValueError("positions must be strictly increasing")
-        for name in ("positions", "bases", "outcomes"):
-            arr = np.asarray(getattr(self, name))
+        for name, dtype in (("positions", np.int64), ("bases", np.uint8), ("outcomes", np.uint8)):
+            arr = np.array(getattr(self, name), dtype=dtype)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if np.any(np.diff(self.positions) <= 0):
+            raise ValueError("positions must be strictly increasing")
 
     def __len__(self) -> int:
         return int(self.positions.size)
-
-
-@dataclass(frozen=True)
-class DenialClaim:
-    claimed_bits: np.ndarray
-    claimed_bases: np.ndarray
-
-    def __post_init__(self):
-        if np.asarray(self.claimed_bits).size != np.asarray(self.claimed_bases).size:
-            raise ValueError("claimed bits and bases must have equal length")
-
-
-@dataclass(frozen=True)
-class JudgeVerdict:
-    detected: bool
-    witness_position: int | None = None
-
-    def __post_init__(self):
-        if self.detected and self.witness_position is None:
-            raise ValueError("a detection needs a witness position")
 
 
 def eve_decoy_attack(
@@ -118,17 +99,19 @@ def eve_decoy_attack(
     return forwarded, EveRecord(positions, bases, outcomes)
 
 
-def judge_check(claim: DenialClaim, record: EveRecord) -> JudgeVerdict:
-    """Flag the first record entry whose basis matches the claim but whose
-    outcome contradicts the claimed bit (orthogonal same-basis states)."""
-    bits = np.asarray(claim.claimed_bits, dtype=np.uint8)
-    bases = np.asarray(claim.claimed_bases, dtype=np.uint8)
-    for pos, eve_basis, eve_outcome in zip(record.positions, record.bases, record.outcomes):
-        if pos >= bits.size:
-            raise ValueError("record position outside the claimed strings")
-        if eve_basis == bases[pos] and eve_outcome != bits[pos]:
-            return JudgeVerdict(detected=True, witness_position=int(pos))
-    return JudgeVerdict(detected=False)
+def judge_check(bits, bases, record: EveRecord) -> int | None:
+    """Position of the first record entry whose basis matches the claimed
+    basis but whose outcome contradicts the claimed bit (orthogonal
+    same-basis states), or None when no entry is such a witness."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    bases = np.asarray(bases, dtype=np.uint8)
+    if bits.size != bases.size:
+        raise ValueError("claimed bits and bases must have equal length")
+    pos = record.positions
+    if pos.size and (pos[0] < 0 or pos[-1] >= bits.size):
+        raise ValueError("record position outside the claimed strings")
+    witnesses = pos[(record.bases == bases[pos]) & (record.outcomes != bits[pos])]
+    return int(witnesses[0]) if witnesses.size else None
 
 
 # -- detection-rate study (prepare-and-measure reduction) --------------------
@@ -237,13 +220,19 @@ def exact_detection_probability(n_qubits: int, n_decoys: int, flips: int) -> flo
 
 @dataclass(frozen=True)
 class CoercionView:
-    """What the coercer receives: a key, claimed private randomness, and the
-    channel evidence (interceptor record plus public transcript)."""
+    """What the coercer receives: a key, the claimed private randomness, the
+    public transcript, and the channel evidence.
+
+    `eve_record` is the interceptor's record of the visible qubit channel
+    and `covert_window` the warden's observation of the time-bin window;
+    each is None where the protocol has no such channel.
+    """
 
     key: np.ndarray | None
     randomness: dict[str, np.ndarray]
-    eve_record: EveRecord
     transcript: tuple
+    eve_record: EveRecord | None
+    covert_window: WardenObservation | None
 
 
 def coercer_experiment(
@@ -254,8 +243,8 @@ def coercer_experiment(
     Per trial the protocol runs once; the challenger hands the adversary the
     honest view or the faking program's view according to a hidden bit.
     """
-    if not hasattr(protocol, "fake") or not hasattr(protocol, "run_session"):
-        raise TypeError("protocol must expose run_session() and a faking program fake()")
+    if not all(hasattr(protocol, name) for name in ("run_session", "real_view", "fake")):
+        raise TypeError("protocol must expose run_session(), real_view() and fake()")
 
     def setup(trial_rng: RandomStream):
         session = protocol.run_session(trial_rng.substream("session"))
@@ -289,8 +278,9 @@ class NaiveBb84DenialProtocol:
         return CoercionView(
             key=outcome.alice.session_key,
             randomness=dict(outcome.alice.private_values),
-            eve_record=outcome.session.eve_record,
             transcript=outcome.session.transcript,
+            eve_record=outcome.session.eve_record,
+            covert_window=None,
         )
 
     def fake(self, outcome: bb84_mod.Bb84Outcome, rng: RandomStream) -> CoercionView:
@@ -305,8 +295,9 @@ class NaiveBb84DenialProtocol:
         return CoercionView(
             key=bb84_mod.block_keys(self.config.codes, claimed_u),
             randomness={"raw_bits": claimed_bits, "bases": session.b, "codeword": claimed_u},
-            eve_record=session.eve_record,
             transcript=session.transcript,
+            eve_record=session.eve_record,
+            covert_window=None,
         )
 
 
@@ -316,5 +307,5 @@ class JudgeDistinguisher:
     name = "judge-check"
 
     def decide(self, view: CoercionView, rng: RandomStream) -> int:
-        claim = DenialClaim(view.randomness["raw_bits"], view.randomness["bases"])
-        return int(judge_check(claim, view.eve_record).detected)
+        witness = judge_check(view.randomness["raw_bits"], view.randomness["bases"], view.eve_record)
+        return int(witness is not None)

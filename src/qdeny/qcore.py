@@ -56,9 +56,7 @@ __all__ = [
 
 MAX_QUBITS = 12
 
-_NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
-_TRACE_TOL = 1e-12
 _PSD_TOL = 1e-10
 _UNITARY_TOL = 1e-10
 

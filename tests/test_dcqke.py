@@ -1,5 +1,7 @@
 """Covert scheduling, DC-QKE views, and the deniability-covertness reduction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -13,14 +15,12 @@ from qdeny.dcqke import (
     PrngSpec,
     ReductionDistinguisher,
     SeedSearchWarden,
-    build_views,
     covert_game,
     deniability_experiment,
-    faking_program,
     run_covert_qke,
     run_dc_qke,
 )
-from qdeny.denial import DenialClaim, EvePolicy, judge_check
+from qdeny.denial import EvePolicy, EveRecord, JudgeDistinguisher, coercer_experiment, judge_check
 from qdeny.games import CoinFlipDistinguisher
 from qdeny.rng import RandomStream
 
@@ -72,9 +72,9 @@ class TestCovertRuns:
         # from a shared trial stream
         config = strong_config()
         trial = RandomStream(77).substream("trial", 5)
-        full = run_dc_qke(config, trial)
+        real, _ = run_dc_qke(config, trial)
         obs, _ = dcqke._sample_window(config, RandomStream(77).substream("trial", 5), True)
-        assert np.array_equal(full.covert_window.detections, obs.detections)
+        assert np.array_equal(real.covert_window.detections, obs.detections)
 
 
 class TestCovertGame:
@@ -123,17 +123,17 @@ class TestCovertGame:
 
 class TestDcQkeSessions:
     def test_key_lengths_equal(self):
-        result = run_dc_qke(strong_config(), RandomStream(8))
-        assert result.real_key.size == result.fake_key.size == 3
+        real, fake = run_dc_qke(strong_config(), RandomStream(8))
+        assert real.key.size == fake.key.size == 3
 
     def test_keys_independent_uniform(self):
         config = strong_config()
         root = RandomStream(9)
         table = np.zeros((8, 8), dtype=int)
         for i in range(800):
-            result = run_dc_qke(config, root.substream("t", i))
-            ka = int("".join(map(str, result.real_key)), 2)
-            kb = int("".join(map(str, result.fake_key)), 2)
+            real, fake = run_dc_qke(config, root.substream("t", i))
+            ka = int("".join(map(str, real.key)), 2)
+            kb = int("".join(map(str, fake.key)), 2)
             table[ka, kb] += 1
         _, p, _, _ = stats.chi2_contingency(table)
         assert p > 1e-3
@@ -146,9 +146,9 @@ class TestDcQkeSessions:
         config = strong_config()
         root = RandomStream(10)
         for i in range(50):
-            result = run_dc_qke(config, root.substream("t", i))
-            coins = result.fake_randomness
-            by_label = {m.label: m.bits for m in result.noncovert_transcript}
+            _, fake = run_dc_qke(config, root.substream("t", i))
+            coins = fake.randomness
+            by_label = {m.label: m.bits for m in fake.transcript}
             assert np.array_equal(by_label["bases"], coins["bases"])
             q = by_label["bases"].size
             payload_pos = np.where(by_label["payload-mask"])[0]
@@ -168,28 +168,46 @@ class TestDcQkeSessions:
         root = RandomStream(11)
         policy = EvePolicy(0.25)
         for i in range(300):
-            result = run_dc_qke(config, root.substream("t", i), fake_interceptor=policy)
-            claim = DenialClaim(
-                result.fake_randomness["raw_bits"], result.fake_randomness["bases"]
-            )
-            assert not judge_check(claim, result.fake_eve_record).detected
+            _, fake = run_dc_qke(config, root.substream("t", i), fake_interceptor=policy)
+            coins = fake.randomness
+            assert judge_check(coins["raw_bits"], coins["bases"], fake.eve_record) is None
 
-    def test_faking_program_structure(self):
-        result = run_dc_qke(strong_config(), RandomStream(12))
-        key, coins = faking_program(result)
-        assert np.array_equal(key, result.fake_key)
-        assert set(coins) == set(result.fake_randomness)
-        for name, value in coins.items():
-            assert np.array_equal(value, result.fake_randomness[name])
+    def test_fake_view_is_the_ordinary_session(self):
+        # the faking program discloses the ordinary session as it ran, on
+        # its own substream, with the interceptor's record of it
+        config = strong_config()
+        policy = EvePolicy(0.25)
+        _, fake = run_dc_qke(config, RandomStream(12), fake_interceptor=policy)
+        rerun = run_session(
+            config.bb84,
+            QubitChannel(0.0, interceptor=policy),
+            RandomStream(12).substream("fake-session"),
+            retry_abort=True,
+        )
+        assert np.array_equal(fake.key, rerun.alice.session_key)
+        assert set(fake.randomness) == set(rerun.alice.private_values)
+        for name, value in fake.randomness.items():
+            assert np.array_equal(value, rerun.alice.private_values[name])
+        assert len(fake.transcript) == len(rerun.session.transcript)
+        for m, want in zip(fake.transcript, rerun.session.transcript):
+            assert (m.sender, m.label) == (want.sender, want.label)
+            assert np.array_equal(m.bits, want.bits)
+        for name in ("positions", "bases", "outcomes"):
+            assert np.array_equal(
+                getattr(fake.eve_record, name), getattr(rerun.session.eve_record, name)
+            )
 
 
 class TestViews:
     def test_views_share_clear_transcript(self):
-        result = run_dc_qke(strong_config(), RandomStream(13))
-        real, fake = build_views(result)
-        assert real.classical_transcript is fake.classical_transcript
-        assert real.covert_window is result.covert_window
-        assert fake.covert_window is result.idle_window
+        config = strong_config()
+        real, fake = run_dc_qke(config, RandomStream(13))
+        assert real.transcript is fake.transcript
+        assert real.eve_record is None and fake.eve_record is None  # no interceptor
+        active, _ = dcqke._sample_window(config, RandomStream(13), active=True)
+        idle, _ = dcqke._sample_window(config, RandomStream(13), active=False)
+        assert np.array_equal(real.covert_window.detections, active.detections)
+        assert np.array_equal(fake.covert_window.detections, idle.detections)
         assert set(real.randomness) == set(fake.randomness)  # same coin schema
 
     def test_equal_rates_views_identically_distributed(self):
@@ -197,17 +215,15 @@ class TestViews:
         root = RandomStream(14)
         real_counts, fake_counts = [], []
         for i in range(300):
-            result = run_dc_qke(config, root.substream("t", i))
-            real, fake = build_views(result)
+            real, fake = run_dc_qke(config, root.substream("t", i))
             real_counts.append(real.covert_window.count)
             fake_counts.append(fake.covert_window.count)
         _, p = stats.mannwhitneyu(real_counts, fake_counts)
         assert p > 1e-3
 
     def test_fake_view_replay_consistent(self):
-        result = run_dc_qke(strong_config(), RandomStream(15))
-        _, fake = build_views(result)
-        by_label = {m.label: m.bits for m in fake.classical_transcript}
+        _, fake = run_dc_qke(strong_config(), RandomStream(15))
+        by_label = {m.label: m.bits for m in fake.transcript}
         payload_pos = np.where(by_label["payload-mask"])[0]
         assert np.array_equal(
             by_label["correction"],
@@ -253,36 +269,17 @@ class DcQkeCoercionAdapter:
     def run_session(self, rng):
         return run_dc_qke(self.config, rng, fake_interceptor=self.policy)
 
-    def real_view(self, result):
-        from qdeny.denial import CoercionView, EveRecord
+    def real_view(self, views):
+        return replace(views[0], eve_record=EveRecord([], [], []))
 
-        empty = EveRecord(
-            np.empty(0, np.int64), np.empty(0, np.uint8), np.empty(0, np.uint8)
-        )
-        return CoercionView(
-            key=result.real_key,
-            randomness=dict(result.real_randomness),
-            eve_record=empty,
-            transcript=result.noncovert_transcript,
-        )
-
-    def fake(self, result, rng):
-        from qdeny.denial import CoercionView
-
-        return CoercionView(
-            key=result.fake_key,
-            randomness=dict(result.fake_randomness),
-            eve_record=result.fake_eve_record,
-            transcript=result.noncovert_transcript,
-        )
+    def fake(self, views, rng):
+        return views[1]
 
 
 class TestJudgeAdversaryAgainstDcQke:
     def test_record_checking_gains_nothing(self):
         # the strategy that breaks naive BB84 denial: here both stories
         # survive every record check, so the adversary is reduced to guessing
-        from qdeny.denial import JudgeDistinguisher, coercer_experiment
-
         config = strong_config()
         adapter = DcQkeCoercionAdapter(config, EvePolicy(0.25))
         est = coercer_experiment(adapter, JudgeDistinguisher(), 300, master_seed=31)
@@ -310,3 +307,15 @@ class TestReductionWrapper:
         wrapper = ReductionDistinguisher(CoinFlipDistinguisher(), config)
         covert_game(config, 150, master_seed=21, warden=wrapper)
         assert wrapper.invocations == 150
+
+    def test_observation_without_a_window_rejected_first(self):
+        config = strong_config()
+        wrapper = ReductionDistinguisher(CoinFlipDistinguisher(), config)
+        real, _ = run_dc_qke(config, RandomStream(22))
+        no_window = replace(real, covert_window=None)
+        for observation in (None, real.key, no_window):
+            with pytest.raises(TypeError, match="no covert window"):
+                wrapper.decide(observation, RandomStream(23))
+        assert wrapper.invocations == 0
+        wrapper.decide(real, RandomStream(23))
+        assert wrapper.invocations == 1

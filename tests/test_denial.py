@@ -7,12 +7,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from qdeny import denial, qcore
+from qdeny import qcore
 from qdeny.bb84 import Bb84Config
 from qdeny.channel import TimeBinChannel
-from qdeny.dcqke import CountTestWarden, CovertQkeConfig, PrngSpec, build_views, run_dc_qke
+from qdeny.dcqke import CountTestWarden, CovertQkeConfig, PrngSpec, run_dc_qke
 from qdeny.denial import (
-    DenialClaim,
     EvePolicy,
     EveRecord,
     JudgeDistinguisher,
@@ -115,6 +114,42 @@ class TestEveDecoyAttack:
         assert np.all(np.diff(record.positions) > 0)
 
 
+def reference_judge(bits, bases, record):
+    """The judge as a per-entry loop: the first entry measured in the
+    claimed basis whose outcome contradicts the claimed bit."""
+    for pos, eve_basis, eve_outcome in zip(record.positions, record.bases, record.outcomes):
+        if pos >= len(bits):
+            raise ValueError("record position outside the claimed strings")
+        if eve_basis == bases[pos] and eve_outcome != bits[pos]:
+            return int(pos)
+    return None
+
+
+class TestEveRecord:
+    def test_empty_lists_judged_clean(self):
+        record = EveRecord([], [], [])
+        assert record.positions.dtype == np.int64
+        assert judge_check(np.zeros(4, np.uint8), np.zeros(4, np.uint8), record) is None
+
+    def test_keeps_typed_read_only_copies(self):
+        positions = np.array([1, 4], dtype=np.int32)
+        bases = [1, 0]
+        outcomes = np.array([0, 1], dtype=np.int64)
+        record = EveRecord(positions, bases, outcomes)
+        assert record.positions.dtype == np.int64
+        assert record.bases.dtype == record.outcomes.dtype == np.uint8
+        positions[0] = 7  # the caller's array stays writable and its own
+        outcomes[:] = 1
+        assert record.positions.tolist() == [1, 4]
+        assert record.outcomes.tolist() == [0, 1]
+        with pytest.raises(ValueError):
+            record.bases[0] = 0
+
+    def test_positions_must_increase(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            EveRecord([2, 2], [0, 0], [0, 0])
+
+
 class TestJudge:
     def _session_record(self, seed, eta_rate=0.5, n=64):
         rng = RandomStream(seed)
@@ -126,8 +161,7 @@ class TestJudge:
     def test_honest_claim_never_detected(self):
         for seed in range(20):
             bits, bases, record = self._session_record(seed)
-            claim = DenialClaim(bits, bases)
-            assert not judge_check(claim, record).detected
+            assert judge_check(bits, bases, record) is None
 
     def test_flip_at_checked_position_detected(self):
         bits, bases, record = self._session_record(99, eta_rate=1.0)
@@ -135,27 +169,62 @@ class TestJudge:
         pos = int(matched[0])
         claimed = bits.copy()
         claimed[pos] ^= 1
-        verdict = judge_check(DenialClaim(claimed, bases), record)
-        assert verdict.detected and verdict.witness_position == pos
+        assert judge_check(claimed, bases, record) == pos
 
     def test_flip_outside_record_unnoticed(self):
         bits, bases, record = self._session_record(7, eta_rate=0.2)
         untouched = sorted(set(range(64)) - set(record.positions.tolist()))
         claimed = bits.copy()
         claimed[untouched[0]] ^= 1
-        assert not judge_check(DenialClaim(claimed, bases), record).detected
+        assert judge_check(claimed, bases, record) is None
 
     def test_wrong_basis_record_is_ignored(self):
         # entry measured in the other basis cannot witness a flip
         record = EveRecord(np.array([3]), np.array([1], np.uint8), np.array([0], np.uint8))
-        claim = DenialClaim(
-            claimed_bits=np.array([0, 0, 0, 1], np.uint8), claimed_bases=np.zeros(4, np.uint8)
-        )
-        assert not judge_check(claim, record).detected
+        claimed_bits = np.array([0, 0, 0, 1], np.uint8)
+        assert judge_check(claimed_bits, np.zeros(4, np.uint8), record) is None
 
-    def test_verdict_invariant(self):
-        with pytest.raises(ValueError):
-            denial.JudgeVerdict(detected=True)
+    def test_matches_the_per_entry_loop(self):
+        # empty and non-empty records; honest, one-flip, all-flipped and
+        # unrelated claims; against the loop the vectorized judge replaced
+        root = RandomStream(61)
+        cases = 0
+        for i in range(300):
+            r = root.substream("record", i)
+            n = int(r.generator.integers(1, 40))
+            bits, bases = r.bits(n), r.bits(n)
+            states = qcore.prepare_bb84(bits, bases)
+            rate = 0.0 if i % 10 == 0 else float(r.random())  # every tenth record empty
+            _, record = eve_decoy_attack(EvePolicy(rate), states, r)
+            flipped = bits.copy()
+            flipped[int(r.generator.integers(0, n))] ^= 1
+            claims = [
+                (bits, bases),  # honest: every same-basis entry matches
+                (flipped, bases),  # one flip
+                (bits ^ 1, bases),  # every same-basis entry contradicts
+                (r.bits(n), r.bits(n)),  # unrelated claim
+            ]
+            for claim_bits, claim_bases in claims:
+                want = reference_judge(claim_bits, claim_bases, record)
+                assert judge_check(claim_bits, claim_bases, record) == want
+                cases += want is not None
+        assert 100 < cases < 1200  # both outcomes are exercised
+
+    def test_record_outside_the_claim_rejected(self):
+        # the whole record is checked, also past a witness where the loop
+        # stopped before reaching the entry outside the claim
+        record = EveRecord([0, 4], [0, 0], [1, 0])
+        bits, bases = np.zeros(4, np.uint8), np.zeros(4, np.uint8)
+        assert reference_judge(bits, bases, record) == 0
+        with pytest.raises(ValueError, match="outside the claimed strings"):
+            judge_check(bits, bases, record)
+        with pytest.raises(ValueError, match="outside the claimed strings"):
+            judge_check(bits, bases, EveRecord([-1], [0], [0]))
+
+    def test_claim_lengths_must_agree(self):
+        record = EveRecord([0], [0], [0])
+        with pytest.raises(ValueError, match="equal length"):
+            judge_check(np.zeros(4, np.uint8), np.zeros(3, np.uint8), record)
 
 
 class TestDetectionRates:
@@ -222,8 +291,10 @@ class TestFullQuantumPathAgreement:
         for i in range(trials):
             outcome = proto.run_session(root.substream("s", i))
             fake = proto.fake(outcome, root.substream("f", i))
-            claim = DenialClaim(fake.randomness["raw_bits"], fake.randomness["bases"])
-            detected += int(judge_check(claim, outcome.session.eve_record).detected)
+            witness = judge_check(
+                fake.randomness["raw_bits"], fake.randomness["bases"], outcome.session.eve_record
+            )
+            detected += int(witness is not None)
         expect = n_decoys / (2 * config.qubit_count)
         sigma = np.sqrt(expect * (1 - expect) / trials)
         assert abs(detected / trials - expect) < 3.5 * sigma
@@ -262,8 +333,10 @@ class TestFullQuantumPathAgreement:
         for i in range(trials):
             outcome = proto.run_session(root.substream("s", i))
             fake = proto.fake(outcome, root.substream("f", i))
-            claim = DenialClaim(fake.randomness["raw_bits"], fake.randomness["bases"])
-            detected += int(judge_check(claim, outcome.session.eve_record).detected)
+            witness = judge_check(
+                fake.randomness["raw_bits"], fake.randomness["bases"], outcome.session.eve_record
+            )
+            detected += int(witness is not None)
         rate = detected / trials
         sigma = np.sqrt(exact * (1 - exact) / trials)
         assert abs(rate - exact) < 4 * sigma
@@ -293,12 +366,17 @@ class TestCoercerExperiment:
             def run_session(self, rng):
                 return None
 
-        with pytest.raises(TypeError):
-            coercer_experiment(KeyOnly(), CoinFlipDistinguisher(), 200, master_seed=1)
+        class NoRealView(KeyOnly):
+            def fake(self, session, rng):
+                return None
+
+        for protocol in (KeyOnly(), NoRealView()):
+            with pytest.raises(TypeError):
+                coercer_experiment(protocol, CoinFlipDistinguisher(), 200, master_seed=1)
 
 
 class DcQkeViews:
-    """DC-QKE in the coercer game's form, with the views of `build_views`."""
+    """DC-QKE in the coercer game's form, with the views of `run_dc_qke`."""
 
     def __init__(self):
         self.config = CovertQkeConfig(
@@ -306,7 +384,7 @@ class DcQkeViews:
         )
 
     def run_session(self, rng):
-        return build_views(run_dc_qke(self.config, rng))
+        return run_dc_qke(self.config, rng)
 
     def real_view(self, views):
         return views[0]

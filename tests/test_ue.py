@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from qdeny import gf2, ue
-from qdeny.denial import DenialClaim, EvePolicy, judge_check
+from qdeny.denial import EvePolicy, judge_check
 from qdeny.qcore import Bb84Qubits
 from qdeny.rng import RandomStream
 from qdeny.ue import (
@@ -386,8 +386,7 @@ class TestQkeFromUe:
             pos = int(r.substream("flip").generator.integers(0, n_qubits))
             claimed = z_sent.copy()
             claimed[pos] ^= 1
-            claim = DenialClaim(claimed, key.b)
-            detected += int(judge_check(claim, record).detected)
+            detected += int(judge_check(claimed, key.b, record) is not None)
         expect = n_decoys / (2 * n_qubits)
         sigma = np.sqrt(expect * (1 - expect) / trials)
         assert abs(detected / trials - expect) < 3.5 * sigma

@@ -58,22 +58,28 @@ def _file_name(value) -> str | None:
     return value
 
 
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):  # never rounded or parsed
+        raise TypeError("expected an integer")
+    return value
+
+
 def _prng(value) -> dict:
     if not isinstance(value, dict) or "kind" not in value:
         raise ValueError('expected an object like {"kind": "strong"}')
     seed = value.get("seed")
     if seed is not None:
-        seed = int(seed, 16) if isinstance(seed, str) else int(seed)
+        seed = int(seed, 16) if isinstance(seed, str) else _integer(seed)
     return {"kind": value["kind"], "seed": seed}
 
 
 # How each parameter is read from JSON; keys not listed pass through as given.
 _PARAM_TYPES = {
-    **dict.fromkeys(("n", "s", "N", "eta", "flips", "n_slots"), int),
+    **dict.fromkeys(("n", "s", "N", "eta", "flips", "n_slots"), _integer),
     **dict.fromkeys(
         ("delta", "flip_probability", "error_threshold", "p_dark", "p_signal", "theta"), float
     ),
-    "n_used": lambda value: None if value is None else int(value),
+    "n_used": lambda value: None if value is None else _integer(value),
     "c1_file": _file_name,
     "c2_file": _file_name,
     "prng": _prng,
@@ -95,6 +101,8 @@ def _merge_params(defaults: dict, config_params: dict, experiment: str) -> dict:
 
 def _convert(key: str, value, convert):
     try:
+        if isinstance(value, bool):  # a JSON true or false is not a number
+            raise TypeError("expected a number, not a boolean")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value {value!r} for config key {key!r}: {exc}")
@@ -423,7 +431,7 @@ def main(argv=None) -> int:
             config_params = data.get("params", {})
             seed_hex = data.get("seed")
             if "trials" in data:
-                trials = _convert("trials", data["trials"], int)
+                trials = _convert("trials", data["trials"], _integer)
         if args.seed is not None:  # flags override the config file
             seed_hex = args.seed
         if args.trials is not None:

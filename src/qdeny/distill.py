@@ -308,7 +308,8 @@ def qke_over_teleportation(
     Distills at least m ebits from partially entangled pairs, verifies a
     sample, teleports m fresh BB84 states, then runs the usual sifting and
     check steps on the measurement records. The classical transcript holds
-    exactly 2m teleportation bits plus the usual protocol messages.
+    exactly 2m teleportation bits plus the usual protocol messages. Bob's
+    outcomes are one `uniforms(m)` draw against the received states' P(0).
 
     Sifting, the check-bit exchange and reconciliation are the plain
     protocol's own steps from `bb84`; here half of the sifted bits are
@@ -340,14 +341,14 @@ def qke_over_teleportation(
     rng_a, rng_b = rng.substream("alice"), rng.substream("bob")
     a, b = rng_a.bits(m), rng_a.bits(m)
     b_prime = rng_b.bits(m)
-    a_prime = np.empty(m, dtype=np.uint8)
+    p0 = np.empty(m)
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
         state = qcore.prepare_bb84(int(a[i]), Basis.from_bit(b[i]))
         received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
         teleport_bits[2 * i : 2 * i + 2] = bits
-        outcome, _ = qcore.measure(received, Basis.from_bit(b_prime[i]), rng_b)
-        a_prime[i] = outcome
+        p0[i] = qcore._p0(received.amplitudes, Basis.from_bit(b_prime[i]))
+    a_prime = (rng_b.uniforms(m) >= p0).astype(np.uint8)
     cchan.send("alice", "teleport-bits", teleport_bits)
 
     matched = bb84.announce_sift(cchan, b, b_prime)

@@ -76,7 +76,7 @@ def bits_to_hex(v: np.ndarray) -> str:
 def hex_to_bits(s: str, length: int) -> np.ndarray:
     raw = np.frombuffer(bytes.fromhex(s), dtype=np.uint8)
     unpacked = np.unpackbits(raw)
-    if unpacked.size < length or np.any(unpacked[length:]):
+    if raw.size != -(-length // 8) or np.any(unpacked[length:]):  # bits_to_hex's byte count
         raise ValueError(f"hex string does not hold exactly {length} bits")
     return unpacked[:length].astype(np.uint8)
 

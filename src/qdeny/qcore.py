@@ -10,11 +10,11 @@ explicit RandomStream and consume exactly one uniform draw per measurement
 (cumulative-probability inversion), which keeps seeded runs reproducible.
 
 BB84 product states under Pauli-X noise never need the dense form:
-`Bb84Qubits` holds a batch of them as three bit arrays, and measuring a
-batch looks each qubit's outcome-0 probability up in a table built from the
-dense states with the dense formula, drawing all uniforms in one call
-(Philox gives the same values as one scalar draw per qubit). The dense
-classes remain for entangled states and as the test oracle.
+`Bb84Qubits` holds a batch of them as three bit arrays, and `measure` takes
+only a batch: it looks each qubit's outcome-0 probability up in a table
+built from the dense states with the dense formula, drawing all uniforms in
+one call (Philox gives the same values as one scalar draw per qubit). Dense
+states, measured by `measure_subsystem`, serve entangled states and tests.
 """
 
 from __future__ import annotations
@@ -294,7 +294,8 @@ def measure_subsystem(
     if not 0 <= qubit_index < n:
         raise ValueError(f"qubit index {qubit_index} out of range for {n} qubits")
     if n == 1:
-        return _measure_single(state, basis, rng)
+        outcome = 0 if rng.random() < _p0(state.amplitudes, basis) else 1
+        return outcome, _BB84_STATES[(outcome, basis)]
     psi = state.tensor_shape()
     if basis is Basis.DIAGONAL:
         psi = _hadamard_axis(psi, qubit_index)
@@ -311,24 +312,11 @@ def measure_subsystem(
     return outcome, StateVector(n, collapsed.reshape(-1))
 
 
-def _measure_single(state: StateVector, basis: Basis, rng: RandomStream) -> tuple[int, StateVector]:
-    # direct Born probabilities; the post-measurement state is a shared eigenstate
-    outcome = 0 if rng.random() < _p0(state.amplitudes, basis) else 1
-    return outcome, _BB84_STATES[(outcome, basis)]
-
-
-def measure(state: StateVector | Bb84Qubits, basis: Basis | np.ndarray, rng: RandomStream):
-    """Measure a single-qubit state; returns (outcome, post-measurement state).
-
-    A Bb84Qubits batch is measured in the basis bits `basis`, one per qubit,
-    with a single `rng.uniforms(n)` call (the values of n scalar draws);
-    the outcomes come back as a uint8 array with the collapsed batch.
-    """
-    if isinstance(state, Bb84Qubits):
-        return state.measured(basis, rng.uniforms(len(state)))
-    if state.n_qubits != 1:
-        raise ValueError("measure() takes a single-qubit state; use measure_subsystem")
-    return _measure_single(state, basis, rng)
+def measure(qubits: Bb84Qubits, bases, rng: RandomStream) -> tuple[np.ndarray, Bb84Qubits]:
+    """Measure a batch in the basis bits `bases`, one per qubit, with one
+    `rng.uniforms(n)` call (the values of n scalar draws); returns the uint8
+    outcomes and the collapsed batch."""
+    return qubits.measured(bases, rng.uniforms(len(qubits)))
 
 
 def tensor(a, b):

@@ -75,10 +75,10 @@ def test_p0_table_is_the_dense_threshold(bit, basis, flip, m_basis):
     batch = Bb84Qubits([bit], [basis], [flip])
     below = np.nextafter(p0, -np.inf)
     # outcome 0 exactly when u < p0, in the dense and in the batch measurement
-    assert qcore._measure_single(state, Basis.from_bit(m_basis), FixedDraws(p0))[0] == 1
+    assert qcore.measure_subsystem(state, 0, Basis.from_bit(m_basis), FixedDraws(p0))[0] == 1
     assert qcore.measure(batch, [m_basis], FixedDraws(p0))[0][0] == 1
     if p0 > 0:
-        assert qcore._measure_single(state, Basis.from_bit(m_basis), FixedDraws(below))[0] == 0
+        assert qcore.measure_subsystem(state, 0, Basis.from_bit(m_basis), FixedDraws(below))[0] == 0
         assert qcore.measure(batch, [m_basis], FixedDraws(below))[0][0] == 0
 
 
@@ -103,7 +103,7 @@ def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
         for i, state in enumerate(states):
             if rng_env.random() < qchan.interceptor.measure_probability:
                 basis_bit = rng_env.bit()
-                outcome, state = qcore.measure(state, Basis.from_bit(basis_bit), rng_env)
+                outcome, state = qcore.measure_subsystem(state, 0, Basis.from_bit(basis_bit), rng_env)
                 for column, value in zip(record, (i, basis_bit, outcome)):
                     column.append(value)
             forwarded.append(state)
@@ -112,7 +112,8 @@ def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
     states = [StateVector(1, s.amplitudes[::-1]) if f else s for s, f in zip(states, flips)]
     b_prime = rng_b.bits(q)
     a_prime = np.array(
-        [qcore.measure(s, Basis.from_bit(b_prime[i]), rng_b)[0] for i, s in enumerate(states)],
+        [qcore.measure_subsystem(s, 0, Basis.from_bit(b_prime[i]), rng_b)[0]
+         for i, s in enumerate(states)],
         dtype=np.uint8,
     )
     sifted = np.where(b == b_prime)[0]

@@ -93,6 +93,11 @@ def test_distill_theta_outside_open_interval_exit_2(tmp_path, theta):
     ("bb84", '{"experiment": "bb84", "params": {"c1_file": 5, "c2_file": 5}}'),
     ("covert", '{"experiment": "covert", "params": {"n_used": -5}}'),
     ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": 70000}}}'),
+    # values that would otherwise run rounded or coerced
+    ("covert", '{"experiment": "covert", "params": {"n_used": 64.5}}'),
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": 3.9}}}'),
+    ("bb84", '{"experiment": "bb84", "trials": 20.7}'),
+    ("bb84", '{"experiment": "bb84", "params": {"flip_probability": true}}'),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
     cfg = tmp_path / "cfg.json"

@@ -368,6 +368,42 @@ class TestDecoupling:
             eve_decoupling_check(qcore.tensor(PHI_PLUS, qcore.basis_state("0")), 1, 1)
 
 
+def dense_qke_over_teleportation(m, theta, rng, codes=None):
+    """The oracle: `qke_over_teleportation` with Bob measuring each received
+    qubit on its own, one dense one-qubit measurement drawn from his stream."""
+    needed = m + max(4, m // 4)
+    ebits = []
+    for attempt in range(distill.FILTER_ATTEMPTS):
+        ebits.extend(distill_batch(needed * 2, theta, rng.substream("filter", attempt))[0])
+        if len(ebits) >= needed:
+            break
+    ok, ebits = verify_ebits(ebits, (len(ebits) - m) / len(ebits), rng.substream("verify"))
+    assert ok and len(ebits) >= m
+    cchan = ClassicalAuthChannel()
+    rng_a, rng_b = rng.substream("alice"), rng.substream("bob")
+    a, b = rng_a.bits(m), rng_a.bits(m)
+    b_prime = rng_b.bits(m)
+    a_prime = np.empty(m, dtype=np.uint8)
+    teleport_bits = np.empty(2 * m, dtype=np.uint8)
+    for i in range(m):
+        state = qcore.prepare_bb84(int(a[i]), qcore.Basis.from_bit(b[i]))
+        received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
+        teleport_bits[2 * i : 2 * i + 2] = bits
+        a_prime[i], _ = qcore.measure_subsystem(received, 0, qcore.Basis.from_bit(b_prime[i]), rng_b)
+    cchan.send("alice", "teleport-bits", teleport_bits)
+    matched = bb84.announce_sift(cchan, b, b_prime)
+    check_pos, payload_pos = bb84.split_check(matched, matched.size // 2, rng_a)
+    errors = bb84.compare_check(cchan, a, a_prime, check_pos)
+    cchan.send("alice", "verdict", [int(errors == 0)])
+    assert errors == 0
+    key_a, key_b = a[payload_pos], a_prime[payload_pos]
+    if codes is not None:
+        usable = payload_pos.size - payload_pos.size % codes.c1.n
+        if usable:
+            _, key_a, key_b = bb84.reconcile(cchan, codes, key_a[:usable], key_b[:usable], rng_a)
+    return key_a, key_b, cchan.log
+
+
 class TestTeleportedKeyExchange:
     def test_noiseless_agreement(self):
         root = RandomStream(23)
@@ -435,6 +471,27 @@ class TestTeleportedKeyExchange:
                     assert k_a.size == payload
         assert reconciled[14] == 0
         assert reconciled[40] >= 20
+
+    @pytest.mark.parametrize("m", [7, 14, 40])
+    @pytest.mark.parametrize("theta", [np.pi / 6, 0.3, 1.1, np.pi / 4])
+    @pytest.mark.parametrize("codes", [None, gf2.default_nested_pair()], ids=["raw", "codes"])
+    def test_batch_measurement_equals_per_qubit_oracle(self, monkeypatch, m, theta, codes):
+        # keys and transcript show Bob's outcomes only where the bases match,
+        # where they are certain; compare_check is handed all m of them
+        outcomes = []
+        compare_check = bb84.compare_check
+        monkeypatch.setattr(bb84, "compare_check", lambda cchan, a, a_prime, check: (
+            outcomes.append(a_prime.tolist()) or compare_check(cchan, a, a_prime, check)))
+        root = RandomStream(29)
+        for i in range(10):
+            got = qke_over_teleportation(m, theta, root.substream("s", i), codes=codes)
+            want = dense_qke_over_teleportation(m, theta, root.substream("s", i), codes=codes)
+            got_outcomes, want_outcomes = outcomes
+            outcomes.clear()
+            assert got_outcomes == want_outcomes
+            assert [k.tolist() for k in got[:2]] == [k.tolist() for k in want[:2]]
+            assert [(msg.sender, msg.label, msg.bits.tolist()) for msg in got[2]] == [
+                (msg.sender, msg.label, msg.bits.tolist()) for msg in want[2]]
 
     def test_distillation_shortfall_raises(self):
         with pytest.raises(RuntimeError, match="distillation shortfall"):

@@ -326,3 +326,8 @@ class TestBitSerialization:
     def test_hex_rejects_trailing_garbage(self):
         with pytest.raises(ValueError):
             gf2.hex_to_bits("ff", 4)
+
+    @pytest.mark.parametrize("text, length", [("0000", 4), ("00", 0), ("f0", 12), ("", 1)])
+    def test_hex_rejects_a_byte_count_other_than_bits_to_hex_writes(self, text, length):
+        with pytest.raises(ValueError):
+            gf2.hex_to_bits(text, length)

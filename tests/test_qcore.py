@@ -43,7 +43,7 @@ class TestPreparation:
         rng = RandomStream(1)
         for bit in (0, 1):
             for basis in Basis:
-                outcome, post = qcore.measure(qcore.prepare_bb84(bit, basis), basis, rng)
+                outcome, post = qcore.measure_subsystem(qcore.prepare_bb84(bit, basis), 0, basis, rng)
                 assert outcome == bit
                 np.testing.assert_allclose(
                     post.amplitudes, qcore.prepare_bb84(bit, basis).amplitudes, atol=1e-12
@@ -59,13 +59,9 @@ class TestMeasurement:
         rng = RandomStream(2)
         trials = 100_000
         zero = qcore.prepare_bb84(0, Basis.COMPUTATIONAL)
-        ones = sum(qcore.measure(zero, Basis.DIAGONAL, rng)[0] for _ in range(trials))
+        ones = sum(qcore.measure_subsystem(zero, 0, Basis.DIAGONAL, rng)[0] for _ in range(trials))
         sigma = np.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) < 3 * sigma
-
-    def test_multi_qubit_input_rejected(self):
-        with pytest.raises(ValueError):
-            qcore.measure(qcore.bell_state(BellKind.PHI_PLUS), Basis.COMPUTATIONAL, RandomStream(0))
 
     def test_bell_subsystem_correlas(self):
         rng = RandomStream(3)
@@ -100,8 +96,8 @@ class TestMeasurement:
     def test_one_draw_per_measurement(self):
         # identical streams after one measurement each, regardless of basis
         r1, r2 = RandomStream(9), RandomStream(9)
-        qcore.measure(qcore.prepare_bb84(0, Basis.COMPUTATIONAL), Basis.DIAGONAL, r1)
-        qcore.measure(qcore.prepare_bb84(1, Basis.DIAGONAL), Basis.COMPUTATIONAL, r2)
+        qcore.measure_subsystem(qcore.prepare_bb84(0, Basis.COMPUTATIONAL), 0, Basis.DIAGONAL, r1)
+        qcore.measure_subsystem(qcore.prepare_bb84(1, Basis.DIAGONAL), 0, Basis.COMPUTATIONAL, r2)
         assert r1.random() == r2.random()
 
 

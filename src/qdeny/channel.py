@@ -190,8 +190,9 @@ def max_covert_slots(channel: TimeBinChannel, bias_target: float) -> int:
 
 
 _TABLE_CHUNK = 64  # seeds per batch in weak_schedule_table
-# Slots per seed in weak_schedule_table: 65536 seeds x 1024 int32 slots is
-# 256 MiB; the largest occupancy in use is 256.
+# Slots per seed in weak_schedule_table: 65536 seeds x 1024 slots is 128 MiB
+# as uint16 (up to 2**16 time-bin slots) and 256 MiB as uint32 (more); the
+# largest occupancy in use is 256.
 MAX_WEAK_TABLE_SLOTS = 1024
 
 
@@ -204,14 +205,16 @@ def weak_schedule_table(n_slots: int, n_used: int) -> np.ndarray:
     the broken-generator experiments. Row `seed` equals
     `CounterModePrng(seed).sample_distinct(n_slots, n_used)`; the rows
     are expanded a small chunk of seeds at a time, which keeps the build's
-    working memory far below the table's own.
+    working memory far below the table's own. Slots are stored in the
+    smallest unsigned dtype that holds `n_slots - 1` (uint16 at every
+    channel size in use).
     """
     if n_used > MAX_WEAK_TABLE_SLOTS:
         raise ValueError(
             f"the weak schedule table holds at most {MAX_WEAK_TABLE_SLOTS} slots per seed,"
             f" not {n_used}"
         )
-    table = np.empty((1 << WEAK_SEED_BITS, n_used), dtype=np.int32)
+    table = np.empty((1 << WEAK_SEED_BITS, n_used), dtype=np.min_scalar_type(n_slots - 1))
     for start in range(0, 1 << WEAK_SEED_BITS, _TABLE_CHUNK):
         seeds = range(start, start + _TABLE_CHUNK)
         table[start : start + _TABLE_CHUNK] = _distinct_rows(seeds, n_slots, n_used)

@@ -64,6 +64,12 @@ def _integer(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    if not isinstance(value, (int, float)):  # never parsed from a string
+        raise TypeError("expected a number")
+    return float(value)
+
+
 def _prng(value) -> dict:
     if not isinstance(value, dict) or "kind" not in value:
         raise ValueError('expected an object like {"kind": "strong"}')
@@ -77,7 +83,7 @@ def _prng(value) -> dict:
 _PARAM_TYPES = {
     **dict.fromkeys(("n", "s", "N", "eta", "flips", "n_slots"), _integer),
     **dict.fromkeys(
-        ("delta", "flip_probability", "error_threshold", "p_dark", "p_signal", "theta"), float
+        ("delta", "flip_probability", "error_threshold", "p_dark", "p_signal", "theta"), _real
     ),
     "n_used": lambda value: None if value is None else _integer(value),
     "c1_file": _file_name,

@@ -20,6 +20,7 @@ so that the reduction inequality can be checked on paired seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
@@ -50,8 +51,7 @@ __all__ = [
     "ReductionDistinguisher",
     "CountTestWarden",
     "SeedSearchWarden",
-    "seed_slot_incidence",
-    "seed_head_incidence",
+    "seed_prefix_incidence",
 ]
 
 
@@ -181,6 +181,10 @@ class CountTestWarden:
 # Head slots per seed in the seed-search screen. At >= 7 of 8 detections a
 # true seed passes at 0.94 on criterion 7's channel, a dark one at 2e-4.
 SCREEN_SLOTS = 8
+# Standard deviations of a dark seed's prefix count that must lie below the
+# prefix bar: at 4 a dark seed survives the prefix with probability about
+# 3e-5 or less, a few of the 65536 seeds per idle window.
+PREFIX_MARGIN_SD = 4
 
 
 class SeedSearchWarden:
@@ -188,18 +192,21 @@ class SeedSearchWarden:
 
     Guesses 'session ran' when some candidate schedule collects at least
     `threshold` detections; the default threshold sits halfway between the
-    dark and signal expectations over one schedule. Every seed's detection
-    count comes from one product of the seed x slot incidence matrix with
-    the detection vector.
+    dark and signal expectations over one schedule.
 
     A screen runs first. The seeds that detect on at least
     `SCREEN_SLOTS - 1` of their first `SCREEN_SLOTS` scheduled slots (one
-    small product with `seed_head_incidence`) get their exact counts from
-    their table rows, and the warden answers 'session ran' as soon as one
-    of them reaches the threshold. On an active window the true seed is
-    almost always such a candidate. The screen only ever answers with a
-    seed that really meets the threshold, and every other window goes on
-    to the full product, so each decision equals the dense rule.
+    small product with their `seed_prefix_incidence`) get their exact
+    counts from their table rows, and the warden answers 'session ran' as
+    soon as one of them reaches the threshold. On an active window the true
+    seed is almost always such a candidate.
+
+    Every other window goes on to one product over each seed's first K
+    scheduled slots, K from `_prefix_slots`. A seed whose full count
+    reaches the threshold T has at least T - (n_used - K) detections
+    there, so only the seeds at that bar can meet T; their counts are
+    finished from the rest of their table rows. Each decision therefore
+    equals the dense rule: some seed's schedule holds at least T detections.
     """
 
     name = "seed-search"
@@ -207,64 +214,72 @@ class SeedSearchWarden:
     def __init__(self, config: CovertQkeConfig, threshold: float | None = None):
         if config.prng.kind != "weak":
             raise ValueError("seed search only makes sense against the weak generator")
-        n_slots, n_used = config.timebin.n_slots, config.effective_n_used
-        self._incidence = seed_slot_incidence(n_slots, n_used)
-        # the schedule table itself: the matrix's column indices alias it
-        self._table = self._incidence.indices.reshape(self._incidence.shape[0], n_used)
-        # below SCREEN_SLOTS slots per seed the full product is cheap anyway
-        self._head = seed_head_incidence(n_slots, n_used) if n_used >= SCREEN_SLOTS else None
+        tb = config.timebin
+        n_slots, n_used = tb.n_slots, config.effective_n_used
         if threshold is None:
-            tb = config.timebin
             threshold = n_used * (tb.p_dark + tb.p_signal) / 2
         self._threshold = threshold
+        self._table = weak_schedule_table(n_slots, n_used)
+        # below SCREEN_SLOTS slots per seed the prefix product is cheap anyway
+        self._head = (
+            seed_prefix_incidence(n_slots, n_used, SCREEN_SLOTS) if n_used >= SCREEN_SLOTS else None
+        )
+        self._k = _prefix_slots(n_used, threshold, tb.p_dark)  # the prefix length
+        self._prefix = seed_prefix_incidence(n_slots, n_used, self._k)
+        self._bar = threshold - (n_used - self._k)
 
     def decide(self, observation, rng: RandomStream) -> int:
         det = _window_of(observation).detections
         if self._head is not None:
             candidates = np.flatnonzero(self._head @ det >= SCREEN_SLOTS - 1)
-            counts = det[self._table[candidates]].sum(axis=1)
-            if candidates.size and counts.max() >= self._threshold:
+            if candidates.size and self._counts(det, candidates, 0).max() >= self._threshold:
                 return 0
-        per_seed = self._incidence @ det.astype(self._incidence.dtype, copy=False)
-        return 0 if per_seed.max() >= self._threshold else 1
+        prefix = self._prefix @ det.astype(self._prefix.dtype, copy=False)
+        survivors = np.flatnonzero(prefix >= self._bar)
+        if not survivors.size:
+            return 1
+        counts = prefix[survivors] + self._counts(det, survivors, self._k)
+        return 0 if counts.max() >= self._threshold else 1
+
+    def _counts(self, det: np.ndarray, seeds: np.ndarray, start: int) -> np.ndarray:
+        """Detections on each given seed's scheduled slots from column `start` on."""
+        return det[self._table[seeds, start:]].sum(axis=1)
 
 
-@lru_cache(maxsize=4)
-def seed_slot_incidence(n_slots: int, n_used: int) -> sparse.csr_matrix:
-    """Seed x slot incidence matrix of `weak_schedule_table(n_slots, n_used)`.
+def _prefix_slots(n_used: int, threshold: float, p_dark: float) -> int:
+    """Smallest prefix length k at which a dark seed's expected count on its
+    first k slots, plus PREFIX_MARGIN_SD standard deviations, lies below the
+    bar `threshold - (n_used - k)`; n_used if no shorter prefix does."""
+    for k in range(n_used):
+        mean = k * p_dark
+        if mean + PREFIX_MARGIN_SD * math.sqrt(mean * (1 - p_dark)) < threshold - (n_used - k):
+            return k
+    return n_used
 
-    Row `seed` holds a one at each slot of that seed's schedule. Its column
-    indices alias the cached table rather than copy it.
+
+@lru_cache(maxsize=8)
+def seed_prefix_incidence(n_slots: int, n_used: int, k: int) -> sparse.csr_matrix:
+    """Seed x slot incidence matrix of each seed's first `k` scheduled slots:
+    row `seed` holds a one at each slot among the first `k` columns of
+    `weak_schedule_table(n_slots, n_used)`. Cached, so every warden on the
+    same channel shares it.
+
+    scipy needs int32 column indices, so they are a contiguous int32 copy
+    of those columns. The values use the smallest unsigned dtype that holds
+    k: scipy accumulates a product in the operands' common dtype, and no
+    row's count can exceed k, so a detection vector of the same dtype gives
+    exact counts without upcasting the values on every call.
     """
-    return _incidence(weak_schedule_table(n_slots, n_used), n_slots)
-
-
-@lru_cache(maxsize=4)
-def seed_head_incidence(n_slots: int, n_used: int) -> sparse.csr_matrix:
-    """Seed x slot incidence matrix of each seed's first `SCREEN_SLOTS`
-    scheduled slots: a contiguous copy of the first columns of
-    `weak_schedule_table(n_slots, n_used)`, shared like the full matrix."""
-    head = np.ascontiguousarray(weak_schedule_table(n_slots, n_used)[:, :SCREEN_SLOTS])
-    head.setflags(write=False)
-    return _incidence(head, n_slots)
-
-
-def _incidence(rows: np.ndarray, n_slots: int) -> sparse.csr_matrix:
-    """CSR matrix with a one at `(i, rows[i, j])` for every entry of the
-    seed x k slot table `rows`, whose memory it aliases.
-
-    Its values use the smallest unsigned dtype that holds k: scipy
-    accumulates a product in the operands' common dtype, and no row's count
-    can exceed k, so a detection vector of the same dtype gives exact counts
-    without upcasting the values on every call.
-    """
-    n_seeds, k = rows.shape
-    dtype = np.min_scalar_type(k)
+    if not 0 <= k <= n_used:
+        raise ValueError(f"prefix length must lie in [0, {n_used}], not {k}")
+    table = weak_schedule_table(n_slots, n_used)
+    n_seeds = table.shape[0]
+    indices = np.ascontiguousarray(table[:, :k], dtype=np.int32).reshape(-1)
     indptr = np.arange(n_seeds + 1, dtype=np.int32) * np.int32(k)
-    data = np.ones(rows.size, dtype=dtype)
-    for arr in (indptr, data):
+    data = np.ones(indices.size, dtype=np.min_scalar_type(k))
+    for arr in (indices, indptr, data):
         arr.setflags(write=False)  # shared by every caller, like the table
-    return sparse.csr_matrix((data, rows.reshape(-1), indptr), shape=(n_seeds, n_slots), copy=False)
+    return sparse.csr_matrix((data, indices, indptr), shape=(n_seeds, n_slots), copy=False)
 
 
 def _window_of(observation) -> WardenObservation:

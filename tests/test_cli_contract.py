@@ -98,6 +98,13 @@ def test_distill_theta_outside_open_interval_exit_2(tmp_path, theta):
     ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": 3.9}}}'),
     ("bb84", '{"experiment": "bb84", "trials": 20.7}'),
     ("bb84", '{"experiment": "bb84", "params": {"flip_probability": true}}'),
+    # a real key takes only a JSON number, never a string
+    ("bb84", '{"experiment": "bb84", "params": {"flip_probability": "0.05"}}'),
+    ("bb84", '{"experiment": "bb84", "params": {"delta": "0.5"}}'),
+    ("bb84", '{"experiment": "bb84", "params": {"error_threshold": "0.11"}}'),
+    ("covert", '{"experiment": "covert", "params": {"p_dark": "0.05"}}'),
+    ("dcqke", '{"experiment": "dcqke", "params": {"p_signal": "0.08"}}'),
+    ("distill", '{"experiment": "distill", "params": {"theta": "0.5"}}'),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
     cfg = tmp_path / "cfg.json"
@@ -105,11 +112,19 @@ def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
     _assert_main_config_error(capsys, [experiment, "--config", str(cfg)])
 
 
+def test_real_key_takes_a_json_integer_as_a_float(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": "bb84", "params": {"flip_probability": 0, "delta": 1}}')
+    assert cli.main(["bb84", "--config", str(cfg), "--trials", "1"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[2:4] == ["1.0", "0.0"]  # delta, flip_probability
+
+
 @pytest.mark.parametrize("experiment, params, trials, limit", [
     ("bb84", {"delta": 1e9}, None, bb84.MAX_QUBIT_COUNT),  # 1.4e10 qubits per session
     ("bb84", {"n": 7 * 10**6}, None, bb84.MAX_QUBIT_COUNT),
     ("covert", {"n_slots": 10**9}, None, channel.MAX_SLOTS),
-    # a 65536 x 10**5 int32 schedule table would take 26 GB
+    # a 65536 x 10**5 uint32 schedule table would take 26 GB
     ("dcqke", {"prng": {"kind": "weak"}, "warden": "seed-search", "n_slots": 200000,
                "n_used": 10**5}, None, channel.MAX_WEAK_TABLE_SLOTS),
     ("bb84", {}, 10**12, cli.MAX_TRIALS),

@@ -2,10 +2,10 @@
 
 `tests/golden/digests.json` pins a SHA-256 digest per case over the seeded
 outputs of BB84 sessions, UE key exchange and the UE codeword sampler, key
-exchange over teleportation, the weak generator's schedule tables and the
-seed-search warden's guesses, and the `--format json` output of every CLI
-experiment at the default seed, so a refactor can show that it changed no
-seeded output. The distillation cases pin text instead of a digest: the
+exchange over teleportation (and all of Bob's outcomes in it), the weak
+generator's schedule tables and the seed-search warden's guesses, and the
+`--format json` output of every CLI experiment at the default seed, so a
+refactor can show that it changed no seeded output. The distillation cases pin text instead of a digest: the
 `repr` of every `DistillReport` field and the `distill` CLI's CSV row.
 A declared change to a random stream's layout regenerates the file with
 
@@ -158,6 +158,33 @@ def _teleport() -> str:
     return d.hexdigest()
 
 
+def _teleport_bob_outcomes() -> str:
+    """All m of Bob's outcomes in each teleported session of `_teleport`,
+    caught where `bb84.compare_check` receives them. Keys and transcript
+    show only the matched-basis outcomes, which are certain on this
+    channel; this case also sees the ones his uniforms decide."""
+    outcomes = []
+    compare_check = bb84.compare_check
+
+    def catching(cchan, a, a_prime, check):
+        outcomes.append(a_prime.copy())
+        return compare_check(cchan, a, a_prime, check)
+
+    codes = gf2.default_nested_pair()
+    master = RandomStream(MASTER_SEED).substream("teleport")
+    bb84.compare_check = catching
+    try:
+        for i in range(SESSIONS):
+            distill.qke_over_teleportation(14, math.pi / 6, master.substream("run", i), codes=codes)
+    finally:
+        bb84.compare_check = compare_check
+    assert len(outcomes) == SESSIONS
+    d = _Digest()
+    for i, a_prime in enumerate(outcomes):
+        d.add(f"{i}.bob_outcomes", a_prime)
+    return d.hexdigest()
+
+
 def _even_weight_over_hamming() -> gf2.DualContainingPair:
     """C1 the [7,6] even-weight code, C2 Hamming[7,4]: three payload bits
     and a three-dimensional nullspace per block."""
@@ -261,6 +288,7 @@ CASES = {
     "ue_4_4": lambda: _ue(None),
     "ue_4_4_eve1.0": lambda: _ue(denial.EvePolicy(1.0)),
     "teleport_m14_codes": _teleport,
+    "teleport_m14_bob_outcomes": _teleport_bob_outcomes,
     "ue_codeword_even7_hamming7": _ue_codewords,
     "distill_report_pi_6": lambda: _distill_report(math.pi / 6),
     "distill_report_pi_4": lambda: _distill_report(math.pi / 4),

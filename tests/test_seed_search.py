@@ -2,10 +2,11 @@
 
 The weak schedule table is expanded in seed batches; row `seed` must equal
 the scalar `CounterModePrng(seed).sample_distinct` for each 16-bit seed.
-The warden screens seeds on their first slots, then counts detections per
-seed with one sparse product; every decision must equal the dense
-gather-and-sum over the table, on uniform windows and on windows planted
-from a real seed's schedule.
+The warden screens seeds on their first slots, then counts detections on
+each seed's first K slots with one sparse product and finishes only the
+seeds that can still reach the threshold; every decision must equal the
+dense gather-and-sum over the table, on uniform windows and on windows
+planted from a real seed's schedule, whatever K is.
 """
 
 import numpy as np
@@ -28,8 +29,7 @@ N_SEEDS = 1 << WEAK_SEED_BITS
 def _release_tables():
     """The tables here are large; do not keep them cached past this module."""
     yield
-    dcqke.seed_slot_incidence.cache_clear()
-    dcqke.seed_head_incidence.cache_clear()
+    dcqke.seed_prefix_incidence.cache_clear()
     weak_schedule_table.cache_clear()
 
 
@@ -40,7 +40,7 @@ def _scalar_row(seed: int, n_slots: int, n_used: int) -> np.ndarray:
 @pytest.mark.parametrize("n_slots, n_used", [(1000, 37), (40, 40)])
 def test_table_equals_scalar_sample_distinct_on_every_seed(n_slots, n_used):
     table = weak_schedule_table(n_slots, n_used)
-    assert table.shape == (N_SEEDS, n_used) and table.dtype == np.int32
+    assert table.shape == (N_SEEDS, n_used) and table.dtype == np.min_scalar_type(n_slots - 1)
     assert not table.flags.writeable
     for seed in range(N_SEEDS):
         assert np.array_equal(table[seed], _scalar_row(seed, n_slots, n_used)), seed
@@ -120,7 +120,7 @@ def _planted_windows(table, n_slots: int, rng: np.random.Generator):
 
 
 class _CountedProduct:
-    """Stands in for a warden's full incidence matrix and counts products."""
+    """Stands in for a warden's prefix incidence matrix and counts products."""
 
     def __init__(self, matrix):
         self.matrix, self.dtype, self.calls = matrix, matrix.dtype, 0
@@ -132,34 +132,35 @@ class _CountedProduct:
 
 def _counted_warden(config, threshold=None):
     warden = dcqke.SeedSearchWarden(config, threshold=threshold)
-    warden._incidence = _CountedProduct(warden._incidence)
+    warden._prefix = _CountedProduct(warden._prefix)
     return warden
 
 
 @pytest.mark.parametrize("n_slots, n_used", [(2048, 24), (1000, 37), (255, 255), (256, 256)])
 def test_sparse_counts_equal_dense_gather(n_slots, n_used):
     table = weak_schedule_table(n_slots, n_used)
-    incidence = dcqke.seed_slot_incidence(n_slots, n_used)
-    assert incidence.shape == (N_SEEDS, n_slots)
-    assert incidence.dtype == (np.uint8 if n_used < 256 else np.uint16)
-    assert np.shares_memory(incidence.indices, table)
-    head = dcqke.seed_head_incidence(n_slots, n_used)
-    assert head.shape == (N_SEEDS, n_slots) and head.dtype == np.uint8
-    assert head.indices.flags.c_contiguous and not head.indices.flags.writeable
     rng = np.random.default_rng(n_slots)
-    for det in [*_windows(n_slots, rng), *_planted_windows(table, n_slots, rng)]:
-        dense = det[table].sum(axis=1)
-        assert np.array_equal(incidence @ det.astype(incidence.dtype), dense)
-        assert np.array_equal(head @ det, det[table[:, :HEAD]].sum(axis=1))
-    ones = incidence @ np.ones(n_slots, dtype=incidence.dtype)
+    windows = [*_windows(n_slots, rng), *_planted_windows(table, n_slots, rng)]
+    for k in (HEAD, n_used // 2, n_used):
+        prefix = dcqke.seed_prefix_incidence(n_slots, n_used, k)
+        assert prefix.shape == (N_SEEDS, n_slots)
+        assert prefix.dtype == (np.uint8 if k < 256 else np.uint16)
+        assert prefix.indices.dtype == np.int32 and prefix.indices.flags.c_contiguous
+        assert not prefix.indices.flags.writeable and not prefix.data.flags.writeable
+        for det in windows:
+            dense = det[table[:, :k]].sum(axis=1)
+            assert np.array_equal(prefix @ det.astype(prefix.dtype), dense)
+    ones = prefix @ np.ones(n_slots, dtype=prefix.dtype)
     assert np.all(ones == n_used)  # 256 would wrap to 0 in a uint8 accumulator
+    with pytest.raises(ValueError):
+        dcqke.seed_prefix_incidence(n_slots, n_used, n_used + 1)
 
 
 @pytest.mark.parametrize(
     "n_slots, n_used", [(2048, 24), (1000, 37), (255, 255), (256, 256), (100, 5), (64, 0)]
 )
 def test_decide_equals_dense_rule(n_slots, n_used):
-    """Every decision equals the dense rule, and the full product runs
+    """Every decision equals the dense rule, and the prefix product runs
     exactly when the screen cannot answer: when no seed with at least
     HEAD - 1 detections on its first HEAD slots reaches the threshold."""
     table = weak_schedule_table(n_slots, n_used)
@@ -179,41 +180,98 @@ def test_decide_equals_dense_rule(n_slots, n_used):
             warden = _counted_warden(config, threshold)
             assert (warden._head is None) == (n_used < HEAD)
             assert warden.decide(WardenObservation(det), stream) == (0 if best >= level else 1)
-            assert warden._incidence.calls == (0 if (screened >= level).any() else 1)
-            products.add(warden._incidence.calls)
+            assert warden._prefix.calls == (0 if (screened >= level).any() else 1)
+            products.add(warden._prefix.calls)
     assert products == ({0, 1} if n_used >= HEAD else {1})  # both paths ran
+
+
+@pytest.mark.parametrize("n_slots, n_used", [(1000, 37), (256, 256), (100, 5)])
+@pytest.mark.parametrize("prefix", ["derived", "n_used", "small"])
+def test_decide_equals_dense_rule_at_any_prefix_length(monkeypatch, n_slots, n_used, prefix):
+    """The prefix length K only decides how many seeds get finished from
+    their table rows: at the derived K, at K = n_used (no rows left to
+    finish) and at a small K (most seeds survive), every decision is the
+    dense rule's."""
+    derived = dcqke._prefix_slots
+    if prefix != "derived":
+        k = n_used if prefix == "n_used" else 2
+        monkeypatch.setattr(dcqke, "_prefix_slots", lambda n_used, threshold, p_dark: k)
+    table = weak_schedule_table(n_slots, n_used)
+    config = _config(n_slots, n_used)
+    rng = np.random.default_rng(11 * n_slots)
+    for det in [*_windows(n_slots, rng), *_planted_windows(table, n_slots, rng)]:
+        best = int(det[table].sum(axis=1).max())
+        for threshold in (None, best, best + 1, best - 0.5):
+            warden = dcqke.SeedSearchWarden(config, threshold)
+            if prefix == "derived":
+                assert warden._k == derived(n_used, warden._threshold, 0.3)
+            assert warden._bar == warden._threshold - (n_used - warden._k)
+            assert warden.decide(WardenObservation(det), None) == (
+                0 if best >= warden._threshold else 1
+            )
+    if prefix == "derived" and n_used >= HEAD:  # the default threshold leaves rows to finish
+        assert dcqke.SeedSearchWarden(config)._k < n_used
+
+
+def test_seed_exactly_at_the_prefix_bar_is_found():
+    """A seed that meets the threshold with exactly `bar` detections on its
+    first K slots survives the prefix and is found; one fewer and it is not."""
+    n_slots, n_used, threshold = 2048, 24, 12
+    config = _config(n_slots, n_used, p_dark=0.01)
+    table = weak_schedule_table(n_slots, n_used)
+    warden = _counted_warden(config, threshold)
+    k, bar = warden._k, warden._bar
+    assert HEAD < k < n_used and bar == int(bar) and HEAD + bar <= k
+    seed = 4321
+    det = np.zeros(n_slots, dtype=np.uint8)
+    det[table[seed, k:]] = 1  # every slot after the prefix
+    det[table[seed, HEAD : HEAD + int(bar)]] = 1  # none on the screened head
+    assert det[table[seed, :k]].sum() == bar and det[table[seed]].sum() == threshold
+    assert warden.decide(WardenObservation(det.copy()), None) == 0 and warden._prefix.calls == 1
+    det[table[seed, HEAD]] = 0
+    assert det[table].sum(axis=1).max() == threshold - 1
+    warden = _counted_warden(config, threshold)
+    assert warden.decide(WardenObservation(det), None) == 1 and warden._prefix.calls == 1
 
 
 def test_screen_finds_the_true_seed_and_only_it():
     n_slots, n_used = 1000, 37
     table = weak_schedule_table(n_slots, n_used)
     config = _config(n_slots, n_used)
-    head = dcqke.seed_head_incidence(n_slots, n_used)
+    head = dcqke.seed_prefix_incidence(n_slots, n_used, HEAD)
     rng = np.random.default_rng(n_used)
     seed = 4321
-    # the true seed is a candidate and answers before the full product
+    # the true seed is a candidate and answers before the prefix product
     det = _planted(table, n_slots, seed, rng, head=1, dark=0.1)
     assert (head @ det)[seed] == HEAD
     warden = _counted_warden(config)
-    assert warden.decide(WardenObservation(det), None) == 0 and warden._incidence.calls == 0
-    # its head slots are dark: the screen misses it, the full product finds it
+    assert warden.decide(WardenObservation(det), None) == 0 and warden._prefix.calls == 0
+    # its head slots are dark: the screen misses it, the prefix product finds it
     det = _planted(table, n_slots, seed, rng, head=0, dark=0.1)
     det[table[seed, HEAD:]] = 1
     assert (head @ det)[seed] == 0 and n_used - HEAD >= warden._threshold
     warden = _counted_warden(config)
-    assert warden.decide(WardenObservation(det), None) == 0 and warden._incidence.calls == 1
+    assert warden.decide(WardenObservation(det), None) == 0 and warden._prefix.calls == 1
     # an idle window has false candidates, none of which reaches the threshold
     det = (rng.random(n_slots) < 0.25).astype(np.uint8)
     candidates = np.flatnonzero(head @ det >= HEAD - 1)
     assert candidates.size >= 5 and det[table[candidates]].sum(axis=1).max() < warden._threshold
     warden = _counted_warden(config)
-    assert warden.decide(WardenObservation(det), None) == 1 and warden._incidence.calls == 1
+    assert warden.decide(WardenObservation(det), None) == 1 and warden._prefix.calls == 1
 
 
 def test_wardens_share_one_incidence_matrix():
     a = dcqke.SeedSearchWarden(_config(2048, 24))
     b = dcqke.SeedSearchWarden(_config(2048, 24, p_dark=0.01, p_signal=0.5))
-    assert a._incidence is b._incidence
+    assert a._prefix is dcqke.seed_prefix_incidence(2048, 24, a._k)
+    assert b._prefix is dcqke.seed_prefix_incidence(2048, 24, b._k)
     assert a._head is b._head
     assert np.array_equal(a._table, weak_schedule_table(2048, 24))
     assert np.shares_memory(a._table, b._table)
+
+
+def test_wardens_on_one_channel_share_one_prefix_matrix():
+    config = _config(1000, 37)
+    a, b = dcqke.SeedSearchWarden(config), dcqke.SeedSearchWarden(config)
+    assert a._k == b._k < 37
+    assert a._prefix is b._prefix and a._head is b._head

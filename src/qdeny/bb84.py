@@ -197,9 +197,10 @@ def extract_key(
     codeword before labeling. Keys agree whenever each block's error stays
     within the code's correction radius.
     """
-    v_alice, v_bob, u = gf2.bits(v_alice), gf2.bits(v_bob), gf2.bits(u)
-    if not (v_alice.size == v_bob.size == u.size) or v_alice.size % pair.c1.n:
+    parts = [np.asarray(x) for x in (v_alice, v_bob, u)]
+    if not (parts[0].size == parts[1].size == parts[2].size) or parts[0].size % pair.c1.n:
         raise ValueError("payload length must be a shared multiple of the block length")
+    v_alice, v_bob, u = gf2.bits(np.concatenate(parts)).reshape(3, -1)  # one check for all three
     k_a = gf2.key_from_coset(pair, u.reshape(-1, pair.c1.n)).reshape(-1)
     return k_a, block_keys(pair, v_bob ^ u ^ v_alice)
 

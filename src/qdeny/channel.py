@@ -65,7 +65,7 @@ class Message:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.bits, dtype=np.uint8)
+        arr = np.array(self.bits, dtype=np.uint8)  # a copy: the caller's array stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "bits", arr)
 
@@ -81,7 +81,7 @@ class ClassicalAuthChannel:
         self._log: list[Message] = []
 
     def send(self, sender: str, label: str, payload) -> Message:
-        msg = Message(sender, label, np.asarray(payload, dtype=np.uint8))
+        msg = Message(sender, label, payload)
         self._log.append(msg)
         return msg
 
@@ -122,7 +122,7 @@ class WardenObservation:
     detections: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.detections, dtype=np.uint8)
+        arr = np.array(self.detections, dtype=np.uint8)  # a copy: the caller's array stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "detections", arr)
 

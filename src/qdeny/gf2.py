@@ -2,12 +2,16 @@
 
 Bit vectors are numpy uint8 arrays with entries in {0, 1}; matrices are
 2-D uint8 arrays. Codes are immutable after construction and build exact
-coset-leader tables on first use (block lengths stay tiny here, so
-exhaustive minimum-distance decoding is the simplest correct choice).
-Wherever a minimum-weight choice is ambiguous, ties break
-lexicographically. The per-block operations (syndromes, coset leaders,
-decoding, coset labels) take one word or a matrix of words, one block per
-row, and treat every row alike.
+tables on first use (block lengths stay tiny here, so exhaustive
+minimum-distance decoding is the simplest correct choice): coset leaders
+per syndrome, the nearest codeword of every n-bit word, and for a nested
+pair the coset label and C1 membership of every n-bit word. Tables over
+all 2^n words are capped at n <= `_TABLE_CAP`, so decoding a block or
+labelling its coset is one pack of each row into its big-endian word
+index and one gather. Wherever a minimum-weight choice is ambiguous, ties
+break lexicographically. The per-block operations (syndromes, coset
+leaders, decoding, coset labels) take one word or a matrix of words, one
+block per row, and treat every row alike.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ __all__ = [
     "default_dual_pair",
 ]
 
-_TABLE_CAP = 16  # coset-leader tables enumerate all 2^n words
+_TABLE_CAP = 16  # code tables enumerate all 2^n words
 
 
 def bits(values: Iterable[int] | str) -> np.ndarray:
@@ -57,7 +61,7 @@ def bits(values: Iterable[int] | str) -> np.ndarray:
         values = [int(c) for c in values]
     arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
     arr = arr.astype(np.uint8)
-    if arr.ndim != 1 or (arr > 1).any():
+    if arr.ndim != 1 or np.count_nonzero(arr > 1):
         raise ValueError("bit vector entries must be 0 or 1")
     return arr
 
@@ -151,13 +155,26 @@ def _words(values, width: int, what: str) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim == 2:
         arr = arr.astype(np.uint8)
-        if (arr > 1).any():
+        if np.count_nonzero(arr > 1):
             raise ValueError("bit entries must be 0 or 1")
     else:
         arr = bits(values)
     if arr.shape[-1] != width:
         raise ValueError(f"{what} length {arr.shape[-1]} != {width}")
     return arr
+
+
+def _all_words(width: int) -> np.ndarray:
+    """Every `width`-bit word, one per row; row i is the word whose
+    big-endian value is i."""
+    if width > _TABLE_CAP:
+        raise ValueError(f"exact code tables are capped at {_TABLE_CAP}-bit words")
+    return ((np.arange(1 << width)[:, None] >> np.arange(width - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def _index(words: np.ndarray) -> np.ndarray:
+    """Big-endian integer value of a word, or of each row of a matrix."""
+    return words @ (1 << np.arange(words.shape[-1] - 1, -1, -1))
 
 
 # -- codes ------------------------------------------------------------------
@@ -198,10 +215,9 @@ class BinaryLinearCode:
     def codewords(self) -> np.ndarray:
         """All 2^k codewords, row i encodes the k-bit message with value i."""
         if "codewords" not in self._cache:
-            msgs = ((np.arange(1 << self.k)[:, None] >> np.arange(self.k - 1, -1, -1)) & 1).astype(
-                np.uint8
-            )
-            self._cache["codewords"] = (msgs @ self.generator) % 2
+            table = (_all_words(self.k) @ self.generator) % 2
+            table.setflags(write=False)
+            self._cache["codewords"] = table
         return self._cache["codewords"]
 
     def distance(self) -> int:
@@ -214,13 +230,9 @@ class BinaryLinearCode:
         """Minimum-weight coset leaders, lexicographic tie-break; row s is
         the leader of the syndrome whose big-endian value is s."""
         if "leaders" not in self._cache:
-            if self.n > _TABLE_CAP:
-                raise ValueError(f"exact decoding tables are capped at n <= {_TABLE_CAP}")
-            words = ((np.arange(1 << self.n)[:, None] >> np.arange(self.n - 1, -1, -1)) & 1).astype(
-                np.uint8
-            )
+            words = _all_words(self.n)
             order = np.lexsort((np.arange(1 << self.n), words.sum(axis=1)))
-            index = _syndrome_index(_mul(self.parity_check, words[order]))
+            index = _index(_mul(self.parity_check, words[order]))
             _, first = np.unique(index, return_index=True)  # lightest word per syndrome
             table = np.empty((1 << (self.n - self.k), self.n), dtype=np.uint8)
             table[index[first]] = words[order[first]]
@@ -228,11 +240,15 @@ class BinaryLinearCode:
             self._cache["leaders"] = table
         return self._cache["leaders"]
 
-
-def _syndrome_index(syn: np.ndarray) -> np.ndarray:
-    """Big-endian integer value of each syndrome (last axis)."""
-    weights = 1 << np.arange(syn.shape[-1] - 1, -1, -1)
-    return syn.astype(np.int64) @ weights
+    def decode_table(self) -> np.ndarray:
+        """Nearest codeword of every n-bit word, each word XOR the leader of
+        its syndrome; row i decodes the word whose big-endian value is i."""
+        if "decoded" not in self._cache:
+            words = _all_words(self.n)
+            table = words ^ self.leader_table()[_index(_mul(self.parity_check, words))]
+            table.setflags(write=False)
+            self._cache["decoded"] = table
+        return self._cache["decoded"]
 
 
 def syndrome(code: BinaryLinearCode, v: np.ndarray) -> np.ndarray:
@@ -244,23 +260,25 @@ def coset_leader(code: BinaryLinearCode, syn: np.ndarray) -> np.ndarray:
     """Minimum-weight vector with the given syndrome (lexicographic ties);
     one leader per row for a matrix of syndromes."""
     syn = _words(syn, code.n - code.k, "syndrome")
-    return code.leader_table()[_syndrome_index(syn)].copy()
+    return code.leader_table()[_index(syn)].copy()
 
 
 def decode_to_codeword(code: BinaryLinearCode, word: np.ndarray) -> np.ndarray:
     """Nearest codeword under Hamming distance (exact, via coset leaders),
-    of a word or of each row of a matrix of words."""
+    of a word or of each row of a matrix of words; read off the code's
+    decode table."""
     word = _words(word, code.n, "word")
-    return word ^ coset_leader(code, syndrome(code, word))
+    return code.decode_table().take(_index(word), axis=0)
 
 
 def sample_codeword(code: BinaryLinearCode, rng: RandomStream, count: int) -> np.ndarray:
     """(count x n) matrix of uniformly random codewords.
 
     The messages of all codewords come from one `rng.bit_rows(count, k)`
-    draw, whose rows equal `count` single `rng.bits(k)` draws.
+    draw, whose rows equal `count` single `rng.bits(k)` draws; each
+    message's codeword is read off `code.codewords()`.
     """
-    return _mul(code.generator.T, rng.bit_rows(count, code.k))
+    return code.codewords().take(_index(rng.bit_rows(count, code.k)), axis=0)
 
 
 @dataclass(frozen=True)
@@ -294,15 +312,30 @@ class NestedCodePair:
             self._cache["coset_map"] = (h2, t)
         return self._cache["coset_map"]
 
+    def label_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, in_c1) over every n-bit word: row i of labels is
+        T @ (H2 @ w) and in_c1[i] says whether w is a codeword of C1, for
+        the word w whose big-endian value is i."""
+        if "labels" not in self._cache:
+            words = _all_words(self.c1.n)
+            h2, t = self._coset_map()
+            labels = _mul(t, _mul(h2, words))
+            in_c1 = ~_mul(self.c1.parity_check, words).any(axis=1)
+            labels.setflags(write=False)
+            in_c1.setflags(write=False)
+            self._cache["labels"] = (labels, in_c1)
+        return self._cache["labels"]
+
 
 def key_from_coset(pair: NestedCodePair, u: np.ndarray) -> np.ndarray:
     """Canonical (k1 - k2)-bit label of the coset u + C2 inside C1; one
     label per row for a matrix of codewords."""
     u = _words(u, pair.c1.n, "codeword")
-    if np.any(syndrome(pair.c1, u)):
+    labels, in_c1 = pair.label_table()
+    index = _index(u)
+    if not in_c1[index].all():
         raise ValueError("u is not a codeword of C1")
-    h2, t = pair._coset_map()
-    return _mul(t, _mul(h2, u))
+    return labels.take(index, axis=0)
 
 
 @dataclass(frozen=True)

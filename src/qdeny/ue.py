@@ -131,28 +131,31 @@ def mac_tag(scheme: MacScheme, key: np.ndarray, message: np.ndarray) -> np.ndarr
     """Tag = poly-eval of the 1-padded message at the point half of the key,
     masked with the other half. Deterministic in (key, message).
 
-    Each s-bit block is read most significant bit first; the key halves and
-    the message blocks are packed into integers by one product with the bit
-    weights, and the tag is unpacked by one shift.
+    Each s-bit block is read most significant bit first. The key and the
+    1-padded message sit in one buffer, checked by one `gf2.bits` call; its
+    first two s-bit blocks are the key halves, and one product with the bit
+    weights packs every block into an integer. The tag is unpacked by one
+    shift.
     """
-    key = gf2.bits(key)
-    message = gf2.bits(message)
+    key, message = np.asarray(key), np.asarray(message)
     if key.size != scheme.key_bits:
         raise ValueError(f"key must hold {scheme.key_bits} bits")
     s = scheme.s
+    end = key.size + message.size
+    padded = np.zeros(key.size + scheme.blocks(message.size) * s, dtype=np.uint8)
+    padded[:end] = gf2.bits(np.concatenate([key, message]))
+    padded[end] = 1
     shifts = np.arange(s - 1, -1, -1, dtype=np.int64)
-    weights = np.left_shift(1, shifts)
-    point, mask = (key.reshape(2, s) @ weights).tolist()
-    padded = np.zeros(scheme.blocks(message.size) * s, dtype=np.uint8)
-    padded[: message.size] = message
-    padded[message.size] = 1
+    point, mask, *blocks = (padded.reshape(-1, s) @ np.left_shift(1, shifts)).tolist()
     acc = 0
-    for block in (padded.reshape(-1, s) @ weights).tolist():
+    for block in blocks:
         acc = _gf_mul(acc ^ block, point, scheme.modulus)
     return ((acc ^ mask) >> shifts & 1).astype(np.uint8)
 
 
 def mac_verify(scheme: MacScheme, key: np.ndarray, message: np.ndarray, tag: np.ndarray) -> bool:
+    """Whether tag is the tag of message under key; a tag that is not a bit
+    vector raises ValueError."""
     return bool(np.array_equal(mac_tag(scheme, key, message), gf2.bits(tag)))
 
 

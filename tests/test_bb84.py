@@ -105,6 +105,20 @@ class TestExtractKey:
                 failures += int(not np.array_equal(k_a, k_b))
         assert failures > 0  # beyond the correction radius
 
+    @pytest.mark.parametrize("bad", range(3))
+    def test_non_bit_entry_in_any_input_rejected(self, bad):
+        pair = gf2.default_nested_pair()
+        inputs = [np.zeros(14, dtype=np.uint8) for _ in range(3)]
+        inputs[bad][9] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            extract_key(pair, *inputs)
+
+    @pytest.mark.parametrize("sizes", [(14, 14, 7), (14, 7, 14), (7, 14, 14), (6, 6, 6)])
+    def test_size_mismatch_rejected(self, sizes):
+        pair = gf2.default_nested_pair()
+        with pytest.raises(ValueError, match="shared multiple of the block length"):
+            extract_key(pair, *(np.zeros(size, dtype=np.uint8) for size in sizes))
+
 
 class TestSessions:
     def test_noiseless_agreement(self, config):

@@ -8,6 +8,7 @@ from qdeny.channel import (
     ClassicalAuthChannel,
     QubitChannel,
     TimeBinChannel,
+    WardenObservation,
     count_distributions,
     max_covert_slots,
     transmit,
@@ -87,6 +88,13 @@ class TestClassicalChannel:
         with pytest.raises(ValueError):
             msg.bits[0] = 0
 
+    def test_send_leaves_the_callers_array_writable(self):
+        payload = np.array([1, 0, 1], dtype=np.uint8)
+        msg = ClassicalAuthChannel().send("alice", "x", payload)
+        assert payload.flags.writeable
+        payload[0] = 0
+        assert msg.bits.tolist() == [1, 0, 1] and not msg.bits.flags.writeable
+
 
 class TestSchedules:
     def test_one_prng_gives_one_schedule(self):
@@ -125,6 +133,13 @@ class TestWardenObserve:
         with pytest.raises(ValueError, match=r"\[0, 8\)"):
             warden_observe(tb, np.array(slots), RandomStream(1))
         warden_observe(tb, np.array([0, 7]), RandomStream(1))
+
+    def test_observation_leaves_the_callers_array_writable(self):
+        det = np.zeros(4, dtype=np.uint8)
+        obs = WardenObservation(det)
+        assert det.flags.writeable
+        det[1] = 1
+        assert obs.count == 0 and not obs.detections.flags.writeable
 
     def test_idle_dark_counts(self):
         tb = TimeBinChannel(10_000, 0.01, 0.5)

@@ -1,5 +1,7 @@
 """Unit tests for the binary linear algebra and code machinery."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,44 @@ def nested():
 @pytest.fixture(scope="module")
 def dual():
     return gf2.default_dual_pair()
+
+
+def all_words(n):
+    """Every n-bit word; row i is the word whose big-endian value is i."""
+    return np.array(list(itertools.product([0, 1], repeat=n)), dtype=np.uint8)
+
+
+def reed_muller_pair():
+    """RM(2,4) over RM(1,4): a [16,11] code over a [16,5] subcode."""
+    points = all_words(4).T  # row i: coordinate i of the 16 evaluation points
+    linear = np.vstack([np.ones(16, dtype=np.uint8), points])
+    quadratic = [points[i] & points[j] for i, j in itertools.combinations(range(4), 2)]
+    return gf2.NestedCodePair(
+        c1=gf2.BinaryLinearCode.from_generator(np.vstack([linear, quadratic])),
+        c2=gf2.BinaryLinearCode.from_generator(linear),
+    )
+
+
+def decode_oracle(code, words):
+    return words ^ gf2.coset_leader(code, gf2.syndrome(code, words))
+
+
+def label_oracle(pair, words):
+    h2, t = pair._coset_map()
+    return (t @ ((h2 @ words.T) % 2) % 2).T.astype(np.uint8)
+
+
+RM_PAIR = reed_muller_pair()
+TABLE_CODES = {
+    "hamming74": gf2.hamming74(),
+    "repetition7": gf2.repetition_code(7),
+    "nested.c1": gf2.default_nested_pair().c1,
+    "nested.c2": gf2.default_nested_pair().c2,
+    "dual.c1": gf2.default_dual_pair().c1,
+    "dual.c2": gf2.default_dual_pair().c2,
+    "rm24": RM_PAIR.c1,
+}
+TABLE_PAIRS = {"nested": gf2.default_nested_pair(), "rm24_over_rm14": RM_PAIR}
 
 
 class TestSyndrome:
@@ -142,7 +182,93 @@ class TestCosetKeys:
             gf2.key_from_coset(nested, gf2.bits("1000000"))
 
 
+class TestCodeTables:
+    """The decode and label tables against the formulas they replace."""
+
+    @pytest.mark.parametrize("name", TABLE_CODES)
+    def test_decode_table_equals_leader_oracle_on_every_word(self, name):
+        code = TABLE_CODES[name]
+        words = all_words(code.n)
+        want = decode_oracle(code, words)
+        assert np.array_equal(code.decode_table(), want)
+        got = gf2.decode_to_codeword(code, words)
+        assert got.dtype == np.uint8 and got.flags.writeable
+        assert np.array_equal(got, want)
+        for i in range(0, 1 << code.n, max(1, (1 << code.n) // 128)):
+            assert np.array_equal(gf2.decode_to_codeword(code, words[i]), want[i])
+
+    @pytest.mark.parametrize("name", TABLE_PAIRS)
+    def test_label_table_equals_formula_on_every_codeword(self, name):
+        pair = TABLE_PAIRS[name]
+        words = all_words(pair.c1.n)
+        labels, in_c1 = pair.label_table()
+        assert np.array_equal(in_c1, ~gf2.syndrome(pair.c1, words).any(axis=1))
+        codewords = words[in_c1]
+        assert len(codewords) == 1 << pair.c1.k
+        want = label_oracle(pair, codewords)
+        assert np.array_equal(labels[in_c1], want)
+        assert np.array_equal(gf2.key_from_coset(pair, codewords), want)
+        for i in range(0, len(codewords), max(1, len(codewords) // 64)):
+            assert np.array_equal(gf2.key_from_coset(pair, codewords[i]), want[i])
+
+    @pytest.mark.parametrize("name", TABLE_PAIRS)
+    def test_every_non_codeword_rejected(self, name):
+        pair = TABLE_PAIRS[name]
+        words = all_words(pair.c1.n)
+        outside = words[gf2.syndrome(pair.c1, words).any(axis=1)]
+        assert len(outside) == (1 << pair.c1.n) - (1 << pair.c1.k)
+        codeword = pair.c1.codewords()[1]
+        for word in outside:
+            with pytest.raises(ValueError, match="not a codeword"):
+                gf2.key_from_coset(pair, word)
+        with pytest.raises(ValueError, match="not a codeword"):
+            gf2.key_from_coset(pair, np.vstack([codeword, outside[-1], codeword]))
+
+    def test_tables_read_only_and_built_once_per_code(self, monkeypatch):
+        pair = gf2.NestedCodePair(c1=gf2.hamming74(), c2=gf2.repetition_code(7))
+        word = np.ones((3, 7), dtype=np.uint8)
+        decoded = gf2.decode_to_codeword(pair.c1, word)
+        gf2.key_from_coset(pair, decoded)
+        gf2.sample_codeword(pair.c1, RandomStream(1), 2)
+        tables = [pair.c1.decode_table(), *pair.label_table(), pair.c1.codewords()]
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+        def no_rebuild(width):
+            raise AssertionError("a code table was built twice")
+
+        monkeypatch.setattr(gf2, "_all_words", no_rebuild)
+        for _ in range(3):
+            gf2.key_from_coset(pair, gf2.decode_to_codeword(pair.c1, word))
+            gf2.sample_codeword(pair.c1, RandomStream(1), 2)
+        again = [pair.c1.decode_table(), *pair.label_table(), pair.c1.codewords()]
+        assert all(a is b for a, b in zip(again, tables))
+        monkeypatch.undo()
+        assert gf2.hamming74().decode_table() is not pair.c1.decode_table()  # one per code object
+
+    def test_tables_capped_at_16_bits(self):
+        c1 = gf2.BinaryLinearCode.from_generator(
+            np.array([[1] * 17, [1] * 8 + [0] * 9], dtype=np.uint8)
+        )
+        pair = gf2.NestedCodePair(c1=c1, c2=gf2.repetition_code(17))
+        u = gf2.sample_codeword(c1, RandomStream(2), 3)
+        assert not gf2.syndrome(c1, u).any()
+        with pytest.raises(ValueError, match="capped"):
+            gf2.decode_to_codeword(c1, u)
+        with pytest.raises(ValueError, match="capped"):
+            gf2.key_from_coset(pair, u)
+
+
 class TestSampling:
+    @pytest.mark.parametrize("name", ["hamming74", "repetition7", "rm24"])
+    def test_rows_equal_generator_product(self, name):
+        code = TABLE_CODES[name]
+        got = gf2.sample_codeword(code, RandomStream(9), 40)
+        want = (RandomStream(9).bit_rows(40, code.k) @ code.generator) % 2
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+
     def test_repetition_is_fair(self):
         rep = gf2.repetition_code(7)
         rng = RandomStream(6)

@@ -124,6 +124,18 @@ class TestMac:
         with pytest.raises(ValueError):
             mac_tag(MacScheme(4), np.zeros(4, np.uint8), np.zeros(4, np.uint8))
 
+    @pytest.mark.parametrize("bad", ["key", "message", "tag"])
+    def test_non_bit_inputs_rejected(self, bad):
+        scheme = MacScheme(4)
+        args = {"key": np.zeros(8, np.uint8), "message": np.zeros(5, np.uint8),
+                "tag": np.zeros(4, np.uint8)}
+        args[bad][-1] = 2
+        with pytest.raises(ValueError, match="0 or 1"):
+            mac_verify(scheme, args["key"], args["message"], args["tag"])
+        if bad != "tag":
+            with pytest.raises(ValueError, match="0 or 1"):
+                mac_tag(scheme, args["key"], args["message"])
+
     def test_modulus_is_irreducible_degree_s(self):
         # trial division: the modulus is the lowest-valued irreducible
         # polynomial of degree s (even ones all have the factor x)

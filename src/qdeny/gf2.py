@@ -6,9 +6,9 @@ tables on first use (block lengths stay tiny here, so exhaustive
 minimum-distance decoding is the simplest correct choice): coset leaders
 per syndrome, the nearest codeword of every n-bit word, and for a nested
 pair the coset label and C1 membership of every n-bit word. Tables over
-all 2^n words are capped at n <= `_TABLE_CAP`, so decoding a block or
-labelling its coset is one pack of each row into its big-endian word
-index and one gather. Wherever a minimum-weight choice is ambiguous, ties
+all 2^n words are capped at n <= `_TABLE_CAP`; with them, decoding a
+block or labelling its coset is one pack of each row into its big-endian
+word index and one gather. Wherever a minimum-weight choice is ambiguous, ties
 break lexicographically. The per-block operations (syndromes, coset
 leaders, decoding, coset labels) take one word or a matrix of words, one
 block per row, and treat every row alike.

@@ -26,7 +26,7 @@ import numpy as np
 from . import bb84, qcore
 from .channel import ClassicalAuthChannel
 from .gf2 import NestedCodePair
-from .qcore import Basis, BellKind, StateVector
+from .qcore import BellKind, StateVector
 from .rng import RandomStream
 
 __all__ = [
@@ -151,9 +151,9 @@ def distill_batch(
 
 
 def verify_ebits(
-    pairs: list[StateVector], sample_fraction: float, rng: RandomStream
+    pairs: list[StateVector], n_sample: int, rng: RandomStream
 ) -> tuple[bool, list[StateVector]]:
-    """Sacrifice a random sample for direct fidelity evaluation.
+    """Sacrifice n_sample random distinct pairs for direct fidelity evaluation.
 
     Returns (passed, unsampled pairs). Simulation privilege: the check reads
     the state vectors instead of running a statistical test on measurement
@@ -161,9 +161,8 @@ def verify_ebits(
     """
     if not pairs:
         raise ValueError("nothing to verify")
-    if not 0.0 < sample_fraction <= 1.0:
-        raise ValueError("sample fraction must lie in (0, 1]")
-    n_sample = max(1, int(round(sample_fraction * len(pairs))))
+    if not 1 <= n_sample <= len(pairs):
+        raise ValueError(f"sample size must lie in [1, {len(pairs)}], got {n_sample}")
     chosen = set(rng.choice_distinct(len(pairs), n_sample).tolist())
     passed = all(_is_ebit(pairs[i]) for i in chosen)
     return passed, [p for j, p in enumerate(pairs) if j not in chosen]
@@ -175,23 +174,6 @@ _CNOT = np.array(
 # An accepted pair has fidelity at least 1 - eps with Phi+, which moves each
 # teleportation branch probability off 1/4 by at most sqrt(eps) + 2 eps.
 _BRANCH_TOL = np.sqrt(_EBIT_TOL) + 2 * _EBIT_TOL
-
-
-class _ByBytes:
-    """A state that hashes and compares by its amplitude bytes, so that
-    lru_cache can key on it and the builder still gets the state itself."""
-
-    __slots__ = ("state", "_key")
-
-    def __init__(self, state: StateVector):
-        self.state = state
-        self._key = state.amplitudes.tobytes()
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
-    def __eq__(self, other) -> bool:
-        return self._key == other._key
 
 
 class _ForcedDraw:
@@ -206,31 +188,37 @@ class _ForcedDraw:
 
 
 @lru_cache(maxsize=256)
-def _teleport_table(psi: _ByBytes, ebit: _ByBytes):
+def _teleport_table(psi: StateVector, ebit: StateVector):
     """(p_phase, p_bit, outputs) of teleporting psi through ebit.
 
-    The dense circuit is run once per branch: p_phase is P(m_phase = 0) and
-    p_bit[m_phase] is P(m_bit = 0) after that outcome, both computed as
-    `qcore.measure_subsystem` computes its threshold, and
-    outputs[m_phase][m_bit] is the fixed-up receiver qubit. Everything
-    depends on the two states' amplitudes alone, so every call with the
-    same (state, ebit) shares one table and its immutable outputs.
+    Checks the inputs first: lru_cache keeps no exception, so a bad one
+    raises on every call. The dense circuit is run once per branch: p_phase
+    is P(m_phase = 0) and p_bit[m_phase] is P(m_bit = 0) after that outcome,
+    both computed as `qcore.measure_subsystem` computes its threshold, and
+    outputs[m_phase][m_bit] is the fixed-up receiver qubit. States compare
+    by amplitude bytes, so every call with equal (state, ebit) shares one
+    table and its immutable outputs.
     """
-    computational = Basis.COMPUTATIONAL
-    joint = qcore.tensor(psi.state, ebit.state)  # qubits: 0 input, 1 sender half, 2 receiver
+    if psi.n_qubits != 1:
+        raise ValueError("can only teleport a single qubit")
+    if ebit.n_qubits != 2:
+        raise ValueError("the shared pair must be two qubits")
+    if not _is_ebit(ebit):
+        raise ValueError("shared pair is not a Phi+ ebit")
+    joint = qcore.tensor(psi, ebit)  # qubits: 0 input, 1 sender half, 2 receiver
     joint = qcore.apply_unitary(joint, _CNOT, [0, 1])
     joint = qcore.apply_unitary(joint, qcore.HADAMARD, [0])
     p_phase = qcore._p0_of_qubit(joint.tensor_shape(), 0)
     p_bit, outputs = [], []
     for m_phase in (0, 1):
-        _, phased = qcore.measure_subsystem(joint, 0, computational, _ForcedDraw(m_phase))
+        _, phased = qcore.measure_subsystem(joint, 0, 0, _ForcedDraw(m_phase))
         p_bit.append(qcore._p0_of_qubit(phased.tensor_shape(), 1))
         row = []
         for m_bit in (0, 1):
             p = abs(m_phase - p_phase) * abs(m_bit - p_bit[m_phase])  # P(m) is |m - P(0)|
             if abs(p - 0.25) > _BRANCH_TOL:
                 raise RuntimeError(f"teleportation branch {m_phase}{m_bit} has probability {p}")
-            _, fixed = qcore.measure_subsystem(phased, 1, computational, _ForcedDraw(m_bit))
+            _, fixed = qcore.measure_subsystem(phased, 1, 0, _ForcedDraw(m_bit))
             if m_bit:
                 fixed = qcore.apply_unitary(fixed, qcore.PAULI_X, [2])
             if m_phase:
@@ -248,19 +236,13 @@ def teleport(
 
     Bell measurement on (input, sender half), two classical bits
     (m_phase, m_bit) out, conditional Pauli fix-up on the receiver half.
-    Anything but a perfect ebit is rejected up front. The circuit is run
-    once per (state, ebit) and its branches kept (`_teleport_table`); a
-    call draws `rng.random()` for m_phase and then for m_bit against the
-    thresholds of the two dense measurements and returns that branch's
-    shared output.
+    Anything but a one-qubit state and a perfect ebit is rejected before
+    any draw. The circuit is run, and the inputs checked, once per (state,
+    ebit) and its branches kept (`_teleport_table`); a call draws
+    `rng.random()` for m_phase and then for m_bit against the thresholds of
+    the two dense measurements and returns that branch's shared output.
     """
-    if psi.n_qubits != 1:
-        raise ValueError("can only teleport a single qubit")
-    if ebit.n_qubits != 2:
-        raise ValueError("the shared pair must be two qubits")
-    if not _is_ebit(ebit):
-        raise ValueError("shared pair is not a Phi+ ebit")
-    p_phase, p_bit, outputs = _teleport_table(_ByBytes(psi), _ByBytes(ebit))
+    p_phase, p_bit, outputs = _teleport_table(psi, ebit)
     m_phase = 0 if rng.random() < p_phase else 1
     m_bit = 0 if rng.random() < p_bit[m_phase] else 1
     return outputs[m_phase][m_bit], (m_phase, m_bit)
@@ -332,9 +314,8 @@ def qke_over_teleportation(
             break
     if len(ebits) < needed:
         raise RuntimeError(f"distillation shortfall: {len(ebits)} of {needed} ebits")
-    ok, ebits = verify_ebits(ebits, sample_fraction=(len(ebits) - m) / len(ebits),
-                             rng=rng.substream("verify"))
-    if not ok or len(ebits) < m:
+    ok, ebits = verify_ebits(ebits, len(ebits) - m, rng.substream("verify"))
+    if not ok:
         raise RuntimeError("ebit verification failed")
 
     cchan = ClassicalAuthChannel()
@@ -344,10 +325,10 @@ def qke_over_teleportation(
     p0 = np.empty(m)
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
-        state = qcore.prepare_bb84(int(a[i]), Basis.from_bit(b[i]))
+        state = qcore.prepare_bb84(int(a[i]), int(b[i]))
         received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
         teleport_bits[2 * i : 2 * i + 2] = bits
-        p0[i] = qcore._p0(received.amplitudes, Basis.from_bit(b_prime[i]))
+        p0[i] = qcore._p0(received.amplitudes, b_prime[i])
     a_prime = (rng_b.uniforms(m) >= p0).astype(np.uint8)
     cchan.send("alice", "teleport-bits", teleport_bits)
 

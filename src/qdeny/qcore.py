@@ -15,6 +15,7 @@ only a batch: it looks each qubit's outcome-0 probability up in a table
 built from the dense states with the dense formula, drawing all uniforms in
 one call (Philox gives the same values as one scalar draw per qubit). Dense
 states, measured by `measure_subsystem`, serve entangled states and tests.
+Both forms take a basis as a bit: 0 computational (+), 1 diagonal (x).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .rng import RandomStream
 
 __all__ = [
     "MAX_QUBITS",
-    "Basis",
     "BellKind",
     "StateVector",
     "DensityMatrix",
@@ -65,17 +65,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
-class Basis(Enum):
-    """The two BB84 measurement bases."""
-
-    COMPUTATIONAL = 0  # (+): {|0>, |1>}
-    DIAGONAL = 1  # (x): {(|0>+|1>)/sqrt2, (|0>-|1>)/sqrt2}
-
-    @classmethod
-    def from_bit(cls, b: int) -> "Basis":
-        return cls.DIAGONAL if int(b) else cls.COMPUTATIONAL
-
-
 class BellKind(Enum):
     PHI_PLUS = "phi+"
     PHI_MINUS = "phi-"
@@ -92,9 +81,10 @@ def _check_qubit_count(n_qubits: int, dim: int) -> None:
         raise ValueError(f"dimension {dim} does not match {n_qubits} qubits")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state of n_qubits qubits as a unit-norm complex vector."""
+    """Pure state of n_qubits qubits as a unit-norm complex vector; it
+    compares and hashes by qubit count and amplitude bytes."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -108,6 +98,15 @@ class StateVector:
         amps = amps / norm  # scrub rounding so chained operations stay at 1e-12
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+    def _key(self) -> tuple[int, bytes]:
+        return self.n_qubits, self.amplitudes.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StateVector) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def tensor_shape(self) -> np.ndarray:
         return self.amplitudes.reshape((2,) * self.n_qubits)
@@ -152,23 +151,23 @@ def basis_state(bits: str | Sequence[int]) -> StateVector:
     return StateVector(n, amps)
 
 
-def _build_bb84_states() -> dict[tuple[int, Basis], StateVector]:
+def _build_bb84_states() -> dict[tuple[int, int], StateVector]:
     r = 1 / np.sqrt(2)
     return {
-        (0, Basis.COMPUTATIONAL): StateVector(1, np.array([1, 0], dtype=complex)),
-        (1, Basis.COMPUTATIONAL): StateVector(1, np.array([0, 1], dtype=complex)),
-        (0, Basis.DIAGONAL): StateVector(1, np.array([r, r], dtype=complex)),
-        (1, Basis.DIAGONAL): StateVector(1, np.array([r, -r], dtype=complex)),
+        (0, 0): StateVector(1, np.array([1, 0], dtype=complex)),
+        (1, 0): StateVector(1, np.array([0, 1], dtype=complex)),
+        (0, 1): StateVector(1, np.array([r, r], dtype=complex)),
+        (1, 1): StateVector(1, np.array([r, -r], dtype=complex)),
     }
 
 
 _BB84_STATES = _build_bb84_states()
 
 
-def _p0(amplitudes: np.ndarray, basis: Basis) -> float:
-    """Born probability of outcome 0 for a single-qubit state."""
+def _p0(amplitudes: np.ndarray, basis: int) -> float:
+    """Born probability of outcome 0 for a single-qubit state in basis bit `basis`."""
     a0, a1 = amplitudes
-    if basis is Basis.COMPUTATIONAL:
+    if not basis:
         return abs(a0) ** 2
     return abs(a0 + a1) ** 2 / 2
 
@@ -182,10 +181,10 @@ def _build_p0_table() -> np.ndarray:
     """
     table = np.empty((2, 2, 2, 2))
     for bit, basis, flip, m_basis in product((0, 1), repeat=4):
-        state = _BB84_STATES[(bit, Basis.from_bit(basis))]
+        state = _BB84_STATES[(bit, basis)]
         if flip:
             state = StateVector(1, state.amplitudes[::-1])  # Pauli-X swaps amplitudes
-        table[bit, basis, flip, m_basis] = _p0(state.amplitudes, Basis.from_bit(m_basis))
+        table[bit, basis, flip, m_basis] = _p0(state.amplitudes, m_basis)
     table.setflags(write=False)
     return table
 
@@ -195,7 +194,7 @@ _BB84_P0 = _build_p0_table()
 
 def _bit_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.uint8)
-    if (arr > 1).any():
+    if np.count_nonzero(arr > 1):
         raise ValueError("BB84 bits, bases and flips must be 0 or 1")
     arr.setflags(write=False)
     return arr
@@ -258,18 +257,20 @@ class Bb84Qubits:
 
 
 def prepare_bb84(
-    bit: int | np.ndarray, basis: Basis | np.ndarray
+    bit: int | np.ndarray, basis: int | np.ndarray
 ) -> StateVector | Bb84Qubits:
-    """Single qubit encoding `bit` in `basis`; the four BB84 states.
+    """Single qubit encoding `bit` in basis bit `basis`; the four BB84 states.
 
     States are immutable, so the four instances are shared. Given arrays of
     bits and basis bits instead, returns them as an unflipped Bb84Qubits
     batch.
     """
-    if not isinstance(basis, Basis):
+    if not isinstance(basis, (int, np.integer)):
         return Bb84Qubits(bit, basis, np.zeros(np.shape(bit), dtype=np.uint8))
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
+    if basis not in (0, 1):
+        raise ValueError("basis must be 0 or 1")
     return _BB84_STATES[(bit, basis)]
 
 
@@ -284,7 +285,7 @@ def _p0_of_qubit(psi: np.ndarray, qubit_index: int) -> float:
 
 
 def measure_subsystem(
-    state: StateVector, qubit_index: int, basis: Basis, rng: RandomStream
+    state: StateVector, qubit_index: int, basis: int, rng: RandomStream
 ) -> tuple[int, StateVector]:
     """Projective measurement of one qubit; the rest is renormalized in place.
 
@@ -293,11 +294,13 @@ def measure_subsystem(
     n = state.n_qubits
     if not 0 <= qubit_index < n:
         raise ValueError(f"qubit index {qubit_index} out of range for {n} qubits")
+    if basis not in (0, 1):
+        raise ValueError("basis must be 0 or 1")
     if n == 1:
         outcome = 0 if rng.random() < _p0(state.amplitudes, basis) else 1
         return outcome, _BB84_STATES[(outcome, basis)]
     psi = state.tensor_shape()
-    if basis is Basis.DIAGONAL:
+    if basis:
         psi = _hadamard_axis(psi, qubit_index)
     p0 = _p0_of_qubit(psi, qubit_index)
     outcome = 0 if rng.random() < p0 else 1
@@ -307,7 +310,7 @@ def measure_subsystem(
     idx[qubit_index] = outcome
     collapsed[tuple(idx)] = np.take(psi, outcome, axis=qubit_index)
     collapsed = collapsed / np.sqrt(prob)
-    if basis is Basis.DIAGONAL:
+    if basis:
         collapsed = _hadamard_axis(collapsed, qubit_index)
     return outcome, StateVector(n, collapsed.reshape(-1))
 

@@ -15,7 +15,7 @@ import pytest
 from qdeny import bb84, gf2, qcore
 from qdeny.channel import ClassicalAuthChannel, QubitChannel, transmit
 from qdeny.denial import EvePolicy
-from qdeny.qcore import Basis, Bb84Qubits, StateVector
+from qdeny.qcore import Bb84Qubits, StateVector
 from qdeny.rng import RandomStream
 
 
@@ -33,7 +33,7 @@ class FixedDraws:
 
 
 def _dense(bit: int, basis: int, flip: int) -> StateVector:
-    state = qcore.prepare_bb84(bit, Basis.from_bit(basis))
+    state = qcore.prepare_bb84(bit, basis)
     return StateVector(1, state.amplitudes[::-1]) if flip else state
 
 
@@ -75,10 +75,10 @@ def test_p0_table_is_the_dense_threshold(bit, basis, flip, m_basis):
     batch = Bb84Qubits([bit], [basis], [flip])
     below = np.nextafter(p0, -np.inf)
     # outcome 0 exactly when u < p0, in the dense and in the batch measurement
-    assert qcore.measure_subsystem(state, 0, Basis.from_bit(m_basis), FixedDraws(p0))[0] == 1
+    assert qcore.measure_subsystem(state, 0, m_basis, FixedDraws(p0))[0] == 1
     assert qcore.measure(batch, [m_basis], FixedDraws(p0))[0][0] == 1
     if p0 > 0:
-        assert qcore.measure_subsystem(state, 0, Basis.from_bit(m_basis), FixedDraws(below))[0] == 0
+        assert qcore.measure_subsystem(state, 0, m_basis, FixedDraws(below))[0] == 0
         assert qcore.measure(batch, [m_basis], FixedDraws(below))[0][0] == 0
 
 
@@ -96,14 +96,14 @@ def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
     "abort")."""
     q, n = config.qubit_count, config.n
     a, b = rng_a.bits(q), rng_a.bits(q)
-    states = [qcore.prepare_bb84(int(a[i]), Basis.from_bit(b[i])) for i in range(q)]
+    states = [qcore.prepare_bb84(int(a[i]), b[i]) for i in range(q)]
     record = None
     if qchan.interceptor is not None:
         record, forwarded = ([], [], []), []
         for i, state in enumerate(states):
             if rng_env.random() < qchan.interceptor.measure_probability:
                 basis_bit = rng_env.bit()
-                outcome, state = qcore.measure_subsystem(state, 0, Basis.from_bit(basis_bit), rng_env)
+                outcome, state = qcore.measure_subsystem(state, 0, basis_bit, rng_env)
                 for column, value in zip(record, (i, basis_bit, outcome)):
                     column.append(value)
             forwarded.append(state)
@@ -112,7 +112,7 @@ def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
     states = [StateVector(1, s.amplitudes[::-1]) if f else s for s, f in zip(states, flips)]
     b_prime = rng_b.bits(q)
     a_prime = np.array(
-        [qcore.measure_subsystem(s, 0, Basis.from_bit(b_prime[i]), rng_b)[0]
+        [qcore.measure_subsystem(s, 0, b_prime[i], rng_b)[0]
          for i, s in enumerate(states)],
         dtype=np.uint8,
     )
@@ -174,21 +174,21 @@ def test_run_bb84_matches_dense_replay(setting):
 
 class TestFromStates:
     def test_bb84_states_round_trip(self):
-        states = [qcore.prepare_bb84(bit, basis) for bit in (0, 1) for basis in Basis]
+        states = [qcore.prepare_bb84(bit, basis) for bit in (0, 1) for basis in (0, 1)]
         batch = from_states(states)
         assert not batch.flips.any()
         assert all(got is want for got, want in zip(dense_states(batch), states))
 
     def test_flipped_and_phased_states_round_trip_up_to_phase(self):
         states = [_dense(bit, basis, 1) for bit in (0, 1) for basis in (0, 1)]
-        states.append(StateVector(1, 1j * qcore.prepare_bb84(0, Basis.DIAGONAL).amplitudes))
+        states.append(StateVector(1, 1j * qcore.prepare_bb84(0, 1).amplitudes))
         for got, want in zip(dense_states(from_states(states)), states):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
     def test_flipped_batch_yields_swapped_amplitudes(self):
         batch = Bb84Qubits([0, 1], [1, 1], [1, 1])
         for got, bit in zip(dense_states(batch), (0, 1)):
-            want = qcore.prepare_bb84(bit, Basis.DIAGONAL).amplitudes[::-1]
+            want = qcore.prepare_bb84(bit, 1).amplitudes[::-1]
             assert np.array_equal(got.amplitudes, want)
 
     def test_bell_state_rejected(self):
@@ -198,7 +198,7 @@ class TestFromStates:
     def test_non_bb84_qubit_rejected(self):
         tilted = StateVector(1, np.array([np.cos(0.3), np.sin(0.3)]))
         with pytest.raises(ValueError):
-            from_states([qcore.prepare_bb84(0, Basis.COMPUTATIONAL), tilted])
+            from_states([qcore.prepare_bb84(0, 0), tilted])
 
     def test_bad_batch_fields_rejected(self):
         with pytest.raises(ValueError):

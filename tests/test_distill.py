@@ -55,8 +55,8 @@ def dense_teleport(psi: StateVector, ebit: StateVector, rng):
     joint = qcore.tensor(psi, ebit)
     joint = qcore.apply_unitary(joint, cnot, [0, 1])
     joint = qcore.apply_unitary(joint, qcore.HADAMARD, [0])
-    m_phase, joint = qcore.measure_subsystem(joint, 0, qcore.Basis.COMPUTATIONAL, rng)
-    m_bit, joint = qcore.measure_subsystem(joint, 1, qcore.Basis.COMPUTATIONAL, rng)
+    m_phase, joint = qcore.measure_subsystem(joint, 0, 0, rng)
+    m_bit, joint = qcore.measure_subsystem(joint, 1, 0, rng)
     if m_bit:
         joint = qcore.apply_unitary(joint, qcore.PAULI_X, [2])
     if m_phase:
@@ -194,21 +194,26 @@ class TestBatch:
 class TestVerification:
     def test_filtered_batch_passes(self):
         ebits, _ = distill_batch(200, np.pi / 6, RandomStream(8))
-        ok, kept = verify_ebits(ebits, 0.25, RandomStream(9))
+        ok, kept = verify_ebits(ebits, round(0.25 * len(ebits)), RandomStream(9))
         assert ok
         assert len(kept) < len(ebits)
 
     def test_planted_partial_pair_detected_at_full_sampling(self):
         ebits, _ = distill_batch(50, np.pi / 6, RandomStream(10))
         ebits.append(PartialPair(np.pi / 6).state)
-        ok, _ = verify_ebits(ebits, 1.0, RandomStream(11))
+        ok, _ = verify_ebits(ebits, len(ebits), RandomStream(11))
         assert not ok
 
     def test_product_states_detected(self):
         fakes = [qcore.basis_state("00") for _ in range(10)]
         assert qcore.fidelity(PHI_PLUS, qcore.to_density(fakes[0])) == pytest.approx(0.5)
-        ok, _ = verify_ebits(fakes, 1.0, RandomStream(12))
+        ok, _ = verify_ebits(fakes, len(fakes), RandomStream(12))
         assert not ok
+
+    @pytest.mark.parametrize("n_sample", [0, 4])
+    def test_sample_size_outside_one_to_len_rejected(self, n_sample):
+        with pytest.raises(ValueError, match="sample size"):
+            verify_ebits([PHI_PLUS] * 3, n_sample, RandomStream(13))
 
 
 class TestTeleport:
@@ -230,7 +235,7 @@ class TestTeleport:
 
     def test_classical_bits_uniform(self):
         rng = RandomStream(16)
-        plus = qcore.prepare_bb84(0, qcore.Basis.DIAGONAL)
+        plus = qcore.prepare_bb84(0, 1)
         counts = np.zeros(4, dtype=int)
         trials = 10_000
         for _ in range(trials):
@@ -247,7 +252,7 @@ class TestTeleport:
         trials = 10_000
         for _ in range(trials):
             bit, basis_bit = int(gen.integers(0, 2)), int(gen.integers(0, 2))
-            psi = qcore.prepare_bb84(bit, qcore.Basis.from_bit(basis_bit))
+            psi = qcore.prepare_bb84(bit, basis_bit)
             _, (m_phase, m_bit) = teleport(psi, PHI_PLUS, rng)
             joint[2 * bit + basis_bit, 2 * m_phase + m_bit] += 1
         pxy = joint / trials
@@ -279,15 +284,15 @@ class TestTeleport:
         while ebit is None:
             ebit = procrustean_filter(PartialPair(theta), rng)
         for i, (bit, basis) in enumerate(np.ndindex(2, 2)):
-            psi = qcore.prepare_bb84(bit, qcore.Basis.from_bit(basis))
+            psi = qcore.prepare_bb84(bit, basis)
             assert len(self.assert_matches_dense(psi, ebit, 50 + i, draws=40)) == 4
-            p_phase, p_bit, _ = distill._teleport_table(distill._ByBytes(psi), distill._ByBytes(ebit))
+            p_phase, p_bit, _ = distill._teleport_table(psi, ebit)
             for p in (p_phase, *p_bit):
                 assert abs(p - 0.5) < 1e-12
 
     def test_bb84_states_and_random_states_through_phi_plus_equal_dense_oracle(self):
         for i, (bit, basis) in enumerate(np.ndindex(2, 2)):
-            psi = qcore.prepare_bb84(bit, qcore.Basis.from_bit(basis))
+            psi = qcore.prepare_bb84(bit, basis)
             assert len(self.assert_matches_dense(psi, PHI_PLUS, 60 + i, draws=100)) == 4
         gen = RandomStream(61).generator
         for i in range(200):
@@ -303,6 +308,37 @@ class TestTeleport:
     def test_rejects_non_ebit(self):
         with pytest.raises(ValueError):
             teleport(qcore.basis_state("0"), qcore.basis_state("00"), RandomStream(19))
+
+    @pytest.mark.parametrize(
+        "psi, pair, message",
+        [
+            (qcore.basis_state("00"), PHI_PLUS, "single qubit"),
+            (qcore.basis_state("0"), qcore.basis_state("0"), "two qubits"),
+            (qcore.basis_state("0"), near_ebit(1e-6), "not a Phi\\+ ebit"),
+        ],
+        ids=["two-qubit psi", "one-qubit pair", "fidelity 1-1e-6"],
+    )
+    def test_bad_input_rejected_on_every_call_without_a_draw(self, psi, pair, message):
+        if psi.n_qubits == 1:
+            teleport(psi, PHI_PLUS, RandomStream(20))  # psi alone is fine
+        for _ in range(3):
+            rng = RandomStream(21)
+            with pytest.raises(ValueError, match=message):
+                teleport(psi, pair, rng)
+            assert rng.random() == RandomStream(21).random()
+
+    def test_equal_states_share_one_table(self, monkeypatch):
+        psi = random_qubit(RandomStream(22).generator)
+        teleport(psi, PHI_PLUS, RandomStream(23))
+        checks = []
+        monkeypatch.setattr(distill, "_is_ebit", lambda state: checks.append(state) or True)
+        hits = distill._teleport_table.cache_info().hits
+        psi_again = StateVector(1, psi.amplitudes.copy())
+        ebit_again = StateVector(2, PHI_PLUS.amplitudes.copy())
+        for _ in range(14):
+            teleport(psi_again, ebit_again, RandomStream(24))
+        assert distill._teleport_table.cache_info().hits == hits + 14
+        assert checks == []  # the input checks ran when the table was built
 
     @pytest.mark.parametrize(
         "pair, accepted",
@@ -324,7 +360,7 @@ class TestTeleport:
         else:
             with pytest.raises(ValueError, match="not a Phi\\+ ebit"):
                 teleport(psi, pair, RandomStream(40))
-        ok, _ = verify_ebits([pair], 1.0, RandomStream(41))
+        ok, _ = verify_ebits([pair], 1, RandomStream(41))
         assert ok is accepted
 
 
@@ -377,7 +413,7 @@ def dense_qke_over_teleportation(m, theta, rng, codes=None):
         ebits.extend(distill_batch(needed * 2, theta, rng.substream("filter", attempt))[0])
         if len(ebits) >= needed:
             break
-    ok, ebits = verify_ebits(ebits, (len(ebits) - m) / len(ebits), rng.substream("verify"))
+    ok, ebits = verify_ebits(ebits, len(ebits) - m, rng.substream("verify"))
     assert ok and len(ebits) >= m
     cchan = ClassicalAuthChannel()
     rng_a, rng_b = rng.substream("alice"), rng.substream("bob")
@@ -386,10 +422,10 @@ def dense_qke_over_teleportation(m, theta, rng, codes=None):
     a_prime = np.empty(m, dtype=np.uint8)
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
-        state = qcore.prepare_bb84(int(a[i]), qcore.Basis.from_bit(b[i]))
+        state = qcore.prepare_bb84(int(a[i]), b[i])
         received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
         teleport_bits[2 * i : 2 * i + 2] = bits
-        a_prime[i], _ = qcore.measure_subsystem(received, 0, qcore.Basis.from_bit(b_prime[i]), rng_b)
+        a_prime[i], _ = qcore.measure_subsystem(received, 0, b_prime[i], rng_b)
     cchan.send("alice", "teleport-bits", teleport_bits)
     matched = bb84.announce_sift(cchan, b, b_prime)
     check_pos, payload_pos = bb84.split_check(matched, matched.size // 2, rng_a)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qdeny import qcore
-from qdeny.qcore import Basis, BellKind
+from qdeny.qcore import BellKind
 from qdeny.rng import RandomStream
 
 
@@ -28,13 +28,13 @@ def random_density(gen, n_qubits: int, terms: int = 3) -> qcore.DensityMatrix:
 class TestPreparation:
     def test_computational_zero(self):
         np.testing.assert_allclose(
-            qcore.prepare_bb84(0, Basis.COMPUTATIONAL).amplitudes, [1, 0], atol=1e-15
+            qcore.prepare_bb84(0, 0).amplitudes, [1, 0], atol=1e-15
         )
 
     def test_diagonal_one_is_minus(self):
         # (1/sqrt2)(|0> - |1>)
         np.testing.assert_allclose(
-            qcore.prepare_bb84(1, Basis.DIAGONAL).amplitudes,
+            qcore.prepare_bb84(1, 1).amplitudes,
             np.array([1, -1]) / np.sqrt(2),
             atol=1e-15,
         )
@@ -42,7 +42,7 @@ class TestPreparation:
     def test_eigenstate_measured_in_own_basis(self):
         rng = RandomStream(1)
         for bit in (0, 1):
-            for basis in Basis:
+            for basis in (0, 1):
                 outcome, post = qcore.measure_subsystem(qcore.prepare_bb84(bit, basis), 0, basis, rng)
                 assert outcome == bit
                 np.testing.assert_allclose(
@@ -51,15 +51,19 @@ class TestPreparation:
 
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
-            qcore.prepare_bb84(2, Basis.COMPUTATIONAL)
+            qcore.prepare_bb84(2, 0)
+
+    def test_bad_basis_rejected(self):
+        with pytest.raises(ValueError, match="basis must be 0 or 1"):
+            qcore.prepare_bb84(0, 2)
 
 
 class TestMeasurement:
     def test_zero_in_diagonal_basis_is_fair(self):
         rng = RandomStream(2)
         trials = 100_000
-        zero = qcore.prepare_bb84(0, Basis.COMPUTATIONAL)
-        ones = sum(qcore.measure_subsystem(zero, 0, Basis.DIAGONAL, rng)[0] for _ in range(trials))
+        zero = qcore.prepare_bb84(0, 0)
+        ones = sum(qcore.measure_subsystem(zero, 0, 1, rng)[0] for _ in range(trials))
         sigma = np.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) < 3 * sigma
 
@@ -68,7 +72,7 @@ class TestMeasurement:
         seen = set()
         for _ in range(50):
             b, post = qcore.measure_subsystem(
-                qcore.bell_state(BellKind.PHI_PLUS), 0, Basis.COMPUTATIONAL, rng
+                qcore.bell_state(BellKind.PHI_PLUS), 0, 0, rng
             )
             seen.add(b)
             residual = qcore.partial_trace(qcore.to_density(post), [1])
@@ -80,7 +84,7 @@ class TestMeasurement:
         rng = RandomStream(4)
         for _ in range(20):
             b, post = qcore.measure_subsystem(
-                qcore.bell_state(BellKind.PSI_PLUS), 0, Basis.COMPUTATIONAL, rng
+                qcore.bell_state(BellKind.PSI_PLUS), 0, 0, rng
             )
             residual = qcore.partial_trace(qcore.to_density(post), [1])
             expect = qcore.to_density(qcore.basis_state([1 - b]))
@@ -89,16 +93,55 @@ class TestMeasurement:
     def test_product_state_untouched_qubit(self):
         rng = RandomStream(5)
         state = qcore.basis_state("00")
-        bit, post = qcore.measure_subsystem(state, 1, Basis.COMPUTATIONAL, rng)
+        bit, post = qcore.measure_subsystem(state, 1, 0, rng)
         assert bit == 0
         np.testing.assert_allclose(post.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_one_draw_per_measurement(self):
         # identical streams after one measurement each, regardless of basis
         r1, r2 = RandomStream(9), RandomStream(9)
-        qcore.measure_subsystem(qcore.prepare_bb84(0, Basis.COMPUTATIONAL), 0, Basis.DIAGONAL, r1)
-        qcore.measure_subsystem(qcore.prepare_bb84(1, Basis.DIAGONAL), 0, Basis.COMPUTATIONAL, r2)
+        qcore.measure_subsystem(qcore.prepare_bb84(0, 0), 0, 1, r1)
+        qcore.measure_subsystem(qcore.prepare_bb84(1, 1), 0, 0, r2)
         assert r1.random() == r2.random()
+
+
+    def test_basis_bits_select_the_basis(self):
+        # basis 1 on |++> never gives 1; basis 0 does about half the time
+        plus_plus = qcore.tensor(qcore.prepare_bb84(0, 1), qcore.prepare_bb84(0, 1))
+        rng = RandomStream(10)
+        assert not any(qcore.measure_subsystem(plus_plus, 0, 1, rng)[0] for _ in range(200))
+        assert 0 < sum(qcore.measure_subsystem(plus_plus, 0, 0, rng)[0] for _ in range(200)) < 200
+
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    def test_bad_basis_rejected_without_a_draw(self, n_qubits):
+        rng = RandomStream(11)
+        with pytest.raises(ValueError, match="basis must be 0 or 1"):
+            qcore.measure_subsystem(qcore.basis_state("0" * n_qubits), 0, 2, rng)
+        assert rng.random() == RandomStream(11).random()
+
+
+class TestStateEquality:
+    def test_equal_amplitude_bytes_equal_and_share_a_hash(self):
+        r = 1 / np.sqrt(2)
+        a = qcore.StateVector(1, np.array([r, -r], dtype=complex))
+        b = qcore.StateVector(1, np.array([r, -r], dtype=complex))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a == qcore.prepare_bb84(1, 1)
+        assert len({a, b, qcore.prepare_bb84(1, 1)}) == 1
+
+    def test_one_ulp_apart_unequal(self):
+        zero = qcore.basis_state("0")
+        tilted = qcore.StateVector(1, np.array([1, np.nextafter(0.0, 1.0)], dtype=complex))
+        assert tilted.amplitudes.tobytes() != zero.amplitudes.tobytes()
+        assert tilted != zero and not tilted == zero
+
+    def test_other_objects_unequal(self):
+        zero = qcore.basis_state("0")
+        assert zero != zero.amplitudes
+        assert zero != qcore.to_density(zero)
+        assert not zero == None  # noqa: E711
+        assert zero != qcore.basis_state("00")
 
 
 class TestTensorAndTrace:
@@ -112,7 +155,7 @@ class TestTensorAndTrace:
         np.testing.assert_allclose(got.matrix, np.eye(4) / 4, atol=1e-15)
 
     def test_tensor_plus_plus_uniform(self):
-        plus = qcore.prepare_bb84(0, Basis.DIAGONAL)
+        plus = qcore.prepare_bb84(0, 1)
         got = qcore.tensor(plus, plus)
         np.testing.assert_allclose(got.amplitudes, np.full(4, 0.5), atol=1e-12)
 
@@ -210,10 +253,10 @@ class TestBellAndUnitaries:
         np.testing.assert_allclose(got.amplitudes, [0, 1], atol=1e-15)
 
     def test_z_on_plus_gives_minus(self):
-        plus = qcore.prepare_bb84(0, Basis.DIAGONAL)
+        plus = qcore.prepare_bb84(0, 1)
         got = qcore.apply_unitary(plus, qcore.PAULI_Z, [0])
         np.testing.assert_allclose(
-            got.amplitudes, qcore.prepare_bb84(1, Basis.DIAGONAL).amplitudes, atol=1e-15
+            got.amplitudes, qcore.prepare_bb84(1, 1).amplitudes, atol=1e-15
         )
 
     def test_x_on_first_bell_qubit(self):
@@ -241,7 +284,7 @@ class TestInvariantSuites:
             state = random_state(gen, 2)
             rotated = qcore.apply_unitary(state, qcore.HADAMARD, [1])
             assert abs(np.linalg.norm(rotated.amplitudes) - 1) < 1e-12
-            _, post = qcore.measure_subsystem(state, 0, Basis.DIAGONAL, rng)
+            _, post = qcore.measure_subsystem(state, 0, 1, rng)
             assert abs(np.linalg.norm(post.amplitudes) - 1) < 1e-12
 
     def test_fidelity_bounds(self):

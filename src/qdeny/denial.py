@@ -75,6 +75,19 @@ class EveRecord:
         if np.any(np.diff(self.positions) <= 0):
             raise ValueError("positions must be strictly increasing")
 
+    @classmethod
+    def _of_arrays(
+        cls, positions: np.ndarray, bases: np.ndarray, outcomes: np.ndarray
+    ) -> "EveRecord":
+        """Record over strictly increasing int64 positions and uint8 bases and
+        outcomes that this package has just built, without the public
+        constructor's copies and checks; the arrays become read-only."""
+        record = object.__new__(cls)
+        for name, arr in zip(("positions", "bases", "outcomes"), (positions, bases, outcomes)):
+            arr.setflags(write=False)
+            object.__setattr__(record, name, arr)
+        return record
+
     def __len__(self) -> int:
         return int(self.positions.size)
 
@@ -86,17 +99,12 @@ def eve_decoy_attack(
 
     Draws per qubit, in order: one uniform to decide whether to measure,
     then for a measured qubit its basis bit and its measurement uniform.
+    `RandomStream.marks` reads those draws from one raw Philox draw, in
+    that order.
     """
-    positions, bases, uniforms = [], [], []
-    for i in range(len(qubits)):
-        if rng.random() < policy.measure_probability:
-            positions.append(i)
-            bases.append(rng.bit())
-            uniforms.append(rng.random())
-    positions = np.array(positions, dtype=np.int64)
-    bases = np.array(bases, dtype=np.uint8)
-    outcomes, forwarded = qubits.measured(bases, np.array(uniforms), at=positions)
-    return forwarded, EveRecord(positions, bases, outcomes)
+    positions, bases, uniforms = rng.marks(len(qubits), policy.measure_probability)
+    outcomes, forwarded = qubits.measured(bases, uniforms, at=positions)
+    return forwarded, EveRecord._of_arrays(positions, bases, outcomes)
 
 
 def judge_check(bits, bases, record: EveRecord) -> int | None:

@@ -112,9 +112,10 @@ class StateVector:
         return self.amplitudes.reshape((2,) * self.n_qubits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Mixed state of n_qubits qubits: Hermitian, unit trace, PSD."""
+    """Mixed state of n_qubits qubits: Hermitian, unit trace, PSD; it
+    compares and hashes by qubit count and matrix bytes."""
 
     n_qubits: int
     matrix: np.ndarray
@@ -134,6 +135,15 @@ class DensityMatrix:
         mat = mat / tr
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    def _key(self) -> tuple[int, bytes]:
+        return self.n_qubits, self.matrix.tobytes()
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DensityMatrix) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def basis_state(bits: str | Sequence[int]) -> StateVector:
@@ -256,6 +266,9 @@ class Bb84Qubits:
         return outcomes, Bb84Qubits._of_bits(*post)
 
 
+_MIXED_BB84_ARGS = "bit and basis must both be scalars or both be arrays"
+
+
 def prepare_bb84(
     bit: int | np.ndarray, basis: int | np.ndarray
 ) -> StateVector | Bb84Qubits:
@@ -263,10 +276,14 @@ def prepare_bb84(
 
     States are immutable, so the four instances are shared. Given arrays of
     bits and basis bits instead, returns them as an unflipped Bb84Qubits
-    batch.
+    batch. A scalar with an array raises ValueError.
     """
     if not isinstance(basis, (int, np.integer)):
+        if not np.ndim(bit):
+            raise ValueError(_MIXED_BB84_ARGS)
         return Bb84Qubits(bit, basis, np.zeros(np.shape(bit), dtype=np.uint8))
+    if not isinstance(bit, (int, np.integer)) and np.ndim(bit):
+        raise ValueError(_MIXED_BB84_ARGS)
     if bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     if basis not in (0, 1):

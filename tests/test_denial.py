@@ -113,6 +113,43 @@ class TestEveDecoyAttack:
         _, record = eve_decoy_attack(EvePolicy(0.5), states, rng)
         assert np.all(np.diff(record.positions) > 0)
 
+    # bit() calls before the attack leave Philox's buffered half-word at either parity
+    @pytest.mark.parametrize("p", [0.0, 1.0, 8 / 63, 0.5, 0.03, 1e-300, 0.9999])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 63, 200])
+    @pytest.mark.parametrize("before", [0, 1, 2])
+    def test_equals_the_per_qubit_loop(self, p, n, before):
+        for seed in range(10):
+            a, b = RandomStream(seed), RandomStream(seed)
+            states = qcore.prepare_bb84(a.bits(n), a.bits(n))
+            b.bits(n), b.bits(n)
+            for _ in range(before):
+                assert a.bit() == b.bit()
+            forwarded, record = eve_decoy_attack(EvePolicy(p), states, a)
+            want_forwarded, want = reference_attack(EvePolicy(p), states, b)
+            for name in ("positions", "bases", "outcomes"):
+                got = getattr(record, name)
+                assert got.dtype == getattr(want, name).dtype and not got.flags.writeable
+                assert np.array_equal(got, getattr(want, name))
+            for name in ("bits", "bases", "flips"):
+                assert np.array_equal(getattr(forwarded, name), getattr(want_forwarded, name))
+            assert a.bit() == b.bit() and a.random() == b.random()
+            assert np.array_equal(a.uniforms(5), b.uniforms(5)) and a.bit() == b.bit()
+
+
+def reference_attack(policy, qubits, rng):
+    """The interceptor as a per-qubit loop of scalar draws: one random() to
+    decide, then bit() for the basis and random() for the outcome."""
+    positions, bases, uniforms = [], [], []
+    for i in range(len(qubits)):
+        if rng.random() < policy.measure_probability:
+            positions.append(i)
+            bases.append(rng.bit())
+            uniforms.append(rng.random())
+    positions = np.array(positions, dtype=np.int64)
+    bases = np.array(bases, dtype=np.uint8)
+    outcomes, forwarded = qubits.measured(bases, np.array(uniforms), at=positions)
+    return forwarded, EveRecord(positions, bases, outcomes)
+
 
 def reference_judge(bits, bases, record):
     """The judge as a per-entry loop: the first entry measured in the
@@ -148,6 +185,22 @@ class TestEveRecord:
     def test_positions_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             EveRecord([2, 2], [0, 0], [0, 0])
+
+    @pytest.mark.parametrize("positions, bases, outcomes", [
+        ([], [], []), ([3], [1], [0]), ([0, 4, 9], [1, 0, 1], [0, 1, 1]),
+    ])
+    def test_trusted_arrays_equal_the_public_record(self, positions, bases, outcomes):
+        arrays = (np.array(positions, np.int64), np.array(bases, np.uint8),
+                  np.array(outcomes, np.uint8))
+        public = EveRecord(*arrays)
+        trusted = EveRecord._of_arrays(*arrays)
+        assert len(trusted) == len(public)
+        for name in ("positions", "bases", "outcomes"):
+            got, want = getattr(trusted, name), getattr(public, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[...] = 0
 
 
 class TestJudge:

@@ -57,6 +57,14 @@ class TestPreparation:
         with pytest.raises(ValueError, match="basis must be 0 or 1"):
             qcore.prepare_bb84(0, 2)
 
+    @pytest.mark.parametrize("bit, basis", [
+        (np.array([0, 1]), 0), (np.array([0, 1]), np.uint8(1)), ([0, 1], 1),
+        (0, np.array([0, 1])), (np.uint8(1), np.zeros(2, np.uint8)),
+    ])
+    def test_scalar_with_array_rejected(self, bit, basis):
+        with pytest.raises(ValueError, match="both be scalars or both be arrays"):
+            qcore.prepare_bb84(bit, basis)
+
 
 class TestMeasurement:
     def test_zero_in_diagonal_basis_is_fair(self):
@@ -142,6 +150,28 @@ class TestStateEquality:
         assert zero != qcore.to_density(zero)
         assert not zero == None  # noqa: E711
         assert zero != qcore.basis_state("00")
+
+
+class TestDensityEquality:
+    def test_equal_matrix_bytes_equal_and_share_a_hash(self):
+        a = qcore.DensityMatrix(1, np.eye(2) / 2)
+        b = qcore.DensityMatrix(1, np.eye(2) / 2)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_one_ulp_apart_unequal(self):
+        half = qcore.DensityMatrix(1, np.eye(2) / 2)
+        tilted = qcore.DensityMatrix(1, np.diag([0.5, np.nextafter(0.5, 1.0)]))
+        assert tilted.matrix.tobytes() != half.matrix.tobytes()
+        assert tilted != half and not tilted == half
+
+    def test_other_objects_unequal(self):
+        zero = qcore.to_density(qcore.basis_state("0"))
+        assert zero != zero.matrix
+        assert zero != qcore.basis_state("0")
+        assert not zero == None  # noqa: E711
+        assert zero != qcore.to_density(qcore.basis_state("00"))
 
 
 class TestTensorAndTrace:

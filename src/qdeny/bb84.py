@@ -96,17 +96,11 @@ class Bb84Config:
 
 @dataclass(frozen=True)
 class SessionResult:
-    """Per-party outcome: (session key, party id, public values, secret values)."""
+    """What one party holds alone: its session key (None on abort) and its
+    secret values. The public values are the session's transcript."""
 
     session_key: np.ndarray | None
-    party_id: str
-    public_values: tuple[Message, ...]
     private_values: dict[str, np.ndarray]
-    aborted: bool = False
-
-    def __post_init__(self):
-        if self.aborted and self.session_key is not None:
-            raise ValueError("aborted results carry no key")
 
 
 @dataclass(frozen=True)
@@ -248,7 +242,7 @@ def run_bb84(
     delivered, eve_record = transmit(qchan, qcore.prepare_bb84(a, b), rng_env)
 
     b_prime = rng_b.bits(q_count)
-    a_prime, _ = qcore.measure(delivered, b_prime, rng_b)
+    a_prime = qcore.measure(delivered, b_prime, rng_b)
 
     sifted = announce_sift(cchan, b, b_prime)
     if sifted.size < 2 * n:
@@ -274,9 +268,8 @@ def run_bb84(
         config, a, b, b_prime, a_prime, sifted, check_positions, payload_positions,
         u, estimated_error, cchan.log, eve_record,
     )
-    alice = SessionResult(k_a, "alice", cchan.log, alice_private, aborted=not ok)
-    bob = SessionResult(k_b, "bob", cchan.log,
-                        {"outcomes": a_prime, "bases": b_prime}, aborted=not ok)
+    alice = SessionResult(k_a, alice_private)
+    bob = SessionResult(k_b, {"outcomes": a_prime, "bases": b_prime})
     return Bb84Outcome(not ok, alice, bob, session)
 
 

@@ -93,12 +93,13 @@ class ClassicalAuthChannel:
 def transmit(
     channel: QubitChannel, qubits: qcore.Bb84Qubits, rng: RandomStream
 ) -> tuple[qcore.Bb84Qubits, object | None]:
-    """Deliver qubits: interceptor first, then per-qubit Pauli-X noise."""
+    """Deliver qubits: interceptor first, then Pauli-X noise through
+    `Bb84Qubits.pauli_x` on the qubits whose uniform, from one
+    `rng.uniforms(n)` draw, falls below the flip probability."""
     record = None
     if channel.interceptor is not None:
         qubits, record = channel.interceptor.intercept(qubits, rng)
-    flips = rng.uniforms(len(qubits)) < channel.flip_probability  # one draw per qubit
-    return qcore.Bb84Qubits._of_bits(qubits.bits, qubits.bases, qubits.flips ^ flips), record
+    return qubits.pauli_x(rng.uniforms(len(qubits)) < channel.flip_probability), record
 
 
 MAX_SLOTS = 1 << 20  # time-bin slots per window; the largest in use is 16384

@@ -192,10 +192,10 @@ def _run_bb84(params: dict, seed: int, trials: int):
         detail = {
             "last_session": {
                 "session_key": gf2.bits_to_str(last.alice.session_key),
-                "party_id": last.alice.party_id,
+                "party_id": "alice",
                 "public_values": [
                     {"sender": m.sender, "label": m.label, "bits": gf2.bits_to_str(m.bits)}
-                    for m in last.alice.public_values
+                    for m in last.session.transcript
                 ],
                 "private_value_names": sorted(last.alice.private_values),
             }

@@ -103,7 +103,7 @@ def eve_decoy_attack(
     that order.
     """
     positions, bases, uniforms = rng.marks(len(qubits), policy.measure_probability)
-    outcomes, forwarded = qubits.measured(bases, uniforms, at=positions)
+    outcomes, forwarded = qubits._collapsed(positions, bases, uniforms)
     return forwarded, EveRecord._of_arrays(positions, bases, outcomes)
 
 

@@ -325,7 +325,7 @@ def qke_over_teleportation(
     p0 = np.empty(m)
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
-        state = qcore.prepare_bb84(int(a[i]), int(b[i]))
+        state = qcore.bb84_state(int(a[i]), int(b[i]))
         received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
         teleport_bits[2 * i : 2 * i + 2] = bits
         p0[i] = qcore._p0(received.amplitudes, b_prime[i])

@@ -17,7 +17,7 @@ block per row, and treat every row alike.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -188,7 +188,6 @@ class BinaryLinearCode:
     k: int
     generator: np.ndarray
     parity_check: np.ndarray
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = np.asarray(self.generator, dtype=np.uint8) % 2
@@ -212,43 +211,39 @@ class BinaryLinearCode:
             raise ValueError("generator rows must be independent")
         return cls(n=n, k=k, generator=g, parity_check=nullspace(g))
 
+    @cached_property
     def codewords(self) -> np.ndarray:
         """All 2^k codewords, row i encodes the k-bit message with value i."""
-        if "codewords" not in self._cache:
-            table = (_all_words(self.k) @ self.generator) % 2
-            table.setflags(write=False)
-            self._cache["codewords"] = table
-        return self._cache["codewords"]
+        table = (_all_words(self.k) @ self.generator) % 2
+        table.setflags(write=False)
+        return table
 
+    @cached_property
     def distance(self) -> int:
-        if "distance" not in self._cache:
-            w = self.codewords().sum(axis=1)
-            self._cache["distance"] = int(w[w > 0].min())
-        return self._cache["distance"]
+        w = self.codewords.sum(axis=1)
+        return int(w[w > 0].min())
 
+    @cached_property
     def leader_table(self) -> np.ndarray:
         """Minimum-weight coset leaders, lexicographic tie-break; row s is
         the leader of the syndrome whose big-endian value is s."""
-        if "leaders" not in self._cache:
-            words = _all_words(self.n)
-            order = np.lexsort((np.arange(1 << self.n), words.sum(axis=1)))
-            index = _index(_mul(self.parity_check, words[order]))
-            _, first = np.unique(index, return_index=True)  # lightest word per syndrome
-            table = np.empty((1 << (self.n - self.k), self.n), dtype=np.uint8)
-            table[index[first]] = words[order[first]]
-            table.setflags(write=False)
-            self._cache["leaders"] = table
-        return self._cache["leaders"]
+        words = _all_words(self.n)
+        order = np.lexsort((np.arange(1 << self.n), words.sum(axis=1)))
+        index = _index(_mul(self.parity_check, words[order]))
+        _, first = np.unique(index, return_index=True)  # lightest word per syndrome
+        table = np.empty((1 << (self.n - self.k), self.n), dtype=np.uint8)
+        table[index[first]] = words[order[first]]
+        table.setflags(write=False)
+        return table
 
+    @cached_property
     def decode_table(self) -> np.ndarray:
         """Nearest codeword of every n-bit word, each word XOR the leader of
         its syndrome; row i decodes the word whose big-endian value is i."""
-        if "decoded" not in self._cache:
-            words = _all_words(self.n)
-            table = words ^ self.leader_table()[_index(_mul(self.parity_check, words))]
-            table.setflags(write=False)
-            self._cache["decoded"] = table
-        return self._cache["decoded"]
+        words = _all_words(self.n)
+        table = words ^ self.leader_table[_index(_mul(self.parity_check, words))]
+        table.setflags(write=False)
+        return table
 
 
 def syndrome(code: BinaryLinearCode, v: np.ndarray) -> np.ndarray:
@@ -260,7 +255,7 @@ def coset_leader(code: BinaryLinearCode, syn: np.ndarray) -> np.ndarray:
     """Minimum-weight vector with the given syndrome (lexicographic ties);
     one leader per row for a matrix of syndromes."""
     syn = _words(syn, code.n - code.k, "syndrome")
-    return code.leader_table()[_index(syn)].copy()
+    return code.leader_table[_index(syn)].copy()
 
 
 def decode_to_codeword(code: BinaryLinearCode, word: np.ndarray) -> np.ndarray:
@@ -268,7 +263,7 @@ def decode_to_codeword(code: BinaryLinearCode, word: np.ndarray) -> np.ndarray:
     of a word or of each row of a matrix of words; read off the code's
     decode table."""
     word = _words(word, code.n, "word")
-    return code.decode_table().take(_index(word), axis=0)
+    return code.decode_table.take(_index(word), axis=0)
 
 
 def sample_codeword(code: BinaryLinearCode, rng: RandomStream, count: int) -> np.ndarray:
@@ -276,9 +271,9 @@ def sample_codeword(code: BinaryLinearCode, rng: RandomStream, count: int) -> np
 
     The messages of all codewords come from one `rng.bit_rows(count, k)`
     draw, whose rows equal `count` single `rng.bits(k)` draws; each
-    message's codeword is read off `code.codewords()`.
+    message's codeword is read off `code.codewords`.
     """
-    return code.codewords().take(_index(rng.bit_rows(count, code.k)), axis=0)
+    return code.codewords.take(_index(rng.bit_rows(count, code.k)), axis=0)
 
 
 @dataclass(frozen=True)
@@ -287,7 +282,6 @@ class NestedCodePair:
 
     c1: BinaryLinearCode
     c2: BinaryLinearCode
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c1.n != self.c2.n:
@@ -299,39 +293,37 @@ class NestedCodePair:
     def key_bits(self) -> int:
         return self.c1.k - self.c2.k
 
+    @cached_property
     def _coset_map(self) -> tuple[np.ndarray, np.ndarray]:
         """(H2, T): label(u) = T @ (H2 @ u); kernel on C1 is exactly C2."""
-        if "coset_map" not in self._cache:
-            h2 = self.c2.parity_check
-            image = (self.c1.generator @ h2.T) % 2  # k1 x (n - k2), rank k1 - k2
-            r, pivots = rref(image)
-            t = np.zeros((len(pivots), h2.shape[0]), dtype=np.uint8)
-            for i, col in enumerate(pivots):
-                t[i, col] = 1
-            # pivot-coordinate projection is injective on the row space of `image`
-            self._cache["coset_map"] = (h2, t)
-        return self._cache["coset_map"]
+        h2 = self.c2.parity_check
+        image = (self.c1.generator @ h2.T) % 2  # k1 x (n - k2), rank k1 - k2
+        r, pivots = rref(image)
+        t = np.zeros((len(pivots), h2.shape[0]), dtype=np.uint8)
+        for i, col in enumerate(pivots):
+            t[i, col] = 1
+        # pivot-coordinate projection is injective on the row space of `image`
+        return h2, t
 
+    @cached_property
     def label_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(labels, in_c1) over every n-bit word: row i of labels is
         T @ (H2 @ w) and in_c1[i] says whether w is a codeword of C1, for
         the word w whose big-endian value is i."""
-        if "labels" not in self._cache:
-            words = _all_words(self.c1.n)
-            h2, t = self._coset_map()
-            labels = _mul(t, _mul(h2, words))
-            in_c1 = ~_mul(self.c1.parity_check, words).any(axis=1)
-            labels.setflags(write=False)
-            in_c1.setflags(write=False)
-            self._cache["labels"] = (labels, in_c1)
-        return self._cache["labels"]
+        words = _all_words(self.c1.n)
+        h2, t = self._coset_map
+        labels = _mul(t, _mul(h2, words))
+        in_c1 = ~_mul(self.c1.parity_check, words).any(axis=1)
+        labels.setflags(write=False)
+        in_c1.setflags(write=False)
+        return labels, in_c1
 
 
 def key_from_coset(pair: NestedCodePair, u: np.ndarray) -> np.ndarray:
     """Canonical (k1 - k2)-bit label of the coset u + C2 inside C1; one
     label per row for a matrix of codewords."""
     u = _words(u, pair.c1.n, "codeword")
-    labels, in_c1 = pair.label_table()
+    labels, in_c1 = pair.label_table
     index = _index(u)
     if not in_c1[index].all():
         raise ValueError("u is not a codeword of C1")
@@ -350,7 +342,6 @@ class DualContainingPair:
     c1: BinaryLinearCode
     c2: BinaryLinearCode
     quotient_checks: np.ndarray = field(init=False)
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.c1.n != self.c2.n:
@@ -383,6 +374,7 @@ class DualContainingPair:
     def payload_bits(self) -> int:
         return self.c1.k + self.c2.k - self.c1.n
 
+    @cached_property
     def _encoder(self) -> tuple[np.ndarray, int]:
         """(E, dim): the UE codeword for syndrome c1_syn, payload y and
         nullspace coefficients r (dim bits) is [c1_syn, y, r] @ E over GF(2).
@@ -392,16 +384,14 @@ class DualContainingPair:
         `solve(A, e_j)` for each unit vector e_j; the last dim rows are
         `nullspace(A)`. Built once per pair.
         """
-        if "encoder" not in self._cache:
-            a = np.vstack([self.c1.parity_check, self.quotient_checks])
-            columns = [solve(a, unit) for unit in np.eye(a.shape[0], dtype=np.uint8)]
-            if any(col is None for col in columns):
-                raise RuntimeError("constraint system inconsistent; pair invariants are broken")
-            basis = nullspace(a)
-            encoder = np.vstack([np.array(columns, dtype=np.uint8), basis])
-            encoder.setflags(write=False)
-            self._cache["encoder"] = (encoder, basis.shape[0])
-        return self._cache["encoder"]
+        a = np.vstack([self.c1.parity_check, self.quotient_checks])
+        columns = [solve(a, unit) for unit in np.eye(a.shape[0], dtype=np.uint8)]
+        if any(col is None for col in columns):
+            raise RuntimeError("constraint system inconsistent; pair invariants are broken")
+        basis = nullspace(a)
+        encoder = np.vstack([np.array(columns, dtype=np.uint8), basis])
+        encoder.setflags(write=False)
+        return encoder, basis.shape[0]
 
 
 def is_nested(c1: BinaryLinearCode, c2: BinaryLinearCode) -> bool:
@@ -448,7 +438,7 @@ def encode_ue_codeword(
     y = _words(y, pair.payload_bits, "payload")
     if c1_syn.shape[:-1] != y.shape[:-1]:
         raise ValueError("need one c1 syndrome per payload")
-    encoder, dim = pair._encoder()
+    encoder, dim = pair._encoder
     rows = np.atleast_2d(np.concatenate([c1_syn, y], axis=-1))
     z = _mul(encoder.T, np.hstack([rows, rng.bit_rows(len(rows), dim)]))
     return z if c1_syn.ndim == 2 else z[0]
@@ -466,6 +456,8 @@ def load_code(text: str) -> BinaryLinearCode:
     if len(header) != 2:
         raise ValueError("header must be 'n k'")
     n, k = int(header[0]), int(header[1])
+    if n > _TABLE_CAP:  # checked before the elimination, which is cubic in n
+        raise ValueError(f"exact code tables are capped at {_TABLE_CAP}-bit words")
     if len(lines) - 1 != k:
         raise ValueError(f"expected {k} generator rows, got {len(lines) - 1}")
     rows = []

@@ -10,12 +10,13 @@ explicit RandomStream and consume exactly one uniform draw per measurement
 (cumulative-probability inversion), which keeps seeded runs reproducible.
 
 BB84 product states under Pauli-X noise never need the dense form:
-`Bb84Qubits` holds a batch of them as three bit arrays, and `measure` takes
-only a batch: it looks each qubit's outcome-0 probability up in a table
-built from the dense states with the dense formula, drawing all uniforms in
-one call (Philox gives the same values as one scalar draw per qubit). Dense
-states, measured by `measure_subsystem`, serve entangled states and tests.
-Both forms take a basis as a bit: 0 computational (+), 1 diagonal (x).
+`Bb84Qubits` holds a batch of them as two bit arrays, bits and bases, and
+`measure` returns a batch's outcomes: it looks each qubit's outcome-0
+probability up in a table built from the dense states with the dense
+formula, drawing all uniforms in one call (Philox gives the same values as
+one scalar draw per qubit). Dense states, such as `bb84_state`, serve
+entangled states and tests and are measured by `measure_subsystem`. Both
+forms take a basis as a bit: 0 computational (+), 1 diagonal (x).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "PAULI_Z",
     "HADAMARD",
     "prepare_bb84",
+    "bb84_state",
     "basis_state",
     "measure",
     "measure_subsystem",
@@ -183,18 +185,15 @@ def _p0(amplitudes: np.ndarray, basis: int) -> float:
 
 
 def _build_p0_table() -> np.ndarray:
-    """P(outcome 0) indexed [bit, basis, flip, measurement basis].
+    """P(outcome 0) indexed [bit, basis, measurement basis].
 
     Taken from the dense states with the dense formula, rounding included:
     a diagonal state gives 0.5000000000000001 in the computational basis
     and 1.0000000000000002 or 0.0 in the diagonal one.
     """
-    table = np.empty((2, 2, 2, 2))
-    for bit, basis, flip, m_basis in product((0, 1), repeat=4):
-        state = _BB84_STATES[(bit, basis)]
-        if flip:
-            state = StateVector(1, state.amplitudes[::-1])  # Pauli-X swaps amplitudes
-        table[bit, basis, flip, m_basis] = _p0(state.amplitudes, m_basis)
+    table = np.empty((2, 2, 2))
+    for bit, basis, m_basis in product((0, 1), repeat=3):
+        table[bit, basis, m_basis] = _p0(_BB84_STATES[(bit, basis)].amplitudes, m_basis)
     table.setflags(write=False)
     return table
 
@@ -205,40 +204,38 @@ _BB84_P0 = _build_p0_table()
 def _bit_array(values) -> np.ndarray:
     arr = np.array(values, dtype=np.uint8)
     if np.count_nonzero(arr > 1):
-        raise ValueError("BB84 bits, bases and flips must be 0 or 1")
+        raise ValueError("BB84 bits and bases must be 0 or 1")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True, eq=False)
 class Bb84Qubits:
-    """A batch of single-qubit BB84 states X^flip |bit>_basis.
+    """A batch of single-qubit BB84 states |bit>_basis.
 
-    Three equal-length uint8 vectors: the prepared bit, the basis (0
-    computational, 1 diagonal) and the Pauli-X flag. Channels, interceptors
-    and decryption take BB84 qubits in this form only; the dense per-qubit
-    view is kept in the tests as the oracle.
+    Two equal-length uint8 vectors: the bit and the basis (0 computational,
+    1 diagonal). Pauli X maps a batch to a batch (`pauli_x`). Channels,
+    interceptors and decryption take BB84 qubits in this form only; the
+    dense per-qubit view is kept in the tests as the oracle.
     """
 
     bits: np.ndarray
     bases: np.ndarray
-    flips: np.ndarray
 
     def __post_init__(self):
-        names = ("bits", "bases", "flips")
-        arrays = [_bit_array(getattr(self, name)) for name in names]
-        if arrays[0].ndim != 1 or len({arr.shape for arr in arrays}) != 1:
-            raise ValueError("bits, bases and flips must be vectors of equal length")
-        for name, arr in zip(names, arrays):
-            object.__setattr__(self, name, arr)
+        bits, bases = _bit_array(self.bits), _bit_array(self.bases)
+        if bits.ndim != 1 or bits.shape != bases.shape:
+            raise ValueError("bits and bases must be vectors of equal length")
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bases", bases)
 
     @classmethod
-    def _of_bits(cls, bits: np.ndarray, bases: np.ndarray, flips: np.ndarray) -> "Bb84Qubits":
+    def _of_bits(cls, bits: np.ndarray, bases: np.ndarray) -> "Bb84Qubits":
         """Batch over uint8 0/1 vectors of equal length that this package has
         just built, without the public constructor's checks and copies; the
         vectors become read-only."""
         batch = object.__new__(cls)
-        for name, arr in zip(("bits", "bases", "flips"), (bits, bases, flips)):
+        for name, arr in (("bits", bits), ("bases", bases)):
             arr.setflags(write=False)
             object.__setattr__(batch, name, arr)
         return batch
@@ -246,47 +243,42 @@ class Bb84Qubits:
     def __len__(self) -> int:
         return int(self.bits.size)
 
-    def measured(
-        self, bases, uniforms: np.ndarray, at=slice(None)
+    def pauli_x(self, mask) -> "Bb84Qubits":
+        """The batch after X on the qubits under the boolean `mask`. X swaps
+        |0> and |1> and leaves |+> and |-> as they are up to global phase,
+        so it flips the bits of the computational-basis qubits only."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != self.bits.shape:
+            raise ValueError("need one mask entry per qubit")
+        return Bb84Qubits._of_bits(self.bits ^ (mask & (self.bases == 0)), self.bases)
+
+    def _collapsed(
+        self, at: np.ndarray, bases: np.ndarray, uniforms: np.ndarray
     ) -> tuple[np.ndarray, "Bb84Qubits"]:
-        """Measure the qubits at positions `at` in `bases`, one uniform each.
-
-        Outcome 0 iff u < P(outcome 0), as in the dense measurement. Returns
-        the outcomes and the batch with those qubits collapsed onto the
-        measured eigenstates.
-        """
-        bases = _bit_array(bases)
-        bits, flips = self.bits[at], self.flips[at]
-        uniforms = np.asarray(uniforms)
-        if not bases.shape == uniforms.shape == bits.shape:
-            raise ValueError("need one basis and one uniform per measured qubit")
-        outcomes = (uniforms >= _BB84_P0[bits, self.bases[at], flips, bases]).astype(np.uint8)
-        post = [self.bits.copy(), self.bases.copy(), self.flips.copy()]
-        post[0][at], post[1][at], post[2][at] = outcomes, bases, 0
-        return outcomes, Bb84Qubits._of_bits(*post)
+        """Measure the qubits at positions `at` in `bases`, one uniform each,
+        as `measure` does; returns the outcomes and the batch with those
+        qubits collapsed onto the measured eigenstates. Takes int64
+        positions, uint8 0/1 bases and uniforms of equal length that this
+        package has just built, without checks or copies of them."""
+        p0 = _BB84_P0[self.bits[at], self.bases[at], bases]
+        outcomes = (uniforms >= p0).astype(np.uint8)
+        post_bits, post_bases = self.bits.copy(), self.bases.copy()
+        post_bits[at], post_bases[at] = outcomes, bases
+        return outcomes, Bb84Qubits._of_bits(post_bits, post_bases)
 
 
-_MIXED_BB84_ARGS = "bit and basis must both be scalars or both be arrays"
+def prepare_bb84(bits, bases) -> Bb84Qubits:
+    """The batch encoding each bit of `bits` in the basis bit at the same
+    position of `bases`; both must be 0/1 vectors of equal length."""
+    return Bb84Qubits(bits, bases)
 
 
-def prepare_bb84(
-    bit: int | np.ndarray, basis: int | np.ndarray
-) -> StateVector | Bb84Qubits:
-    """Single qubit encoding `bit` in basis bit `basis`; the four BB84 states.
-
-    States are immutable, so the four instances are shared. Given arrays of
-    bits and basis bits instead, returns them as an unflipped Bb84Qubits
-    batch. A scalar with an array raises ValueError.
-    """
-    if not isinstance(basis, (int, np.integer)):
-        if not np.ndim(bit):
-            raise ValueError(_MIXED_BB84_ARGS)
-        return Bb84Qubits(bit, basis, np.zeros(np.shape(bit), dtype=np.uint8))
-    if not isinstance(bit, (int, np.integer)) and np.ndim(bit):
-        raise ValueError(_MIXED_BB84_ARGS)
-    if bit not in (0, 1):
+def bb84_state(bit: int, basis: int) -> StateVector:
+    """Dense single qubit encoding `bit` in basis bit `basis`; the four BB84
+    states. States are immutable, so the four instances are shared."""
+    if not isinstance(bit, (int, np.integer)) or bit not in (0, 1):
         raise ValueError("bit must be 0 or 1")
-    if basis not in (0, 1):
+    if not isinstance(basis, (int, np.integer)) or basis not in (0, 1):
         raise ValueError("basis must be 0 or 1")
     return _BB84_STATES[(bit, basis)]
 
@@ -332,11 +324,16 @@ def measure_subsystem(
     return outcome, StateVector(n, collapsed.reshape(-1))
 
 
-def measure(qubits: Bb84Qubits, bases, rng: RandomStream) -> tuple[np.ndarray, Bb84Qubits]:
-    """Measure a batch in the basis bits `bases`, one per qubit, with one
-    `rng.uniforms(n)` call (the values of n scalar draws); returns the uint8
-    outcomes and the collapsed batch."""
-    return qubits.measured(bases, rng.uniforms(len(qubits)))
+def measure(qubits: Bb84Qubits, bases, rng: RandomStream) -> np.ndarray:
+    """uint8 outcomes of measuring a batch in the basis bits `bases`, one per
+    qubit: outcome 0 iff u < P(outcome 0), as in the dense measurement, with
+    the uniforms from one `rng.uniforms(n)` call (the values of n scalar
+    draws)."""
+    bases = _bit_array(bases)
+    if bases.shape != qubits.bits.shape:
+        raise ValueError("need one basis per qubit")
+    p0 = _BB84_P0[qubits.bits, qubits.bases, bases]
+    return (rng.uniforms(len(qubits)) >= p0).astype(np.uint8)
 
 
 def tensor(a, b):

@@ -322,7 +322,7 @@ def ue_decrypt(
     key.check_shape(params)
     if len(qubits) != params.n_qubits:
         raise ValueError(f"expected {params.n_qubits} qubits, got {len(qubits)}")
-    z_meas, _ = measure(qubits, key.b, rng)
+    z_meas = measure(qubits, key.b, rng)
     c1 = params.pair.c1
     blocks = z_meas.reshape(params.blocks, c1.n)
     rel_syn = gf2.syndrome(c1, blocks) ^ key.c1_syn.reshape(params.blocks, c1.n - c1.k)

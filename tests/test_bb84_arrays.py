@@ -2,11 +2,13 @@
 
 `qcore.Bb84Qubits` is the only form of BB84 qubits in the package. These
 tests pin it to the dense path: the outcome-0 probability table against
-the dense measurement's own threshold, and whole `run_bb84` attempts
-against a per-qubit dense replay of the same substreams. The conversions
-between a batch and dense states live here, with the oracle.
+the dense measurement's own threshold, `pauli_x` against a genuine X on
+the dense states, and whole `run_bb84` attempts against a per-qubit dense
+replay of the same substreams. The conversions between a batch and dense
+states live here, with the oracle.
 """
 
+import dataclasses
 from itertools import product
 
 import numpy as np
@@ -33,15 +35,15 @@ class FixedDraws:
 
 
 def _dense(bit: int, basis: int, flip: int) -> StateVector:
-    state = qcore.prepare_bb84(bit, basis)
+    """The dense BB84 state, after a genuine Pauli X (its amplitudes
+    swapped) when `flip` is set."""
+    state = qcore.bb84_state(bit, basis)
     return StateVector(1, state.amplitudes[::-1]) if flip else state
 
 
 def dense_states(batch: Bb84Qubits) -> list[StateVector]:
-    """Each qubit of a batch as a dense state: the shared `prepare_bb84`
-    instance when unflipped, the same state with its amplitudes swapped when
-    flipped."""
-    return [_dense(*map(int, q)) for q in zip(batch.bits, batch.bases, batch.flips)]
+    """Each qubit of a batch as its shared `bb84_state` instance."""
+    return [qcore.bb84_state(int(bit), int(basis)) for bit, basis in zip(batch.bits, batch.bases)]
 
 
 # Dense BB84 states in batch index order 2 * basis + bit.
@@ -52,9 +54,9 @@ def from_states(states) -> Bb84Qubits:
     """Batch of dense single-qubit states.
 
     Each state must equal one of the four BB84 states up to global phase
-    (fidelity within 1e-9), else ValueError. It is stored as that state
-    with the flip flag 0, so BB84 states round-trip exactly and Pauli-X
-    images round-trip up to global phase.
+    (fidelity within 1e-9), else ValueError. It is stored as that state,
+    so BB84 states round-trip exactly and Pauli-X images round-trip up to
+    global phase.
     """
     states = list(states)
     if any(not isinstance(s, StateVector) or s.n_qubits != 1 for s in states):
@@ -65,28 +67,52 @@ def from_states(states) -> Bb84Qubits:
     if not np.all(found):
         raise ValueError(f"state {int(np.argmin(found))} is not a BB84 state")
     index = match.argmax(axis=1)
-    return Bb84Qubits(index & 1, index >> 1, np.zeros(index.size, dtype=np.uint8))
+    return Bb84Qubits(index & 1, index >> 1)
 
 
 @pytest.mark.parametrize("bit, basis, flip, m_basis", list(product((0, 1), repeat=4)))
 def test_p0_table_is_the_dense_threshold(bit, basis, flip, m_basis):
-    p0 = qcore._BB84_P0[bit, basis, flip, m_basis]
+    # the dense state after a genuine X against the batch after pauli_x
     state = _dense(bit, basis, flip)
-    batch = Bb84Qubits([bit], [basis], [flip])
+    batch = Bb84Qubits([bit], [basis]).pauli_x([bool(flip)])
+    p0 = qcore._BB84_P0[batch.bits[0], basis, m_basis]
     below = np.nextafter(p0, -np.inf)
     # outcome 0 exactly when u < p0, in the dense and in the batch measurement
     assert qcore.measure_subsystem(state, 0, m_basis, FixedDraws(p0))[0] == 1
-    assert qcore.measure(batch, [m_basis], FixedDraws(p0))[0][0] == 1
+    assert qcore.measure(batch, [m_basis], FixedDraws(p0))[0] == 1
     if p0 > 0:
         assert qcore.measure_subsystem(state, 0, m_basis, FixedDraws(below))[0] == 0
-        assert qcore.measure(batch, [m_basis], FixedDraws(below))[0][0] == 0
+        assert qcore.measure(batch, [m_basis], FixedDraws(below))[0] == 0
+
+
+@pytest.mark.parametrize("bit, basis, m_basis", list(product((0, 1), repeat=3)))
+def test_x_folds_into_the_bit_exactly(bit, basis, m_basis):
+    # X|b> in the computational basis is |1-b>; in the diagonal basis it is
+    # |b> up to global phase, with the same dense probability to the bit
+    flipped = StateVector(1, qcore.bb84_state(bit, basis).amplitudes[::-1])
+    p0 = qcore._p0(flipped.amplitudes, m_basis)
+    assert p0 == qcore._BB84_P0[bit ^ (1 - basis), basis, m_basis]
 
 
 def test_p0_table_keeps_dense_rounding():
+    assert qcore._BB84_P0.shape == (2, 2, 2)
     # diagonal states: 0.5 + 1 ulp in the computational basis, 1 + 2 ulp in their own
-    assert qcore._BB84_P0[0, 1, 0, 0] == 0.5000000000000001
-    assert qcore._BB84_P0[0, 1, 0, 1] == 1.0000000000000002
-    assert qcore._BB84_P0[1, 1, 0, 1] == 0.0
+    assert qcore._BB84_P0[0, 1, 0] == 0.5000000000000001
+    assert qcore._BB84_P0[0, 1, 1] == 1.0000000000000002
+    assert qcore._BB84_P0[1, 1, 1] == 0.0
+
+
+def test_measure_returns_the_outcomes_of_n_scalar_draws():
+    root = RandomStream(12)
+    batch = qcore.prepare_bb84(root.bits(40), root.bits(40))
+    m_bases = root.bits(40)
+    got_rng, want_rng = RandomStream(13), RandomStream(13)
+    got = qcore.measure(batch, m_bases, got_rng)
+    want = [qcore.measure_subsystem(state, 0, int(m), want_rng)[0]
+            for state, m in zip(dense_states(batch), m_bases)]
+    assert type(got) is np.ndarray and got.dtype == np.uint8 and got.shape == (40,)
+    assert got.tolist() == want
+    assert got_rng.random() == want_rng.random()
 
 
 def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
@@ -96,7 +122,7 @@ def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
     "abort")."""
     q, n = config.qubit_count, config.n
     a, b = rng_a.bits(q), rng_a.bits(q)
-    states = [qcore.prepare_bb84(int(a[i]), b[i]) for i in range(q)]
+    states = [qcore.bb84_state(int(a[i]), int(b[i])) for i in range(q)]
     record = None
     if qchan.interceptor is not None:
         record, forwarded = ([], [], []), []
@@ -174,22 +200,25 @@ def test_run_bb84_matches_dense_replay(setting):
 
 class TestFromStates:
     def test_bb84_states_round_trip(self):
-        states = [qcore.prepare_bb84(bit, basis) for bit in (0, 1) for basis in (0, 1)]
+        states = [qcore.bb84_state(bit, basis) for bit in (0, 1) for basis in (0, 1)]
         batch = from_states(states)
-        assert not batch.flips.any()
+        assert batch.bits.tolist() == [0, 0, 1, 1] and batch.bases.tolist() == [0, 1, 0, 1]
         assert all(got is want for got, want in zip(dense_states(batch), states))
 
     def test_flipped_and_phased_states_round_trip_up_to_phase(self):
         states = [_dense(bit, basis, 1) for bit in (0, 1) for basis in (0, 1)]
-        states.append(StateVector(1, 1j * qcore.prepare_bb84(0, 1).amplitudes))
+        states.append(StateVector(1, 1j * qcore.bb84_state(0, 1).amplitudes))
         for got, want in zip(dense_states(from_states(states)), states):
             assert abs(np.vdot(got.amplitudes, want.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_flipped_batch_yields_swapped_amplitudes(self):
-        batch = Bb84Qubits([0, 1], [1, 1], [1, 1])
-        for got, bit in zip(dense_states(batch), (0, 1)):
-            want = qcore.prepare_bb84(bit, 1).amplitudes[::-1]
-            assert np.array_equal(got.amplitudes, want)
+    def test_pauli_x_batch_is_the_dense_x_up_to_phase(self):
+        batch = Bb84Qubits([0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 0, 1])
+        mask = np.array([1, 1, 1, 1, 0, 0], dtype=bool)
+        flipped = batch.pauli_x(mask)
+        assert flipped.bases is batch.bases and flipped.bits.tolist() == [1, 0, 0, 1, 0, 1]
+        for got, state, x in zip(dense_states(flipped), dense_states(batch), mask):
+            want = state.amplitudes[::-1] if x else state.amplitudes
+            assert abs(np.vdot(got.amplitudes, want)) == pytest.approx(1.0, abs=1e-15)
 
     def test_bell_state_rejected(self):
         with pytest.raises(ValueError):
@@ -198,26 +227,34 @@ class TestFromStates:
     def test_non_bb84_qubit_rejected(self):
         tilted = StateVector(1, np.array([np.cos(0.3), np.sin(0.3)]))
         with pytest.raises(ValueError):
-            from_states([qcore.prepare_bb84(0, 0), tilted])
+            from_states([qcore.bb84_state(0, 0), tilted])
 
     def test_bad_batch_fields_rejected(self):
+        assert [f.name for f in dataclasses.fields(Bb84Qubits)] == ["bits", "bases"]
         with pytest.raises(ValueError):
-            Bb84Qubits([0, 2], [0, 0], [0, 0])
+            Bb84Qubits([0, 2], [0, 0])
         with pytest.raises(ValueError):
-            Bb84Qubits([0, 1], [0], [0, 0])
+            Bb84Qubits([0, 1], [0])
+        with pytest.raises(ValueError):
+            qcore.prepare_bb84(0, 1)
 
     def test_batches_built_inside_are_valid_and_read_only(self):
-        # transmit and measured skip the public checks; prepare_bb84 keeps them
+        # transmit and the interceptor skip the public checks; prepare_bb84,
+        # measure and pauli_x keep them
         with pytest.raises(ValueError):
             qcore.prepare_bb84(np.array([0, 2]), np.array([0, 0]))
         with pytest.raises(ValueError):
             qcore.prepare_bb84(np.array([0, 1]), np.array([0]))
         sent = qcore.prepare_bb84(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 1]))
         delivered, _ = transmit(QubitChannel(flip_probability=0.5), sent, RandomStream(3))
-        _, collapsed = delivered.measured([1, 0], [0.2, 0.9], at=[0, 3])
+        collapsed, _ = EvePolicy(1.0).intercept(delivered, RandomStream(4))
         for batch in (delivered, collapsed):
-            for arr in (batch.bits, batch.bases, batch.flips):
+            for arr in (batch.bits, batch.bases):
                 assert arr.dtype == np.uint8 and arr.shape == (4,)
                 assert not arr.flags.writeable and (arr <= 1).all()
         with pytest.raises(ValueError):
-            delivered.measured([2], [0.5], at=[0])
+            qcore.measure(delivered, [2, 0, 0, 0], RandomStream(5))
+        with pytest.raises(ValueError):
+            qcore.measure(delivered, [0], RandomStream(5))
+        with pytest.raises(ValueError):
+            delivered.pauli_x([True])

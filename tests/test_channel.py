@@ -40,20 +40,21 @@ class TestQubitTransmission:
         sent = qcore.prepare_bb84(np.array([0, 1, 0]), np.zeros(3, np.uint8))
         out, record = transmit(QubitChannel(0.0), sent, RandomStream(1))
         assert record is None
-        for name in ("bits", "bases", "flips"):
+        for name in ("bits", "bases"):
             assert np.array_equal(getattr(out, name), getattr(sent, name))
 
     def test_certain_flip(self):
-        sent = qcore.prepare_bb84(np.zeros(1, np.uint8), np.zeros(1, np.uint8))
+        # X|0> = |1> and X|1> = |0>; |+> and |-> are unchanged up to phase
+        sent = qcore.prepare_bb84(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]))
         out, _ = transmit(QubitChannel(1.0), sent, RandomStream(1))
-        assert out.flips.tolist() == [1]
-        assert qcore._BB84_P0[0, 0, 1, 0] == 0.0  # X|0> = |1>: outcome 1 is certain
+        assert out.bits.tolist() == [1, 0, 0, 1] and np.array_equal(out.bases, sent.bases)
+        assert qcore._BB84_P0[1, 0, 0] == 0.0  # outcome 1 is certain for |1>
 
     def test_flip_rate_monte_carlo(self):
         n = 10_000
         sent = qcore.prepare_bb84(np.zeros(n, np.uint8), np.zeros(n, np.uint8))
         out, _ = transmit(QubitChannel(0.1), sent, RandomStream(2))
-        errors = int(qcore.measure(out, np.zeros(n, np.uint8), RandomStream(3))[0].sum())
+        errors = int(qcore.measure(out, np.zeros(n, np.uint8), RandomStream(3)).sum())
         sigma = np.sqrt(0.1 * 0.9 / n)
         assert abs(errors / n - 0.1) < 3 * sigma
 
@@ -63,7 +64,7 @@ class TestQubitTransmission:
         with pytest.raises(ValueError):
             transmit(
                 QubitChannel(0.0),
-                qcore.Bb84Qubits([[0, 0]], [[0, 0]], [[0, 0]]),
+                qcore.Bb84Qubits([[0, 0]], [[0, 0]]),
                 RandomStream(1),
             )
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qdeny import bb84, channel, cli, denial, ue
+from qdeny import bb84, channel, cli, denial, gf2, ue
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 TIMEOUT_S = 60
@@ -190,6 +190,20 @@ def test_code_file_unusable_exit_2(tmp_path, capsys, c1, c2):
     # an empty file decodes, and the parse error that follows names no file
     named = None if c1 == "empty.txt" else tmp_path / c2
     _assert_main_config_error(capsys, ["bb84", "--config", str(cfg), "--trials", "1"], names=named)
+
+
+def test_code_file_over_the_table_cap_exit_2_before_elimination(tmp_path, capsys, monkeypatch):
+    # a 17-bit code is rejected from its header, before rref runs in cubic time
+    def no_elimination(m):
+        raise AssertionError("gf2.rref ran on a code over the table cap")
+
+    monkeypatch.setattr(gf2, "rref", no_elimination)
+    (tmp_path / "c17.txt").write_text("17 1\n" + "1" * 17 + "\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "bb84", "params": {
+        "c1_file": str(tmp_path / "c17.txt"), "c2_file": str(tmp_path / "c17.txt")}}))
+    _assert_main_config_error(capsys, ["bb84", "--config", str(cfg), "--trials", "1"],
+                              names="capped at 16-bit words")
 
 
 @pytest.mark.parametrize("setup", ["latin1", "directory", "long-field"])

@@ -86,7 +86,7 @@ class TestEveDecoyAttack:
         states = qcore.prepare_bb84(bits, bases)
         forwarded, record = eve_decoy_attack(EvePolicy(0.0), states, rng)
         assert len(record) == 0
-        for name in ("bits", "bases", "flips"):
+        for name in ("bits", "bases"):
             assert np.array_equal(getattr(forwarded, name), getattr(states, name))
 
     def test_full_rate_matched_bases_reproduce_bits(self):
@@ -130,7 +130,7 @@ class TestEveDecoyAttack:
                 got = getattr(record, name)
                 assert got.dtype == getattr(want, name).dtype and not got.flags.writeable
                 assert np.array_equal(got, getattr(want, name))
-            for name in ("bits", "bases", "flips"):
+            for name in ("bits", "bases"):
                 assert np.array_equal(getattr(forwarded, name), getattr(want_forwarded, name))
             assert a.bit() == b.bit() and a.random() == b.random()
             assert np.array_equal(a.uniforms(5), b.uniforms(5)) and a.bit() == b.bit()
@@ -138,17 +138,23 @@ class TestEveDecoyAttack:
 
 def reference_attack(policy, qubits, rng):
     """The interceptor as a per-qubit loop of scalar draws: one random() to
-    decide, then bit() for the basis and random() for the outcome."""
-    positions, bases, uniforms = [], [], []
+    decide, then bit() for the basis and, in the dense measurement of the
+    qubit's state, random() for the outcome. A measured qubit is forwarded
+    as the eigenstate it collapsed onto: its bit becomes the outcome and
+    its basis the measurement basis."""
+    bits, bases = qubits.bits.copy(), qubits.bases.copy()
+    positions, eve_bases, outcomes = [], [], []
     for i in range(len(qubits)):
         if rng.random() < policy.measure_probability:
+            basis = rng.bit()
+            state = qcore.bb84_state(int(bits[i]), int(bases[i]))
+            outcome, _ = qcore.measure_subsystem(state, 0, basis, rng)
             positions.append(i)
-            bases.append(rng.bit())
-            uniforms.append(rng.random())
-    positions = np.array(positions, dtype=np.int64)
-    bases = np.array(bases, dtype=np.uint8)
-    outcomes, forwarded = qubits.measured(bases, np.array(uniforms), at=positions)
-    return forwarded, EveRecord(positions, bases, outcomes)
+            eve_bases.append(basis)
+            outcomes.append(outcome)
+            bits[i], bases[i] = outcome, basis
+    record = EveRecord(np.array(positions, dtype=np.int64), eve_bases, outcomes)
+    return qcore.Bb84Qubits(bits, bases), record
 
 
 def reference_judge(bits, bases, record):

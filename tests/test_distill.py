@@ -235,7 +235,7 @@ class TestTeleport:
 
     def test_classical_bits_uniform(self):
         rng = RandomStream(16)
-        plus = qcore.prepare_bb84(0, 1)
+        plus = qcore.bb84_state(0, 1)
         counts = np.zeros(4, dtype=int)
         trials = 10_000
         for _ in range(trials):
@@ -252,7 +252,7 @@ class TestTeleport:
         trials = 10_000
         for _ in range(trials):
             bit, basis_bit = int(gen.integers(0, 2)), int(gen.integers(0, 2))
-            psi = qcore.prepare_bb84(bit, basis_bit)
+            psi = qcore.bb84_state(bit, basis_bit)
             _, (m_phase, m_bit) = teleport(psi, PHI_PLUS, rng)
             joint[2 * bit + basis_bit, 2 * m_phase + m_bit] += 1
         pxy = joint / trials
@@ -284,7 +284,7 @@ class TestTeleport:
         while ebit is None:
             ebit = procrustean_filter(PartialPair(theta), rng)
         for i, (bit, basis) in enumerate(np.ndindex(2, 2)):
-            psi = qcore.prepare_bb84(bit, basis)
+            psi = qcore.bb84_state(bit, basis)
             assert len(self.assert_matches_dense(psi, ebit, 50 + i, draws=40)) == 4
             p_phase, p_bit, _ = distill._teleport_table(psi, ebit)
             for p in (p_phase, *p_bit):
@@ -292,7 +292,7 @@ class TestTeleport:
 
     def test_bb84_states_and_random_states_through_phi_plus_equal_dense_oracle(self):
         for i, (bit, basis) in enumerate(np.ndindex(2, 2)):
-            psi = qcore.prepare_bb84(bit, basis)
+            psi = qcore.bb84_state(bit, basis)
             assert len(self.assert_matches_dense(psi, PHI_PLUS, 60 + i, draws=100)) == 4
         gen = RandomStream(61).generator
         for i in range(200):
@@ -422,7 +422,7 @@ def dense_qke_over_teleportation(m, theta, rng, codes=None):
     a_prime = np.empty(m, dtype=np.uint8)
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
-        state = qcore.prepare_bb84(int(a[i]), b[i])
+        state = qcore.bb84_state(int(a[i]), b[i])
         received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
         teleport_bits[2 * i : 2 * i + 2] = bits
         a_prime[i], _ = qcore.measure_subsystem(received, 0, b_prime[i], rng_b)

@@ -45,7 +45,7 @@ def decode_oracle(code, words):
 
 
 def label_oracle(pair, words):
-    h2, t = pair._coset_map()
+    h2, t = pair._coset_map
     return (t @ ((h2 @ words.T) % 2) % 2).T.astype(np.uint8)
 
 
@@ -64,7 +64,7 @@ TABLE_PAIRS = {"nested": gf2.default_nested_pair(), "rm24_over_rm14": RM_PAIR}
 
 class TestSyndrome:
     def test_codewords_have_zero_syndrome(self, hamming):
-        for word in hamming.codewords():
+        for word in hamming.codewords:
             assert not gf2.syndrome(hamming, word).any()
 
     def test_unit_errors_distinct_nonzero(self, hamming):
@@ -99,11 +99,11 @@ class TestSyndrome:
 
 class TestDecoding:
     def test_codeword_fixed_point(self, hamming):
-        for word in hamming.codewords():
+        for word in hamming.codewords:
             assert np.array_equal(gf2.decode_to_codeword(hamming, word), word)
 
     def test_single_error_corrected_exhaustive(self, hamming):
-        for word in hamming.codewords():
+        for word in hamming.codewords:
             for i in range(7):
                 noisy = word.copy()
                 noisy[i] ^= 1
@@ -114,8 +114,8 @@ class TestDecoding:
         # possibly not the transmitted one
         recovered = 0
         total = 0
-        codeword_set = {w.tobytes() for w in hamming.codewords()}
-        for word in hamming.codewords():
+        codeword_set = {w.tobytes() for w in hamming.codewords}
+        for word in hamming.codewords:
             for i in range(7):
                 for j in range(i + 1, 7):
                     noisy = word.copy()
@@ -148,7 +148,7 @@ class TestDecoding:
 
 class TestCosetKeys:
     def test_c2_words_label_zero(self, nested):
-        for word in nested.c2.codewords():
+        for word in nested.c2.codewords:
             assert not gf2.key_from_coset(nested, word).any()
 
     def test_label_length(self, nested):
@@ -168,9 +168,9 @@ class TestCosetKeys:
     def test_constant_on_cosets_injective_across(self, nested):
         # exhaustive over all 16 codewords of C1
         labels = {}
-        for word in nested.c1.codewords():
+        for word in nested.c1.codewords:
             label = gf2.key_from_coset(nested, word).tobytes()
-            coset = min((word ^ c2w).tobytes() for c2w in nested.c2.codewords())
+            coset = min((word ^ c2w).tobytes() for c2w in nested.c2.codewords)
             labels.setdefault(coset, set()).add(label)
         per_coset = [len(v) for v in labels.values()]
         assert all(c == 1 for c in per_coset)
@@ -190,7 +190,7 @@ class TestCodeTables:
         code = TABLE_CODES[name]
         words = all_words(code.n)
         want = decode_oracle(code, words)
-        assert np.array_equal(code.decode_table(), want)
+        assert np.array_equal(code.decode_table, want)
         got = gf2.decode_to_codeword(code, words)
         assert got.dtype == np.uint8 and got.flags.writeable
         assert np.array_equal(got, want)
@@ -201,7 +201,7 @@ class TestCodeTables:
     def test_label_table_equals_formula_on_every_codeword(self, name):
         pair = TABLE_PAIRS[name]
         words = all_words(pair.c1.n)
-        labels, in_c1 = pair.label_table()
+        labels, in_c1 = pair.label_table
         assert np.array_equal(in_c1, ~gf2.syndrome(pair.c1, words).any(axis=1))
         codewords = words[in_c1]
         assert len(codewords) == 1 << pair.c1.k
@@ -217,7 +217,7 @@ class TestCodeTables:
         words = all_words(pair.c1.n)
         outside = words[gf2.syndrome(pair.c1, words).any(axis=1)]
         assert len(outside) == (1 << pair.c1.n) - (1 << pair.c1.k)
-        codeword = pair.c1.codewords()[1]
+        codeword = pair.c1.codewords[1]
         for word in outside:
             with pytest.raises(ValueError, match="not a codeword"):
                 gf2.key_from_coset(pair, word)
@@ -230,7 +230,7 @@ class TestCodeTables:
         decoded = gf2.decode_to_codeword(pair.c1, word)
         gf2.key_from_coset(pair, decoded)
         gf2.sample_codeword(pair.c1, RandomStream(1), 2)
-        tables = [pair.c1.decode_table(), *pair.label_table(), pair.c1.codewords()]
+        tables = [pair.c1.decode_table, *pair.label_table, pair.c1.codewords]
         for table in tables:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -243,10 +243,10 @@ class TestCodeTables:
         for _ in range(3):
             gf2.key_from_coset(pair, gf2.decode_to_codeword(pair.c1, word))
             gf2.sample_codeword(pair.c1, RandomStream(1), 2)
-        again = [pair.c1.decode_table(), *pair.label_table(), pair.c1.codewords()]
+        again = [pair.c1.decode_table, *pair.label_table, pair.c1.codewords]
         assert all(a is b for a, b in zip(again, tables))
         monkeypatch.undo()
-        assert gf2.hamming74().decode_table() is not pair.c1.decode_table()  # one per code object
+        assert gf2.hamming74().decode_table is not pair.c1.decode_table  # one per code object
 
     def test_tables_capped_at_16_bits(self):
         c1 = gf2.BinaryLinearCode.from_generator(
@@ -431,7 +431,7 @@ class TestTextFormat:
 
     def test_parse_repetition(self):
         code = gf2.load_code("7 1\n1111111\n")
-        assert code.k == 1 and code.distance() == 7
+        assert code.k == 1 and code.distance == 7
 
     def test_bad_header(self):
         with pytest.raises(ValueError):

@@ -28,13 +28,13 @@ def random_density(gen, n_qubits: int, terms: int = 3) -> qcore.DensityMatrix:
 class TestPreparation:
     def test_computational_zero(self):
         np.testing.assert_allclose(
-            qcore.prepare_bb84(0, 0).amplitudes, [1, 0], atol=1e-15
+            qcore.bb84_state(0, 0).amplitudes, [1, 0], atol=1e-15
         )
 
     def test_diagonal_one_is_minus(self):
         # (1/sqrt2)(|0> - |1>)
         np.testing.assert_allclose(
-            qcore.prepare_bb84(1, 1).amplitudes,
+            qcore.bb84_state(1, 1).amplitudes,
             np.array([1, -1]) / np.sqrt(2),
             atol=1e-15,
         )
@@ -43,26 +43,35 @@ class TestPreparation:
         rng = RandomStream(1)
         for bit in (0, 1):
             for basis in (0, 1):
-                outcome, post = qcore.measure_subsystem(qcore.prepare_bb84(bit, basis), 0, basis, rng)
+                outcome, post = qcore.measure_subsystem(qcore.bb84_state(bit, basis), 0, basis, rng)
                 assert outcome == bit
                 np.testing.assert_allclose(
-                    post.amplitudes, qcore.prepare_bb84(bit, basis).amplitudes, atol=1e-12
+                    post.amplitudes, qcore.bb84_state(bit, basis).amplitudes, atol=1e-12
                 )
 
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
-            qcore.prepare_bb84(2, 0)
+            qcore.bb84_state(2, 0)
 
     def test_bad_basis_rejected(self):
         with pytest.raises(ValueError, match="basis must be 0 or 1"):
-            qcore.prepare_bb84(0, 2)
+            qcore.bb84_state(0, 2)
 
     @pytest.mark.parametrize("bit, basis", [
-        (np.array([0, 1]), 0), (np.array([0, 1]), np.uint8(1)), ([0, 1], 1),
-        (0, np.array([0, 1])), (np.uint8(1), np.zeros(2, np.uint8)),
+        (np.array([0, 1]), 0), (np.array([1]), 0), ([0, 1], 1), ([1], 1),
+        (0, np.array([0, 1])), (np.uint8(1), np.zeros(1, np.uint8)),
     ])
-    def test_scalar_with_array_rejected(self, bit, basis):
-        with pytest.raises(ValueError, match="both be scalars or both be arrays"):
+    def test_bb84_state_rejects_arrays(self, bit, basis):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            qcore.bb84_state(bit, basis)
+
+    def test_bb84_state_returns_the_four_shared_states(self):
+        for bit, basis in [(0, 0), (1, 0), (0, 1), (1, 1)]:
+            assert qcore.bb84_state(np.uint8(bit), np.int64(basis)) is qcore.bb84_state(bit, basis)
+
+    @pytest.mark.parametrize("bit, basis", [(0, 1), (np.uint8(1), np.uint8(0))])
+    def test_prepare_bb84_takes_vectors_only(self, bit, basis):
+        with pytest.raises(ValueError, match="vectors of equal length"):
             qcore.prepare_bb84(bit, basis)
 
 
@@ -70,7 +79,7 @@ class TestMeasurement:
     def test_zero_in_diagonal_basis_is_fair(self):
         rng = RandomStream(2)
         trials = 100_000
-        zero = qcore.prepare_bb84(0, 0)
+        zero = qcore.bb84_state(0, 0)
         ones = sum(qcore.measure_subsystem(zero, 0, 1, rng)[0] for _ in range(trials))
         sigma = np.sqrt(0.25 / trials)
         assert abs(ones / trials - 0.5) < 3 * sigma
@@ -108,14 +117,14 @@ class TestMeasurement:
     def test_one_draw_per_measurement(self):
         # identical streams after one measurement each, regardless of basis
         r1, r2 = RandomStream(9), RandomStream(9)
-        qcore.measure_subsystem(qcore.prepare_bb84(0, 0), 0, 1, r1)
-        qcore.measure_subsystem(qcore.prepare_bb84(1, 1), 0, 0, r2)
+        qcore.measure_subsystem(qcore.bb84_state(0, 0), 0, 1, r1)
+        qcore.measure_subsystem(qcore.bb84_state(1, 1), 0, 0, r2)
         assert r1.random() == r2.random()
 
 
     def test_basis_bits_select_the_basis(self):
         # basis 1 on |++> never gives 1; basis 0 does about half the time
-        plus_plus = qcore.tensor(qcore.prepare_bb84(0, 1), qcore.prepare_bb84(0, 1))
+        plus_plus = qcore.tensor(qcore.bb84_state(0, 1), qcore.bb84_state(0, 1))
         rng = RandomStream(10)
         assert not any(qcore.measure_subsystem(plus_plus, 0, 1, rng)[0] for _ in range(200))
         assert 0 < sum(qcore.measure_subsystem(plus_plus, 0, 0, rng)[0] for _ in range(200)) < 200
@@ -135,8 +144,8 @@ class TestStateEquality:
         b = qcore.StateVector(1, np.array([r, -r], dtype=complex))
         assert a is not b
         assert a == b and hash(a) == hash(b)
-        assert a == qcore.prepare_bb84(1, 1)
-        assert len({a, b, qcore.prepare_bb84(1, 1)}) == 1
+        assert a == qcore.bb84_state(1, 1)
+        assert len({a, b, qcore.bb84_state(1, 1)}) == 1
 
     def test_one_ulp_apart_unequal(self):
         zero = qcore.basis_state("0")
@@ -185,7 +194,7 @@ class TestTensorAndTrace:
         np.testing.assert_allclose(got.matrix, np.eye(4) / 4, atol=1e-15)
 
     def test_tensor_plus_plus_uniform(self):
-        plus = qcore.prepare_bb84(0, 1)
+        plus = qcore.bb84_state(0, 1)
         got = qcore.tensor(plus, plus)
         np.testing.assert_allclose(got.amplitudes, np.full(4, 0.5), atol=1e-12)
 
@@ -283,10 +292,10 @@ class TestBellAndUnitaries:
         np.testing.assert_allclose(got.amplitudes, [0, 1], atol=1e-15)
 
     def test_z_on_plus_gives_minus(self):
-        plus = qcore.prepare_bb84(0, 1)
+        plus = qcore.bb84_state(0, 1)
         got = qcore.apply_unitary(plus, qcore.PAULI_Z, [0])
         np.testing.assert_allclose(
-            got.amplitudes, qcore.prepare_bb84(1, 1).amplitudes, atol=1e-15
+            got.amplitudes, qcore.bb84_state(1, 1).amplitudes, atol=1e-15
         )
 
     def test_x_on_first_bell_qubit(self):

@@ -201,14 +201,14 @@ class TestRoundTrip:
         for pos_in_block in range(params.block_length):
             r = root.substream("flip", pos_in_block)
             states = ue_encrypt(params, key, m, r.substream("enc"))
-            bits, flips = states.bits.copy(), states.flips.copy()
+            bits, hit = states.bits.copy(), np.zeros(len(states), dtype=bool)
             for blk in range(params.blocks):
                 idx = blk * params.block_length + pos_in_block
                 if key.b[idx]:  # diagonal encoding: Z maps it to the other diagonal state
                     bits[idx] ^= 1
                 else:  # computational encoding: X flips it
-                    flips[idx] ^= 1
-            tampered = Bb84Qubits(bits, states.bases, flips)
+                    hit[idx] = True
+            tampered = Bb84Qubits(bits, states.bases).pauli_x(hit)
             out = ue_decrypt(params, key, tampered, r.substream("dec"))
             assert out.accepted and np.array_equal(out.message, m)
 

@@ -61,19 +61,23 @@ class EvePolicy:
 @dataclass(frozen=True)
 class EveRecord:
     """Measured positions with basis and outcome; positions strictly increase.
-    Holds read-only copies: int64 positions, uint8 bases and outcomes."""
+    Holds read-only copies: int64 positions, uint8 0/1 bases and outcomes,
+    all vectors of equal length."""
 
     positions: np.ndarray
     bases: np.ndarray  # 0 computational, 1 diagonal
     outcomes: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("positions", np.int64), ("bases", np.uint8), ("outcomes", np.uint8)):
-            arr = np.array(getattr(self, name), dtype=dtype)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(np.diff(self.positions) <= 0):
+        positions = np.array(self.positions, dtype=np.int64)
+        positions.setflags(write=False)
+        bases, outcomes = qcore._bit_array(self.bases), qcore._bit_array(self.outcomes)
+        if positions.ndim != 1 or not positions.shape == bases.shape == outcomes.shape:
+            raise ValueError("positions, bases and outcomes must be vectors of equal length")
+        if np.any(np.diff(positions) <= 0):
             raise ValueError("positions must be strictly increasing")
+        for name, arr in (("positions", positions), ("bases", bases), ("outcomes", outcomes)):
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def _of_arrays(
@@ -97,13 +101,13 @@ def eve_decoy_attack(
 ) -> tuple[qcore.Bb84Qubits, EveRecord]:
     """Measure-and-forward on a random subset of the qubits in flight.
 
-    Draws per qubit, in order: one uniform to decide whether to measure,
-    then for a measured qubit its basis bit and its measurement uniform.
-    `RandomStream.marks` reads those draws from one raw Philox draw, in
-    that order.
+    Draws three vectors, in order: one uniform per qubit to decide whether
+    to measure it (below `measure_probability`), then one basis bit per
+    measured qubit, then one measurement uniform per measured qubit.
     """
-    positions, bases, uniforms = rng.marks(len(qubits), policy.measure_probability)
-    outcomes, forwarded = qubits._collapsed(positions, bases, uniforms)
+    positions = np.flatnonzero(rng.uniforms(len(qubits)) < policy.measure_probability)
+    bases = rng.bits(positions.size)
+    outcomes, forwarded = qubits._collapsed(positions, bases, rng.uniforms(positions.size))
     return forwarded, EveRecord._of_arrays(positions, bases, outcomes)
 
 

@@ -55,6 +55,9 @@ class PartialPair:
     def __post_init__(self):
         if not 0.0 < self.theta < np.pi / 2:
             raise ValueError("theta must lie strictly between 0 and pi/2")
+        if self.success_probability < np.finfo(float).tiny:
+            raise ValueError(f"theta {self.theta!r} is too close to 0: the filter's success"
+                             f" probability {self.success_probability!r} is subnormal")
 
     @property
     def state(self) -> StateVector:

@@ -95,7 +95,7 @@ class StateVector:
         amps = np.asarray(self.amplitudes, dtype=complex)
         _check_qubit_count(self.n_qubits, amps.size)
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # a non-finite entry makes the norm nan or inf
             raise ValueError(f"state vector not normalized: |psi| = {norm}")
         amps = amps / norm  # scrub rounding so chained operations stay at 1e-12
         amps.setflags(write=False)
@@ -127,6 +127,8 @@ class DensityMatrix:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("density matrix must be square")
         _check_qubit_count(self.n_qubits, mat.shape[0])
+        if not np.isfinite(mat).all():
+            raise ValueError("density matrix has a non-finite entry")
         if np.max(np.abs(mat - mat.conj().T)) > _HERM_TOL:
             raise ValueError("density matrix not Hermitian within 1e-12")
         tr = np.trace(mat).real

@@ -28,7 +28,6 @@ Two constructions live here:
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from collections.abc import Sequence
 
 import numpy as np
@@ -120,47 +119,6 @@ class RandomStream:
         """
         width = -(-k // 4) * 4
         return self.bits(width * count).reshape(count, width)[:, :k]
-
-    def marks(self, n: int, p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(positions, bits, uniforms) that the loop `for i in range(n): if
-        random() < p: (i, bit(), random())` collects, as int64, uint8 and
-        float64 arrays, read from one raw draw; the stream is left where the
-        loop would leave it.
-
-        `random()` is `(word >> 11) * 2**-53` of one 64-bit Philox word.
-        `bit()` is bit 31 of a fresh word, whose upper half is then buffered,
-        or, when a half-word is buffered, its top bit (bit 63 of its word),
-        which empties the buffer. 3n words cover the
-        worst case; the state is restored and advanced by the words the loop
-        reads, with the half-word buffer set as the loop leaves it.
-        `tests/test_rng.py` guards this against numpy changing either draw.
-        """
-        bitgen = self._gen.bit_generator
-        state = bitgen.state
-        raw = bitgen.random_raw(3 * n)
-        uniforms = (raw >> 11) * 2.0**-53
-        below = np.flatnonzero(uniforms < p).tolist()
-        buffered, half = state["has_uint32"], state["uinteger"]
-        positions, bits, at = [], [], []
-        i = word = k = 0  # next index, next unread word, first `below` entry not before it
-        while (k := bisect_left(below, word, k)) < len(below) and i + below[k] - word < n:
-            i += below[k] - word  # the words in between each decide "no"
-            positions.append(i)
-            word = below[k] + 1
-            if buffered:
-                bits.append(half >> 31)
-            else:
-                fresh = int(raw[word])
-                bits.append(fresh >> 31 & 1)
-                half, word = fresh >> 32, word + 1
-            buffered ^= 1  # a bit() either uses the buffered half or leaves one
-            at.append(word)
-            word, i = word + 1, i + 1
-        state["has_uint32"], state["uinteger"] = buffered, half
-        bitgen.state = state
-        bitgen.random_raw(word + n - i)
-        return (np.array(positions, dtype=np.int64), np.array(bits, dtype=np.uint8),
-                uniforms[at])
 
     def choice_distinct(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), sorted ascending."""

@@ -125,15 +125,14 @@ def _dense_attempt(config, qchan, rng_a, rng_b, rng_env):
     states = [qcore.bb84_state(int(a[i]), int(b[i])) for i in range(q)]
     record = None
     if qchan.interceptor is not None:
-        record, forwarded = ([], [], []), []
-        for i, state in enumerate(states):
-            if rng_env.random() < qchan.interceptor.measure_probability:
-                basis_bit = rng_env.bit()
-                outcome, state = qcore.measure_subsystem(state, 0, basis_bit, rng_env)
-                for column, value in zip(record, (i, basis_bit, outcome)):
-                    column.append(value)
-            forwarded.append(state)
-        states = forwarded
+        decide = rng_env.uniforms(q)
+        positions = [i for i in range(q) if decide[i] < qchan.interceptor.measure_probability]
+        eve_bases = rng_env.bits(len(positions))
+        outcomes = []
+        for i, basis_bit in zip(positions, eve_bases):
+            outcome, states[i] = qcore.measure_subsystem(states[i], 0, int(basis_bit), rng_env)
+            outcomes.append(outcome)
+        record = positions, eve_bases, outcomes
     flips = rng_env.uniforms(q) < qchan.flip_probability
     states = [StateVector(1, s.amplitudes[::-1]) if f else s for s, f in zip(states, flips)]
     b_prime = rng_b.bits(q)

@@ -81,6 +81,22 @@ def test_distill_theta_outside_open_interval_exit_2(tmp_path, theta):
                                  "--trials", "10"))
 
 
+@pytest.mark.parametrize("theta", [1e-160, 1e-200])
+def test_distill_theta_with_subnormal_success_probability_exit_2(tmp_path, theta):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "distill", "params": {"theta": theta}}))
+    _assert_config_error(_python("-m", "qdeny.cli", "distill", "--config", str(cfg),
+                                 "--trials", "10"))
+
+
+def test_distill_tiny_theta_with_normal_success_probability_exit_3(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "distill", "params": {"theta": 1e-150}}))
+    proc = _python("-m", "qdeny.cli", "distill", "--config", str(cfg), "--trials", "10")
+    assert proc.returncode == 3, proc.stderr
+    assert "no pair survived the filter" in proc.stderr
+
+
 @pytest.mark.parametrize("experiment, config", [
     ("bb84", '{"experiment": "bb84", "params": {"n": null}}'),
     ("ue", '{"experiment": "ue", "params": {"n": [1]}}'),

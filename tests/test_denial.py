@@ -137,22 +137,21 @@ class TestEveDecoyAttack:
 
 
 def reference_attack(policy, qubits, rng):
-    """The interceptor as a per-qubit loop of scalar draws: one random() to
-    decide, then bit() for the basis and, in the dense measurement of the
-    qubit's state, random() for the outcome. A measured qubit is forwarded
-    as the eigenstate it collapsed onto: its bit becomes the outcome and
-    its basis the measurement basis."""
+    """The interceptor as three draws and a per-qubit loop of dense
+    measurements: uniforms(n) to decide, bits(k) for the k measured
+    qubits' bases, then one dense measurement of each measured qubit's
+    state, in position order, each reading one random() for its outcome.
+    A measured qubit is forwarded as the eigenstate it collapsed onto: its
+    bit becomes the outcome and its basis the measurement basis."""
     bits, bases = qubits.bits.copy(), qubits.bases.copy()
-    positions, eve_bases, outcomes = [], [], []
-    for i in range(len(qubits)):
-        if rng.random() < policy.measure_probability:
-            basis = rng.bit()
-            state = qcore.bb84_state(int(bits[i]), int(bases[i]))
-            outcome, _ = qcore.measure_subsystem(state, 0, basis, rng)
-            positions.append(i)
-            eve_bases.append(basis)
-            outcomes.append(outcome)
-            bits[i], bases[i] = outcome, basis
+    positions = [i for i, u in enumerate(rng.uniforms(len(qubits))) if u < policy.measure_probability]
+    eve_bases = [int(basis) for basis in rng.bits(len(positions))]
+    outcomes = []
+    for i, basis in zip(positions, eve_bases):
+        state = qcore.bb84_state(int(bits[i]), int(bases[i]))
+        outcome, _ = qcore.measure_subsystem(state, 0, basis, rng)
+        outcomes.append(outcome)
+        bits[i], bases[i] = outcome, basis
     record = EveRecord(np.array(positions, dtype=np.int64), eve_bases, outcomes)
     return qcore.Bb84Qubits(bits, bases), record
 
@@ -191,6 +190,18 @@ class TestEveRecord:
     def test_positions_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             EveRecord([2, 2], [0, 0], [0, 0])
+
+    @pytest.mark.parametrize("positions, bases, outcomes", [
+        ([0, 3], [1], [0, 1, 1]), ([0, 3], [1, 0], [0]), ([[0, 3]], [[1, 0]], [[0, 1]]),
+    ])
+    def test_unequal_lengths_rejected(self, positions, bases, outcomes):
+        with pytest.raises(ValueError, match="vectors of equal length"):
+            EveRecord(positions, bases, outcomes)
+
+    @pytest.mark.parametrize("bases, outcomes", [([2, 0], [0, 1]), ([1, 0], [0, 7])])
+    def test_bases_and_outcomes_must_be_bits(self, bases, outcomes):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            EveRecord([0, 3], bases, outcomes)
 
     @pytest.mark.parametrize("positions, bases, outcomes", [
         ([], [], []), ([3], [1], [0]), ([0, 4, 9], [1, 0, 1], [0, 1, 1]),
@@ -485,7 +496,7 @@ VIEW_PROTOCOLS = {
     "naive-bb84-denial": (
         lambda: NaiveBb84DenialProtocol(Bb84Config(n=14), n_decoys=8, flips=1),
         lambda proto: JudgeDistinguisher(),
-        "86e68b656ee58c3c65dac8c5cd0257649a7c46add525159bed3d6815ce8c66f2",
+        "b52168407689d436ab5af08c8816491ca244feb4dfaa68ee80fd6511c32ef94b",
     ),
     "dc-qke": (
         DcQkeViews,

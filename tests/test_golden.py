@@ -10,6 +10,9 @@ refactor can show that it changed no seeded output. The distillation cases pin t
 A declared change to a random stream's layout regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+which prints one `name: old → new` line per case that moved, added or
+dropped, and the count of cases left unchanged.
 """
 
 from __future__ import annotations
@@ -314,6 +317,10 @@ def test_golden_digest(case):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     digests = {name: compute() for name, compute in CASES.items()}
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    print(GOLDEN.read_text(), end="")
+    for name in sorted(old.keys() | digests.keys()):
+        if old.get(name) != digests.get(name):
+            print(f"{name}: {old.get(name, '(added)')} → {digests.get(name, '(dropped)')}")
+    print(f"{sum(old.get(name) == d for name, d in digests.items())} unchanged")

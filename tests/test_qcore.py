@@ -355,6 +355,18 @@ class TestInvariantSuites:
         with pytest.raises(ValueError):
             qcore.StateVector(13, np.zeros(1 << 13, dtype=complex))
 
+    @pytest.mark.parametrize("entry", [np.nan, complex(0, np.nan)])
+    def test_state_vector_rejects_nan_entries(self, entry):
+        with pytest.raises(ValueError, match="not normalized"):
+            qcore.StateVector(1, [entry, 0])
+
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    def test_density_matrix_rejects_nan_entries(self, at):
+        mat = np.diag([1.0, 0.0]).astype(complex)
+        mat[at] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            qcore.DensityMatrix(1, mat)
+
 
 class TestPermutation:
     def test_permute_round_trip(self):

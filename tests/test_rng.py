@@ -137,52 +137,6 @@ class TestBitRows:
             "numpy's bounded-uint8 buffering has changed")
 
 
-def _scalar_marks(stream: RandomStream, n: int, p: float) -> tuple[list, list, list]:
-    positions, bits, uniforms = [], [], []
-    for i in range(n):
-        if stream.random() < p:
-            positions.append(i)
-            bits.append(stream.bit())
-            uniforms.append(stream.random())
-    return positions, bits, uniforms
-
-
-class TestMarks:
-    def test_equals_the_scalar_loop(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-
-        # bit() before the marks leaves Philox's buffered half-word at either parity
-        @hypothesis.settings(max_examples=300, derandomize=True, database=None, deadline=None)
-        @hypothesis.given(seed=st.integers(0, (1 << 128) - 1), n=st.integers(0, 80),
-                          p=st.sampled_from([0.0, 1e-300, 0.03, 8 / 63, 0.5, 0.9999, 1.0]),
-                          before=st.integers(0, 3))
-        def check(seed, n, p, before):
-            a, b = RandomStream(seed), RandomStream(seed)
-            for _ in range(before):
-                assert a.bit() == b.bit()
-            positions, bits, uniforms = a.marks(n, p)
-            assert (positions.dtype, bits.dtype, uniforms.dtype) == (np.int64, np.uint8, np.float64)
-            assert (positions.tolist(), bits.tolist(), uniforms.tolist()) == _scalar_marks(b, n, p)
-            assert _same_position(a, b)
-
-        check()
-
-    @pytest.mark.parametrize("seed", [0x5EED, 7, (1 << 128) - 1])
-    def test_pinned_against_numpy_words(self, seed):
-        # marks reads random() and bit() off raw 64-bit Philox words; if a
-        # numpy upgrade changes either draw, this fails before the golden digests
-        a = RandomStream(seed)
-        words = [int(w) for w in RandomStream(seed).generator.bit_generator.random_raw(4)]
-        message = ("numpy's random() or bit() no longer reads raw Philox words as "
-                   "RandomStream.marks assumes; a numpy upgrade is the likely cause")
-        assert a.random() == (words[0] >> 11) * 2**-53, message
-        assert a.bit() == words[1] >> 31 & 1, message  # bit 31 of a fresh word's low half
-        assert a.random() == (words[2] >> 11) * 2**-53, message
-        assert a.bit() == words[1] >> 63, message  # bit 63: the buffered upper half
-        assert a.bit() == words[3] >> 31 & 1, message
-
-
 def _keystream_walk(prng: CounterModePrng, n_slots: int, n_used: int) -> list[int]:
     """The first n_used distinct accepted slots, read one keystream word at a
     time in plain Python, sorted."""

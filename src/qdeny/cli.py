@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import string
 import sys
 from functools import partial
 from pathlib import Path
@@ -73,9 +74,16 @@ def _real(value) -> float:
 def _prng(value) -> dict:
     if not isinstance(value, dict) or "kind" not in value:
         raise ValueError('expected an object like {"kind": "strong"}')
+    unknown = sorted(set(value) - {"kind", "seed"})
+    if unknown:
+        raise ValueError(f"unknown prng keys {unknown}")
     seed = value.get("seed")
-    if seed is not None:
-        seed = int(seed, 16) if isinstance(seed, str) else _integer(seed)
+    if isinstance(seed, str):
+        if not seed or set(seed) - set(string.hexdigits):  # no sign, prefix, space or "_"
+            raise ValueError("a prng seed string must be plain hex digits")
+        seed = int(seed, 16)
+    elif seed is not None:
+        seed = _integer(seed)
     return {"kind": value["kind"], "seed": seed}
 
 

@@ -347,22 +347,14 @@ def run_dc_qke(
         retry_abort=fake_interceptor is not None,
     )
     idle, _ = _sample_window(config, rng, active=False)
-    transcript = ordinary.session.transcript
     real = CoercionView(
         key=covert.key,
         randomness=covert.randomness,
-        transcript=transcript,
+        transcript=ordinary.session.transcript,
         eve_record=None,
         covert_window=covert.warden_view,
     )
-    fake = CoercionView(
-        key=ordinary.alice.session_key,
-        randomness=dict(ordinary.alice.private_values),
-        transcript=transcript,
-        eve_record=ordinary.session.eve_record,
-        covert_window=idle,
-    )
-    return real, fake
+    return real, CoercionView.of_session(ordinary, idle)
 
 
 def deniability_experiment(

@@ -23,7 +23,7 @@ from math import comb
 import numpy as np
 
 from . import bb84 as bb84_mod
-from . import qcore
+from . import gf2, qcore
 from .channel import QubitChannel, WardenObservation
 from .games import AdvantageEstimate, RateEstimate, rate_estimate, run_experiment
 from .rng import RandomStream
@@ -61,22 +61,25 @@ class EvePolicy:
 @dataclass(frozen=True)
 class EveRecord:
     """Measured positions with basis and outcome; positions strictly increase.
-    Holds read-only copies: int64 positions, uint8 0/1 bases and outcomes,
-    all vectors of equal length."""
+    Holds read-only copies of equal-length vectors: integer positions as
+    int64, and bases and outcomes as `gf2.bits` makes them."""
 
     positions: np.ndarray
     bases: np.ndarray  # 0 computational, 1 diagonal
     outcomes: np.ndarray
 
     def __post_init__(self):
-        positions = np.array(self.positions, dtype=np.int64)
-        positions.setflags(write=False)
-        bases, outcomes = qcore._bit_array(self.bases), qcore._bit_array(self.outcomes)
+        positions, bases, outcomes = map(np.asarray, (self.positions, self.bases, self.outcomes))
         if positions.ndim != 1 or not positions.shape == bases.shape == outcomes.shape:
             raise ValueError("positions, bases and outcomes must be vectors of equal length")
+        if positions.size and positions.dtype.kind not in "iu":
+            raise ValueError(f"positions must be integers, not {positions.dtype}")
+        positions = positions.astype(np.int64)
         if np.any(np.diff(positions) <= 0):
             raise ValueError("positions must be strictly increasing")
-        for name, arr in (("positions", positions), ("bases", bases), ("outcomes", outcomes)):
+        arrays = (positions, gf2.bits(bases), gf2.bits(outcomes))
+        for name, arr in zip(("positions", "bases", "outcomes"), arrays):
+            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
@@ -114,9 +117,9 @@ def eve_decoy_attack(
 def judge_check(bits, bases, record: EveRecord) -> int | None:
     """Position of the first record entry whose basis matches the claimed
     basis but whose outcome contradicts the claimed bit (orthogonal
-    same-basis states), or None when no entry is such a witness."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    bases = np.asarray(bases, dtype=np.uint8)
+    same-basis states), or None when no entry is such a witness. The
+    claimed bits and bases are checked by `gf2.bits`."""
+    bits, bases = gf2.bits(bits), gf2.bits(bases)
     if bits.size != bases.size:
         raise ValueError("claimed bits and bases must have equal length")
     pos = record.positions
@@ -246,6 +249,17 @@ class CoercionView:
     eve_record: EveRecord | None
     covert_window: WardenObservation | None
 
+    @classmethod
+    def of_session(
+        cls, outcome: bb84_mod.Bb84Outcome, covert_window: WardenObservation | None
+    ) -> "CoercionView":
+        """Alice's honest disclosure of a BB84 session: her key and coins, its
+        transcript and interceptor record, and the given window observation."""
+        alice, session = outcome.alice, outcome.session
+        return cls(key=alice.session_key, randomness=dict(alice.private_values),
+                   transcript=session.transcript, eve_record=session.eve_record,
+                   covert_window=covert_window)
+
 
 def coercer_experiment(
     protocol, adversary, trials: int, master_seed: int
@@ -287,13 +301,7 @@ class NaiveBb84DenialProtocol:
         return bb84_mod.run_session(self.config, self.channel, rng, retry_abort=True)
 
     def real_view(self, outcome: bb84_mod.Bb84Outcome) -> CoercionView:
-        return CoercionView(
-            key=outcome.alice.session_key,
-            randomness=dict(outcome.alice.private_values),
-            transcript=outcome.session.transcript,
-            eve_record=outcome.session.eve_record,
-            covert_window=None,
-        )
+        return CoercionView.of_session(outcome, None)
 
     def fake(self, outcome: bb84_mod.Bb84Outcome, rng: RandomStream) -> CoercionView:
         session = outcome.session

@@ -1,24 +1,26 @@
 """Binary linear algebra and the small code machinery the protocols use.
 
 Bit vectors are numpy uint8 arrays with entries in {0, 1}; matrices are
-2-D uint8 arrays. Codes are immutable after construction and build exact
-tables on first use (block lengths stay tiny here, so exhaustive
-minimum-distance decoding is the simplest correct choice): coset leaders
-per syndrome, the nearest codeword of every n-bit word, and for a nested
-pair the coset label and C1 membership of every n-bit word. Tables over
-all 2^n words are capped at n <= `_TABLE_CAP`; with them, decoding a
-block or labelling its coset is one pack of each row into its big-endian
-word index and one gather. Wherever a minimum-weight choice is ambiguous, ties
-break lexicographically. The per-block operations (syndromes, coset
-leaders, decoding, coset labels) take one word or a matrix of words, one
-block per row, and treat every row alike.
+2-D uint8 arrays. `bits` decides, for every module, whether caller input
+is bits; matrices pass through it row-major. Codes are immutable after
+construction and build exact tables on first use (block lengths stay
+tiny here, so exhaustive minimum-distance decoding is the simplest correct
+choice): coset leaders per syndrome, the nearest codeword of every n-bit
+word, and for a nested pair the coset label and C1 membership of every
+n-bit word. Tables over all 2^n words are capped at n <= `_TABLE_CAP`;
+with them, decoding a block or labelling its coset is one pack of each
+row into its big-endian word index and one gather. Wherever a
+minimum-weight choice is ambiguous, ties break lexicographically. The
+per-block operations (syndromes, coset leaders, decoding, coset labels)
+take one word or a matrix of words, one block per row, and treat every
+row alike.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -56,14 +58,25 @@ _TABLE_CAP = 16  # code tables enumerate all 2^n words
 
 
 def bits(values: Iterable[int] | str) -> np.ndarray:
-    """Normalize a bit container (iterable or '0101' string) to uint8."""
-    if isinstance(values, str):
-        values = [int(c) for c in values]
-    arr = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-    arr = arr.astype(np.uint8)
-    if arr.ndim != 1 or np.count_nonzero(arr > 1):
-        raise ValueError("bit vector entries must be 0 or 1")
-    return arr
+    """A fresh writable uint8 copy of a '0101' string or a vector of bool or
+    integer entries 0 and 1 (an empty vector has none); anything else,
+    floats included, raises ValueError: no entry is read as another value."""
+    if not isinstance(values, np.ndarray):
+        if isinstance(values, str):
+            if set(values) - {"0", "1"}:
+                raise ValueError("a bit string holds only the characters 0 and 1")
+            values = [c == "1" for c in values]
+        values = np.asarray(list(values) if isinstance(values, Iterable) else values)
+    if values.ndim != 1:
+        raise ValueError("a bit vector must be one-dimensional")
+    kind = values.dtype.kind
+    if kind not in "biu" and values.size:
+        raise ValueError(f"bit entries must be 0 or 1 as integers or bools, not {values.dtype}")
+    out = values.astype(np.uint8)  # a one-byte entry keeps its byte, so `out` shows it
+    wide = kind in "iu" and values.dtype.itemsize > 1  # the cast may wrap: check the source
+    if wide and np.count_nonzero(values >> 1) or out.tobytes().translate(None, b"\0\1"):
+        raise ValueError("bit entries must be 0 or 1")
+    return out
 
 
 def bits_to_str(v: np.ndarray) -> str:
@@ -90,7 +103,7 @@ def hex_to_bits(s: str, length: int) -> np.ndarray:
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over GF(2); returns (R, pivot columns)."""
-    r = np.array(m, dtype=np.uint8) % 2
+    r = _matrix(m)
     n_rows, n_cols = r.shape
     pivots: list[int] = []
     row = 0
@@ -119,8 +132,7 @@ def rank(m: np.ndarray) -> int:
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """One solution x of A x = b over GF(2), or None if inconsistent."""
-    a = np.asarray(a, dtype=np.uint8)
-    b = bits(b)
+    a, b = _matrix(a), bits(b)
     aug = np.concatenate([a, b[:, None]], axis=1)
     r, pivots = rref(aug)
     if aug.shape[1] - 1 in pivots:
@@ -133,9 +145,8 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 def nullspace(m: np.ndarray) -> np.ndarray:
     """Basis of the right nullspace of m over GF(2), one vector per row."""
-    m = np.asarray(m, dtype=np.uint8)
-    n_cols = m.shape[1]
     r, pivots = rref(m)
+    n_cols = r.shape[1]
     free = [c for c in range(n_cols) if c not in pivots]
     basis = np.zeros((len(free), n_cols), dtype=np.uint8)
     for j, fc in enumerate(free):
@@ -150,15 +161,17 @@ def _mul(m: np.ndarray, words: np.ndarray) -> np.ndarray:
     return (words @ m.T).astype(np.uint8) % 2
 
 
+def _matrix(values) -> np.ndarray:
+    """A 2-D bit array, its entries checked by `bits`."""
+    arr = np.asarray(values)
+    if arr.ndim != 2:
+        raise ValueError("a bit matrix must be two-dimensional")
+    return bits(arr.reshape(-1)).reshape(arr.shape)
+
+
 def _words(values, width: int, what: str) -> np.ndarray:
     """A bit vector, or a matrix with one word per row, of `width` bits."""
-    arr = np.asarray(values)
-    if arr.ndim == 2:
-        arr = arr.astype(np.uint8)
-        if np.count_nonzero(arr > 1):
-            raise ValueError("bit entries must be 0 or 1")
-    else:
-        arr = bits(values)
+    arr = _matrix(values) if np.ndim(values) == 2 else bits(values)
     if arr.shape[-1] != width:
         raise ValueError(f"{what} length {arr.shape[-1]} != {width}")
     return arr
@@ -190,8 +203,7 @@ class BinaryLinearCode:
     parity_check: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.generator, dtype=np.uint8) % 2
-        h = np.asarray(self.parity_check, dtype=np.uint8) % 2
+        g, h = _matrix(self.generator), _matrix(self.parity_check)
         if g.shape != (self.k, self.n) or h.shape != (self.n - self.k, self.n):
             raise ValueError("generator / parity check shapes inconsistent with (n, k)")
         if rank(g) != self.k or rank(h) != self.n - self.k:
@@ -205,7 +217,7 @@ class BinaryLinearCode:
 
     @classmethod
     def from_generator(cls, g: np.ndarray) -> "BinaryLinearCode":
-        g = np.asarray(g, dtype=np.uint8) % 2
+        g = _matrix(g)
         k, n = g.shape
         if rank(g) != k:
             raise ValueError("generator rows must be independent")
@@ -412,10 +424,11 @@ def is_dual_containing(
         return False
     if quotient_checks is None:
         return True
-    q = np.asarray(quotient_checks, dtype=np.uint8)
+    q = np.asarray(quotient_checks)
     want = c1.k + c2.k - c1.n
     if q.shape != (want, c1.n):
         return False
+    q = _matrix(q)
     if np.any((q @ c2.parity_check.T) % 2):  # rows must live in C2
         return False
     base = c1.parity_check
@@ -460,12 +473,9 @@ def load_code(text: str) -> BinaryLinearCode:
         raise ValueError(f"exact code tables are capped at {_TABLE_CAP}-bit words")
     if len(lines) - 1 != k:
         raise ValueError(f"expected {k} generator rows, got {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        if len(ln) != n or set(ln) - {"0", "1"}:
-            raise ValueError(f"bad generator row {ln!r}")
-        rows.append([int(c) for c in ln])
-    return BinaryLinearCode.from_generator(np.array(rows, dtype=np.uint8))
+    if any(len(ln) != n for ln in lines[1:]):
+        raise ValueError(f"generator rows must hold {n} bits")
+    return BinaryLinearCode.from_generator([bits(ln) for ln in lines[1:]])
 
 
 def dump_code(code: BinaryLinearCode) -> str:
@@ -475,14 +485,7 @@ def dump_code(code: BinaryLinearCode) -> str:
 
 def hamming74() -> BinaryLinearCode:
     """The [7,4] Hamming code, distance 3."""
-    h = np.array(
-        [
-            [1, 0, 1, 0, 1, 0, 1],
-            [0, 1, 1, 0, 0, 1, 1],
-            [0, 0, 0, 1, 1, 1, 1],
-        ],
-        dtype=np.uint8,
-    )
+    h = np.array([bits(row) for row in ("1010101", "0110011", "0001111")])
     return BinaryLinearCode(n=7, k=4, generator=nullspace(h), parity_check=h)
 
 

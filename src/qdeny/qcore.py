@@ -16,7 +16,9 @@ probability up in a table built from the dense states with the dense
 formula, drawing all uniforms in one call (Philox gives the same values as
 one scalar draw per qubit). Dense states, such as `bb84_state`, serve
 entangled states and tests and are measured by `measure_subsystem`. Both
-forms take a basis as a bit: 0 computational (+), 1 diagonal (x).
+forms take a basis as a bit: 0 computational (+), 1 diagonal (x). Bits and
+bases from callers are checked by `gf2.bits`, the package's one rule for
+what a bit is.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import gf2
 from .rng import RandomStream
 
 __all__ = [
@@ -152,13 +155,11 @@ class DensityMatrix:
 
 def basis_state(bits: str | Sequence[int]) -> StateVector:
     """Computational basis state |b0 b1 ...> from a bit string or sequence."""
-    if isinstance(bits, str):
-        bits = [int(c) for c in bits]
-    n = len(bits)
+    bits = gf2.bits(bits)
+    n = bits.size
+    _check_qubit_count(n, 1 << n)  # before allocating 2^n amplitudes
     index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
+    for b in bits.tolist():
         index = (index << 1) | b
     amps = np.zeros(1 << n, dtype=complex)
     amps[index] = 1.0
@@ -203,14 +204,6 @@ def _build_p0_table() -> np.ndarray:
 _BB84_P0 = _build_p0_table()
 
 
-def _bit_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.uint8)
-    if np.count_nonzero(arr > 1):
-        raise ValueError("BB84 bits and bases must be 0 or 1")
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class Bb84Qubits:
     """A batch of single-qubit BB84 states |bit>_basis.
@@ -225,11 +218,12 @@ class Bb84Qubits:
     bases: np.ndarray
 
     def __post_init__(self):
-        bits, bases = _bit_array(self.bits), _bit_array(self.bases)
+        bits, bases = np.asarray(self.bits), np.asarray(self.bases)
         if bits.ndim != 1 or bits.shape != bases.shape:
             raise ValueError("bits and bases must be vectors of equal length")
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "bases", bases)
+        for name, arr in (("bits", gf2.bits(bits)), ("bases", gf2.bits(bases))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def _of_bits(cls, bits: np.ndarray, bases: np.ndarray) -> "Bb84Qubits":
@@ -331,7 +325,7 @@ def measure(qubits: Bb84Qubits, bases, rng: RandomStream) -> np.ndarray:
     qubit: outcome 0 iff u < P(outcome 0), as in the dense measurement, with
     the uniforms from one `rng.uniforms(n)` call (the values of n scalar
     draws)."""
-    bases = _bit_array(bases)
+    bases = gf2.bits(bases)
     if bases.shape != qubits.bits.shape:
         raise ValueError("need one basis per qubit")
     p0 = _BB84_P0[qubits.bits, qubits.bases, bases]

@@ -132,18 +132,17 @@ def mac_tag(scheme: MacScheme, key: np.ndarray, message: np.ndarray) -> np.ndarr
     masked with the other half. Deterministic in (key, message).
 
     Each s-bit block is read most significant bit first. The key and the
-    1-padded message sit in one buffer, checked by one `gf2.bits` call; its
-    first two s-bit blocks are the key halves, and one product with the bit
-    weights packs every block into an integer. The tag is unpacked by one
-    shift.
+    1-padded message sit in one buffer, whose first two s-bit blocks are
+    the key halves; one product with the bit weights packs every block into
+    an integer. The tag is unpacked by one shift.
     """
-    key, message = np.asarray(key), np.asarray(message)
+    key, message = gf2.bits(key), gf2.bits(message)
     if key.size != scheme.key_bits:
         raise ValueError(f"key must hold {scheme.key_bits} bits")
     s = scheme.s
     end = key.size + message.size
     padded = np.zeros(key.size + scheme.blocks(message.size) * s, dtype=np.uint8)
-    padded[:end] = gf2.bits(np.concatenate([key, message]))
+    padded[: key.size], padded[key.size : end] = key, message
     padded[end] = 1
     shifts = np.arange(s - 1, -1, -1, dtype=np.int64)
     point, mask, *blocks = (padded.reshape(-1, s) @ np.left_shift(1, shifts)).tolist()
@@ -219,50 +218,45 @@ class UeKey:
             object.__setattr__(self, name, gf2.bits(getattr(self, name)))
 
     def check_shape(self, params: UeParams) -> None:
-        expect = {
-            "k": params.scheme.key_bits,
-            "e": params.n + params.s,
-            "c1_syn": params.syndrome_bits,
-            "b": params.n_qubits,
-        }
-        for name, size in expect.items():
+        for name, size in _key_sizes(params).items():
             if getattr(self, name).size != size:
                 raise ValueError(f"UE key field {name} must hold {size} bits")
 
 
+def _key_sizes(params: UeParams) -> dict[str, int]:
+    """Bits in each UE key field, in field order."""
+    return {
+        "k": params.scheme.key_bits,
+        "e": params.n + params.s,
+        "c1_syn": params.syndrome_bits,
+        "b": params.n_qubits,
+    }
+
+
 def generate_ue_key(params: UeParams, rng: RandomStream) -> UeKey:
-    """All four key pieces drawn uniformly at random."""
-    return UeKey(
-        k=rng.bits(params.scheme.key_bits),
-        e=rng.bits(params.n + params.s),
-        c1_syn=rng.bits(params.syndrome_bits),
-        b=rng.bits(params.n_qubits),
-    )
+    """All four key pieces drawn uniformly at random, in field order."""
+    return UeKey(**{name: rng.bits(size) for name, size in _key_sizes(params).items()})
 
 
 def ue_key_to_json(params: UeParams, key: UeKey) -> str:
     key.check_shape(params)
-    payload = {
-        "n": params.n,
-        "s": params.s,
-        "k": gf2.bits_to_hex(key.k),
-        "e": gf2.bits_to_hex(key.e),
-        "c1_syn": gf2.bits_to_hex(key.c1_syn),
-        "b": gf2.bits_to_hex(key.b),
-    }
-    return json.dumps(payload, sort_keys=True)
+    fields = {name: gf2.bits_to_hex(getattr(key, name)) for name in _key_sizes(params)}
+    return json.dumps({"n": params.n, "s": params.s, **fields}, sort_keys=True)
 
 
 def ue_key_from_json(params: UeParams, text: str) -> UeKey:
+    """The key `ue_key_to_json` wrote for `params`; any other document
+    raises ValueError."""
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("UE key material must be a JSON object")
     if data.get("n") != params.n or data.get("s") != params.s:
         raise ValueError("key material belongs to different parameters")
-    return UeKey(
-        k=gf2.hex_to_bits(data["k"], params.scheme.key_bits),
-        e=gf2.hex_to_bits(data["e"], params.n + params.s),
-        c1_syn=gf2.hex_to_bits(data["c1_syn"], params.syndrome_bits),
-        b=gf2.hex_to_bits(data["b"], params.n_qubits),
-    )
+    sizes = _key_sizes(params)
+    for name in sizes:
+        if not isinstance(data.get(name), str):
+            raise ValueError(f"UE key field {name} must be a hex string")
+    return UeKey(**{name: gf2.hex_to_bits(data[name], size) for name, size in sizes.items()})
 
 
 # -- encryption / decryption ----------------------------------------------------

@@ -121,6 +121,14 @@ def test_distill_tiny_theta_with_normal_success_probability_exit_3(tmp_path):
     ("covert", '{"experiment": "covert", "params": {"p_dark": "0.05"}}'),
     ("dcqke", '{"experiment": "dcqke", "params": {"p_signal": "0.08"}}'),
     ("distill", '{"experiment": "distill", "params": {"theta": "0.5"}}'),
+    # a prng object holds only "kind" and "seed", and a seed string only hex digits
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "sede": 5}}}'),
+    ("dcqke", '{"experiment": "dcqke", "params": {"prng": {"kind": "strong", "bits": 16}}}'),
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": "1_0"}}}'),
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": "0x10"}}}'),
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": " 10"}}}'),
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": "+10"}}}'),
+    ("covert", '{"experiment": "covert", "params": {"prng": {"kind": "weak", "seed": ""}}}'),
 ])
 def test_bad_config_value_exit_2(tmp_path, capsys, experiment, config):
     cfg = tmp_path / "cfg.json"
@@ -134,6 +142,16 @@ def test_real_key_takes_a_json_integer_as_a_float(tmp_path, capsys):
     assert cli.main(["bb84", "--config", str(cfg), "--trials", "1"]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert row[2:4] == ["1.0", "0.0"]  # delta, flip_probability
+
+
+def test_prng_seed_hex_string_equals_its_integer(tmp_path, capsys):
+    outputs = []
+    for seed in ('"1F"', '"1f"', "31"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"experiment": "covert", "params": {{"prng": {{"kind": "weak", "seed": {seed}}}}}}}')
+        assert cli.main(["covert", "--config", str(cfg), "--trials", "100"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("experiment, params, trials, limit", [

@@ -351,6 +351,22 @@ class TestKeyJson:
             with pytest.raises(ValueError, match="exactly"):
                 ue_key_from_json(params, json.dumps({**data, field: bad}))
 
+    @pytest.mark.parametrize("field", ["k", "e", "c1_syn", "b"])
+    def test_missing_or_non_string_field_rejected(self, field):
+        params = UeParams(n=3, s=2)
+        data = json.loads(ue_key_to_json(params, generate_ue_key(params, RandomStream(53))))
+        missing = {name: value for name, value in data.items() if name != field}
+        for doc in (missing, {**data, field: 5}, {**data, field: None}, {**data, field: ["00"]}):
+            with pytest.raises(ValueError, match=f"field {field} must be a hex string"):
+                ue_key_from_json(params, json.dumps(doc))
+        with pytest.raises(ValueError):  # not hex at all
+            ue_key_from_json(params, json.dumps({**data, field: "zz"}))
+
+    @pytest.mark.parametrize("text", ["[]", "[1, 2]", '"key"', "5", "null", "{", ""])
+    def test_document_that_is_not_a_key_object_rejected(self, text):
+        with pytest.raises(ValueError):
+            ue_key_from_json(UeParams(n=3, s=2), text)
+
 
 class TestQkeFromUe:
     def test_noiseless_key_agreement(self, params):

@@ -197,7 +197,8 @@ class TestBits:
 
     def test_matrix_entries_follow_the_same_rule(self):
         rows = np.array([[0, 1, 1, 0, 1, 0, 1], [1, 1, 0, 1, 0, 0, 0]])
-        assert gf2.syndrome(HAMMING, rows).tolist() == gf2.syndrome(HAMMING, rows.astype(bool)).tolist()
+        expect = gf2.syndrome(HAMMING, rows)
+        assert gf2.syndrome(HAMMING, rows.astype(bool)).tobytes() == expect.tobytes()
         for bad in (rows * 2, rows - 1, rows.astype(float)):
             with pytest.raises(ValueError, match="0 or 1"):
                 gf2.syndrome(HAMMING, bad)

@@ -146,9 +146,10 @@ def test_real_key_takes_a_json_integer_as_a_float(tmp_path, capsys):
 
 def test_prng_seed_hex_string_equals_its_integer(tmp_path, capsys):
     outputs = []
-    for seed in ('"1F"', '"1f"', "31"):
+    for seed in ("1F", "1f", 31):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"experiment": "covert", "params": {{"prng": {{"kind": "weak", "seed": {seed}}}}}}}')
+        params = {"prng": {"kind": "weak", "seed": seed}}
+        cfg.write_text(json.dumps({"experiment": "covert", "params": params}))
         assert cli.main(["covert", "--config", str(cfg), "--trials", "100"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import stats
 
-from . import qcore
+from . import gf2, qcore
 from .rng import WEAK_SEED_BITS, RandomStream, _distinct_rows
 
 __all__ = [
@@ -120,10 +120,12 @@ class TimeBinChannel:
 
 @dataclass(frozen=True)
 class WardenObservation:
+    """One detection bit per slot, checked by `gf2.bits`."""
+
     detections: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.detections, dtype=np.uint8)  # a copy: the caller's array stays writable
+        arr = gf2.bits(self.detections)  # a copy: the caller's array stays writable
         arr.setflags(write=False)
         object.__setattr__(self, "detections", arr)
 

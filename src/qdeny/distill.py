@@ -293,8 +293,10 @@ def qke_over_teleportation(
     Distills at least m ebits from partially entangled pairs, verifies a
     sample, teleports m fresh BB84 states, then runs the usual sifting and
     check steps on the measurement records. The classical transcript holds
-    exactly 2m teleportation bits plus the usual protocol messages. Bob's
-    outcomes are one `uniforms(m)` draw against the received states' P(0).
+    exactly 2m teleportation bits plus the usual protocol messages. The m
+    teleportations draw in turn from the exchange's one `teleport`
+    substream, two draws each. Bob's outcomes are one `uniforms(m)` draw
+    against the received states' P(0).
 
     Sifting, the check-bit exchange and reconciliation are the plain
     protocol's own steps from `bb84`; here half of the sifted bits are
@@ -325,11 +327,12 @@ def qke_over_teleportation(
     rng_a, rng_b = rng.substream("alice"), rng.substream("bob")
     a, b = rng_a.bits(m), rng_a.bits(m)
     b_prime = rng_b.bits(m)
+    rng_t = rng.substream("teleport")
     p0 = np.empty(m)
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
         state = qcore.bb84_state(int(a[i]), int(b[i]))
-        received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
+        received, bits = teleport(state, ebits[i], rng_t)
         teleport_bits[2 * i : 2 * i + 2] = bits
         p0[i] = qcore._p0(received.amplitudes, b_prime[i])
     a_prime = (rng_b.uniforms(m) >= p0).astype(np.uint8)

@@ -240,10 +240,11 @@ class Bb84Qubits:
         return int(self.bits.size)
 
     def pauli_x(self, mask) -> "Bb84Qubits":
-        """The batch after X on the qubits under the boolean `mask`. X swaps
-        |0> and |1> and leaves |+> and |-> as they are up to global phase,
-        so it flips the bits of the computational-basis qubits only."""
-        mask = np.asarray(mask, dtype=bool)
+        """The batch after X on the qubits under `mask`, one bit per qubit as
+        `gf2.bits` reads it. X swaps |0> and |1> and leaves |+> and |->
+        as they are up to global phase, so it flips the bits of the
+        computational-basis qubits only."""
+        mask = gf2.bits(mask).view(bool)
         if mask.shape != self.bits.shape:
             raise ValueError("need one mask entry per qubit")
         return Bb84Qubits._of_bits(self.bits ^ (mask & (self.bases == 0)), self.bases)

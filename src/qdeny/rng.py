@@ -39,6 +39,11 @@ WEAK_SEED_BITS = 16
 
 _DOMAIN = b"qdeny.rng.v1"
 _WORD = (1 << 64) - 1
+# Philox's starting counter, built once and read-only. Passed as an array,
+# numpy only reads it; left as None, numpy converts the integer 0 to an
+# array on every construction, which was most of a substream's Philox cost.
+_COUNTER_0 = np.zeros(4, dtype=np.uint64)
+_COUNTER_0.flags.writeable = False
 
 
 def _derive_key(parent: bytes, label: str, index: int) -> bytes:
@@ -53,9 +58,11 @@ def _derive_key(parent: bytes, label: str, index: int) -> bytes:
 class _PhiloxKey(np.random.bit_generator.ISeedSequence):
     """Seeds `np.random.Philox` with a given 128-bit key: Philox asks its
     seed sequence for two uint64 words and uses them as the key, low word
-    first, with counter 0, which is `np.random.Philox(key=key)`. Unlike
-    `Philox(key=...)` it builds no `SeedSequence`, so nothing reads OS
-    entropy or runs the seed hash."""
+    first, which is `np.random.Philox(key=key)` once the counter is 0.
+    Unlike `Philox(key=...)` it builds no `SeedSequence`, so nothing reads
+    OS entropy or runs the seed hash. `RandomStream` passes that zero
+    counter as the ready array `_COUNTER_0`, which numpy reads without
+    converting."""
 
     def __init__(self, key: int):
         self._words = np.array([key & _WORD, key >> 64], dtype=np.uint64)
@@ -84,7 +91,7 @@ class RandomStream:
                 raise ValueError("integer seed must fit in 128 bits")
             self._key = seed.to_bytes(16, "big")
         key = int.from_bytes(self._key, "big")
-        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+        self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_COUNTER_0))
 
     def substream(self, label: str, index: int = 0) -> "RandomStream":
         """Independent child stream for (label, index)."""

@@ -219,6 +219,12 @@ class TestFromStates:
             want = state.amplitudes[::-1] if x else state.amplitudes
             assert abs(np.vdot(got.amplitudes, want)) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("mask", [[0.5], [1.0], [2], np.array([-1]), ["1"], [[True]]])
+    def test_pauli_x_rejects_a_mask_that_is_not_bits(self, mask):
+        # at a float or wide-integer mask the bool cast used to flip the bit
+        with pytest.raises(ValueError):
+            qcore.prepare_bb84([0], [0]).pauli_x(mask)
+
     def test_bell_state_rejected(self):
         with pytest.raises(ValueError):
             from_states([qcore.bell_state(qcore.BellKind.PHI_PLUS)])

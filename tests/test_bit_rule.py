@@ -7,6 +7,7 @@ import pytest
 
 from qdeny import gf2, qcore, ue
 from qdeny.bb84 import extract_key
+from qdeny.channel import WardenObservation
 from qdeny.denial import EveRecord, judge_check
 from qdeny.rng import RandomStream
 
@@ -82,6 +83,8 @@ CALLS = {
     "prepare_bb84 bases": lambda v: qcore.prepare_bb84([0, 1], with_entry([1, 0], v)),
     "Bb84Qubits bits": lambda v: qcore.Bb84Qubits(np.array(with_entry([1, 1], v)), [0, 1]),
     "Bb84Qubits bases": lambda v: qcore.Bb84Qubits([0, 1], np.array(with_entry([1, 1], v))),
+    "pauli_x mask": lambda v: qcore.prepare_bb84([0, 1], [0, 1]).pauli_x(with_entry([1, 0], v)),
+    "WardenObservation": lambda v: WardenObservation(with_entry([1, 0, 1], v)),
     "measure": lambda v: qcore.measure(
         qcore.prepare_bb84([0, 1], [0, 1]), with_entry([1, 0], v), RandomStream(1)
     ),

@@ -142,6 +142,17 @@ class TestWardenObserve:
         det[1] = 1
         assert obs.count == 0 and not obs.detections.flags.writeable
 
+    @pytest.mark.parametrize("detections", [[2, 0.9], [0.5, 0], [1.0], [2, 0], np.array([-1, 1]), [256]])
+    def test_observation_rejects_entries_that_are_not_bits(self, detections):
+        with pytest.raises(ValueError):
+            WardenObservation(detections)
+
+    def test_observation_takes_bool_and_integer_bits_alike(self):
+        for det in ([True, False, True], [1, 0, 1], np.array([1, 0, 1], dtype=np.int64), "101"):
+            obs = WardenObservation(det)
+            assert obs.detections.dtype == np.uint8 and obs.detections.tolist() == [1, 0, 1]
+            assert obs.count == 2
+
     def test_idle_dark_counts(self):
         tb = TimeBinChannel(10_000, 0.01, 0.5)
         obs = warden_observe(tb, None, RandomStream(2))

@@ -419,11 +419,12 @@ def dense_qke_over_teleportation(m, theta, rng, codes=None):
     rng_a, rng_b = rng.substream("alice"), rng.substream("bob")
     a, b = rng_a.bits(m), rng_a.bits(m)
     b_prime = rng_b.bits(m)
+    rng_t = rng.substream("teleport")
     a_prime = np.empty(m, dtype=np.uint8)
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
         state = qcore.bb84_state(int(a[i]), b[i])
-        received, bits = teleport(state, ebits[i], rng.substream("teleport", i))
+        received, bits = teleport(state, ebits[i], rng_t)
         teleport_bits[2 * i : 2 * i + 2] = bits
         a_prime[i], _ = qcore.measure_subsystem(received, 0, b_prime[i], rng_b)
     cchan.send("alice", "teleport-bits", teleport_bits)
@@ -528,6 +529,27 @@ class TestTeleportedKeyExchange:
             assert [k.tolist() for k in got[:2]] == [k.tolist() for k in want[:2]]
             assert [(msg.sender, msg.label, msg.bits.tolist()) for msg in got[2]] == [
                 (msg.sender, msg.label, msg.bits.tolist()) for msg in want[2]]
+
+    def test_one_teleport_stream_per_exchange(self, monkeypatch):
+        labels = []
+        substream = RandomStream.substream
+        monkeypatch.setattr(RandomStream, "substream", lambda self, label, index=0: (
+            labels.append((label, index)) or substream(self, label, index)))
+        qke_over_teleportation(14, np.pi / 6, RandomStream(30))
+        attempts = sum(label == "filter" for label, _ in labels)
+        assert 1 <= attempts <= distill.FILTER_ATTEMPTS
+        assert len(labels) <= attempts + 5
+        assert [(label, i) for label, i in labels if label == "teleport"] == [("teleport", 0)]
+
+    def test_teleport_bits_are_successive_draws_of_the_teleport_stream(self):
+        m, theta, rng = 14, np.pi / 6, RandomStream(31)
+        _, _, transcript = qke_over_teleportation(m, theta, rng)
+        ebit = distill_batch(64, theta, RandomStream(0))[0][0]  # one shared ebit per theta
+        rng_a, rng_t = rng.substream("alice"), rng.substream("teleport")
+        a, b = rng_a.bits(m), rng_a.bits(m)
+        want = [teleport(qcore.bb84_state(int(a[i]), int(b[i])), ebit, rng_t)[1] for i in range(m)]
+        got = next(msg for msg in transcript if msg.label == "teleport-bits").bits
+        assert got.tolist() == [bit for pair in want for bit in pair]
 
     def test_distillation_shortfall_raises(self):
         with pytest.raises(RuntimeError, match="distillation shortfall"):

@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from qdeny.rng import CounterModePrng, RandomStream, _PhiloxKey
+from qdeny.rng import _COUNTER_0, CounterModePrng, RandomStream, _PhiloxKey
+
+
+def _plain_state(bit_generator) -> dict:
+    """A Philox state with its arrays as lists, so states compare with ==."""
+    state = dict(bit_generator.state)
+    state["state"] = {name: v.tolist() for name, v in state["state"].items()}
+    state["buffer"] = state["buffer"].tolist()
+    return state
 
 
 class TestRandomStream:
@@ -57,6 +65,26 @@ class TestRandomStream:
             want = np.random.Generator(np.random.Philox(key=key))
             assert np.array_equal(stream.uniforms(50), want.random(50))
             assert np.array_equal(stream.bits(70), want.integers(0, 2, size=70, dtype=np.uint8))
+
+    @pytest.mark.parametrize("seed", [0, 1, (1 << 64) - 1, 1 << 64, (1 << 128) - 1])
+    def test_philox_state_and_raw_words_equal_keyed_philox(self, seed):
+        for stream in (RandomStream(seed), RandomStream(seed).substream("teleport")):
+            key = int.from_bytes(stream._key, "big")
+            got, want = stream.generator.bit_generator, np.random.Philox(key=key)
+            assert _plain_state(got) == _plain_state(want)
+            assert np.array_equal(got.random_raw(5), want.random_raw(5))
+
+    def test_zero_counter_stays_zero_and_read_only(self):
+        root = RandomStream(9)
+        for i in range(200):
+            stream = root.substream("s", i)
+            stream.uniforms(9)
+            stream.bits(13)
+            stream.generator.bit_generator.advance(3)
+        assert _COUNTER_0.dtype == np.uint64 and _COUNTER_0.tolist() == [0, 0, 0, 0]
+        assert not _COUNTER_0.flags.writeable
+        with pytest.raises(ValueError):
+            _COUNTER_0[0] = 1
 
     @pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (2, np.uint32), (1, np.uint64)])
     def test_philox_key_serves_only_the_key_request(self, n_words, dtype):

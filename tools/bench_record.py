@@ -76,8 +76,9 @@ def tier1(tree: Path) -> dict:
         {"seconds": float(m.group(1)), "test": m.group(2)}
         for m in (re.match(r"\s*([\d.]+)s call\s+(\S+)", ln) for ln in lines) if m
     ]
-    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?)", lines[-1])}
-    return {"wall_s": round(wall_s, 1), "exit_code": done.returncode, "summary": lines[-1],
+    summary = lines[-1] if lines else ""  # pytest prints nothing if it cannot start
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
+    return {"wall_s": round(wall_s, 1), "exit_code": done.returncode, "summary": summary,
             "counts": counts, "slowest": slowest[:5]}
 
 

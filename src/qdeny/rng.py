@@ -41,7 +41,7 @@ _DOMAIN = b"qdeny.rng.v1"
 _WORD = (1 << 64) - 1
 # Philox's starting counter, built once and read-only. Passed as an array,
 # numpy only reads it; left as None, numpy converts the integer 0 to an
-# array on every construction, which was most of a substream's Philox cost.
+# array on every construction, over a third of the cost of a Philox.
 _COUNTER_0 = np.zeros(4, dtype=np.uint64)
 _COUNTER_0.flags.writeable = False
 

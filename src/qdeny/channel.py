@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
 
 from . import gf2, qcore
-from .rng import WEAK_SEED_BITS, RandomStream, _distinct_rows
+from .rng import WEAK_SEED_BITS, RandomStream, _distinct_rows, _integer
 
 __all__ = [
     "QubitChannel",
@@ -112,7 +111,7 @@ class TimeBinChannel:
     p_signal: float
 
     def __post_init__(self):
-        if not 1 <= self.n_slots <= MAX_SLOTS:
+        if not 1 <= _integer(self.n_slots, "slot count") <= MAX_SLOTS:
             raise ValueError(f"slot count must lie in [1, {MAX_SLOTS}]")
         if not 0.0 <= self.p_dark <= self.p_signal <= 1.0:
             raise ValueError("require 0 <= p_dark <= p_signal <= 1")
@@ -158,7 +157,12 @@ def count_distributions(channel: TimeBinChannel, n_used: int) -> tuple[np.ndarra
     Binomial(n_slots - n_used, p_dark) with Binomial(n_used, p_signal);
     since slots detect independently, the count does not depend on which
     slots carry signal.
+
+    This is the one place `scipy.stats` is imported, so that the protocols
+    that never ask for an exact warden bias load numpy alone.
     """
+    from scipy import stats
+
     if not 0 <= n_used <= channel.n_slots:
         raise ValueError("n_used out of range")
     n = channel.n_slots
@@ -212,6 +216,7 @@ def weak_schedule_table(n_slots: int, n_used: int) -> np.ndarray:
     smallest unsigned dtype that holds `n_slots - 1` (uint16 at every
     channel size in use).
     """
+    n_slots, n_used = _integer(n_slots, "slot count"), _integer(n_used, "slots per seed")
     if n_used > MAX_WEAK_TABLE_SLOTS:
         raise ValueError(
             f"the weak schedule table holds at most {MAX_WEAK_TABLE_SLOTS} slots per seed,"

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy import sparse
 
 from . import bb84 as bb84_mod
 from .channel import (
@@ -38,7 +37,7 @@ from .channel import (
 )
 from .denial import CoercionView
 from .games import AdvantageEstimate, run_experiment
-from .rng import STRONG_SEED_BITS, WEAK_SEED_BITS, CounterModePrng, RandomStream
+from .rng import STRONG_SEED_BITS, WEAK_SEED_BITS, CounterModePrng, RandomStream, _integer
 
 __all__ = [
     "PrngSpec",
@@ -70,7 +69,7 @@ class PrngSpec:
     def __post_init__(self):
         if self.kind not in ("strong", "weak"):
             raise ValueError("prng kind must be 'strong' or 'weak'")
-        if self.seed is not None and not 0 <= self.seed < 1 << self.bits:
+        if self.seed is not None and not 0 <= _integer(self.seed, "prng seed") < 1 << self.bits:
             raise ValueError(f"prng seed out of range for the {self.bits}-bit generator")
 
     @property
@@ -95,6 +94,8 @@ class CovertQkeConfig:
     n_used: int | None = None  # defaults to the session's own slot demand
 
     def __post_init__(self):
+        if self.n_used is not None:
+            _integer(self.n_used, "schedule demand")
         if not 0 <= self.effective_n_used <= self.timebin.n_slots:
             raise ValueError("schedule demand must lie between 0 and the channel's slot count")
 
@@ -258,11 +259,12 @@ def _prefix_slots(n_used: int, threshold: float, p_dark: float) -> int:
 
 
 @lru_cache(maxsize=8)
-def seed_prefix_incidence(n_slots: int, n_used: int, k: int) -> sparse.csr_matrix:
-    """Seed x slot incidence matrix of each seed's first `k` scheduled slots:
-    row `seed` holds a one at each slot among the first `k` columns of
-    `weak_schedule_table(n_slots, n_used)`. Cached, so every warden on the
-    same channel shares it.
+def seed_prefix_incidence(n_slots: int, n_used: int, k: int):
+    """Seed x slot incidence matrix of each seed's first `k` scheduled slots,
+    a `scipy.sparse.csr_matrix`: row `seed` holds a one at each slot among
+    the first `k` columns of `weak_schedule_table(n_slots, n_used)`. Cached,
+    so every warden on the same channel shares it. This is the one place
+    `scipy.sparse` is imported, so only the seed-search warden loads it.
 
     scipy needs int32 column indices, so they are a contiguous int32 copy
     of those columns. The values use the smallest unsigned dtype that holds
@@ -272,6 +274,8 @@ def seed_prefix_incidence(n_slots: int, n_used: int, k: int) -> sparse.csr_matri
     """
     if not 0 <= k <= n_used:
         raise ValueError(f"prefix length must lie in [0, {n_used}], not {k}")
+    from scipy import sparse
+
     table = weak_schedule_table(n_slots, n_used)
     n_seeds = table.shape[0]
     indices = np.ascontiguousarray(table[:, :k], dtype=np.int32).reshape(-1)

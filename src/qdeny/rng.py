@@ -28,6 +28,7 @@ Two constructions live here:
 from __future__ import annotations
 
 import hashlib
+import operator
 from collections.abc import Sequence
 
 import numpy as np
@@ -44,6 +45,16 @@ _WORD = (1 << 64) - 1
 # array on every construction, over a third of the cost of a Philox.
 _COUNTER_0 = np.zeros(4, dtype=np.uint64)
 _COUNTER_0.flags.writeable = False
+
+
+def _integer(value, name: str) -> int:
+    """`value` as a Python int through `operator.index`: integers and numpy
+    integers pass, and a float, a string or any other object raises
+    ValueError rather than being truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}") from None
 
 
 def _derive_key(parent: bytes, label: str, index: int) -> bytes:
@@ -86,7 +97,7 @@ class RandomStream:
                 raise ValueError("byte seed must be exactly 16 bytes")
             self._key = seed
         else:
-            seed = int(seed)
+            seed = _integer(seed, "seed")
             if seed < 0 or seed >= 1 << 128:
                 raise ValueError("integer seed must fit in 128 bits")
             self._key = seed.to_bytes(16, "big")
@@ -151,7 +162,7 @@ class CounterModePrng:
     """
 
     def __init__(self, key: int):
-        key = int(key)
+        key = _integer(key, "key")
         if key < 0 or key >= 1 << STRONG_SEED_BITS:
             raise ValueError(f"key must fit in {STRONG_SEED_BITS} bits")
         self.key = key

@@ -120,6 +120,16 @@ class TestSchedules:
         assert abs(counts.mean() - expect) < 3 * sigma / np.sqrt(n_slots)
 
 
+class TestTimeBinChannel:
+    @pytest.mark.parametrize("n_slots", [10.5, 10.0, "10", None])
+    def test_slot_count_must_be_an_integer(self, n_slots):
+        with pytest.raises(ValueError, match="slot count must be an integer"):
+            TimeBinChannel(n_slots, 0.1, 0.2)
+
+    def test_numpy_integer_slot_count_accepted(self):
+        assert TimeBinChannel(np.int64(10), 0.1, 0.2) == TimeBinChannel(10, 0.1, 0.2)
+
+
 class TestWardenObserve:
     def test_deterministic_extremes(self):
         tb = TimeBinChannel(8, 0.0, 1.0)

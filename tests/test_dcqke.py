@@ -34,6 +34,19 @@ def strong_config(n_slots=4096, p_dark=0.05, p_signal=0.08, n_used=None):
     )
 
 
+class TestPrngSpec:
+    @pytest.mark.parametrize("seed", [3.9, 3.0, "5", [5]])
+    def test_seed_must_be_an_integer(self, seed):
+        # 3.9 was accepted and "5" failed with a bare TypeError from <=
+        with pytest.raises(ValueError, match="prng seed must be an integer"):
+            PrngSpec("weak", seed=seed)
+
+    def test_numpy_integer_seed_accepted_and_range_checked(self):
+        assert PrngSpec("weak", seed=np.uint16(5)).draw_seed(RandomStream(0)) == 5
+        with pytest.raises(ValueError, match="out of range"):
+            PrngSpec("weak", seed=np.int64(1 << 16))
+
+
 class TestCovertRuns:
     def test_key_agreement_matches_plain_bb84(self):
         # covertness is transparent to the key logic: same sub-seed, same key
@@ -64,6 +77,8 @@ class TestCovertRuns:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             strong_config(n_used=100).require_session_capacity()
+        with pytest.raises(ValueError, match="schedule demand must be an integer"):
+            strong_config(n_used=182.0)
         with pytest.raises(ValueError):
             strong_config(n_slots=100)  # cannot even hold the session
 

@@ -1,0 +1,65 @@
+"""Importing qdeny loads numpy and the standard library only: scipy's
+`stats` and `sparse` are imported by the two functions that use them,
+`channel.count_distributions` and `dcqke.seed_prefix_incidence`.
+
+A fresh interpreter imports every module, `cli` included, and runs one
+BB84 session, one naive-denial coercer trial and one key exchange over UE,
+then checks that neither scipy submodule was loaded; the two deferred
+imports must still resolve, to the values this process computes."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from qdeny import channel, dcqke
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+CHILD = """
+import importlib, json, pkgutil, sys
+import qdeny
+for info in pkgutil.iter_modules(qdeny.__path__):
+    importlib.import_module("qdeny." + info.name)
+from qdeny import bb84, channel, dcqke, denial, ue
+from qdeny.rng import RandomStream
+from test_imports import digest
+
+config = bb84.Bb84Config(n=14, delta=0.5)
+bb84.run_session(config, channel.QubitChannel(), RandomStream(1))
+protocol = denial.NaiveBb84DenialProtocol(config, n_decoys=2)
+session = protocol.run_session(RandomStream(2))
+for view in (protocol.real_view(session), protocol.fake(session, RandomStream(3))):
+    denial.JudgeDistinguisher().decide(view, RandomStream(4))
+params = ue.UeParams(4, 4)
+ue.qke_from_ue(params, ue.generate_ue_key(params, RandomStream(5)), RandomStream(6))
+loaded = sorted(m for m in ("scipy.stats", "scipy.sparse") if m in sys.modules)
+print(json.dumps({"loaded": loaded, **digest(channel, dcqke)}))
+"""
+
+
+def digest(channel_mod, dcqke_mod) -> dict:
+    """Hashes of the two functions that import scipy, on a small channel."""
+    idle, active = channel_mod.count_distributions(channel_mod.TimeBinChannel(64, 0.1, 0.5), 4)
+    m = dcqke_mod.seed_prefix_incidence(64, 4, 2)
+    parts = [m.indices, m.indptr, m.data]
+    return {
+        "pmfs": hashlib.sha256(idle.tobytes() + active.tobytes()).hexdigest(),
+        "incidence": [type(m).__module__, type(m).__name__, list(m.shape),
+                      [str(a.dtype) for a in parts],
+                      hashlib.sha256(b"".join(a.tobytes() for a in parts)).hexdigest()],
+    }
+
+
+def test_qdeny_imports_no_scipy_submodule_until_it_needs_one():
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, (str(SRC), str(tests), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", CHILD], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    child = json.loads(proc.stdout)
+    assert child.pop("loaded") == []
+    assert child == json.loads(json.dumps(digest(channel, dcqke)))
+    assert child["incidence"][:2] == ["scipy.sparse._csr", "csr_matrix"]

@@ -58,6 +58,16 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(1 << 128)
 
+    @pytest.mark.parametrize("seed", [3.9, 3.0, "7", None, [3]])
+    def test_seed_must_be_an_integer(self, seed):
+        # a float was truncated and a string parsed; neither is a seed
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            RandomStream(seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        a, b = RandomStream(np.uint64(3)), RandomStream(3)
+        assert np.array_equal(a.uniforms(8), b.uniforms(8))
+
     @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, (1 << 128) - 1, (1 << 64) + 5])
     def test_generator_is_philox_keyed_by_the_stream(self, seed):
         for stream in (RandomStream(seed), RandomStream(seed).substream("x", 7)):
@@ -245,6 +255,16 @@ class TestCounterModePrng:
         for key in (-1, 1 << 128):
             with pytest.raises(ValueError, match="128 bits"):
                 CounterModePrng(key)
+
+    @pytest.mark.parametrize("key", [3.9, 3.0, "7", None])
+    def test_key_must_be_an_integer(self, key):
+        with pytest.raises(ValueError, match="key must be an integer"):
+            CounterModePrng(key)
+
+    def test_numpy_integer_key_is_the_int_key(self):
+        prng = CounterModePrng(np.int64(7))
+        assert prng.key == 7 and type(prng.key) is int
+        assert np.array_equal(prng.words(16), CounterModePrng(7).words(16))
 
     def test_weak_schedules_mostly_distinct(self):
         seen = {CounterModePrng(k).sample_distinct(256, 16).tobytes() for k in range(200)}

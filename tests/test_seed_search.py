@@ -78,6 +78,21 @@ def test_table_over_its_occupancy_limit_is_rejected():
         weak_schedule_table(200_000, 100_000)
 
 
+@pytest.mark.parametrize(
+    "n_slots, n_used, name",
+    [(16.5, 4, "slot count"), (16.0, 4, "slot count"), (16, 4.0, "slots per seed")],
+)
+def test_table_sizes_must_be_integers(n_slots, n_used, name):
+    # 16.5 slots once built a float16 table: np.min_scalar_type(15.5)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        weak_schedule_table(n_slots, n_used)
+
+
+def test_config_schedule_demand_must_be_an_integer():
+    with pytest.raises(ValueError, match="schedule demand must be an integer"):
+        _config(64, 4.5)
+
+
 def test_rows_beyond_int32_are_rejected():
     with pytest.raises(ValueError):
         _distinct_rows(range(4), 2**31 + 1, 4)

@@ -25,7 +25,7 @@ import numpy as np
 from . import gf2, qcore
 from .channel import ClassicalAuthChannel, Message, QubitChannel, transmit
 from .gf2 import NestedCodePair
-from .rng import RandomStream
+from .rng import RandomStream, _integer
 
 __all__ = [
     "Bb84Config",
@@ -64,6 +64,7 @@ class Bb84Config:
     codes: NestedCodePair = field(default_factory=gf2.default_nested_pair)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError("n must be positive")
         if self.delta < 0:

@@ -64,9 +64,8 @@ class Message:
     bits: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.bits, dtype=np.uint8)  # a copy: the caller's array stays writable
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
+        # a copy: the caller's array stays writable
+        gf2._freeze(self, bits=np.array(self.bits, dtype=np.uint8))
 
     @property
     def n_bits(self) -> int:
@@ -124,9 +123,8 @@ class WardenObservation:
     detections: np.ndarray
 
     def __post_init__(self):
-        arr = gf2.bits(self.detections)  # a copy: the caller's array stays writable
-        arr.setflags(write=False)
-        object.__setattr__(self, "detections", arr)
+        # a copy: the caller's array stays writable
+        gf2._freeze(self, detections=gf2.bits(self.detections))
 
     @property
     def count(self) -> int:

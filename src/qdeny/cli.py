@@ -416,13 +416,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="seeded experiments on deniable and covert key exchange",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS + ("report",):
+    for name in EXPERIMENTS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--seed", default=None, help="128-bit hex seed")
         p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--out", default=None, help="output file (report: directory)")
+        p.add_argument("--out", default=None, help="output file")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_parser("report").add_argument("--out", required=True, help="directory of CSVs")
     return parser
 
 
@@ -433,8 +434,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         if args.experiment == "report":
-            if args.out is None:
-                raise ConfigError("report requires --out <directory>")
             return _run_report(args.out)
         runner, defaults = _RUNNERS[args.experiment]
         config_params: dict = {}

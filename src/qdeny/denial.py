@@ -26,7 +26,7 @@ from . import bb84 as bb84_mod
 from . import gf2, qcore
 from .channel import QubitChannel, WardenObservation
 from .games import AdvantageEstimate, RateEstimate, rate_estimate, run_experiment
-from .rng import RandomStream
+from .rng import RandomStream, _integer
 
 __all__ = [
     "EvePolicy",
@@ -77,23 +77,7 @@ class EveRecord:
         positions = positions.astype(np.int64)
         if np.any(np.diff(positions) <= 0):
             raise ValueError("positions must be strictly increasing")
-        arrays = (positions, gf2.bits(bases), gf2.bits(outcomes))
-        for name, arr in zip(("positions", "bases", "outcomes"), arrays):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _of_arrays(
-        cls, positions: np.ndarray, bases: np.ndarray, outcomes: np.ndarray
-    ) -> "EveRecord":
-        """Record over strictly increasing int64 positions and uint8 bases and
-        outcomes that this package has just built, without the public
-        constructor's copies and checks; the arrays become read-only."""
-        record = object.__new__(cls)
-        for name, arr in zip(("positions", "bases", "outcomes"), (positions, bases, outcomes)):
-            arr.setflags(write=False)
-            object.__setattr__(record, name, arr)
-        return record
+        gf2._freeze(self, positions=positions, bases=gf2.bits(bases), outcomes=gf2.bits(outcomes))
 
     def __len__(self) -> int:
         return int(self.positions.size)
@@ -111,7 +95,8 @@ def eve_decoy_attack(
     positions = np.flatnonzero(rng.uniforms(len(qubits)) < policy.measure_probability)
     bases = rng.bits(positions.size)
     outcomes, forwarded = qubits._collapsed(positions, bases, rng.uniforms(positions.size))
-    return forwarded, EveRecord._of_arrays(positions, bases, outcomes)
+    record = object.__new__(EveRecord)
+    return forwarded, gf2._freeze(record, positions=positions, bases=bases, outcomes=outcomes)
 
 
 def judge_check(bits, bases, record: EveRecord) -> int | None:
@@ -164,6 +149,8 @@ def detection_probability(
     rate is a quantized ratio that differs from the exact fraction by at
     most 2**-23.
     """
+    counts = {"qubit": n_qubits, "decoy": n_decoys, "flip": flips, "trial": trials}
+    n_qubits, n_decoys, flips, trials = (_integer(v, f"{k} count") for k, v in counts.items())
     if n_qubits > MAX_DETECTION_QUBITS:
         raise ValueError(f"{n_qubits} qubits is more than the limit {MAX_DETECTION_QUBITS}")
     if flips < 1:

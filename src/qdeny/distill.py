@@ -27,7 +27,7 @@ from . import bb84, qcore
 from .channel import ClassicalAuthChannel
 from .gf2 import NestedCodePair
 from .qcore import BellKind, StateVector
-from .rng import RandomStream
+from .rng import RandomStream, _integer
 
 __all__ = [
     "PartialPair",
@@ -138,6 +138,7 @@ def distill_batch(
     n: int, theta: float, rng: RandomStream
 ) -> tuple[list[StateVector], DistillReport]:
     """Filter n independent pairs; report achieved rate against the ceiling."""
+    n = _integer(n, "pair count")
     if n < 1:
         raise ValueError("need at least one pair")
     pair = PartialPair(theta)
@@ -308,6 +309,7 @@ def qke_over_teleportation(
     the 7-bit blocks of the default pair are (almost) never filled and the
     keys are the raw payload bits even when a pair is given.
     """
+    m = _integer(m, "teleported qubit count")
     if m < 1:
         raise ValueError("need at least one teleported qubit")
     needed = m + max(4, m // 4)  # sacrifice margin for verification

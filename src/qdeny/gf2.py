@@ -79,6 +79,23 @@ def bits(values: Iterable[int] | str) -> np.ndarray:
     return out
 
 
+def _freeze(record, **arrays: np.ndarray):
+    """`record`, a frozen dataclass instance, with each of `arrays` stored
+    on it under its name as given and made read-only: no copy, no check.
+
+    This is the package's one way to store arrays on a record. A public
+    constructor hands it the arrays its `__post_init__` has just checked,
+    copied or built. A trusted build hands it `object.__new__(cls)` and
+    arrays this package has just built, of the dtypes, shapes and values
+    the public constructor would store, skipping that constructor's checks
+    and copies; an array so handed over belongs to the record from then on.
+    """
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
+    return record
+
+
 def bits_to_str(v: np.ndarray) -> str:
     return "".join(str(int(b)) for b in v)
 
@@ -210,10 +227,7 @@ class BinaryLinearCode:
             raise ValueError("generator and parity check must be full rank")
         if np.any((g @ h.T) % 2):
             raise ValueError("generator rows must satisfy all parity checks")
-        g.setflags(write=False)
-        h.setflags(write=False)
-        object.__setattr__(self, "generator", g)
-        object.__setattr__(self, "parity_check", h)
+        _freeze(self, generator=g, parity_check=h)
 
     @classmethod
     def from_generator(cls, g: np.ndarray) -> "BinaryLinearCode":
@@ -360,9 +374,7 @@ class DualContainingPair:
             raise ValueError("codes must share a block length")
         if not is_dual_containing(self.c1, self.c2):
             raise ValueError("the dual of C2 is not contained in C1")
-        q = self._build_quotient_checks()
-        q.setflags(write=False)
-        object.__setattr__(self, "quotient_checks", q)
+        _freeze(self, quotient_checks=self._build_quotient_checks())
         if not is_dual_containing(self.c1, self.c2, self.quotient_checks):
             raise ValueError("pair violates dual containment or quotient-check invariants")
 

@@ -100,9 +100,8 @@ class StateVector:
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= 1e-9:  # a non-finite entry makes the norm nan or inf
             raise ValueError(f"state vector not normalized: |psi| = {norm}")
-        amps = amps / norm  # scrub rounding so chained operations stay at 1e-12
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        # scrub rounding so chained operations stay at 1e-12
+        gf2._freeze(self, amplitudes=amps / norm)
 
     def _key(self) -> tuple[int, bytes]:
         return self.n_qubits, self.amplitudes.tobytes()
@@ -139,9 +138,7 @@ class DensityMatrix:
             raise ValueError(f"density matrix trace {tr} != 1")
         if np.min(np.linalg.eigvalsh(mat)) < -_PSD_TOL:
             raise ValueError("density matrix has eigenvalue below -1e-10")
-        mat = mat / tr
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        gf2._freeze(self, matrix=mat / tr)
 
     def _key(self) -> tuple[int, bytes]:
         return self.n_qubits, self.matrix.tobytes()
@@ -221,20 +218,7 @@ class Bb84Qubits:
         bits, bases = np.asarray(self.bits), np.asarray(self.bases)
         if bits.ndim != 1 or bits.shape != bases.shape:
             raise ValueError("bits and bases must be vectors of equal length")
-        for name, arr in (("bits", gf2.bits(bits)), ("bases", gf2.bits(bases))):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _of_bits(cls, bits: np.ndarray, bases: np.ndarray) -> "Bb84Qubits":
-        """Batch over uint8 0/1 vectors of equal length that this package has
-        just built, without the public constructor's checks and copies; the
-        vectors become read-only."""
-        batch = object.__new__(cls)
-        for name, arr in (("bits", bits), ("bases", bases)):
-            arr.setflags(write=False)
-            object.__setattr__(batch, name, arr)
-        return batch
+        gf2._freeze(self, bits=gf2.bits(bits), bases=gf2.bits(bases))
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -247,7 +231,8 @@ class Bb84Qubits:
         mask = gf2.bits(mask).view(bool)
         if mask.shape != self.bits.shape:
             raise ValueError("need one mask entry per qubit")
-        return Bb84Qubits._of_bits(self.bits ^ (mask & (self.bases == 0)), self.bases)
+        flipped = self.bits ^ (mask & (self.bases == 0))
+        return gf2._freeze(object.__new__(Bb84Qubits), bits=flipped, bases=self.bases)
 
     def _collapsed(
         self, at: np.ndarray, bases: np.ndarray, uniforms: np.ndarray
@@ -261,7 +246,7 @@ class Bb84Qubits:
         outcomes = (uniforms >= p0).astype(np.uint8)
         post_bits, post_bases = self.bits.copy(), self.bases.copy()
         post_bits[at], post_bases[at] = outcomes, bases
-        return outcomes, Bb84Qubits._of_bits(post_bits, post_bases)
+        return outcomes, gf2._freeze(object.__new__(Bb84Qubits), bits=post_bits, bases=post_bases)
 
 
 def prepare_bb84(bits, bases) -> Bb84Qubits:

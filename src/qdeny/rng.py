@@ -49,12 +49,14 @@ _COUNTER_0.flags.writeable = False
 
 def _integer(value, name: str) -> int:
     """`value` as a Python int through `operator.index`: integers and numpy
-    integers pass, and a float, a string or any other object raises
-    ValueError rather than being truncated or parsed."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, not {type(value).__name__}") from None
+    integers pass, and a bool, a float, a string or any other object raises
+    ValueError rather than being read as 0 or 1, truncated or parsed."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
 
 
 def _derive_key(parent: bytes, label: str, index: int) -> bytes:

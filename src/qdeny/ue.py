@@ -26,7 +26,7 @@ from . import gf2
 from .channel import ClassicalAuthChannel
 from .gf2 import DualContainingPair
 from .qcore import Bb84Qubits, measure, prepare_bb84
-from .rng import RandomStream
+from .rng import RandomStream, _integer
 
 __all__ = [
     "MacScheme",
@@ -112,6 +112,7 @@ class MacScheme:
     modulus: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "s", _integer(self.s, "tag length"))
         if not 1 <= self.s <= _MAX_TAG_BITS:
             raise ValueError(f"tag length must lie in [1, {_MAX_TAG_BITS}]")
         object.__setattr__(self, "modulus", _irreducible(self.s))
@@ -172,8 +173,10 @@ class UeParams:
     scheme: MacScheme = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "message length"))
         object.__setattr__(self, "pair", gf2.default_dual_pair())
         object.__setattr__(self, "scheme", MacScheme(self.s))
+        object.__setattr__(self, "s", self.scheme.s)  # the tag length as an int
         if self.n < 1:
             raise ValueError("message length must be positive")
         if self.n + self.s > MAX_MESSAGE_BITS:
@@ -206,7 +209,8 @@ class UeParams:
 
 @dataclass(frozen=True)
 class UeKey:
-    """Pre-shared key: MAC key, one-time pad, per-block syndromes, bases."""
+    """Pre-shared key: MAC key, one-time pad, per-block syndromes, bases;
+    each a read-only copy, checked by `gf2.bits`."""
 
     k: np.ndarray
     e: np.ndarray
@@ -214,8 +218,8 @@ class UeKey:
     b: np.ndarray
 
     def __post_init__(self):
-        for name in ("k", "e", "c1_syn", "b"):
-            object.__setattr__(self, name, gf2.bits(getattr(self, name)))
+        names = ("k", "e", "c1_syn", "b")
+        gf2._freeze(self, **{name: gf2.bits(getattr(self, name)) for name in names})
 
     def check_shape(self, params: UeParams) -> None:
         for name, size in _key_sizes(params).items():

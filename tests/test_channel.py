@@ -121,7 +121,7 @@ class TestSchedules:
 
 
 class TestTimeBinChannel:
-    @pytest.mark.parametrize("n_slots", [10.5, 10.0, "10", None])
+    @pytest.mark.parametrize("n_slots", [10.5, 10.0, "10", None, True])
     def test_slot_count_must_be_an_integer(self, n_slots):
         with pytest.raises(ValueError, match="slot count must be an integer"):
             TimeBinChannel(n_slots, 0.1, 0.2)

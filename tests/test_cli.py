@@ -219,6 +219,19 @@ class TestReport:
         mean_trials = float(by_name["attack-deny"]["mean_trials"])
         assert mean_trials == 2000.0
 
+    @pytest.mark.parametrize("flags", [
+        ["--format", "json"], ["--seed", "zz"], ["--trials", "-5"], ["--config", "missing.json"],
+    ])
+    def test_report_takes_out_only(self, tmp_path, capsys, flags):
+        # each of these flags was ignored: exit 0 and report.csv written
+        main(["distill", "--seed", SEED, "--trials", "10", "--out", str(tmp_path / "d.csv")])
+        capsys.readouterr()
+        assert main(["report", "--out", str(tmp_path), *flags]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith("qdeny report: error: unrecognized arguments")
+        assert not (tmp_path / "report.csv").exists()
+
     def test_report_requires_out(self):
         assert main(["report"]) == 2
 

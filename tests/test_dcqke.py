@@ -35,7 +35,7 @@ def strong_config(n_slots=4096, p_dark=0.05, p_signal=0.08, n_used=None):
 
 
 class TestPrngSpec:
-    @pytest.mark.parametrize("seed", [3.9, 3.0, "5", [5]])
+    @pytest.mark.parametrize("seed", [3.9, 3.0, "5", [5], True])
     def test_seed_must_be_an_integer(self, seed):
         # 3.9 was accepted and "5" failed with a bare TypeError from <=
         with pytest.raises(ValueError, match="prng seed must be an integer"):

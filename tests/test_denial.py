@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from qdeny import qcore
+from qdeny import gf2, qcore
 from qdeny.bb84 import Bb84Config
 from qdeny.channel import TimeBinChannel
 from qdeny.dcqke import CountTestWarden, CovertQkeConfig, PrngSpec, run_dc_qke
@@ -210,9 +210,10 @@ class TestEveRecord:
         arrays = (np.array(positions, np.int64), np.array(bases, np.uint8),
                   np.array(outcomes, np.uint8))
         public = EveRecord(*arrays)
-        trusted = EveRecord._of_arrays(*arrays)
+        names = ("positions", "bases", "outcomes")
+        trusted = gf2._freeze(object.__new__(EveRecord), **dict(zip(names, arrays)))
         assert len(trusted) == len(public)
-        for name in ("positions", "bases", "outcomes"):
+        for name in names:
             got, want = getattr(trusted, name), getattr(public, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
             assert not got.flags.writeable

@@ -6,7 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from qdeny.bb84 import Bb84Config
+from qdeny.denial import detection_probability
+from qdeny.distill import distill_batch, qke_over_teleportation
 from qdeny.rng import _COUNTER_0, CounterModePrng, RandomStream, _PhiloxKey
+from qdeny.ue import MacScheme, UeParams
 
 
 def _plain_state(bit_generator) -> dict:
@@ -58,9 +62,9 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(1 << 128)
 
-    @pytest.mark.parametrize("seed", [3.9, 3.0, "7", None, [3]])
+    @pytest.mark.parametrize("seed", [3.9, 3.0, "7", None, [3], True])
     def test_seed_must_be_an_integer(self, seed):
-        # a float was truncated and a string parsed; neither is a seed
+        # a float was truncated, a string parsed and True read as 1; none is a seed
         with pytest.raises(ValueError, match="seed must be an integer"):
             RandomStream(seed)
 
@@ -121,6 +125,34 @@ class TestRandomStream:
         finally:
             sys.setprofile(None)
         assert reads == 0
+
+
+@pytest.mark.parametrize("call, name", [
+    # n=14.0 and the tag length 4.0 once failed later with a bare TypeError,
+    # and 8.5 decoys ran
+    (lambda: Bb84Config(n=14.0), "n"),
+    (lambda: Bb84Config(n=True), "n"),
+    (lambda: UeParams(4.0, 4), "message length"),
+    (lambda: UeParams(4, 4.0), "tag length"),
+    (lambda: MacScheme(True), "tag length"),
+    (lambda: distill_batch(10.0, 0.5, RandomStream(1)), "pair count"),
+    (lambda: qke_over_teleportation(14.0, 0.5, RandomStream(1)), "teleported qubit count"),
+    (lambda: detection_probability(64.0, 8, 1, 100, 1), "qubit count"),
+    (lambda: detection_probability(64, 8.5, 1, 100, 1), "decoy count"),
+    (lambda: detection_probability(64, 8, True, 100, 1), "flip count"),
+    (lambda: detection_probability(64, 8, 1, 100.0, 1), "trial count"),
+])
+def test_protocol_sizes_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_protocol_sizes_are_read_as_ints():
+    # a numpy tag length once failed with an AttributeError in the field arithmetic
+    params = UeParams(np.int64(4), np.uint8(4))
+    assert type(params.n) is type(params.s) is type(params.scheme.s) is int
+    assert params.blocks == UeParams(4, 4).blocks
+    assert type(Bb84Config(n=np.int64(14)).n) is int
 
 
 def _per_row(stream: RandomStream, count: int, k: int) -> np.ndarray:
@@ -256,7 +288,7 @@ class TestCounterModePrng:
             with pytest.raises(ValueError, match="128 bits"):
                 CounterModePrng(key)
 
-    @pytest.mark.parametrize("key", [3.9, 3.0, "7", None])
+    @pytest.mark.parametrize("key", [3.9, 3.0, "7", None, False])
     def test_key_must_be_an_integer(self, key):
         with pytest.raises(ValueError, match="key must be an integer"):
             CounterModePrng(key)

@@ -80,7 +80,8 @@ def test_table_over_its_occupancy_limit_is_rejected():
 
 @pytest.mark.parametrize(
     "n_slots, n_used, name",
-    [(16.5, 4, "slot count"), (16.0, 4, "slot count"), (16, 4.0, "slots per seed")],
+    [(16.5, 4, "slot count"), (16.0, 4, "slot count"), (16, 4.0, "slots per seed"),
+     (16, True, "slots per seed")],
 )
 def test_table_sizes_must_be_integers(n_slots, n_used, name):
     # 16.5 slots once built a float16 table: np.min_scalar_type(15.5)

@@ -212,6 +212,17 @@ class TestRoundTrip:
             out = ue_decrypt(params, key, tampered, r.substream("dec"))
             assert out.accepted and np.array_equal(out.message, m)
 
+    def test_key_pad_cannot_be_edited_in_place(self, params):
+        # the pad of a frozen key was writable, and decryption read the edited pad
+        rng = RandomStream(8)
+        key = generate_ue_key(params, rng.substream("key"))
+        m = rng.substream("msg").bits(params.n)
+        states = ue_encrypt(params, key, m, rng.substream("enc"))
+        with pytest.raises(ValueError, match="read-only"):
+            key.e[0] ^= 1
+        out = ue_decrypt(params, key, states, rng.substream("dec"))
+        assert out.accepted and np.array_equal(out.message, m)
+
     def test_same_message_different_streams_same_plaintext(self, params):
         root = RandomStream(6)
         key = generate_ue_key(params, root.substream("key"))

@@ -75,8 +75,6 @@ class Bb84Config:
             raise ValueError(
                 f"n = {self.n} must be a multiple of the code block length {self.codes.c1.n}"
             )
-        if self.qubit_count < 2 * (2 * self.n):
-            raise ValueError("qubit count must cover check bits and payload twice over")
         if self.qubit_count > MAX_QUBIT_COUNT:
             raise ValueError(
                 f"session needs {self.qubit_count} qubits, more than the limit {MAX_QUBIT_COUNT}"

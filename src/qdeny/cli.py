@@ -285,7 +285,7 @@ def _run_covert_game(experiment: str, params: dict, seed: int, trials: int):
 
 def _run_distill(params: dict, seed: int, trials: int):
     theta = distill_mod.PartialPair(params["theta"]).theta
-    _, report = distill_mod.distill_batch(trials, theta, RandomStream(seed).substream("batch"))
+    report = distill_mod.distill_batch(trials, theta, RandomStream(seed).substream("batch"))
     if report.succeeded == 0:
         raise ExperimentAbort("no pair survived the filter")
     columns = ["experiment", "theta", "n", "succeeded", "rate", "bound",

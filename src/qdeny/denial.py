@@ -197,6 +197,8 @@ def exact_detection_probability(n_qubits: int, n_decoys: int, flips: int) -> flo
     Conditions on the sifted set being large enough to flip, matching the
     Monte-Carlo sampler. Exact rational arithmetic throughout.
     """
+    counts = {"qubit": n_qubits, "decoy": n_decoys, "flip": flips}
+    n_qubits, n_decoys, flips = (_integer(v, f"{k} count") for k, v in counts.items())
     if n_qubits > _EXACT_CAP:
         raise ValueError(f"exact enumeration capped at {_EXACT_CAP} qubits")
     if flips < 1 or flips > n_qubits:

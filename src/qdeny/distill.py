@@ -7,9 +7,10 @@ leaves a perfect ebit and happens with probability 2*sin^2(theta) for
 theta <= pi/4 (the filter attacks the other amplitude past pi/4). The
 asymptotic conversion ceiling for such pairs is the entanglement entropy
 H2(cos^2 theta); single-pair filtering stays below it and the gap is
-reported, not hidden.
+reported, not hidden. Every success at one theta is the same immutable
+ebit, so a batch reports a count of successes alongside that one state.
 
-Once a pair passes verification, teleporting a fresh qubit through it
+Once the ebit passes verification, teleporting a fresh qubit through it
 consumes the pair and publishes two uniformly random classical bits that
 carry no information about the teleported state; an eavesdropper of the
 classical channel is left with a maximally mixed view, which is the
@@ -134,42 +135,40 @@ def procrustean_filter(pair: PartialPair, rng: RandomStream) -> StateVector | No
     return ebit
 
 
-def distill_batch(
-    n: int, theta: float, rng: RandomStream
-) -> tuple[list[StateVector], DistillReport]:
-    """Filter n independent pairs; report achieved rate against the ceiling."""
+def distill_batch(n: int, theta: float, rng: RandomStream) -> DistillReport:
+    """Filter n independent pairs, one `procrustean_filter` draw each, and
+    report how many became the shared ebit, with the achieved rate against
+    the ceiling. The ebit itself is `_filter_output(theta)[0]`."""
     n = _integer(n, "pair count")
     if n < 1:
         raise ValueError("need at least one pair")
     pair = PartialPair(theta)
-    ebits = [out for out in (procrustean_filter(pair, rng) for _ in range(n)) if out is not None]
+    succeeded = sum(procrustean_filter(pair, rng) is not None for _ in range(n))
     fid = _filter_output(theta)[2]
-    bound = binary_entropy(float(np.cos(theta) ** 2))
-    report = DistillReport(
+    return DistillReport(
         attempted=n,
-        succeeded=len(ebits),
-        output_fidelity_min=min(1.0, fid) if ebits else 0.0,
-        rate_bound=bound,
+        succeeded=succeeded,
+        output_fidelity_min=min(1.0, fid) if succeeded else 0.0,
+        rate_bound=binary_entropy(float(np.cos(theta) ** 2)),
     )
-    return ebits, report
 
 
-def verify_ebits(
-    pairs: list[StateVector], n_sample: int, rng: RandomStream
-) -> tuple[bool, list[StateVector]]:
-    """Sacrifice n_sample random distinct pairs for direct fidelity evaluation.
+def verify_ebits(ebit: StateVector, count: int, n_sample: int) -> bool:
+    """Sacrifice n_sample of count copies of one shared ebit for direct
+    fidelity evaluation; True iff they pass.
 
-    Returns (passed, unsampled pairs). Simulation privilege: the check reads
-    the state vectors instead of running a statistical test on measurement
-    outcomes; any sampled pair below fidelity 1 - 1e-9 with the ebit aborts.
+    The copies are one immutable state, so every sample checks the same
+    thing and the ebit is tested once, with no draw. Simulation privilege:
+    the check reads the state vector instead of running a statistical test
+    on measurement outcomes; fidelity below 1 - 1e-9 with Phi+ fails.
     """
-    if not pairs:
+    count = _integer(count, "ebit count")
+    n_sample = _integer(n_sample, "sample size")
+    if count < 1:
         raise ValueError("nothing to verify")
-    if not 1 <= n_sample <= len(pairs):
-        raise ValueError(f"sample size must lie in [1, {len(pairs)}], got {n_sample}")
-    chosen = set(rng.choice_distinct(len(pairs), n_sample).tolist())
-    passed = all(_is_ebit(pairs[i]) for i in chosen)
-    return passed, [p for j, p in enumerate(pairs) if j not in chosen]
+    if not 1 <= n_sample <= count:
+        raise ValueError(f"sample size must lie in [1, {count}], got {n_sample}")
+    return bool(_is_ebit(ebit))
 
 
 _CNOT = np.array(
@@ -284,45 +283,41 @@ def eve_decoupling_check(
 
 
 def qke_over_teleportation(
-    m: int,
-    theta: float,
-    rng: RandomStream,
-    codes: NestedCodePair | None = None,
+    m: int, theta: float, rng: RandomStream, codes: NestedCodePair
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Key exchange where the quantum layer rides teleportation.
 
     Distills at least m ebits from partially entangled pairs, verifies a
     sample, teleports m fresh BB84 states, then runs the usual sifting and
-    check steps on the measurement records. The classical transcript holds
-    exactly 2m teleportation bits plus the usual protocol messages. The m
-    teleportations draw in turn from the exchange's one `teleport`
+    check steps on the measurement records. Every filter success at theta
+    is the one shared ebit (`_filter_output`), so the batches report a count
+    and each qubit is teleported through that ebit. The classical transcript
+    holds exactly 2m teleportation bits plus the usual protocol messages.
+    The m teleportations draw in turn from the exchange's one `teleport`
     substream, two draws each. Bob's outcomes are one `uniforms(m)` draw
     against the received states' P(0).
 
     Sifting, the check-bit exchange and reconciliation are the plain
     protocol's own steps from `bb84`; here half of the sifted bits are
-    checked and any disagreement aborts. Key extraction is skipped (keys
-    are the sifted check-passing bits directly) when no code pair is given;
-    with one, whole blocks of payload bits feed the same coset construction
-    as the plain protocol. Reconciliation needs at least one full block of
-    payload: at m=14 about 7 bases match and half of them are checked, so
-    the 7-bit blocks of the default pair are (almost) never filled and the
-    keys are the raw payload bits even when a pair is given.
+    checked and any disagreement aborts. Whole blocks of payload bits feed
+    the same coset construction as the plain protocol. Reconciliation needs
+    at least one full block of payload: at m=14 about 7 bases match and
+    half of them are checked, so the 7-bit blocks of the default pair are
+    (almost) never filled and the keys are the raw payload bits.
     """
     m = _integer(m, "teleported qubit count")
     if m < 1:
         raise ValueError("need at least one teleported qubit")
     needed = m + max(4, m // 4)  # sacrifice margin for verification
-    ebits: list[StateVector] = []
+    distilled = 0
     for attempt in range(FILTER_ATTEMPTS):
-        batch, _ = distill_batch(needed * 2, theta, rng.substream("filter", attempt))
-        ebits.extend(batch)
-        if len(ebits) >= needed:
+        distilled += distill_batch(needed * 2, theta, rng.substream("filter", attempt)).succeeded
+        if distilled >= needed:
             break
-    if len(ebits) < needed:
-        raise RuntimeError(f"distillation shortfall: {len(ebits)} of {needed} ebits")
-    ok, ebits = verify_ebits(ebits, len(ebits) - m, rng.substream("verify"))
-    if not ok:
+    if distilled < needed:
+        raise RuntimeError(f"distillation shortfall: {distilled} of {needed} ebits")
+    ebit = _filter_output(theta)[0]
+    if not verify_ebits(ebit, distilled, distilled - m):
         raise RuntimeError("ebit verification failed")
 
     cchan = ClassicalAuthChannel()
@@ -334,7 +329,7 @@ def qke_over_teleportation(
     teleport_bits = np.empty(2 * m, dtype=np.uint8)
     for i in range(m):
         state = qcore.bb84_state(int(a[i]), int(b[i]))
-        received, bits = teleport(state, ebits[i], rng_t)
+        received, bits = teleport(state, ebit, rng_t)
         teleport_bits[2 * i : 2 * i + 2] = bits
         p0[i] = qcore._p0(received.amplitudes, b_prime[i])
     a_prime = (rng_b.uniforms(m) >= p0).astype(np.uint8)
@@ -347,8 +342,7 @@ def qke_over_teleportation(
     if errors:
         raise RuntimeError("teleported qubits disagreed on check bits")
     key_a, key_b = a[payload_pos], a_prime[payload_pos]
-    if codes is not None:
-        usable = payload_pos.size - payload_pos.size % codes.c1.n
-        if usable:
-            _, key_a, key_b = bb84.reconcile(cchan, codes, key_a[:usable], key_b[:usable], rng_a)
+    usable = payload_pos.size - payload_pos.size % codes.c1.n
+    if usable:
+        _, key_a, key_b = bb84.reconcile(cchan, codes, key_a[:usable], key_b[:usable], rng_a)
     return key_a, key_b, cchan.log

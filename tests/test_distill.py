@@ -27,6 +27,7 @@ def random_qubit(gen) -> StateVector:
 
 
 PHI_PLUS = qcore.bell_state(BellKind.PHI_PLUS)
+CODES = gf2.default_nested_pair()
 
 
 def dense_filter(pair: PartialPair, rng: RandomStream):
@@ -147,7 +148,7 @@ class TestFilter:
                 hits += 1
                 assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
         assert hits > 0
-        _, report = distill_batch(2000, theta, RandomStream(31))
+        report = distill_batch(2000, theta, RandomStream(31))
         ebit, rng = None, RandomStream(32)
         while ebit is None:
             ebit = dense_filter(pair, rng)
@@ -155,9 +156,11 @@ class TestFilter:
         assert report.output_fidelity_min == min(1.0, fid)
 
     def test_successes_share_one_immutable_ebit(self):
-        ebits, _ = distill_batch(200, np.pi / 6, RandomStream(33))
-        assert len({id(e) for e in ebits}) == 1
-        assert not ebits[0].amplitudes.flags.writeable
+        pair, rng = PartialPair(np.pi / 6), RandomStream(33)
+        outs = [procrustean_filter(pair, rng) for _ in range(200)]
+        shared = distill._filter_output(np.pi / 6)[0]
+        assert {id(e) for e in outs if e is not None} == {id(shared)}
+        assert not shared.amplitudes.flags.writeable
 
     def test_theta_domain(self):
         with pytest.raises(ValueError):
@@ -171,20 +174,27 @@ class TestBatch:
         rng = RandomStream(5)
         n = 50_000
         for theta in (np.pi / 8, np.pi / 6, np.pi / 5, np.pi / 4):
-            ebits, report = distill_batch(n, theta, rng)
-            assert report.succeeded == len(ebits)
+            report = distill_batch(n, theta, rng)
             expect = 2 * np.sin(theta) ** 2
             sigma = np.sqrt(expect * (1 - expect) / n) if expect < 1 else 0.0
             assert report.rate <= report.rate_bound + 3 * sigma
             assert abs(report.rate - expect) <= 3.5 * max(sigma, 1e-9)
 
+    @pytest.mark.parametrize("theta", [np.pi / 6, 0.3])
+    def test_count_is_the_filter_successes_of_an_equal_stream(self, theta):
+        pair, fast, oracle = PartialPair(theta), RandomStream(34), RandomStream(34)
+        report = distill_batch(500, theta, fast)
+        hits = sum(procrustean_filter(pair, oracle) is not None for _ in range(500))
+        assert 0 < report.succeeded == hits < 500
+        assert fast.random() == oracle.random()  # one draw a pair, no more
+
     def test_pi_over_4_saturates(self):
-        _, report = distill_batch(2000, np.pi / 4, RandomStream(6))
+        report = distill_batch(2000, np.pi / 4, RandomStream(6))
         assert report.rate == 1.0
         assert report.rate_bound == pytest.approx(1.0)
 
     def test_all_outputs_perfect(self):
-        ebits, report = distill_batch(5000, np.pi / 6, RandomStream(7))
+        report = distill_batch(5000, np.pi / 6, RandomStream(7))
         assert report.output_fidelity_min >= 1 - 1e-10
 
     def test_entropy_bound_value(self):
@@ -192,28 +202,27 @@ class TestBatch:
 
 
 class TestVerification:
-    def test_filtered_batch_passes(self):
-        ebits, _ = distill_batch(200, np.pi / 6, RandomStream(8))
-        ok, kept = verify_ebits(ebits, round(0.25 * len(ebits)), RandomStream(9))
-        assert ok
-        assert len(kept) < len(ebits)
+    def test_filtered_ebit_passes(self):
+        report = distill_batch(200, np.pi / 6, RandomStream(8))
+        ebit = distill._filter_output(np.pi / 6)[0]
+        assert verify_ebits(ebit, report.succeeded, round(0.25 * report.succeeded)) is True
 
-    def test_planted_partial_pair_detected_at_full_sampling(self):
-        ebits, _ = distill_batch(50, np.pi / 6, RandomStream(10))
-        ebits.append(PartialPair(np.pi / 6).state)
-        ok, _ = verify_ebits(ebits, len(ebits), RandomStream(11))
-        assert not ok
+    def test_partial_pair_fails(self):
+        assert verify_ebits(PartialPair(np.pi / 6).state, 51, 51) is False
 
-    def test_product_states_detected(self):
-        fakes = [qcore.basis_state("00") for _ in range(10)]
-        assert qcore.fidelity(PHI_PLUS, qcore.to_density(fakes[0])) == pytest.approx(0.5)
-        ok, _ = verify_ebits(fakes, len(fakes), RandomStream(12))
-        assert not ok
+    def test_product_state_fails(self):
+        fake = qcore.basis_state("00")
+        assert qcore.fidelity(PHI_PLUS, qcore.to_density(fake)) == pytest.approx(0.5)
+        assert verify_ebits(fake, 10, 10) is False
 
     @pytest.mark.parametrize("n_sample", [0, 4])
-    def test_sample_size_outside_one_to_len_rejected(self, n_sample):
+    def test_sample_size_outside_one_to_count_rejected(self, n_sample):
         with pytest.raises(ValueError, match="sample size"):
-            verify_ebits([PHI_PLUS] * 3, n_sample, RandomStream(13))
+            verify_ebits(PHI_PLUS, 3, n_sample)
+
+    def test_no_ebits_rejected(self):
+        with pytest.raises(ValueError, match="nothing to verify"):
+            verify_ebits(PHI_PLUS, 0, 1)
 
 
 class TestTeleport:
@@ -360,8 +369,7 @@ class TestTeleport:
         else:
             with pytest.raises(ValueError, match="not a Phi\\+ ebit"):
                 teleport(psi, pair, RandomStream(40))
-        ok, _ = verify_ebits([pair], 1, RandomStream(41))
-        assert ok is accepted
+        assert verify_ebits(pair, 1, 1) is accepted
 
 
 class TestDecoupling:
@@ -386,10 +394,10 @@ class TestDecoupling:
         flagged = qcore.tensor(out, qcore.basis_state("1"))
         assert eve_decoupling_check(flagged, 0, 1)
 
-    def test_distilled_outputs_with_arbitrary_spectator(self):
+    def test_distilled_ebit_with_arbitrary_spectator(self):
         gen = RandomStream(21).generator
-        ebits, _ = distill_batch(50, np.pi / 5, RandomStream(22))
-        for ebit in ebits[:20]:
+        ebit = distill._filter_output(np.pi / 5)[0]
+        for _ in range(20):
             spectator = random_qubit(gen)
             state = qcore.tensor(ebit, spectator)
             assert eve_decoupling_check(state, 0, 1)
@@ -404,17 +412,19 @@ class TestDecoupling:
             eve_decoupling_check(qcore.tensor(PHI_PLUS, qcore.basis_state("0")), 1, 1)
 
 
-def dense_qke_over_teleportation(m, theta, rng, codes=None):
-    """The oracle: `qke_over_teleportation` with Bob measuring each received
-    qubit on its own, one dense one-qubit measurement drawn from his stream."""
+def dense_qke_over_teleportation(m, theta, rng, codes):
+    """The oracle: `qke_over_teleportation` with each pair filtered on its
+    own into a list of ebits, and Bob measuring each received qubit on its
+    own, one dense one-qubit measurement drawn from his stream."""
     needed = m + max(4, m // 4)
-    ebits = []
+    pair, ebits = PartialPair(theta), []
     for attempt in range(distill.FILTER_ATTEMPTS):
-        ebits.extend(distill_batch(needed * 2, theta, rng.substream("filter", attempt))[0])
+        filter_rng = rng.substream("filter", attempt)
+        outs = [procrustean_filter(pair, filter_rng) for _ in range(needed * 2)]
+        ebits.extend(e for e in outs if e is not None)
         if len(ebits) >= needed:
             break
-    ok, ebits = verify_ebits(ebits, len(ebits) - m, rng.substream("verify"))
-    assert ok and len(ebits) >= m
+    assert len(ebits) >= needed and all(distill._is_ebit(e) for e in ebits)
     cchan = ClassicalAuthChannel()
     rng_a, rng_b = rng.substream("alice"), rng.substream("bob")
     a, b = rng_a.bits(m), rng_a.bits(m)
@@ -434,10 +444,9 @@ def dense_qke_over_teleportation(m, theta, rng, codes=None):
     cchan.send("alice", "verdict", [int(errors == 0)])
     assert errors == 0
     key_a, key_b = a[payload_pos], a_prime[payload_pos]
-    if codes is not None:
-        usable = payload_pos.size - payload_pos.size % codes.c1.n
-        if usable:
-            _, key_a, key_b = bb84.reconcile(cchan, codes, key_a[:usable], key_b[:usable], rng_a)
+    usable = payload_pos.size - payload_pos.size % codes.c1.n
+    if usable:
+        _, key_a, key_b = bb84.reconcile(cchan, codes, key_a[:usable], key_b[:usable], rng_a)
     return key_a, key_b, cchan.log
 
 
@@ -445,13 +454,13 @@ class TestTeleportedKeyExchange:
     def test_noiseless_agreement(self):
         root = RandomStream(23)
         for i in range(10):
-            k_a, k_b, transcript = qke_over_teleportation(16, np.pi / 4, root.substream("s", i))
+            k_a, k_b, _ = qke_over_teleportation(16, np.pi / 4, root.substream("s", i), CODES)
             assert np.array_equal(k_a, k_b)
             assert k_a.size > 0
 
     def test_classical_bit_accounting(self):
         m = 24
-        k_a, k_b, transcript = qke_over_teleportation(m, np.pi / 4, RandomStream(24))
+        _, _, transcript = qke_over_teleportation(m, np.pi / 4, RandomStream(24), CODES)
         by_label = {msg.label: msg for msg in transcript}
         assert by_label["teleport-bits"].n_bits == 2 * m
         protocol_bits = sum(msg.n_bits for msg in transcript) - 2 * m
@@ -511,8 +520,7 @@ class TestTeleportedKeyExchange:
 
     @pytest.mark.parametrize("m", [7, 14, 40])
     @pytest.mark.parametrize("theta", [np.pi / 6, 0.3, 1.1, np.pi / 4])
-    @pytest.mark.parametrize("codes", [None, gf2.default_nested_pair()], ids=["raw", "codes"])
-    def test_batch_measurement_equals_per_qubit_oracle(self, monkeypatch, m, theta, codes):
+    def test_batch_measurement_equals_per_qubit_oracle(self, monkeypatch, m, theta):
         # keys and transcript show Bob's outcomes only where the bases match,
         # where they are certain; compare_check is handed all m of them
         outcomes = []
@@ -521,8 +529,8 @@ class TestTeleportedKeyExchange:
             outcomes.append(a_prime.tolist()) or compare_check(cchan, a, a_prime, check)))
         root = RandomStream(29)
         for i in range(10):
-            got = qke_over_teleportation(m, theta, root.substream("s", i), codes=codes)
-            want = dense_qke_over_teleportation(m, theta, root.substream("s", i), codes=codes)
+            got = qke_over_teleportation(m, theta, root.substream("s", i), CODES)
+            want = dense_qke_over_teleportation(m, theta, root.substream("s", i), CODES)
             got_outcomes, want_outcomes = outcomes
             outcomes.clear()
             assert got_outcomes == want_outcomes
@@ -535,16 +543,18 @@ class TestTeleportedKeyExchange:
         substream = RandomStream.substream
         monkeypatch.setattr(RandomStream, "substream", lambda self, label, index=0: (
             labels.append((label, index)) or substream(self, label, index)))
-        qke_over_teleportation(14, np.pi / 6, RandomStream(30))
+        qke_over_teleportation(14, np.pi / 6, RandomStream(30), CODES)
         attempts = sum(label == "filter" for label, _ in labels)
         assert 1 <= attempts <= distill.FILTER_ATTEMPTS
-        assert len(labels) <= attempts + 5
-        assert [(label, i) for label, i in labels if label == "teleport"] == [("teleport", 0)]
+        assert labels == [("filter", i) for i in range(attempts)] + [
+            ("alice", 0), ("bob", 0), ("teleport", 0)]
 
     def test_teleport_bits_are_successive_draws_of_the_teleport_stream(self):
         m, theta, rng = 14, np.pi / 6, RandomStream(31)
-        _, _, transcript = qke_over_teleportation(m, theta, rng)
-        ebit = distill_batch(64, theta, RandomStream(0))[0][0]  # one shared ebit per theta
+        _, _, transcript = qke_over_teleportation(m, theta, rng, CODES)
+        ebit, r = None, RandomStream(0)
+        while ebit is None:  # every success at theta is the one shared ebit
+            ebit = procrustean_filter(PartialPair(theta), r)
         rng_a, rng_t = rng.substream("alice"), rng.substream("teleport")
         a, b = rng_a.bits(m), rng_a.bits(m)
         want = [teleport(qcore.bb84_state(int(a[i]), int(b[i])), ebit, rng_t)[1] for i in range(m)]
@@ -553,7 +563,7 @@ class TestTeleportedKeyExchange:
 
     def test_distillation_shortfall_raises(self):
         with pytest.raises(RuntimeError, match="distillation shortfall"):
-            qke_over_teleportation(64, 0.02, RandomStream(25))
+            qke_over_teleportation(64, 0.02, RandomStream(25), CODES)
 
     def test_teleport_bits_tell_judge_nothing(self):
         # sweep sessions; the announced bit pairs are uniform regardless of
@@ -563,7 +573,7 @@ class TestTeleportedKeyExchange:
         for i in range(400):
             r = root.substream("s", i)
             m = 4
-            k_a, k_b, transcript = qke_over_teleportation(m, np.pi / 4, r)
+            k_a, k_b, transcript = qke_over_teleportation(m, np.pi / 4, r, CODES)
             bits = {msg.label: msg.bits for msg in transcript}["teleport-bits"]
             bases = {msg.label: msg.bits for msg in transcript}["bases"]
             for j in range(m):

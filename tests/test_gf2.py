@@ -406,10 +406,19 @@ class TestNesting:
         assert not gf2.syndrome(nested.c1, np.ones(7, dtype=np.uint8)).any()
 
     def test_hamming_self_dual_containing(self, dual):
-        assert gf2.is_dual_containing(dual.c1, dual.c2, dual.quotient_checks)
+        assert gf2.is_dual_containing(dual.c1, dual.c2)
+        q, h1 = dual.quotient_checks, dual.c1.parity_check
+        assert not ((q @ dual.c2.parity_check.T) % 2).any()  # the rows lie in C2
+        assert gf2.rank(np.vstack([h1, q])) == gf2.rank(h1) + dual.payload_bits
         # rows of the parity check (the dual's generator) are codewords of C1
         for row in dual.c2.parity_check:
             assert not gf2.syndrome(dual.c1, row).any()
+
+    def test_pair_without_payload_rejected(self):
+        # the length-2 repetition code is its own dual: k1 + k2 - n = 0
+        rep = gf2.repetition_code(2)
+        with pytest.raises(ValueError, match=r"payload_bits = k1 \+ k2 - n must be at least 1"):
+            gf2.DualContainingPair(rep, rep)
 
     def test_quotient_checks_are_built_not_given(self, hamming):
         with pytest.raises(TypeError):

@@ -211,7 +211,7 @@ def _ue_codewords() -> str:
 
 def _distill_report(theta: float) -> str:
     rng = RandomStream(MASTER_SEED).substream("distill", int(theta * 1e6))
-    _, report = distill.distill_batch(DISTILL_PAIRS, theta, rng)
+    report = distill.distill_batch(DISTILL_PAIRS, theta, rng)
     return " ".join(
         f"{name}={getattr(report, name)!r}"
         for name in ("attempted", "succeeded", "output_fidelity_min", "rate_bound", "rate")

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from qdeny.bb84 import Bb84Config
-from qdeny.denial import detection_probability
-from qdeny.distill import distill_batch, qke_over_teleportation
+from qdeny.denial import detection_probability, exact_detection_probability
+from qdeny.distill import distill_batch, qke_over_teleportation, verify_ebits
+from qdeny.gf2 import default_nested_pair
+from qdeny.qcore import BellKind, bell_state
 from qdeny.rng import _COUNTER_0, CounterModePrng, RandomStream, _PhiloxKey
 from qdeny.ue import MacScheme, UeParams
 
@@ -136,11 +138,17 @@ class TestRandomStream:
     (lambda: UeParams(4, 4.0), "tag length"),
     (lambda: MacScheme(True), "tag length"),
     (lambda: distill_batch(10.0, 0.5, RandomStream(1)), "pair count"),
-    (lambda: qke_over_teleportation(14.0, 0.5, RandomStream(1)), "teleported qubit count"),
+    (lambda: qke_over_teleportation(14.0, 0.5, RandomStream(1), default_nested_pair()),
+     "teleported qubit count"),
+    (lambda: verify_ebits(bell_state(BellKind.PHI_PLUS), 2.5, 1), "ebit count"),
+    (lambda: verify_ebits(bell_state(BellKind.PHI_PLUS), 4, 1.0), "sample size"),
     (lambda: detection_probability(64.0, 8, 1, 100, 1), "qubit count"),
     (lambda: detection_probability(64, 8.5, 1, 100, 1), "decoy count"),
     (lambda: detection_probability(64, 8, True, 100, 1), "flip count"),
     (lambda: detection_probability(64, 8, 1, 100.0, 1), "trial count"),
+    # these two once failed inside Fraction and range with a bare TypeError
+    (lambda: exact_detection_probability(8, 2.5, 1), "decoy count"),
+    (lambda: exact_detection_probability(8, 2, 1.0), "flip count"),
 ])
 def test_protocol_sizes_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):

@@ -159,7 +159,10 @@ class TestMac:
             UeParams(4, 4, gf2.default_dual_pair())
         assert MacScheme(4).modulus == 0b10011
         pair = UeParams(4, 4).pair
-        assert gf2.is_dual_containing(pair.c1, pair.c2, pair.quotient_checks)
+        assert gf2.is_dual_containing(pair.c1, pair.c2)
+        q, h1 = pair.quotient_checks, pair.c1.parity_check
+        assert not ((q @ pair.c2.parity_check.T) % 2).any()  # the rows lie in C2
+        assert gf2.rank(np.vstack([h1, q])) == gf2.rank(h1) + pair.payload_bits
 
     @pytest.mark.parametrize("n, s", [(5, -1), (4, 40)])
     def test_tag_length_checked_when_params_are_built(self, n, s):

@@ -180,13 +180,19 @@ class TestBatch:
             assert report.rate <= report.rate_bound + 3 * sigma
             assert abs(report.rate - expect) <= 3.5 * max(sigma, 1e-9)
 
-    @pytest.mark.parametrize("theta", [np.pi / 6, 0.3])
+    @pytest.mark.parametrize("theta", [np.pi / 6, 0.3, 1.1])
     def test_count_is_the_filter_successes_of_an_equal_stream(self, theta):
         pair, fast, oracle = PartialPair(theta), RandomStream(34), RandomStream(34)
         report = distill_batch(500, theta, fast)
         hits = sum(procrustean_filter(pair, oracle) is not None for _ in range(500))
         assert 0 < report.succeeded == hits < 500
         assert fast.random() == oracle.random()  # one draw a pair, no more
+
+    def test_no_success_reports_zero_fidelity_and_rate(self):
+        pair, oracle = PartialPair(0.02), RandomStream(35)
+        assert not any(procrustean_filter(pair, oracle) is not None for _ in range(20))
+        report = distill_batch(20, 0.02, RandomStream(35))
+        assert (report.succeeded, report.rate, report.output_fidelity_min) == (0, 0.0, 0.0)
 
     def test_pi_over_4_saturates(self):
         report = distill_batch(2000, np.pi / 4, RandomStream(6))
@@ -202,18 +208,25 @@ class TestBatch:
 
 
 class TestVerification:
-    def test_filtered_ebit_passes(self):
+    def test_filtered_batch_passes(self):
         report = distill_batch(200, np.pi / 6, RandomStream(8))
         ebit = distill._filter_output(np.pi / 6)[0]
         assert verify_ebits(ebit, report.succeeded, round(0.25 * report.succeeded)) is True
 
-    def test_partial_pair_fails(self):
+    def test_planted_partial_pair_detected_at_full_sampling(self):
         assert verify_ebits(PartialPair(np.pi / 6).state, 51, 51) is False
 
-    def test_product_state_fails(self):
+    def test_product_states_detected(self):
         fake = qcore.basis_state("00")
         assert qcore.fidelity(PHI_PLUS, qcore.to_density(fake)) == pytest.approx(0.5)
         assert verify_ebits(fake, 10, 10) is False
+
+    @pytest.mark.parametrize("theta", [0.3, np.pi / 6, np.pi / 4, 1.1])
+    def test_shared_ebit_passes_on_both_sides_of_pi_over_4(self, theta):
+        # past pi/4 the filter shrinks the other amplitude; both give Phi+
+        ebit = distill._filter_output(theta)[0]
+        assert dense_is_ebit(ebit)
+        assert verify_ebits(ebit, 8, 2) is True
 
     @pytest.mark.parametrize("n_sample", [0, 4])
     def test_sample_size_outside_one_to_count_rejected(self, n_sample):
@@ -394,7 +407,7 @@ class TestDecoupling:
         flagged = qcore.tensor(out, qcore.basis_state("1"))
         assert eve_decoupling_check(flagged, 0, 1)
 
-    def test_distilled_ebit_with_arbitrary_spectator(self):
+    def test_distilled_outputs_with_arbitrary_spectator(self):
         gen = RandomStream(21).generator
         ebit = distill._filter_output(np.pi / 5)[0]
         for _ in range(20):
@@ -548,6 +561,27 @@ class TestTeleportedKeyExchange:
         assert 1 <= attempts <= distill.FILTER_ATTEMPTS
         assert labels == [("filter", i) for i in range(attempts)] + [
             ("alice", 0), ("bob", 0), ("teleport", 0)]
+
+    @pytest.mark.parametrize("theta", [np.pi / 6, 1.1])
+    def test_verifies_and_teleports_through_the_counted_shared_ebit(self, monkeypatch, theta):
+        m, counts, verified, teleported = 14, [], [], set()
+        batch, verify, tele = distill.distill_batch, distill.verify_ebits, distill.teleport
+
+        def counted_batch(n, t, rng):
+            report = batch(n, t, rng)
+            counts.append(report.succeeded)
+            return report
+
+        monkeypatch.setattr(distill, "distill_batch", counted_batch)
+        monkeypatch.setattr(distill, "verify_ebits", lambda ebit, count, n_sample: (
+            verified.append((id(ebit), count, n_sample)) or verify(ebit, count, n_sample)))
+        monkeypatch.setattr(distill, "teleport", lambda psi, ebit, rng: (
+            teleported.add(id(ebit)) or tele(psi, ebit, rng)))
+        qke_over_teleportation(m, theta, RandomStream(36), CODES)
+        shared = id(distill._filter_output(theta)[0])
+        assert verified == [(shared, sum(counts), sum(counts) - m)]
+        assert sum(counts) >= m + max(4, m // 4)
+        assert teleported == {shared}
 
     def test_teleport_bits_are_successive_draws_of_the_teleport_stream(self):
         m, theta, rng = 14, np.pi / 6, RandomStream(31)

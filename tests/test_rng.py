@@ -147,8 +147,10 @@ class TestRandomStream:
     (lambda: detection_probability(64, 8, True, 100, 1), "flip count"),
     (lambda: detection_probability(64, 8, 1, 100.0, 1), "trial count"),
     # these two once failed inside Fraction and range with a bare TypeError
-    (lambda: exact_detection_probability(8, 2.5, 1), "decoy count"),
-    (lambda: exact_detection_probability(8, 2, 1.0), "flip count"),
+    pytest.param(lambda: exact_detection_probability(8, 2.5, 1), "decoy count",
+                 id="exact-decoy count"),
+    pytest.param(lambda: exact_detection_probability(8, 2, 1.0), "flip count",
+                 id="exact-flip count"),
 ])
 def test_protocol_sizes_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):

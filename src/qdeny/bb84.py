@@ -13,7 +13,9 @@ configuration alone; the covert layer relies on that.
 
 The classical steps (`announce_sift`, `split_check`, `compare_check`,
 `reconcile`) are shared with `distill.qke_over_teleportation`; which
-positions are kept and when a check fails stay with each protocol.
+positions are kept and when a check fails stay with each protocol. They
+take the protocols' uint8 bit arrays and announce them through the
+channel's trusted `_send`, unchecked.
 """
 
 from __future__ import annotations
@@ -145,9 +147,9 @@ def sift(b, b_prime) -> np.ndarray:
 def announce_sift(cchan: ClassicalAuthChannel, b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
     """Alice announces her bases and Bob the mask of matching ones; returns
     the sifted indices."""
-    cchan.send("alice", "bases", b)
+    cchan._send("alice", "bases", b.copy())
     sifted = sift(b, b_prime)
-    cchan.send("bob", "sift-mask", _mask(b.size, sifted))
+    cchan._send("bob", "sift-mask", _mask(b.size, sifted))
     return sifted
 
 
@@ -167,8 +169,8 @@ def compare_check(
     cchan: ClassicalAuthChannel, a: np.ndarray, a_prime: np.ndarray, check: np.ndarray
 ) -> int:
     """Both parties disclose their check values; returns how many disagree."""
-    cchan.send("alice", "check-values-alice", a[check])
-    cchan.send("bob", "check-values-bob", a_prime[check])
+    cchan._send("alice", "check-values-alice", a[check])
+    cchan._send("bob", "check-values-bob", a_prime[check])
     return int(np.sum(a[check] ^ a_prime[check]))
 
 
@@ -209,7 +211,7 @@ def reconcile(
     announces the correction u XOR v_alice; returns (u, Alice's key, Bob's
     key)."""
     u = gf2.sample_codeword(pair.c1, rng, v_alice.size // pair.c1.n).reshape(-1)
-    cchan.send("alice", "correction", u ^ v_alice)
+    cchan._send("alice", "correction", u ^ v_alice)
     return (u, *extract_key(pair, v_alice, v_bob, u))
 
 
@@ -249,12 +251,12 @@ def run_bb84(
 
     retained = sifted[rng_a.choice_distinct(sifted.size, 2 * n)]
     check_positions, payload_positions = split_check(retained, n, rng_a)
-    cchan.send("alice", "check-mask", _mask(q_count, check_positions))
-    cchan.send("alice", "payload-mask", _mask(q_count, payload_positions))
+    cchan._send("alice", "check-mask", _mask(q_count, check_positions))
+    cchan._send("alice", "payload-mask", _mask(q_count, payload_positions))
 
     estimated_error = compare_check(cchan, a, a_prime, check_positions) / n
     ok = estimated_error <= config.error_threshold
-    cchan.send("alice", "verdict", [int(ok)])
+    cchan._send("alice", "verdict", np.array([ok], dtype=np.uint8))
 
     u = k_a = k_b = None
     alice_private = {"raw_bits": a, "bases": b}

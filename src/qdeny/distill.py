@@ -333,12 +333,12 @@ def qke_over_teleportation(
         teleport_bits[2 * i : 2 * i + 2] = bits
         p0[i] = qcore._p0(received.amplitudes, b_prime[i])
     a_prime = (rng_b.uniforms(m) >= p0).astype(np.uint8)
-    cchan.send("alice", "teleport-bits", teleport_bits)
+    cchan._send("alice", "teleport-bits", teleport_bits)
 
     matched = bb84.announce_sift(cchan, b, b_prime)
     check_pos, payload_pos = bb84.split_check(matched, matched.size // 2, rng_a)
     errors = bb84.compare_check(cchan, a, a_prime, check_pos)
-    cchan.send("alice", "verdict", [int(errors == 0)])
+    cchan._send("alice", "verdict", np.array([errors == 0], dtype=np.uint8))
     if errors:
         raise RuntimeError("teleported qubits disagreed on check bits")
     key_a, key_b = a[payload_pos], a_prime[payload_pos]

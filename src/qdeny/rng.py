@@ -28,6 +28,7 @@ Two constructions live here:
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 from collections.abc import Sequence
 
@@ -202,17 +203,18 @@ def _distinct_rows(seeds: Sequence[int], n_slots: int, n_used: int) -> np.ndarra
     seed, one int32 row per seed, from one batch of keystream words.
 
     sample_distinct returns the first n_used distinct accepted words in
-    keystream order, sorted. Here every seed's first draw is hashed at once;
-    a row-wise sort of value * width + position puts each value's first
-    occurrence at the head of its run, the n_used earliest first occurrences
-    are kept, and they come out in ascending order. Rows the first draw
-    cannot fill fall back to the scalar path.
+    keystream order, sorted. Here every seed's first draw, `_first_draw`
+    words long, is hashed at once; a row-wise sort of value * width +
+    position puts each value's first occurrence at the head of its run, the
+    n_used earliest first occurrences are kept, and they come out in
+    ascending order. Rows the first draw cannot fill fall back to the
+    scalar path, so a row never depends on the draw's width.
     """
     if n_slots > 1 << 31:
         raise ValueError("int32 rows hold at most 2**31 slots")
     if n_used == n_slots or n_used == 0:
         return np.tile(np.arange(n_used, dtype=np.int32), (len(seeds), 1))
-    width = _refill_size(n_used)
+    width = _first_draw(n_slots, n_used)
     key_bytes = [seed.to_bytes(16, "big") for seed in seeds]
     u = _words(_blocks(key_bytes, range((width + 7) // 8)), len(seeds))[:, :width]
     values = np.where(u < _accept_limit(n_slots), u % n_slots, n_slots).astype(np.int64)
@@ -242,6 +244,30 @@ def _refill_size(shortfall: int) -> int:
     n_used minus the distinct words accepted so far; its first prefix is
     `_refill_size(n_used)` words long."""
     return max(16, int(1.2 * shortfall) + 8)
+
+
+# Standard deviations of a seed's word demand that `_first_draw` adds to its
+# mean. A normal tail puts a row's fall-back to the scalar path near 3e-5;
+# none of the 65536 weak seeds falls back at 182 of 16384, 64 of 4096, 24 of
+# 2048 or 37 of 1000 slots.
+_FIRST_DRAW_SD = 4
+
+
+def _first_draw(n_slots: int, n_used: int) -> int:
+    """Words per seed in `_distinct_rows`' batched draw: the mean number of
+    keystream words that yield n_used distinct accepted values, plus
+    `_FIRST_DRAW_SD` standard deviations, in whole 8-word blocks, and never
+    more than sample_distinct's first prefix `_refill_size(n_used)`.
+
+    With i distinct values found, each word brings a new one with
+    probability q_i = (accept rate) * (n_slots - i) / n_slots, so the wait
+    for it is geometric: the coupon collector's demand over the accepted
+    words, divided by the accept rate. At 182 of 16384 slots that is 192
+    words (24 blocks), not 226 (29 blocks).
+    """
+    q = _accept_limit(n_slots) / 2**32 * (n_slots - np.arange(n_used)) / n_slots
+    demand = (1 / q).sum() + _FIRST_DRAW_SD * math.sqrt(((1 - q) / q**2).sum())
+    return min(-(-math.ceil(demand) // 8) * 8, _refill_size(n_used))
 
 
 def _blocks(key_bytes: list[bytes], counters: range) -> bytes:

@@ -404,10 +404,10 @@ def qke_from_ue(
     sent = qubits.bits
     if interceptor is not None:
         qubits, _ = interceptor.intercept(qubits, rng.substream("interceptor"))
-    cchan.send("bob", "received", [1])
-    cchan.send("alice", "mac-key", key.k)
+    cchan._send("bob", "received", np.ones(1, dtype=np.uint8))
+    cchan._send("alice", "mac-key", key.k)
     outcome = ue_decrypt(params, key, qubits, rng.substream("decoder"))
-    cchan.send("bob", "valid", [int(outcome.accepted)])
+    cchan._send("bob", "valid", np.array([outcome.accepted], dtype=np.uint8))
     if not outcome.accepted:
         return QkeFromUeResult(False, None, None, cchan.log, sent)
     return QkeFromUeResult(True, x_key, outcome.message, cchan.log, sent)

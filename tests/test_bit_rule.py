@@ -7,7 +7,7 @@ import pytest
 
 from qdeny import gf2, qcore, ue
 from qdeny.bb84 import extract_key
-from qdeny.channel import WardenObservation
+from qdeny.channel import ClassicalAuthChannel, Message, WardenObservation
 from qdeny.denial import EveRecord, judge_check
 from qdeny.rng import RandomStream
 
@@ -85,6 +85,8 @@ CALLS = {
     "Bb84Qubits bases": lambda v: qcore.Bb84Qubits([0, 1], np.array(with_entry([1, 1], v))),
     "pauli_x mask": lambda v: qcore.prepare_bb84([0, 1], [0, 1]).pauli_x(with_entry([1, 0], v)),
     "WardenObservation": lambda v: WardenObservation(with_entry([1, 0, 1], v)),
+    "Message": lambda v: Message("alice", "x", with_entry([1, 0, 1], v)),
+    "send": lambda v: ClassicalAuthChannel().send("alice", "x", with_entry([1, 0, 1], v)),
     "measure": lambda v: qcore.measure(
         qcore.prepare_bb84([0, 1], [0, 1]), with_entry([1, 0], v), RandomStream(1)
     ),
@@ -147,6 +149,9 @@ def test_eve_record_positions_must_be_integers(positions):
     lambda: EveRecord([0.7], [0], [1]),
     lambda: gf2.BinaryLinearCode.from_generator([[2, 1, 1], [1, 3, 0]]),
     lambda: judge_check([0.6, 1], [0, 0], EveRecord([0], [0], [1])),
+    lambda: Message("a", "b", [0.5, 1.7]),
+    lambda: Message("a", "b", [2, 255]),
+    lambda: Message("a", "b", [-1]),
 ])
 def test_inputs_once_read_as_other_bits_raise_value_error(call):
     """Each of these ran, or raised OverflowError, before the one rule."""

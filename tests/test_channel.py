@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from qdeny import qcore
+from qdeny import bb84, channel, dcqke, distill, gf2, qcore, ue
+from qdeny.bb84 import Bb84Config
 from qdeny.channel import (
     ClassicalAuthChannel,
     QubitChannel,
@@ -33,6 +35,91 @@ def bias_oracle(n_slots, p_dark, p_signal, n_used):
     idle = bernoulli_dp_pmf([p_dark] * n_slots)
     active = bernoulli_dp_pmf([p_dark] * (n_slots - n_used) + [p_signal] * n_used)
     return 0.25 * np.abs(idle - active).sum()
+
+
+def scipy_count_distributions(tb, n_used):
+    """`count_distributions` from `scipy.stats.binom.pmf`, the oracle of the
+    numpy pmfs."""
+    n = tb.n_slots
+    idle = stats.binom.pmf(np.arange(n + 1), n, tb.p_dark)
+    dark = stats.binom.pmf(np.arange(n - n_used + 1), n - n_used, tb.p_dark)
+    signal = stats.binom.pmf(np.arange(n_used + 1), n_used, tb.p_signal)
+    return idle, np.convolve(dark, signal)
+
+
+def assert_pmf_matches(got, oracle):
+    """Relative 1e-9 on every oracle entry above 1e-300; the rest stay below it."""
+    assert got.shape == oracle.shape
+    big = oracle > 1e-300
+    np.testing.assert_allclose(got[big], oracle[big], rtol=1e-9, atol=0)
+    assert np.all(got[~big] <= 1e-300)
+
+
+def covert_config(n_slots, p_dark, p_signal, kind="strong", n_used=None):
+    """A covert config on one n = 7 session, which occupies 182 slots by default."""
+    return dcqke.CovertQkeConfig(Bb84Config(n=7, delta=0.5),
+                                 TimeBinChannel(n_slots, p_dark, p_signal),
+                                 dcqke.PrngSpec(kind), n_used=n_used)
+
+
+# The CLI's default covert channel and criterion 7's grid, whose weak channel
+# is the weak-warden one. The grid's equal-rate channel is tested on its own.
+COUNT_TEST_CONFIGS = {
+    "cli default": covert_config(4096, 0.05, 0.08, n_used=64),
+    "strong-a": covert_config(4096, 0.05, 0.08),
+    "strong-b": covert_config(8192, 0.05, 0.08),
+    "weak": covert_config(16384, 0.3, 0.95, kind="weak"),
+}
+
+
+class TestCountPmfs:
+    @pytest.mark.parametrize("n", [0, 1, 100, 4096, 16384])
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.95, 1.0])
+    def test_binomial_pmf_matches_scipy(self, n, p):
+        assert_pmf_matches(channel._binomial_pmf(n, p), stats.binom.pmf(np.arange(n + 1), n, p))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_certain_outcome_is_exact(self, p):
+        pmf = channel._binomial_pmf(100, p)
+        assert pmf[100 if p else 0] == 1.0 and pmf.sum() == 1.0
+
+    @pytest.mark.parametrize("n_slots, p_dark, p_signal", [
+        (100, 0.05, 0.95), (4096, 0.05, 0.08), (16384, 0.3, 0.95), (64, 0.0, 1.0),
+    ])
+    @pytest.mark.parametrize("occupancy", ["none", "all"])
+    def test_count_distributions_match_scipy_at_the_ends(self, n_slots, p_dark, p_signal,
+                                                         occupancy):
+        tb = TimeBinChannel(n_slots, p_dark, p_signal)
+        n_used = 0 if occupancy == "none" else n_slots
+        for got, oracle in zip(count_distributions(tb, n_used),
+                               scipy_count_distributions(tb, n_used)):
+            assert_pmf_matches(got, oracle)
+
+    @pytest.mark.parametrize("name", sorted(COUNT_TEST_CONFIGS))
+    def test_count_test_guesses_as_with_scipy_pmfs(self, name):
+        config = COUNT_TEST_CONFIGS[name]
+        n = config.timebin.n_slots
+        idle, active = scipy_count_distributions(config.timebin, config.effective_n_used)
+        warden, rng = dcqke.CountTestWarden(config), RandomStream(0)
+        guesses = [warden.decide(WardenObservation(np.arange(n) < count), rng)
+                   for count in range(n + 1)]
+        assert guesses == np.where(active > idle, 0, 1).tolist()
+
+    def test_equal_rates_never_guess_a_session(self):
+        # criterion 7's null channel: the two laws are one; scipy's pmfs
+        # differ there by rounding alone, and compared they guess 'ran' on
+        # about 41% of the counts in the bulk
+        config = covert_config(4096, 0.1, 0.1)
+        idle, active = count_distributions(config.timebin, config.effective_n_used)
+        assert np.array_equal(idle, active) and not np.shares_memory(idle, active)
+        warden, rng = dcqke.CountTestWarden(config), RandomStream(0)
+        assert {warden.decide(WardenObservation(np.arange(4096) < count), rng)
+                for count in range(4097)} == {1}
+
+    @pytest.mark.parametrize("n_used", [2.5, 4.0, True, "4"])
+    def test_slots_in_use_must_be_an_integer(self, n_used):
+        with pytest.raises(ValueError, match="slots in use must be an integer"):
+            count_distributions(TimeBinChannel(64, 0.1, 0.5), n_used)
 
 
 class TestQubitTransmission:
@@ -95,6 +182,24 @@ class TestClassicalChannel:
         assert payload.flags.writeable
         payload[0] = 0
         assert msg.bits.tolist() == [1, 0, 1] and not msg.bits.flags.writeable
+
+
+    def test_protocol_messages_hold_read_only_bit_vectors(self):
+        # the protocols announce through the unchecked `_send`: every message
+        # must hold what the checked `Message` would store
+        outcome = bb84.run_session(Bb84Config(n=14, delta=0.5), QubitChannel(0.05),
+                                   RandomStream(7))
+        params = ue.UeParams(4, 4)
+        over_ue = ue.qke_from_ue(params, ue.generate_ue_key(params, RandomStream(8)),
+                                 RandomStream(9))
+        *_, teleported = distill.qke_over_teleportation(
+            16, np.pi / 4, RandomStream(10), gf2.default_nested_pair()
+        )
+        transcripts = [outcome.session.transcript, over_ue.transcript, teleported]
+        for msg in (m for transcript in transcripts for m in transcript):
+            assert np.array_equal(gf2.bits(msg.bits), msg.bits), msg.label
+            assert msg.bits.dtype == np.uint8 and not msg.bits.flags.writeable, msg.label
+        assert not np.shares_memory(outcome.session.transcript[0].bits, outcome.session.b)
 
 
 class TestSchedules:

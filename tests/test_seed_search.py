@@ -12,7 +12,7 @@ planted from a real seed's schedule, whatever K is.
 import numpy as np
 import pytest
 
-from qdeny import dcqke
+from qdeny import dcqke, rng
 from qdeny.bb84 import Bb84Config
 from qdeny.channel import (
     MAX_WEAK_TABLE_SLOTS,
@@ -20,7 +20,14 @@ from qdeny.channel import (
     WardenObservation,
     weak_schedule_table,
 )
-from qdeny.rng import WEAK_SEED_BITS, CounterModePrng, RandomStream, _distinct_rows
+from qdeny.rng import (
+    WEAK_SEED_BITS,
+    CounterModePrng,
+    RandomStream,
+    _distinct_rows,
+    _first_draw,
+    _refill_size,
+)
 
 N_SEEDS = 1 << WEAK_SEED_BITS
 
@@ -61,6 +68,37 @@ def test_rows_the_first_draw_cannot_fill_fall_back(monkeypatch):
     got = _distinct_rows(seeds, 300, 250)
     assert scalar_calls == list(seeds)
     assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
+def _hashed_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """(keys, counters) of every `rng._blocks` call from here on."""
+    calls = []
+    blocks = rng._blocks
+
+    def counted(key_bytes, counters):
+        calls.append((len(key_bytes), len(counters)))
+        return blocks(key_bytes, counters)
+
+    monkeypatch.setattr(rng, "_blocks", counted)
+    return calls
+
+
+def test_first_draw_at_the_weak_table_size_is_24_blocks(monkeypatch):
+    # 182 distinct of 16384 slots take 183 words on average, sd 1.0; the
+    # scalar path's first prefix is 226 words, 29 blocks
+    calls = _hashed_blocks(monkeypatch)
+    got = _distinct_rows(range(64), 16384, 182)
+    assert calls == [(64, 24)]
+    assert np.array_equal(got, [_scalar_row(seed, 16384, 182) for seed in range(64)])
+
+
+@pytest.mark.parametrize("n_slots, n_used", [(16384, 182), (2048, 24), (1000, 37), (300, 250)])
+def test_first_draw_is_never_wider_than_the_scalar_first_prefix(monkeypatch, n_slots, n_used):
+    assert _first_draw(n_slots, n_used) <= _refill_size(n_used)
+    calls = _hashed_blocks(monkeypatch)
+    _distinct_rows(range(8), n_slots, n_used)
+    assert calls[0] == (8, -(-_first_draw(n_slots, n_used) // 8))
+    assert calls[0][1] <= -(-_refill_size(n_used) // 8)
 
 
 def test_rejected_words_are_skipped_in_draw_order():

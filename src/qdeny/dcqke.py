@@ -263,8 +263,8 @@ def seed_prefix_incidence(n_slots: int, n_used: int, k: int):
     """Seed x slot incidence matrix of each seed's first `k` scheduled slots,
     a `scipy.sparse.csr_matrix`: row `seed` holds a one at each slot among
     the first `k` columns of `weak_schedule_table(n_slots, n_used)`. Cached,
-    so every warden on the same channel shares it. This is the one place
-    `scipy.sparse` is imported, so only the seed-search warden loads it.
+    so every warden on the same channel shares it. This is the package's
+    one scipy import, so only the seed-search warden loads scipy.
 
     scipy needs int32 column indices, so they are a contiguous int32 copy
     of those columns. The values use the smallest unsigned dtype that holds

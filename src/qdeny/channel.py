@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gf2, qcore
-from .rng import WEAK_SEED_BITS, RandomStream, _distinct_rows, _integer
+from .rng import WEAK_SEED_BITS, RandomStream, _check_schedule, _distinct_rows, _integer
 
 __all__ = [
     "QubitChannel",
@@ -234,14 +234,18 @@ def weak_schedule_table(n_slots: int, n_used: int) -> np.ndarray:
 
     This is the exhaustive search space handed to the seed-search warden in
     the broken-generator experiments. Row `seed` equals
-    `CounterModePrng(seed).sample_distinct(n_slots, n_used)`; the rows
-    are expanded a small chunk of seeds at a time, which keeps the build's
-    working memory far below the table's own, each chunk from one batched
-    keystream draw sized to its expected demand (`rng._first_draw`). Slots
+    `CounterModePrng(seed).sample_distinct(n_slots, n_used)`, and the
+    sizes are checked as it checks them before anything is allocated. The
+    rows are expanded a small chunk of seeds at a time, which keeps the
+    build's working memory far below the table's own, each chunk from one
+    batched keystream draw sized to its expected demand (`rng._first_draw`)
+    and sorted as 32-bit packed keys (`rng._sort_key`). Most of the build
+    is SHA-256: one keyed context per seed, copied for each block. Slots
     are stored in the smallest unsigned dtype that holds `n_slots - 1`
     (uint16 at every channel size in use).
     """
     n_slots, n_used = _integer(n_slots, "slot count"), _integer(n_used, "slots per seed")
+    _check_schedule(n_slots, n_used)
     if n_used > MAX_WEAK_TABLE_SLOTS:
         raise ValueError(
             f"the weak schedule table holds at most {MAX_WEAK_TABLE_SLOTS} slots per seed,"

@@ -172,7 +172,11 @@ class CounterModePrng:
         self._key_bytes = key.to_bytes(16, "big")
 
     def words(self, n_words: int) -> np.ndarray:
-        """The first n_words uint32 keystream words."""
+        """The first n_words uint32 keystream words; n_words is a
+        non-negative integer (`_integer`)."""
+        n_words = _integer(n_words, "word count")
+        if n_words < 0:
+            raise ValueError(f"word count must be non-negative, not {n_words}")
         return _words(_blocks([self._key_bytes], range((n_words + 7) // 8)), 1)[0, :n_words]
 
     def sample_distinct(self, n_slots: int, n_used: int) -> np.ndarray:
@@ -181,17 +185,19 @@ class CounterModePrng:
         Uniform words are rejection-filtered below the largest multiple of
         n_slots and reduced mod n_slots; the result is the first n_used
         distinct accepted words in keystream order, read from a keystream
-        prefix that is lengthened until it holds enough.
+        prefix that is lengthened until it holds enough. Both sizes are
+        integers (`_integer`), with 1 <= n_slots <= 2**32 and
+        0 <= n_used <= n_slots (`_check_schedule`).
         """
-        if n_used > n_slots:
-            raise ValueError(f"cannot schedule {n_used} of {n_slots} slots")
+        n_slots, n_used = _integer(n_slots, "slot count"), _integer(n_used, "slots in use")
+        _check_schedule(n_slots, n_used)
         if n_used == n_slots:
             return np.arange(n_slots, dtype=np.int64)
         limit = _accept_limit(n_slots)
         n_words = _refill_size(n_used)
         while True:
             u = self.words(n_words)
-            accepted = (u[u < limit] % n_slots).astype(np.int64)
+            accepted = u[u < limit].astype(np.int64) % n_slots
             _, first = np.unique(accepted, return_index=True)
             if first.size >= n_used:
                 return np.sort(accepted[np.sort(first)[:n_used]])
@@ -204,27 +210,36 @@ def _distinct_rows(seeds: Sequence[int], n_slots: int, n_used: int) -> np.ndarra
 
     sample_distinct returns the first n_used distinct accepted words in
     keystream order, sorted. Here every seed's first draw, `_first_draw`
-    words long, is hashed at once; a row-wise sort of value * width +
-    position puts each value's first occurrence at the head of its run, the
-    n_used earliest first occurrences are kept, and they come out in
-    ascending order. Rows the first draw cannot fill fall back to the
-    scalar path, so a row never depends on the draw's width.
+    words long, is hashed at once and packed into one unsigned sort key per
+    word, `value << shift | position` (`_sort_key`; a rejected word's value
+    is n_slots). An in-place row-wise sort of the keys puts each value's
+    first occurrence at the head of its run; a shift and a mask read the
+    values and positions back, the n_used earliest first occurrences are
+    kept, and they come out in ascending order. Rows the first draw cannot
+    fill fall back to the scalar path, so a row never depends on the draw's
+    width.
     """
+    _check_schedule(n_slots, n_used)
     if n_slots > 1 << 31:
         raise ValueError("int32 rows hold at most 2**31 slots")
     if n_used == n_slots or n_used == 0:
         return np.tile(np.arange(n_used, dtype=np.int32), (len(seeds), 1))
     width = _first_draw(n_slots, n_used)
+    shift, key_type = _sort_key(n_slots, width)
     key_bytes = [seed.to_bytes(16, "big") for seed in seeds]
     u = _words(_blocks(key_bytes, range((width + 7) // 8)), len(seeds))[:, :width]
-    values = np.where(u < _accept_limit(n_slots), u % n_slots, n_slots).astype(np.int64)
-    order = np.sort(values * width + np.arange(width), axis=1)
-    values, position = np.divmod(order, width)
+    key = (u % n_slots).astype(key_type, copy=False)
+    key[u >= _accept_limit(n_slots)] = n_slots
+    key <<= shift
+    key |= np.arange(width, dtype=key_type)
+    key.sort(axis=1)
+    values = key >> shift
     first = np.empty(values.shape, dtype=bool)
     first[:, 0] = True
     np.not_equal(values[:, 1:], values[:, :-1], out=first[:, 1:])
     first &= values < n_slots
-    first_position = np.where(first, position, width)
+    first_position = key & ((1 << shift) - 1)
+    first_position[~first] = width
     cutoff = np.partition(first_position, n_used - 1, axis=1)[:, n_used - 1]
     keep = first_position <= cutoff[:, None]
     full = cutoff < width
@@ -233,6 +248,26 @@ def _distinct_rows(seeds: Sequence[int], n_slots: int, n_used: int) -> np.ndarra
     for row in np.flatnonzero(~full):
         out[row] = CounterModePrng(seeds[row]).sample_distinct(n_slots, n_used)
     return out
+
+
+def _check_schedule(n_slots: int, n_used: int) -> None:
+    """Raise ValueError unless 1 <= n_slots <= 2**32 and 0 <= n_used <= n_slots."""
+    if not 1 <= n_slots <= 1 << 32:
+        raise ValueError(f"slot count must lie in [1, 2**32], not {n_slots}")
+    if not 0 <= n_used <= n_slots:
+        raise ValueError(f"cannot schedule {n_used} of {n_slots} slots")
+
+
+def _sort_key(n_slots: int, width: int) -> tuple[int, np.dtype]:
+    """Shift and dtype of `_distinct_rows`' key `value << shift | position`
+    for values up to n_slots and positions below width: the shift is the bit
+    length of width - 1, the dtype the smallest unsigned one that holds
+    `((n_slots + 1) << shift) - 1`. That is uint32 at every channel size
+    (up to `channel.MAX_SLOTS` slots and 1024 per seed); larger sizes get
+    uint64."""
+    shift = (width - 1).bit_length()
+    return shift, np.min_scalar_type(((n_slots + 1) << shift) - 1)
+
 
 def _accept_limit(n_slots: int) -> int:
     """Words at or above this bound are rejected, so `word % n_slots` is uniform."""
@@ -271,10 +306,19 @@ def _first_draw(n_slots: int, n_used: int) -> int:
 
 
 def _blocks(key_bytes: list[bytes], counters: range) -> bytes:
-    """Keystream blocks `counters` of every key, key-major."""
+    """Keystream blocks `counters` of every key, key-major. Each key is
+    hashed once; every block is a copy of that SHA-256 context updated with
+    its counter, which is the same digest as hashing key || counter anew."""
     suffixes = [j.to_bytes(8, "big") for j in counters]
-    sha256 = hashlib.sha256
-    return b"".join([sha256(key + c).digest() for key in key_bytes for c in suffixes])
+    out = []
+    append = out.append
+    for key in key_bytes:
+        keyed = hashlib.sha256(key).copy
+        for c in suffixes:
+            block = keyed()
+            block.update(c)
+            append(block.digest())
+    return b"".join(out)
 
 
 def _words(blocks: bytes, n_keys: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Determinism and independence of the seeded stream machinery."""
 
+import hashlib
 import os
 import sys
 
@@ -11,7 +12,7 @@ from qdeny.denial import detection_probability, exact_detection_probability
 from qdeny.distill import distill_batch, qke_over_teleportation, verify_ebits
 from qdeny.gf2 import default_nested_pair
 from qdeny.qcore import BellKind, bell_state
-from qdeny.rng import _COUNTER_0, CounterModePrng, RandomStream, _PhiloxKey
+from qdeny.rng import _COUNTER_0, CounterModePrng, RandomStream, _PhiloxKey, _blocks
 from qdeny.ue import MacScheme, UeParams
 
 
@@ -151,10 +152,45 @@ class TestRandomStream:
                  id="exact-decoy count"),
     pytest.param(lambda: exact_detection_probability(8, 2, 1.0), "flip count",
                  id="exact-flip count"),
+    # words(2.5) once raised a bare TypeError and words(True) read one word;
+    # sample_distinct(10.5, 3) once drew [2 7 8]
+    pytest.param(lambda: CounterModePrng(1).words(2.5), "word count", id="words-2.5"),
+    pytest.param(lambda: CounterModePrng(1).words(True), "word count", id="words-True"),
+    pytest.param(lambda: CounterModePrng(1).words("8"), "word count", id="words-str"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(10.5, 3), "slot count",
+                 id="sample-slots-10.5"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(True, 1), "slot count",
+                 id="sample-slots-True"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(10, 3.0), "slots in use",
+                 id="sample-used-3.0"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(10, False), "slots in use",
+                 id="sample-used-False"),
 ])
 def test_protocol_sizes_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    # sample_distinct(10, -1) once drew 7 slots, sample_distinct(2**33, 1)
+    # raised numpy's OverflowError, and words(-3) read no word
+    pytest.param(lambda: CounterModePrng(1).words(-3), "word count must be non-negative, not -3",
+                 id="words--3"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(10, -1),
+                 "cannot schedule -1 of 10 slots", id="sample-used--1"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(4, 5),
+                 "cannot schedule 5 of 4 slots", id="sample-used-5-of-4"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(0, 0),
+                 "slot count must lie in [1, 2**32], not 0", id="sample-slots-0"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(-5, 3),
+                 "slot count must lie in [1, 2**32], not -5", id="sample-slots--5"),
+    pytest.param(lambda: CounterModePrng(1).sample_distinct(2**33, 1),
+                 "slot count must lie in [1, 2**32], not 8589934592", id="sample-slots-2**33"),
+])
+def test_keystream_sizes_out_of_range_raise_one_line(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_numpy_integer_protocol_sizes_are_read_as_ints():
@@ -307,6 +343,37 @@ class TestCounterModePrng:
         prng = CounterModePrng(np.int64(7))
         assert prng.key == 7 and type(prng.key) is int
         assert np.array_equal(prng.words(16), CounterModePrng(7).words(16))
+
+    def test_keystream_is_big_endian_sha256_of_key_and_counter(self):
+        # computed here from hashlib alone, not from rng._blocks or a golden file
+        keys = [0, 65535, (1 << 128) - 1]
+        for key in keys:
+            for n in (1, 8, 13, 200):
+                stream = b"".join(
+                    hashlib.sha256(key.to_bytes(16, "big") + j.to_bytes(8, "big")).digest()
+                    for j in range(-(-n // 8))
+                )
+                want = [int.from_bytes(stream[4 * i : 4 * i + 4], "big") for i in range(n)]
+                got = CounterModePrng(key).words(n)
+                assert got.dtype == np.uint32 and got.tolist() == want, (key, n)
+        key_bytes = [key.to_bytes(16, "big") for key in keys]
+        per_key = b"".join(_blocks([k], range(2, 7)) for k in key_bytes)
+        assert _blocks(key_bytes, range(2, 7)) == per_key
+        assert per_key[:32] == hashlib.sha256(key_bytes[0] + (2).to_bytes(8, "big")).digest()
+
+    def test_sample_distinct_takes_every_word_at_2_to_the_32_slots(self):
+        # no word is rejected and none is reduced: the slots are the words
+        got = CounterModePrng(5).sample_distinct(1 << 32, 3)
+        assert got.dtype == np.int64
+        assert got.tolist() == _keystream_walk(CounterModePrng(5), 1 << 32, 3)
+        assert got.tolist() == sorted(CounterModePrng(5).words(3).tolist())
+
+    def test_numpy_integer_sizes_are_the_int_sizes(self):
+        prng = CounterModePrng(7)
+        assert np.array_equal(prng.words(np.int64(13)), prng.words(13))
+        assert np.array_equal(prng.sample_distinct(np.int64(100), np.uint8(10)),
+                              prng.sample_distinct(100, 10))
+        assert prng.words(0).size == 0 and prng.sample_distinct(1, 0).size == 0
 
     def test_weak_schedules_mostly_distinct(self):
         seen = {CounterModePrng(k).sample_distinct(256, 16).tobytes() for k in range(200)}

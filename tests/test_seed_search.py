@@ -110,6 +110,76 @@ def test_rejected_words_are_skipped_in_draw_order():
     assert np.array_equal(got, [_scalar_row(seed, n_slots, 20) for seed in seeds])
 
 
+# (n_slots, n_used) around the uint32 limit of the packed sort key
+# ((n_slots + 1) << shift) - 1, shift being the bit length of the first
+# draw's width less one: 24 words (shift 5) at 20 slots a seed, 48 (shift 6)
+# at 40
+PACKED_KEY_SIZES = [
+    pytest.param(2**27 - 1, 20, np.uint32, id="fits"),
+    pytest.param(2**27, 20, np.uint64, id="past-by-one-slot"),
+    pytest.param(2**27 - 1, 40, np.uint64, id="past-by-width"),
+    pytest.param(2**26 - 1, 40, np.uint32, id="fits-at-width-48"),
+]
+
+
+def _doctored_blocks(monkeypatch, n_slots: int) -> None:
+    """Make block 0 of every key hold a duplicate, rejected words (where
+    n_slots rejects any) and the largest slot twice, so the packed keys
+    reach the top of their type; both `_distinct_rows` and the scalar path
+    read the same doctored keystream."""
+    blocks = rng._blocks
+    limit = rng._accept_limit(n_slots)
+
+    def doctored(key_bytes, counters):
+        words = np.frombuffer(blocks(key_bytes, counters), dtype=">u4").astype(np.int64)
+        words = words.reshape(len(key_bytes), -1)
+        if counters[0] == 0:
+            again = words[:, 0] % n_slots + n_slots  # the same slot as word 0
+            words[:, 1] = np.where(again < limit, again, again - 2 * n_slots)
+            words[:, 2] = (1 << 32) - 1  # rejected unless n_slots divides 2**32
+            words[:, 3] = n_slots - 1
+            words[:, 5] = 2 * n_slots - 1  # the top slot again
+            words[:, 7] = limit if limit < 1 << 32 else 0
+        return words.astype(">u4").tobytes()
+
+    monkeypatch.setattr(rng, "_blocks", doctored)
+
+
+@pytest.mark.parametrize("n_slots, n_used, key_type", PACKED_KEY_SIZES)
+def test_packed_key_rows_equal_scalar_rows_at_the_uint32_limit(
+    monkeypatch, n_slots, n_used, key_type
+):
+    width = _first_draw(n_slots, n_used)
+    shift, got_type = rng._sort_key(n_slots, width)
+    assert got_type == key_type
+    assert ((n_slots + 1) << shift) - 1 <= 2**32 - 1 or key_type is np.uint64
+    _doctored_blocks(monkeypatch, n_slots)
+    seeds = range(64)
+    expected = np.array([_scalar_row(seed, n_slots, n_used) for seed in seeds])
+    assert (expected == n_slots - 1).any(axis=1).all()
+    scalar_calls = []
+    scalar = CounterModePrng.sample_distinct
+
+    def counted(self, n_slots, n_used):
+        scalar_calls.append(self.key)
+        return scalar(self, n_slots, n_used)
+
+    monkeypatch.setattr(CounterModePrng, "sample_distinct", counted)
+    got = _distinct_rows(seeds, n_slots, n_used)
+    assert scalar_calls == []  # every row came from the packed keys
+    assert got.dtype == np.int32 and np.array_equal(got, expected)
+
+
+def test_sort_key_is_uint32_at_every_channel_size():
+    from qdeny.channel import MAX_SLOTS
+
+    width = _first_draw(MAX_SLOTS, MAX_WEAK_TABLE_SLOTS)
+    assert width <= _refill_size(MAX_WEAK_TABLE_SLOTS)
+    assert rng._sort_key(MAX_SLOTS, width)[1] == np.uint32
+    assert rng._sort_key(MAX_SLOTS, _refill_size(MAX_WEAK_TABLE_SLOTS))[1] == np.uint32
+    assert rng._sort_key(16384, _first_draw(16384, 182)) == (8, np.uint32)
+
+
 def test_table_over_its_occupancy_limit_is_rejected():
     # checked before the table is allocated: this one would take 26 GB
     with pytest.raises(ValueError, match=str(MAX_WEAK_TABLE_SLOTS)):
@@ -125,6 +195,24 @@ def test_table_sizes_must_be_integers(n_slots, n_used, name):
     # 16.5 slots once built a float16 table: np.min_scalar_type(15.5)
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         weak_schedule_table(n_slots, n_used)
+
+
+@pytest.mark.parametrize("n_slots, n_used", [(10, 20), (-5, 3), (0, 0), (16, -1), (2**33, 4)])
+def test_table_sizes_out_of_range_raise_as_sample_distinct_does(monkeypatch, n_slots, n_used):
+    # (10, 20) once raised an OverflowError from float infinity, (-5, 3) a
+    # math domain error, and (0, 0) built a (65536, 0) table
+    with pytest.raises(ValueError) as scalar:
+        CounterModePrng(0).sample_distinct(n_slots, n_used)
+    monkeypatch.setattr(np, "empty", None)  # checked before the table is allocated
+    with pytest.raises(ValueError) as table:
+        weak_schedule_table(n_slots, n_used)
+    assert str(table.value) == str(scalar.value)
+
+
+def test_rows_out_of_range_raise_as_sample_distinct_does():
+    # this once raised an IndexError
+    with pytest.raises(ValueError, match=r"^cannot schedule -1 of 10 slots$"):
+        _distinct_rows(range(3), 10, -1)
 
 
 def test_config_schedule_demand_must_be_an_integer():

@@ -137,8 +137,13 @@ class Bb84Outcome:
 
 
 def sift(b, b_prime) -> np.ndarray:
-    """Indices where preparation and measurement bases agree."""
-    b, b_prime = np.asarray(b), np.asarray(b_prime)
+    """Indices where preparation and measurement bases agree; both base
+    strings are read with `gf2.bits`."""
+    return _matching(gf2.bits(b), gf2.bits(b_prime))
+
+
+def _matching(b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
+    """`sift` of two uint8 base strings, unchecked."""
     if b.size != b_prime.size:
         raise ValueError("both base strings must have equal length")
     return np.where(b == b_prime)[0]
@@ -147,10 +152,14 @@ def sift(b, b_prime) -> np.ndarray:
 def announce_sift(cchan: ClassicalAuthChannel, b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
     """Alice announces her bases and Bob the mask of matching ones; returns
     the sifted indices."""
-    cchan._send("alice", "bases", b.copy())
-    sifted = sift(b, b_prime)
-    cchan._send("bob", "sift-mask", _mask(b.size, sifted))
+    sifted = _matching(b, b_prime)
+    _announce_bases(cchan, b, sifted)
     return sifted
+
+
+def _announce_bases(cchan: ClassicalAuthChannel, b: np.ndarray, sifted: np.ndarray) -> None:
+    cchan._send("alice", "bases", b.copy())
+    cchan._send("bob", "sift-mask", _mask(b.size, sifted))
 
 
 def split_check(
@@ -235,19 +244,27 @@ def run_bb84(
     rng_b: RandomStream,
     rng_env: RandomStream,
 ) -> Bb84Outcome:
-    """One protocol attempt. Raises SiftShortfall if under 2n bases match."""
+    """One protocol attempt. Raises SiftShortfall if under 2n bases match.
+
+    The base strings decide the shortfall alone, so both are drawn first and
+    an attempt that falls short raises before any qubit is prepared: the
+    interceptor never runs, `rng_env` is never drawn and `cchan` stays
+    empty. Each stream keeps its draw order: `rng_a` draws a, then b;
+    `rng_b` draws b_prime, then the measurement uniforms; `rng_env` feeds
+    the interceptor, then the noise.
+    """
     q_count, n = config.qubit_count, config.n
 
     a = rng_a.bits(q_count)
     b = rng_a.bits(q_count)
-    delivered, eve_record = transmit(qchan, qcore.prepare_bb84(a, b), rng_env)
-
     b_prime = rng_b.bits(q_count)
-    a_prime = qcore.measure(delivered, b_prime, rng_b)
-
-    sifted = announce_sift(cchan, b, b_prime)
+    sifted = sift(b, b_prime)
     if sifted.size < 2 * n:
         raise SiftShortfall(f"only {sifted.size} sifted bits, need {2 * n}")
+
+    delivered, eve_record = transmit(qchan, qcore.prepare_bb84(a, b), rng_env)
+    a_prime = qcore.measure(delivered, b_prime, rng_b)
+    _announce_bases(cchan, b, sifted)
 
     retained = sifted[rng_a.choice_distinct(sifted.size, 2 * n)]
     check_positions, payload_positions = split_check(retained, n, rng_a)

@@ -47,7 +47,9 @@ class QubitChannel:
 
     An interceptor is any object with a method
     `intercept(qubits, rng) -> (qubits, record)` taking and returning a
-    `qcore.Bb84Qubits` batch; `denial.EvePolicy` is the one used here.
+    `qcore.Bb84Qubits` batch; `denial.EvePolicy` is the one used here. It
+    runs only on BB84 attempts that sift enough: `bb84.run_bb84` raises
+    `SiftShortfall` from the base strings before any qubit is prepared.
     """
 
     flip_probability: float = 0.0

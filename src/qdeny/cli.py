@@ -131,6 +131,9 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"{path}: {exc}")
 
 
+_CONFIG_KEYS = frozenset({"experiment", "params", "seed", "trials"})
+
+
 def _load_config(path: str, experiment: str) -> dict:
     try:
         data = json.loads(_read_text(path))
@@ -140,6 +143,9 @@ def _load_config(path: str, experiment: str) -> dict:
         raise ConfigError("config must be a JSON object")
     if "experiment" not in data:
         raise ConfigError("missing required config key 'experiment'")
+    unknown = sorted(set(data) - _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown top-level config key {unknown[0]!r}; parameters go under 'params'")
     if data["experiment"] != experiment:
         raise ConfigError(
             f"config is for experiment {data['experiment']!r}, not {experiment!r}"

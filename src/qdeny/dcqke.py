@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -305,15 +305,15 @@ def covert_game(
     Occupancy is all the warden can see, so trials run the scheduling layer
     (seed draw, schedule expansion, per-slot detections) rather than full
     key agreement; tests cross-check that full sessions produce identically
-    distributed windows.
+    distributed windows. Each trial samples only the window it shows, the
+    active one for b = 0 and the idle one for b = 1, under the labels the
+    deniability experiment uses for them.
     """
     if warden is None:
         warden = CountTestWarden(config)
 
-    def setup(trial_rng: RandomStream):
-        active, _ = _sample_window(config, trial_rng, active=True)
-        idle, _ = _sample_window(config, trial_rng, active=False)
-        return active, idle
+    def setup(trial_rng: RandomStream, b: int):
+        return _sample_window(config, trial_rng, active=b == 0)[0]
 
     return run_experiment(setup, warden, trials, master_seed)
 
@@ -368,8 +368,13 @@ def deniability_experiment(
     master_seed: int,
 ) -> AdvantageEstimate:
     """Coercer game for the deniable construction: real view versus the
-    faking program's view, with full sessions behind every trial."""
-    return run_experiment(partial(run_dc_qke, config), distinguisher, trials, master_seed)
+    faking program's view, with full sessions behind every trial. Each
+    trial builds both views with `run_dc_qke` and shows the one for b."""
+
+    def setup(trial_rng: RandomStream, b: int):
+        return run_dc_qke(config, trial_rng)[b]
+
+    return run_experiment(setup, distinguisher, trials, master_seed)
 
 
 class ReductionDistinguisher:

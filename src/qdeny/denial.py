@@ -256,16 +256,18 @@ def coercer_experiment(
     """Real-versus-faked view distinguishing game.
 
     Per trial the protocol runs once; the challenger hands the adversary the
-    honest view or the faking program's view according to a hidden bit.
+    honest view (b = 0) or the faking program's view (b = 1) according to a
+    hidden bit, and builds only that one: the faking program runs, on the
+    trial's "fake" substream, only when b = 1.
     """
     if not all(hasattr(protocol, name) for name in ("run_session", "real_view", "fake")):
         raise TypeError("protocol must expose run_session(), real_view() and fake()")
 
-    def setup(trial_rng: RandomStream):
+    def setup(trial_rng: RandomStream, b: int):
         session = protocol.run_session(trial_rng.substream("session"))
-        real = protocol.real_view(session)
-        fake = protocol.fake(session, trial_rng.substream("fake"))
-        return real, fake
+        if b == 0:
+            return protocol.real_view(session)
+        return protocol.fake(session, trial_rng.substream("fake"))
 
     return run_experiment(setup, adversary, trials, master_seed)
 

@@ -1,8 +1,8 @@
 """Two-hypothesis security experiments: trial orchestration and statistics.
 
-An experiment repeatedly flips a hidden challenge bit b, shows a
-distinguisher the observation for that hypothesis, and scores its guesses.
-Reported advantage is |win rate - 1/2| with a Wilson 95% interval mapped
+An experiment repeatedly flips a hidden challenge bit b, builds the
+observation for that hypothesis alone, shows it to a distinguisher, and
+scores its guesses. Reported advantage is |win rate - 1/2| with a Wilson 95% interval mapped
 through the folding, clamped to [0, 1/2].
 
 Everything is a pure function of (trials, master_seed): each trial draws
@@ -115,24 +115,27 @@ def rate_estimate(successes: int, trials: int) -> RateEstimate:
 
 
 def run_experiment(
-    setup: Callable[[RandomStream], tuple],
+    setup: Callable[[RandomStream, int], object],
     dist: Distinguisher,
     trials: int,
     master_seed: int,
 ) -> AdvantageEstimate:
     """Score `dist` over `trials` challenge rounds.
 
-    `setup(trial_rng)` returns the observation pair (for b = 0, for b = 1);
-    the harness flips b, shows the matching observation, and counts wins.
+    Each round the harness flips b first; `setup(trial_rng, b)` then builds
+    only the observation for hypothesis b, the one the distinguisher is
+    shown, and the harness counts wins. The other hypothesis's observation
+    is never built: every substream is a pure function of its path, so
+    skipping it moves no draw of the one shown.
     """
     if trials < 100:
         raise ValueError("experiments need at least 100 trials for the interval to mean much")
     master = RandomStream(master_seed)
     wins = 0
     for i in range(trials):
-        obs_pair = setup(master.substream("trial", i))
         b = master.substream("challenge", i).bit()
-        guess = dist.decide(obs_pair[b], master.substream("distinguisher", i))
+        observation = setup(master.substream("trial", i), b)
+        guess = dist.decide(observation, master.substream("distinguisher", i))
         wins += int(guess == b)
     return AdvantageEstimate.from_wins(wins, trials)
 

@@ -31,6 +31,7 @@ import hashlib
 import math
 import operator
 from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -288,11 +289,14 @@ def _refill_size(shortfall: int) -> int:
 _FIRST_DRAW_SD = 4
 
 
+@lru_cache(maxsize=16)
 def _first_draw(n_slots: int, n_used: int) -> int:
     """Words per seed in `_distinct_rows`' batched draw: the mean number of
     keystream words that yield n_used distinct accepted values, plus
     `_FIRST_DRAW_SD` standard deviations, in whole 8-word blocks, and never
-    more than sample_distinct's first prefix `_refill_size(n_used)`.
+    more than sample_distinct's first prefix `_refill_size(n_used)`. It
+    depends on the two sizes alone, so it is cached: a table build's chunks
+    compute it once.
 
     With i distinct values found, each word brings a new one with
     probability q_i = (accept rate) * (n_slots - i) / n_slots, so the wait

@@ -5,9 +5,10 @@ import pytest
 
 from qdeny import gf2
 from qdeny.bb84 import (
-    Bb84Config, extract_key, required_slots, run_session, sift, split_check,
+    Bb84Config, SiftShortfall, extract_key, required_slots, run_bb84, run_session, sift,
+    split_check,
 )
-from qdeny.channel import QubitChannel
+from qdeny.channel import ClassicalAuthChannel, QubitChannel
 from qdeny.rng import RandomStream
 
 NOISELESS = QubitChannel(flip_probability=0.0)
@@ -40,6 +41,44 @@ class TestSift:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             sift(np.zeros(3, np.uint8), np.zeros(4, np.uint8))
+
+
+class CountingInterceptor:
+    """Passes the qubits through untouched and counts its calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def intercept(self, qubits, rng):
+        self.calls += 1
+        return qubits, None
+
+
+class TestShortfall:
+    @staticmethod
+    def _attempt(config, seed):
+        """run_bb84 on the attempt streams of `seed` behind a counting
+        interceptor; returns (run it, interceptor, channel, environment stream)."""
+        root = RandomStream(seed)
+        interceptor, cchan = CountingInterceptor(), ClassicalAuthChannel()
+        env = root.substream("environment")
+        qchan = QubitChannel(flip_probability=0.0, interceptor=interceptor)
+        streams = root.substream("alice"), root.substream("bob"), env
+        return lambda: run_bb84(config, qchan, cchan, *streams), interceptor, cchan, env
+
+    def test_raises_before_any_qubit_is_sent(self, config):
+        # seed 33 matches 22 of 63 bases; the base strings alone decide that
+        attempt, interceptor, cchan, env = self._attempt(config, 33)
+        with pytest.raises(SiftShortfall, match="^only 22 sifted bits, need 28$"):
+            attempt()
+        assert interceptor.calls == 0 and cchan.log == ()
+        assert env.random() == RandomStream(33).substream("environment").random()
+
+    def test_a_full_attempt_calls_the_interceptor_once(self, config):
+        attempt, interceptor, cchan, env = self._attempt(config, 0)
+        attempt()
+        assert interceptor.calls == 1 and len(cchan.log) > 0
+        assert env.random() != RandomStream(0).substream("environment").random()
 
 
 class TestSplitCheck:

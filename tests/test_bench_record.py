@@ -1,7 +1,9 @@
-"""Unit tests of `tools/bench_record.py`'s summary arithmetic and its Tier-1
-record, without running a benchmark or a test suite."""
+"""Unit tests of `tools/bench_record.py`'s summary arithmetic, its Tier-1
+record and its row digests, without running a benchmark, a test suite or a
+benchmark process."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -76,3 +78,44 @@ def test_tier1_records_an_empty_summary_when_pytest_prints_nothing(monkeypatch, 
     got = tool.tier1(tmp_path)
     assert got["exit_code"] == 4 and got["summary"] == ""
     assert got["counts"] == {} and got["slowest"] == []
+
+
+def _fake_child(monkeypatch, tool, digests):
+    """Child runs that report `digests[tree name]`; returns the commands run."""
+    commands = []
+
+    def run(cmd, cwd, **kwargs):
+        commands.append((cmd, Path(cwd).name, kwargs["env"]["PYTHONPATH"]))
+        report = {"rows": 1500, "digest": digests[Path(cwd).name]}
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"noise\n{json.dumps(report)}\n", stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    return commands
+
+
+def test_row_digests_run_the_fixed_size_child_in_each_tree(monkeypatch, tmp_path):
+    tool = load_tool()
+    trees = {"change": tmp_path / "change", "parent": tmp_path / "parent"}
+    commands = _fake_child(monkeypatch, tool, {"change": "ab", "parent": "ab"})
+    got = tool.row_digests(trees, "deny-short")
+    assert got == {"ops": 1500, "master_seed": "7", "match": True,
+                   "change": {"rows": 1500, "digest": "ab"},
+                   "parent": {"rows": 1500, "digest": "ab"}}
+    for (cmd, tree, pythonpath), name in zip(commands, ["change", "parent"]):
+        assert cmd[1:] == ["perfbench/child.py", "--workload", "deny-short", "--master-seed", "7",
+                           "--seconds", "0", "--ops", "1500"]
+        assert tree == name and pythonpath == str(trees[name] / "src")
+
+
+def test_row_digests_report_a_mismatch(monkeypatch, tmp_path):
+    tool = load_tool()
+    trees = {"change": tmp_path / "change", "parent": tmp_path / "parent"}
+    _fake_child(monkeypatch, tool, {"change": "ab", "parent": "cd"})
+    assert tool.row_digests(trees, "bb84-long")["match"] is False
+
+
+def test_row_digests_without_parent_have_no_comparison(monkeypatch, tmp_path):
+    tool = load_tool()
+    _fake_child(monkeypatch, tool, {"change": "ab"})
+    got = tool.row_digests({"change": tmp_path / "change"}, "ue-teleport")
+    assert "match" not in got and got["change"]["digest"] == "ab"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qdeny import gf2, qcore, ue
-from qdeny.bb84 import extract_key
+from qdeny.bb84 import extract_key, sift
 from qdeny.channel import ClassicalAuthChannel, Message, WardenObservation
 from qdeny.denial import EveRecord, judge_check
 from qdeny.rng import RandomStream
@@ -106,6 +106,8 @@ CALLS = {
     "extract_key u": lambda v: extract_key(
         NESTED, ones(7), ones(7), with_entry(CODEWORD.tolist(), v)
     ),
+    "sift b": lambda v: sift(with_entry([1, 0, 1], v), [1, 0, 0]),
+    "sift b_prime": lambda v: sift([1, 0, 1], with_entry([1, 0, 1], v)),
     "mac_tag key": lambda v: ue.mac_tag(MAC, with_entry(ones(8), v), [0, 1]),
     "mac_tag message": lambda v: ue.mac_tag(MAC, ones(8), with_entry([1, 0], v)),
     "mac_verify tag": lambda v: ue.mac_verify(MAC, ones(8), [1], with_entry(ones(4), v)),
@@ -152,6 +154,7 @@ def test_eve_record_positions_must_be_integers(positions):
     lambda: Message("a", "b", [0.5, 1.7]),
     lambda: Message("a", "b", [2, 255]),
     lambda: Message("a", "b", [-1]),
+    lambda: sift([0.5, 2, 1], [0.5, 2, 0]),
 ])
 def test_inputs_once_read_as_other_bits_raise_value_error(call):
     """Each of these ran, or raised OverflowError, before the one rule."""

@@ -203,6 +203,16 @@ def test_config_is_a_directory_exit_2(tmp_path, capsys):
     _assert_main_config_error(capsys, ["bb84", "--config", str(tmp_path)])
 
 
+def test_parameters_at_the_config_top_level_exit_2(tmp_path, capsys):
+    # read as a config with no params, this once ran the strong defaults and exited 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "experiment": "covert", "prng": {"kind": "weak"}, "warden": "seed-search",
+        "n_slots": 16384, "n_used": 182, "p_dark": 0.3, "p_signal": 0.95,
+    }))
+    _assert_main_config_error(capsys, ["covert", "--config", str(cfg)], names="'n_slots'")
+
+
 @pytest.mark.parametrize("name", ["missing.json", "latin1.json"])
 def test_config_unreadable_exit_2(tmp_path, capsys, name):
     (tmp_path / "latin1.json").write_bytes(b'{"experiment": "bb84", "params": {"n": "\xe9"}}')

@@ -98,6 +98,20 @@ class TestCovertGame:
         est = covert_game(config, 600, master_seed=4)
         assert est.ci_low == 0.0
 
+    def test_each_trial_samples_only_the_window_it_shows(self, monkeypatch):
+        config = strong_config()
+        windows = []
+        observe = dcqke.warden_observe
+
+        def counted(timebin, schedule, rng):
+            windows.append(schedule is not None)
+            return observe(timebin, schedule, rng)
+
+        monkeypatch.setattr(dcqke, "warden_observe", counted)
+        covert_game(config, 150, master_seed=8)
+        master = RandomStream(8)
+        assert windows == [master.substream("challenge", i).bit() == 0 for i in range(150)]
+
     def test_zero_occupancy_no_advantage(self):
         config = strong_config(n_used=0)
         est = covert_game(config, 600, master_seed=5)

@@ -432,6 +432,24 @@ class TestCoercerExperiment:
         sigma = est.std_error
         assert abs(est.advantage - expect) < 4 * sigma
 
+    def test_only_the_shown_view_is_built(self):
+        # one session per trial; one real view or one fake, as the challenge bit says
+        built = []
+
+        class Counted(NaiveBb84DenialProtocol):
+            def real_view(self, outcome):
+                built.append(0)
+                return super().real_view(outcome)
+
+            def fake(self, outcome, rng):
+                built.append(1)
+                return super().fake(outcome, rng)
+
+        proto = Counted(Bb84Config(n=7, delta=0.5), n_decoys=8)
+        coercer_experiment(proto, CoinFlipDistinguisher(), 120, master_seed=23)
+        master = RandomStream(23)
+        assert built == [master.substream("challenge", i).bit() for i in range(120)]
+
     def test_protocol_without_faker_rejected(self):
         class KeyOnly:
             def run_session(self, rng):

@@ -8,11 +8,12 @@ from qdeny.games import (
     run_experiment,
     wilson_interval,
 )
+from qdeny.rng import RandomStream
 
 
-def _constant_pair_setup(trial_rng):
+def _constant_pair_setup(trial_rng, b):
     # observations that leak the challenge bit outright
-    return ("real", "fake")
+    return ("real", "fake")[b]
 
 
 class LeakReader:
@@ -83,11 +84,28 @@ class TestRunExperiment:
         assert runs[0] == runs[1]
 
     def test_trial_floor(self):
-        def no_trial(trial_rng):
+        def no_trial(trial_rng, b):
             raise AssertionError("the floor must reject before any trial runs")
 
         with pytest.raises(ValueError):
             run_experiment(no_trial, CoinFlipDistinguisher(), 50, 1)
+
+    def test_setup_builds_only_the_shown_observation(self):
+        # one call per trial, told the challenge bit of the games' stream
+        # contract; a setup that cannot build the other hypothesis never has to
+        seed, trials = 31, 300
+        master = RandomStream(seed)
+        shown = [master.substream("challenge", i).bit() for i in range(trials)]
+        calls = []
+
+        def shown_only(trial_rng, b):
+            if b != shown[len(calls)]:
+                raise AssertionError("setup asked for the hypothesis that is not shown")
+            calls.append(b)
+            return ("real", "fake")[b]
+
+        est = run_experiment(shown_only, LeakReader(), trials, seed)
+        assert len(calls) == trials and est.advantage == 0.5
 
     def test_interval_coverage_meta(self):
         # 95% Wilson interval should cover the null in at least 93 of 100 reps

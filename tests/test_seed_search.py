@@ -93,6 +93,14 @@ def test_first_draw_at_the_weak_table_size_is_24_blocks(monkeypatch):
     assert np.array_equal(got, [_scalar_row(seed, 16384, 182) for seed in range(64)])
 
 
+def test_first_draw_is_computed_once_per_size():
+    # the chunks of one table build share their sizes, so they share the width
+    _first_draw.cache_clear()
+    for start in range(0, 32, 8):
+        _distinct_rows(range(start, start + 8), 2048, 24)
+    assert _first_draw.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("n_slots, n_used", [(16384, 182), (2048, 24), (1000, 37), (300, 250)])
 def test_first_draw_is_never_wider_than_the_scalar_first_prefix(monkeypatch, n_slots, n_used):
     assert _first_draw(n_slots, n_used) <= _refill_size(n_used)

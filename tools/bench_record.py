@@ -11,7 +11,10 @@ one invocation: per workload and tree the median and quartiles of every
 end-to-end metric, the ratio of the medians and how many pairs the change
 won, every run's values, the environment, each tree's HEAD and whether it
 had uncommitted edits, and per tree the Tier-1 wall time with its five
-slowest tests.
+slowest tests. Per workload it also records each tree's result-row count
+and digest from one fixed-size run, `perfbench/child.py --ops 1500
+--master-seed 7`, and whether the two trees' rows match: the record's own
+evidence that the change left every seeded output byte-identical.
 
     python3 tools/bench_record.py --label pr7 --parent ../parent --seeds 1 2 3 4 5 6 7 8 9 10
 
@@ -33,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER1 = ["-m", "pytest", "-q", "--durations=5", "-p", "no:cacheprovider"]
+ROWS_OPS, ROWS_SEED = 1500, "7"  # the fixed-size run whose result rows both trees must share
 
 
 def log(message: str) -> None:
@@ -63,6 +67,28 @@ def bench_run(tree: Path, workload: str, seed: int) -> dict:
         "failed": result["failed"],
         **{name: m["value"] for name, m in result["metrics"].items()},
     }
+
+
+def row_digest(tree: Path, workload: str) -> dict:
+    """Result-row count and digest of `workload` run for ROWS_OPS ops at
+    master seed ROWS_SEED; the rows hold seeded outputs only, never timings."""
+    cmd = [sys.executable, "perfbench/child.py", "--workload", workload,
+           "--master-seed", ROWS_SEED, "--seconds", "0", "--ops", str(ROWS_OPS)]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} failed in {tree.name}:\n{done.stderr}")
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    return {"rows": report["rows"], "digest": report["digest"]}
+
+
+def row_digests(trees: dict[str, Path], workload: str) -> dict:
+    """`row_digest` per tree and, with a parent, whether the trees' rows match."""
+    out = {"ops": ROWS_OPS, "master_seed": ROWS_SEED}
+    out.update({name: row_digest(tree, workload) for name, tree in trees.items()})
+    if "parent" in trees:
+        out["match"] = out["change"] == out["parent"]
+    return out
 
 
 def tier1(tree: Path) -> dict:
@@ -147,10 +173,12 @@ def main(argv=None) -> int:
                 log(f"seed {seed} {workload} {name}")
                 runs[workload][name].append(bench_run(trees[name], workload, seed))
     for workload, tree_runs in runs.items():
+        log(f"rows {workload}")
         record["workloads"][workload] = {
             "correct": all(r["correct"] for rs in tree_runs.values() for r in rs),
             "metrics": summarize(tree_runs, better),
             "runs": tree_runs,
+            "rows": row_digests(trees, workload),
         }
 
     for name, tree in trees.items():

@@ -145,7 +145,9 @@ def _load_config(path: str, experiment: str) -> dict:
         raise ConfigError("missing required config key 'experiment'")
     unknown = sorted(set(data) - _CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"unknown top-level config key {unknown[0]!r}; parameters go under 'params'")
+        raise ConfigError(
+            f"unknown top-level config key {unknown[0]!r}; parameters go under 'params'"
+        )
     if data["experiment"] != experiment:
         raise ConfigError(
             f"config is for experiment {data['experiment']!r}, not {experiment!r}"

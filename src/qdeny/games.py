@@ -2,8 +2,8 @@
 
 An experiment repeatedly flips a hidden challenge bit b, builds the
 observation for that hypothesis alone, shows it to a distinguisher, and
-scores its guesses. Reported advantage is |win rate - 1/2| with a Wilson 95% interval mapped
-through the folding, clamped to [0, 1/2].
+scores its guesses. Reported advantage is |win rate - 1/2| with a Wilson
+95% interval mapped through the folding, clamped to [0, 1/2].
 
 Everything is a pure function of (trials, master_seed): each trial draws
 from the substream (master_seed, "trial", index), and the challenge bit

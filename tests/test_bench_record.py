@@ -87,7 +87,8 @@ def _fake_child(monkeypatch, tool, digests):
     def run(cmd, cwd, **kwargs):
         commands.append((cmd, Path(cwd).name, kwargs["env"]["PYTHONPATH"]))
         report = {"rows": 1500, "digest": digests[Path(cwd).name]}
-        return subprocess.CompletedProcess(cmd, 0, stdout=f"noise\n{json.dumps(report)}\n", stderr="")
+        stdout = f"noise\n{json.dumps(report)}\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(tool.subprocess, "run", run)
     return commands

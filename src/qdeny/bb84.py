@@ -11,11 +11,11 @@ All announcements use fixed-size encodings (index sets as full-length
 masks) so a session's classical bit count is a function of the
 configuration alone; the covert layer relies on that.
 
-The classical steps (`announce_sift`, `split_check`, `compare_check`,
-`reconcile`) are shared with `distill.qke_over_teleportation`; which
-positions are kept and when a check fails stay with each protocol. They
-take the protocols' uint8 bit arrays and announce them through the
-channel's trusted `_send`, unchecked.
+The classical tail is private and shared with
+`distill.qke_over_teleportation`: `_announce_bases`, `_split_check` and
+`_check_and_reconcile` (check values, verdict, correction). Each protocol
+keeps its own positions and abort rule. The steps announce the protocols'
+own uint8 bits through the channel's trusted `_send`, unchecked.
 """
 
 from __future__ import annotations
@@ -38,10 +38,6 @@ __all__ = [
     "run_bb84",
     "run_session",
     "sift",
-    "announce_sift",
-    "split_check",
-    "compare_check",
-    "reconcile",
     "block_keys",
     "extract_key",
     "required_slots",
@@ -149,20 +145,13 @@ def _matching(b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
     return np.where(b == b_prime)[0]
 
 
-def announce_sift(cchan: ClassicalAuthChannel, b: np.ndarray, b_prime: np.ndarray) -> np.ndarray:
-    """Alice announces her bases and Bob the mask of matching ones; returns
-    the sifted indices."""
-    sifted = _matching(b, b_prime)
-    _announce_bases(cchan, b, sifted)
-    return sifted
-
-
 def _announce_bases(cchan: ClassicalAuthChannel, b: np.ndarray, sifted: np.ndarray) -> None:
+    """Alice announces her bases and Bob the mask of matching ones."""
     cchan._send("alice", "bases", b.copy())
     cchan._send("bob", "sift-mask", _mask(b.size, sifted))
 
 
-def split_check(
+def _split_check(
     positions: np.ndarray, n_check: int, rng: RandomStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """n_check random positions for error estimation, and the rest as
@@ -174,13 +163,32 @@ def split_check(
     return positions[picked], positions[rest]
 
 
-def compare_check(
-    cchan: ClassicalAuthChannel, a: np.ndarray, a_prime: np.ndarray, check: np.ndarray
-) -> int:
-    """Both parties disclose their check values; returns how many disagree."""
+def _check_and_reconcile(
+    cchan: ClassicalAuthChannel, pair: NestedCodePair, a: np.ndarray, a_prime: np.ndarray,
+    check: np.ndarray, payload: np.ndarray, max_error: float, rng: RandomStream,
+) -> tuple[float, np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Both parties disclose their check values and Alice announces the
+    verdict: accept iff errors / check.size (0 with nothing checked) is at
+    most max_error. On acceptance Alice draws a random C1 codeword u per
+    whole block of payload and announces the correction u XOR her payload;
+    a payload under one block is kept as the raw keys, with u None.
+    Returns (error rate, u, Alice's key, Bob's key), the last three None on
+    abort."""
     cchan._send("alice", "check-values-alice", a[check])
     cchan._send("bob", "check-values-bob", a_prime[check])
-    return int(np.sum(a[check] ^ a_prime[check]))
+    errors = int(np.sum(a[check] ^ a_prime[check]))
+    error_rate = errors / check.size if check.size else 0.0
+    ok = error_rate <= max_error
+    cchan._send("alice", "verdict", np.array([ok], dtype=np.uint8))
+    if not ok:
+        return error_rate, None, None, None
+    v_alice, v_bob = a[payload], a_prime[payload]
+    usable = payload.size - payload.size % pair.c1.n
+    if not usable:
+        return error_rate, None, v_alice, v_bob
+    u = gf2.sample_codeword(pair.c1, rng, usable // pair.c1.n).reshape(-1)
+    cchan._send("alice", "correction", u ^ v_alice[:usable])
+    return (error_rate, u, *extract_key(pair, v_alice[:usable], v_bob[:usable], u))
 
 
 def block_keys(pair: NestedCodePair, words: np.ndarray) -> np.ndarray:
@@ -207,21 +215,6 @@ def extract_key(
     v_alice, v_bob, u = gf2.bits(np.concatenate(parts)).reshape(3, -1)  # one check for all three
     k_a = gf2.key_from_coset(pair, u.reshape(-1, pair.c1.n)).reshape(-1)
     return k_a, block_keys(pair, v_bob ^ u ^ v_alice)
-
-
-def reconcile(
-    cchan: ClassicalAuthChannel,
-    pair: NestedCodePair,
-    v_alice: np.ndarray,
-    v_bob: np.ndarray,
-    rng: RandomStream,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Alice draws a random C1 codeword u per block of her payload and
-    announces the correction u XOR v_alice; returns (u, Alice's key, Bob's
-    key)."""
-    u = gf2.sample_codeword(pair.c1, rng, v_alice.size // pair.c1.n).reshape(-1)
-    cchan._send("alice", "correction", u ^ v_alice)
-    return (u, *extract_key(pair, v_alice, v_bob, u))
 
 
 def _mask(length: int, positions: np.ndarray) -> np.ndarray:
@@ -267,20 +260,16 @@ def run_bb84(
     _announce_bases(cchan, b, sifted)
 
     retained = sifted[rng_a.choice_distinct(sifted.size, 2 * n)]
-    check_positions, payload_positions = split_check(retained, n, rng_a)
+    check_positions, payload_positions = _split_check(retained, n, rng_a)
     cchan._send("alice", "check-mask", _mask(q_count, check_positions))
     cchan._send("alice", "payload-mask", _mask(q_count, payload_positions))
 
-    estimated_error = compare_check(cchan, a, a_prime, check_positions) / n
-    ok = estimated_error <= config.error_threshold
-    cchan._send("alice", "verdict", np.array([ok], dtype=np.uint8))
-
-    u = k_a = k_b = None
+    estimated_error, u, k_a, k_b = _check_and_reconcile(
+        cchan, config.codes, a, a_prime, check_positions, payload_positions,
+        config.error_threshold, rng_a,
+    )
     alice_private = {"raw_bits": a, "bases": b}
-    if ok:
-        u, k_a, k_b = reconcile(
-            cchan, config.codes, a[payload_positions], a_prime[payload_positions], rng_a
-        )
+    if u is not None:
         alice_private["codeword"] = u
     session = Bb84Session(
         config, a, b, b_prime, a_prime, sifted, check_positions, payload_positions,
@@ -288,7 +277,7 @@ def run_bb84(
     )
     alice = SessionResult(k_a, alice_private)
     bob = SessionResult(k_b, {"outcomes": a_prime, "bases": b_prime})
-    return Bb84Outcome(not ok, alice, bob, session)
+    return Bb84Outcome(k_a is None, alice, bob, session)
 
 
 def run_session(

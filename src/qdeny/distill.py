@@ -297,11 +297,12 @@ def qke_over_teleportation(
     substream, two draws each. Bob's outcomes are one `uniforms(m)` draw
     against the received states' P(0).
 
-    Sifting, the check-bit exchange and reconciliation are the plain
-    protocol's own steps from `bb84`; here half of the sifted bits are
-    checked and any disagreement aborts. Whole blocks of payload bits feed
-    the same coset construction as the plain protocol. Reconciliation needs
-    at least one full block of payload: at m=14 about 7 bases match and
+    Sifting and the check-reconcile tail are the plain protocol's own
+    private path (`bb84._announce_bases`, `_split_check`,
+    `_check_and_reconcile`); this exchange keeps its own choices: half of
+    the sifted bits are checked and any disagreement aborts (an error rate
+    above 0.0). Whole blocks of payload bits feed the same coset
+    construction as the plain protocol. At m=14 about 7 bases match and
     half of them are checked, so the 7-bit blocks of the default pair are
     (almost) never filled and the keys are the raw payload bits.
     """
@@ -335,14 +336,12 @@ def qke_over_teleportation(
     a_prime = (rng_b.uniforms(m) >= p0).astype(np.uint8)
     cchan._send("alice", "teleport-bits", teleport_bits)
 
-    matched = bb84.announce_sift(cchan, b, b_prime)
-    check_pos, payload_pos = bb84.split_check(matched, matched.size // 2, rng_a)
-    errors = bb84.compare_check(cchan, a, a_prime, check_pos)
-    cchan._send("alice", "verdict", np.array([errors == 0], dtype=np.uint8))
-    if errors:
+    matched = bb84._matching(b, b_prime)
+    bb84._announce_bases(cchan, b, matched)
+    check_pos, payload_pos = bb84._split_check(matched, matched.size // 2, rng_a)
+    _, _, key_a, key_b = bb84._check_and_reconcile(
+        cchan, codes, a, a_prime, check_pos, payload_pos, 0.0, rng_a
+    )
+    if key_a is None:
         raise RuntimeError("teleported qubits disagreed on check bits")
-    key_a, key_b = a[payload_pos], a_prime[payload_pos]
-    usable = payload_pos.size - payload_pos.size % codes.c1.n
-    if usable:
-        _, key_a, key_b = bb84.reconcile(cchan, codes, key_a[:usable], key_b[:usable], rng_a)
     return key_a, key_b, cchan.log

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from qdeny import gf2
+from qdeny import bb84, gf2
 from qdeny.bb84 import (
     Bb84Config, SiftShortfall, extract_key, required_slots, run_bb84, run_session, sift,
-    split_check,
 )
 from qdeny.channel import ClassicalAuthChannel, QubitChannel
 from qdeny.rng import RandomStream
@@ -96,7 +95,7 @@ class TestSplitCheck:
             n_check = data.draw(st.one_of(st.integers(0, positions.size),
                                           st.just(positions.size // 2)))
             a, b = RandomStream(seed), RandomStream(seed)
-            check_pos, payload = split_check(positions, n_check, a)
+            check_pos, payload = bb84._split_check(positions, n_check, a)
             want_check = positions[b.choice_distinct(positions.size, n_check)]
             assert np.array_equal(check_pos, want_check)
             assert np.array_equal(payload, np.setdiff1d(positions, want_check))

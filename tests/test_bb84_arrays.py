@@ -168,6 +168,8 @@ def _streams(seed):
 SETTINGS = {
     "n14-decoys": (bb84.Bb84Config(n=14), QubitChannel(0.0, interceptor=EvePolicy(8 / 63))),
     "n70-flips": (bb84.Bb84Config(n=70), QubitChannel(0.05)),
+    # 4 errors in 70 checks sit exactly at the threshold and are kept
+    "n70-at-threshold": (bb84.Bb84Config(n=70, error_threshold=4 / 70), QubitChannel(0.1)),
 }
 
 

@@ -1,9 +1,13 @@
 """Channel behavior: qubit noise, transcripts, schedules, warden statistics."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
 
+import qdeny
 from qdeny import bb84, channel, dcqke, distill, gf2, qcore, ue
 from qdeny.bb84 import Bb84Config
 from qdeny.channel import (
@@ -18,6 +22,18 @@ from qdeny.channel import (
     warden_observe,
 )
 from qdeny.rng import CounterModePrng, RandomStream
+
+
+def _functions(tree):
+    """(name, node) of each module-level function and of each method, as
+    `Class.method`."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    yield f"{node.name}.{fn.name}", fn
 
 
 def bernoulli_dp_pmf(probabilities):
@@ -200,6 +216,21 @@ class TestClassicalChannel:
             assert np.array_equal(gf2.bits(msg.bits), msg.bits), msg.label
             assert msg.bits.dtype == np.uint8 and not msg.bits.flags.writeable, msg.label
         assert not np.shares_memory(outcome.session.transcript[0].bits, outcome.session.b)
+
+    def test_only_the_exchanges_call_the_unchecked_send(self):
+        # `_send` trusts its caller's bits, so no public function may hand it
+        # arrays a caller passed in: only the three exchanges that build their
+        # own bits call it, and every other caller is private
+        callers = set()
+        for path in Path(qdeny.__path__[0]).glob("*.py"):
+            for name, fn in _functions(ast.parse(path.read_text())):
+                public = not any(p.startswith("_") and not p.endswith("__")
+                                 for p in name.split("."))
+                if public and any(isinstance(call, ast.Call)
+                                  and isinstance(call.func, ast.Attribute)
+                                  and call.func.attr == "_send" for call in ast.walk(fn)):
+                    callers.add(f"{path.stem}.{name}")
+        assert callers == {"bb84.run_bb84", "distill.qke_over_teleportation", "ue.qke_from_ue"}
 
 
 class TestSchedules:

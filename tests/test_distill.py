@@ -451,15 +451,12 @@ def dense_qke_over_teleportation(m, theta, rng, codes):
         teleport_bits[2 * i : 2 * i + 2] = bits
         a_prime[i], _ = qcore.measure_subsystem(received, 0, b_prime[i], rng_b)
     cchan.send("alice", "teleport-bits", teleport_bits)
-    matched = bb84.announce_sift(cchan, b, b_prime)
-    check_pos, payload_pos = bb84.split_check(matched, matched.size // 2, rng_a)
-    errors = bb84.compare_check(cchan, a, a_prime, check_pos)
-    cchan.send("alice", "verdict", [int(errors == 0)])
-    assert errors == 0
-    key_a, key_b = a[payload_pos], a_prime[payload_pos]
-    usable = payload_pos.size - payload_pos.size % codes.c1.n
-    if usable:
-        _, key_a, key_b = bb84.reconcile(cchan, codes, key_a[:usable], key_b[:usable], rng_a)
+    matched = np.where(b == b_prime)[0]
+    bb84._announce_bases(cchan, b, matched)
+    check_pos, payload_pos = bb84._split_check(matched, matched.size // 2, rng_a)
+    error_rate, _, key_a, key_b = bb84._check_and_reconcile(
+        cchan, codes, a, a_prime, check_pos, payload_pos, 0.0, rng_a)
+    assert error_rate == 0.0
     return key_a, key_b, cchan.log
 
 
@@ -481,22 +478,23 @@ class TestTeleportedKeyExchange:
 
     def test_transcript_is_the_shared_bb84_steps(self):
         # after the teleportation bits, every message is one that the bb84
-        # sifting, check and reconciliation steps send: replay those steps
-        # on a fresh channel from the announced bases and sift mask
+        # sifting and check-reconcile path sends: replay that path on a
+        # fresh channel from the announced bases and sift mask
         m, codes = 40, gf2.default_nested_pair()
         k_a, k_b, transcript = qke_over_teleportation(m, np.pi / 6, RandomStream(27), codes=codes)
         by_label = {msg.label: msg.bits for msg in transcript}
         b = by_label["bases"]
         b_prime = b ^ 1 ^ by_label["sift-mask"]  # matches exactly where the mask is set
         replay = ClassicalAuthChannel()
-        sifted = bb84.announce_sift(replay, b, b_prime)
-        check, payload = bb84.split_check(sifted, sifted.size // 2, RandomStream(0))
+        sifted = bb84._matching(b, b_prime)
+        bb84._announce_bases(replay, b, sifted)
+        check, payload = bb84._split_check(sifted, sifted.size // 2, RandomStream(0))
         bits = np.zeros(m, np.uint8)
-        assert bb84.compare_check(replay, bits, bits, check) == 0
-        replay.send("alice", "verdict", [1])
+        error_rate, u, *_ = bb84._check_and_reconcile(
+            replay, codes, bits, bits, check, payload, 0.0, RandomStream(1))
+        assert error_rate == 0.0
         usable = payload.size - payload.size % codes.c1.n
-        assert usable > 0
-        bb84.reconcile(replay, codes, bits[payload][:usable], bits[payload][:usable], RandomStream(1))
+        assert usable > 0 and u.size == usable
         replayed = {msg.label: msg.bits for msg in replay.log}
         shape = [(msg.sender, msg.label, msg.n_bits) for msg in transcript]
         assert shape[0] == ("alice", "teleport-bits", 2 * m)
@@ -531,15 +529,17 @@ class TestTeleportedKeyExchange:
         assert reconciled[14] == 0
         assert reconciled[40] >= 20
 
-    @pytest.mark.parametrize("m", [7, 14, 40])
+    @pytest.mark.parametrize("m", [1, 2, 7, 14, 40])
     @pytest.mark.parametrize("theta", [np.pi / 6, 0.3, 1.1, np.pi / 4])
     def test_batch_measurement_equals_per_qubit_oracle(self, monkeypatch, m, theta):
         # keys and transcript show Bob's outcomes only where the bases match,
-        # where they are certain; compare_check is handed all m of them
+        # where they are certain; _check_and_reconcile is handed all m of
+        # them. At m = 1 and 2 nothing may be checked and the keys hold 0 or
+        # 1 bits
         outcomes = []
-        compare_check = bb84.compare_check
-        monkeypatch.setattr(bb84, "compare_check", lambda cchan, a, a_prime, check: (
-            outcomes.append(a_prime.tolist()) or compare_check(cchan, a, a_prime, check)))
+        check_and_reconcile = bb84._check_and_reconcile
+        monkeypatch.setattr(bb84, "_check_and_reconcile", lambda *args: (  # args[3] is a_prime
+            outcomes.append(args[3].tolist()) or check_and_reconcile(*args)))
         root = RandomStream(29)
         for i in range(10):
             got = qke_over_teleportation(m, theta, root.substream("s", i), CODES)

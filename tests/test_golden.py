@@ -163,24 +163,24 @@ def _teleport() -> str:
 
 def _teleport_bob_outcomes() -> str:
     """All m of Bob's outcomes in each teleported session of `_teleport`,
-    caught where `bb84.compare_check` receives them. Keys and transcript
-    show only the matched-basis outcomes, which are certain on this
-    channel; this case also sees the ones his uniforms decide."""
+    caught where `bb84._check_and_reconcile` receives them. Keys and
+    transcript show only the matched-basis outcomes, which are certain on
+    this channel; this case also sees the ones his uniforms decide."""
     outcomes = []
-    compare_check = bb84.compare_check
+    check_and_reconcile = bb84._check_and_reconcile
 
-    def catching(cchan, a, a_prime, check):
+    def catching(cchan, pair, a, a_prime, *rest):
         outcomes.append(a_prime.copy())
-        return compare_check(cchan, a, a_prime, check)
+        return check_and_reconcile(cchan, pair, a, a_prime, *rest)
 
     codes = gf2.default_nested_pair()
     master = RandomStream(MASTER_SEED).substream("teleport")
-    bb84.compare_check = catching
+    bb84._check_and_reconcile = catching
     try:
         for i in range(SESSIONS):
             distill.qke_over_teleportation(14, math.pi / 6, master.substream("run", i), codes=codes)
     finally:
-        bb84.compare_check = compare_check
+        bb84._check_and_reconcile = check_and_reconcile
     assert len(outcomes) == SESSIONS
     d = _Digest()
     for i, a_prime in enumerate(outcomes):

@@ -9,8 +9,8 @@ deniable construction runs the covert session for the real key and an
 ordinary, fully visible session for a fake key; under coercion the parties
 hand over the fake session's key and coins, honestly and completely.
 
-`run_dc_qke` returns both stories as `denial.CoercionView`s, the view the
-naive-denial game uses too.
+`run_dc_qke` returns the real or the fake story as a `denial.CoercionView`,
+the view the naive-denial game uses too.
 
 Distinguishing a coerced disclosure from an honest one then amounts to
 deciding whether the covert session happened at all, which is exactly the
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -298,7 +298,7 @@ def covert_game(
     config: CovertQkeConfig,
     trials: int,
     master_seed: int,
-    warden=None,
+    warden,
 ) -> AdvantageEstimate:
     """Ran-or-not detection game against the warden.
 
@@ -309,8 +309,6 @@ def covert_game(
     active one for b = 0 and the idle one for b = 1, under the labels the
     deniability experiment uses for them.
     """
-    if warden is None:
-        warden = CountTestWarden(config)
 
     def setup(trial_rng: RandomStream, b: int):
         return _sample_window(config, trial_rng, active=b == 0)[0]
@@ -322,14 +320,16 @@ def covert_game(
 
 
 def run_dc_qke(
-    config: CovertQkeConfig, rng: RandomStream, fake_interceptor=None
-) -> tuple[CoercionView, CoercionView]:
-    """Real and fake coercer views of one run of the deniable construction.
+    config: CovertQkeConfig, rng: RandomStream, b: int, fake_interceptor=None
+) -> CoercionView:
+    """The real (b = 0) or fake (b = 1) coercer view of one run of the
+    deniable construction; only that view is built.
 
     A covert session makes the real key and an ordinary session the fake
     key; both sessions use the same protocol parameters, so disclosed coin
     vectors have identical shapes in either story, and both stories share
-    the ordinary session's public transcript. The real view carries the
+    the ordinary session's public transcript. The ordinary session always
+    runs, on the "fake-session" substream. The real view carries the
     covert session's key and coins and the warden-facing observation of the
     covert window; no interceptor ever found the covert slots, so it holds
     no interceptor record.
@@ -343,22 +343,23 @@ def run_dc_qke(
     disclosed honestly under coercion, which is exactly why decoy records
     never bite.
     """
-    covert = run_covert_qke(config, rng)
+    config.require_session_capacity()
     ordinary = bb84_mod.run_session(
         config.bb84,
         QubitChannel(flip_probability=0.0, interceptor=fake_interceptor),
         rng.substream("fake-session"),
         retry_abort=fake_interceptor is not None,
     )
-    idle, _ = _sample_window(config, rng, active=False)
-    real = CoercionView(
-        key=covert.key,
-        randomness=covert.randomness,
-        transcript=ordinary.session.transcript,
-        eve_record=None,
-        covert_window=covert.warden_view,
-    )
-    return real, CoercionView.of_session(ordinary, idle)
+    if b == 0:
+        covert = run_covert_qke(config, rng)
+        return CoercionView(
+            key=covert.key,
+            randomness=covert.randomness,
+            transcript=ordinary.session.transcript,
+            eve_record=None,
+            covert_window=covert.warden_view,
+        )
+    return CoercionView.of_session(ordinary, _sample_window(config, rng, active=False)[0])
 
 
 def deniability_experiment(
@@ -369,12 +370,8 @@ def deniability_experiment(
 ) -> AdvantageEstimate:
     """Coercer game for the deniable construction: real view versus the
     faking program's view, with full sessions behind every trial. Each
-    trial builds both views with `run_dc_qke` and shows the one for b."""
-
-    def setup(trial_rng: RandomStream, b: int):
-        return run_dc_qke(config, trial_rng)[b]
-
-    return run_experiment(setup, distinguisher, trials, master_seed)
+    trial builds the one view it shows, with `run_dc_qke`."""
+    return run_experiment(partial(run_dc_qke, config), distinguisher, trials, master_seed)
 
 
 class ReductionDistinguisher:
@@ -397,7 +394,7 @@ class ReductionDistinguisher:
 
     def decide(self, observation, rng: RandomStream) -> int:
         window = _window_of(observation)
-        local_real, _ = run_dc_qke(self.config, rng.substream("synth"))
+        local_real = run_dc_qke(self.config, rng.substream("synth"), 0)
         self.invocations += 1
         view = replace(local_real, covert_window=window)
         guess_fake = self.adversary.decide(view, rng.substream("wrapped"))

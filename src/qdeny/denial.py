@@ -255,21 +255,13 @@ def coercer_experiment(
 ) -> AdvantageEstimate:
     """Real-versus-faked view distinguishing game.
 
-    Per trial the protocol runs once; the challenger hands the adversary the
-    honest view (b = 0) or the faking program's view (b = 1) according to a
-    hidden bit, and builds only that one: the faking program runs, on the
-    trial's "fake" substream, only when b = 1.
+    Per trial the challenger hands the adversary the honest view (b = 0) or
+    the faking program's view (b = 1) according to a hidden bit, and the
+    protocol's `view(trial_rng, b)` builds only that one.
     """
-    if not all(hasattr(protocol, name) for name in ("run_session", "real_view", "fake")):
-        raise TypeError("protocol must expose run_session(), real_view() and fake()")
-
-    def setup(trial_rng: RandomStream, b: int):
-        session = protocol.run_session(trial_rng.substream("session"))
-        if b == 0:
-            return protocol.real_view(session)
-        return protocol.fake(session, trial_rng.substream("fake"))
-
-    return run_experiment(setup, adversary, trials, master_seed)
+    if not hasattr(protocol, "view"):
+        raise TypeError("protocol must expose view(trial_rng, b)")
+    return run_experiment(protocol.view, adversary, trials, master_seed)
 
 
 class NaiveBb84DenialProtocol:
@@ -291,8 +283,13 @@ class NaiveBb84DenialProtocol:
     def run_session(self, rng: RandomStream) -> bb84_mod.Bb84Outcome:
         return bb84_mod.run_session(self.config, self.channel, rng, retry_abort=True)
 
-    def real_view(self, outcome: bb84_mod.Bb84Outcome) -> CoercionView:
-        return CoercionView.of_session(outcome, None)
+    def view(self, trial_rng: RandomStream, b: int) -> CoercionView:
+        """The session on the trial's "session" substream, disclosed honestly
+        (b = 0) or by the faking program on the "fake" substream (b = 1)."""
+        outcome = self.run_session(trial_rng.substream("session"))
+        if b == 0:
+            return CoercionView.of_session(outcome, None)
+        return self.fake(outcome, trial_rng.substream("fake"))
 
     def fake(self, outcome: bb84_mod.Bb84Outcome, rng: RandomStream) -> CoercionView:
         session = outcome.session

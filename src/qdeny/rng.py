@@ -62,11 +62,15 @@ def _integer(value, name: str) -> int:
 
 
 def _derive_key(parent: bytes, label: str, index: int) -> bytes:
+    try:
+        suffix = index.to_bytes(8, "big")
+    except OverflowError:
+        raise ValueError(f"substream index must lie in [0, 2**64), not {index}") from None
     h = hashlib.sha256()
     h.update(_DOMAIN)
     h.update(parent)
     h.update(label.encode("utf-8"))
-    h.update(int(index).to_bytes(8, "big"))
+    h.update(suffix)
     return h.digest()[:16]
 
 
@@ -109,8 +113,8 @@ class RandomStream:
         self._gen = np.random.Generator(np.random.Philox(_PhiloxKey(key), counter=_COUNTER_0))
 
     def substream(self, label: str, index: int = 0) -> "RandomStream":
-        """Independent child stream for (label, index)."""
-        return RandomStream(_derive_key(self._key, label, index))
+        """Independent child stream for (label, index), an integer index in [0, 2**64)."""
+        return RandomStream(_derive_key(self._key, label, _integer(index, "substream index")))
 
     # -- draws -------------------------------------------------------------
 
@@ -119,14 +123,14 @@ class RandomStream:
         return float(self._gen.random())
 
     def uniforms(self, n: int) -> np.ndarray:
-        return self._gen.random(int(n))
+        return self._gen.random(_integer(n, "uniform count"))
 
     def bit(self) -> int:
         return int(self._gen.integers(0, 2))
 
     def bits(self, n: int) -> np.ndarray:
         """Uniform bit vector of length n (dtype uint8)."""
-        return self._gen.integers(0, 2, size=int(n), dtype=np.uint8)
+        return self._gen.integers(0, 2, size=_integer(n, "bit count"), dtype=np.uint8)
 
     def bit_rows(self, count: int, k: int) -> np.ndarray:
         """(count x k) uint8 matrix whose rows are the bits that `count`
@@ -283,9 +287,9 @@ def _refill_size(shortfall: int) -> int:
 
 
 # Standard deviations of a seed's word demand that `_first_draw` adds to its
-# mean. A normal tail puts a row's fall-back to the scalar path near 3e-5;
-# none of the 65536 weak seeds falls back at 182 of 16384, 64 of 4096, 24 of
-# 2048 or 37 of 1000 slots.
+# mean. A normal tail puts a row's fall-back to the scalar path near 3e-5:
+# of the 65536 weak seeds none falls back at 182 of 16384, 64 of 4096, 24 of
+# 2048 or 37 of 1000 slots, and 15 at 20 of 3 * 2**29 + 1 (a quarter rejected).
 _FIRST_DRAW_SD = 4
 
 
@@ -293,10 +297,10 @@ _FIRST_DRAW_SD = 4
 def _first_draw(n_slots: int, n_used: int) -> int:
     """Words per seed in `_distinct_rows`' batched draw: the mean number of
     keystream words that yield n_used distinct accepted values, plus
-    `_FIRST_DRAW_SD` standard deviations, in whole 8-word blocks, and never
-    more than sample_distinct's first prefix `_refill_size(n_used)`. It
-    depends on the two sizes alone, so it is cached: a table build's chunks
-    compute it once.
+    `_FIRST_DRAW_SD` standard deviations, in whole 8-word blocks. It may be
+    wider than sample_distinct's first prefix `_refill_size(n_used)`, which
+    does not grow with the share of rejected words. It depends on the two
+    sizes alone, so it is cached: a table build's chunks compute it once.
 
     With i distinct values found, each word brings a new one with
     probability q_i = (accept rate) * (n_slots - i) / n_slots, so the wait
@@ -306,7 +310,7 @@ def _first_draw(n_slots: int, n_used: int) -> int:
     """
     q = _accept_limit(n_slots) / 2**32 * (n_slots - np.arange(n_used)) / n_slots
     demand = (1 / q).sum() + _FIRST_DRAW_SD * math.sqrt(((1 - q) / q**2).sum())
-    return min(-(-math.ceil(demand) // 8) * 8, _refill_size(n_used))
+    return -(-math.ceil(demand) // 8) * 8
 
 
 def _blocks(key_bytes: list[bytes], counters: range) -> bytes:

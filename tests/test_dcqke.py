@@ -34,6 +34,13 @@ def strong_config(n_slots=4096, p_dark=0.05, p_signal=0.08, n_used=None):
     )
 
 
+def assert_same_transcript(got, want):
+    assert len(got) == len(want)
+    for m, w in zip(got, want):
+        assert (m.sender, m.label) == (w.sender, w.label)
+        assert np.array_equal(m.bits, w.bits)
+
+
 class TestPrngSpec:
     @pytest.mark.parametrize("seed", [3.9, 3.0, "5", [5], True])
     def test_seed_must_be_an_integer(self, seed):
@@ -77,6 +84,9 @@ class TestCovertRuns:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             strong_config(n_used=100).require_session_capacity()
+        for b in (0, 1):  # either view of the deniable construction needs the room
+            with pytest.raises(ValueError, match="schedule holds 100 slots"):
+                run_dc_qke(strong_config(n_used=100), RandomStream(0), b)
         with pytest.raises(ValueError, match="schedule demand must be an integer"):
             strong_config(n_used=182.0)
         with pytest.raises(ValueError):
@@ -87,7 +97,7 @@ class TestCovertRuns:
         # from a shared trial stream
         config = strong_config()
         trial = RandomStream(77).substream("trial", 5)
-        real, _ = run_dc_qke(config, trial)
+        real = run_dc_qke(config, trial, 0)
         obs, _ = dcqke._sample_window(config, RandomStream(77).substream("trial", 5), True)
         assert np.array_equal(real.covert_window.detections, obs.detections)
 
@@ -95,7 +105,7 @@ class TestCovertRuns:
 class TestCovertGame:
     def test_equal_rates_no_advantage(self):
         config = strong_config(p_dark=0.1, p_signal=0.1, n_used=64)
-        est = covert_game(config, 600, master_seed=4)
+        est = covert_game(config, 600, master_seed=4, warden=CountTestWarden(config))
         assert est.ci_low == 0.0
 
     def test_each_trial_samples_only_the_window_it_shows(self, monkeypatch):
@@ -108,20 +118,20 @@ class TestCovertGame:
             return observe(timebin, schedule, rng)
 
         monkeypatch.setattr(dcqke, "warden_observe", counted)
-        covert_game(config, 150, master_seed=8)
+        covert_game(config, 150, master_seed=8, warden=CountTestWarden(config))
         master = RandomStream(8)
         assert windows == [master.substream("challenge", i).bit() == 0 for i in range(150)]
 
     def test_zero_occupancy_no_advantage(self):
         config = strong_config(n_used=0)
-        est = covert_game(config, 600, master_seed=5)
+        est = covert_game(config, 600, master_seed=5, warden=CountTestWarden(config))
         assert warden_bias_exact(config.timebin, config.effective_n_used) == 0.0
         assert est.ci_low == 0.0
 
     def test_strong_prng_matches_exact_bias(self):
         config = strong_config(n_slots=4096, p_dark=0.05, p_signal=0.08, n_used=128)
         exact = warden_bias_exact(config.timebin, config.effective_n_used)
-        est = covert_game(config, 20_000, master_seed=6)
+        est = covert_game(config, 20_000, master_seed=6, warden=CountTestWarden(config))
         sigma = np.sqrt(0.25 / est.trials)
         assert abs(est.advantage - exact) < 3 * sigma
 
@@ -130,7 +140,7 @@ class TestCovertGame:
         # the game tracks it just the same
         config = strong_config(n_slots=4096, p_dark=0.01, p_signal=0.5, n_used=64)
         exact = warden_bias_exact(config.timebin, config.effective_n_used)
-        est = covert_game(config, 2000, master_seed=60)
+        est = covert_game(config, 2000, master_seed=60, warden=CountTestWarden(config))
         assert exact > 0.45
         assert abs(est.advantage - exact) < 3 * np.sqrt(0.25 / est.trials)
 
@@ -152,7 +162,8 @@ class TestCovertGame:
 
 class TestDcQkeSessions:
     def test_key_lengths_equal(self):
-        real, fake = run_dc_qke(strong_config(), RandomStream(8))
+        config = strong_config()
+        real, fake = (run_dc_qke(config, RandomStream(8), b) for b in (0, 1))
         assert real.key.size == fake.key.size == 3
 
     def test_keys_independent_uniform(self):
@@ -160,7 +171,7 @@ class TestDcQkeSessions:
         root = RandomStream(9)
         table = np.zeros((8, 8), dtype=int)
         for i in range(800):
-            real, fake = run_dc_qke(config, root.substream("t", i))
+            real, fake = (run_dc_qke(config, root.substream("t", i), b) for b in (0, 1))
             ka = int("".join(map(str, real.key)), 2)
             kb = int("".join(map(str, fake.key)), 2)
             table[ka, kb] += 1
@@ -175,7 +186,7 @@ class TestDcQkeSessions:
         config = strong_config()
         root = RandomStream(10)
         for i in range(50):
-            _, fake = run_dc_qke(config, root.substream("t", i))
+            fake = run_dc_qke(config, root.substream("t", i), 1)
             coins = fake.randomness
             by_label = {m.label: m.bits for m in fake.transcript}
             assert np.array_equal(by_label["bases"], coins["bases"])
@@ -197,7 +208,7 @@ class TestDcQkeSessions:
         root = RandomStream(11)
         policy = EvePolicy(0.25)
         for i in range(300):
-            _, fake = run_dc_qke(config, root.substream("t", i), fake_interceptor=policy)
+            fake = run_dc_qke(config, root.substream("t", i), 1, fake_interceptor=policy)
             coins = fake.randomness
             assert judge_check(coins["raw_bits"], coins["bases"], fake.eve_record) is None
 
@@ -206,7 +217,7 @@ class TestDcQkeSessions:
         # its own substream, with the interceptor's record of it
         config = strong_config()
         policy = EvePolicy(0.25)
-        _, fake = run_dc_qke(config, RandomStream(12), fake_interceptor=policy)
+        fake = run_dc_qke(config, RandomStream(12), 1, fake_interceptor=policy)
         rerun = run_session(
             config.bb84,
             QubitChannel(0.0, interceptor=policy),
@@ -217,10 +228,7 @@ class TestDcQkeSessions:
         assert set(fake.randomness) == set(rerun.alice.private_values)
         for name, value in fake.randomness.items():
             assert np.array_equal(value, rerun.alice.private_values[name])
-        assert len(fake.transcript) == len(rerun.session.transcript)
-        for m, want in zip(fake.transcript, rerun.session.transcript):
-            assert (m.sender, m.label) == (want.sender, want.label)
-            assert np.array_equal(m.bits, want.bits)
+        assert_same_transcript(fake.transcript, rerun.session.transcript)
         for name in ("positions", "bases", "outcomes"):
             assert np.array_equal(
                 getattr(fake.eve_record, name), getattr(rerun.session.eve_record, name)
@@ -230,8 +238,8 @@ class TestDcQkeSessions:
 class TestViews:
     def test_views_share_clear_transcript(self):
         config = strong_config()
-        real, fake = run_dc_qke(config, RandomStream(13))
-        assert real.transcript is fake.transcript
+        real, fake = (run_dc_qke(config, RandomStream(13), b) for b in (0, 1))
+        assert_same_transcript(real.transcript, fake.transcript)
         assert real.eve_record is None and fake.eve_record is None  # no interceptor
         active, _ = dcqke._sample_window(config, RandomStream(13), active=True)
         idle, _ = dcqke._sample_window(config, RandomStream(13), active=False)
@@ -244,14 +252,14 @@ class TestViews:
         root = RandomStream(14)
         real_counts, fake_counts = [], []
         for i in range(300):
-            real, fake = run_dc_qke(config, root.substream("t", i))
+            real, fake = (run_dc_qke(config, root.substream("t", i), b) for b in (0, 1))
             real_counts.append(real.covert_window.count)
             fake_counts.append(fake.covert_window.count)
         _, p = stats.mannwhitneyu(real_counts, fake_counts)
         assert p > 1e-3
 
     def test_fake_view_replay_consistent(self):
-        _, fake = run_dc_qke(strong_config(), RandomStream(15))
+        fake = run_dc_qke(strong_config(), RandomStream(15), 1)
         by_label = {m.label: m.bits for m in fake.transcript}
         payload_pos = np.where(by_label["payload-mask"])[0]
         assert np.array_equal(
@@ -274,6 +282,32 @@ class TestDeniabilityExperiment:
         assert den.advantage <= cov.advantage + 2 * sigma
         assert den.advantage == cov.advantage  # shared substreams pair exactly
 
+    def test_each_trial_builds_only_the_view_it_shows(self, monkeypatch):
+        # the covert session runs only for b = 0 and the idle window is
+        # sampled only for b = 1; the reduction synthesizes a real view alone
+        config = strong_config()
+        observation, _ = dcqke._sample_window(config, RandomStream(25), active=True)
+        built = []
+        covert, window = dcqke.run_covert_qke, dcqke._sample_window
+
+        def counted_covert(config, rng):
+            built.append(0)
+            return covert(config, rng)
+
+        def counted_window(config, trial_rng, active):
+            if not active:
+                built.append(1)
+            return window(config, trial_rng, active)
+
+        monkeypatch.setattr(dcqke, "run_covert_qke", counted_covert)
+        monkeypatch.setattr(dcqke, "_sample_window", counted_window)
+        deniability_experiment(config, CountTestWarden(config), 120, master_seed=24)
+        master = RandomStream(24)
+        assert built == [master.substream("challenge", i).bit() for i in range(120)]
+        built.clear()
+        ReductionDistinguisher(CoinFlipDistinguisher(), config).decide(observation, RandomStream(26))
+        assert built == [0]
+
     def test_interval_contains_exact_bias(self):
         config = strong_config()
         warden = CountTestWarden(config)
@@ -295,14 +329,9 @@ class DcQkeCoercionAdapter:
         self.config = config
         self.policy = eve_policy
 
-    def run_session(self, rng):
-        return run_dc_qke(self.config, rng, fake_interceptor=self.policy)
-
-    def real_view(self, views):
-        return replace(views[0], eve_record=EveRecord([], [], []))
-
-    def fake(self, views, rng):
-        return views[1]
+    def view(self, rng, b):
+        view = run_dc_qke(self.config, rng.substream("session"), b, fake_interceptor=self.policy)
+        return replace(view, eve_record=EveRecord([], [], [])) if b == 0 else view
 
 
 class TestJudgeAdversaryAgainstDcQke:
@@ -340,7 +369,7 @@ class TestReductionWrapper:
     def test_observation_without_a_window_rejected_first(self):
         config = strong_config()
         wrapper = ReductionDistinguisher(CoinFlipDistinguisher(), config)
-        real, _ = run_dc_qke(config, RandomStream(22))
+        real = run_dc_qke(config, RandomStream(22), 0)
         no_window = replace(real, covert_window=None)
         for observation in (None, real.key, no_window):
             with pytest.raises(TypeError, match="no covert window"):

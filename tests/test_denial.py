@@ -433,34 +433,40 @@ class TestCoercerExperiment:
         assert abs(est.advantage - expect) < 4 * sigma
 
     def test_only_the_shown_view_is_built(self):
-        # one session per trial; one real view or one fake, as the challenge bit says
-        built = []
+        # one session per trial; the faking program runs exactly in the
+        # trials whose challenge bit is 1
+        sessions, faked = [], []
 
         class Counted(NaiveBb84DenialProtocol):
-            def real_view(self, outcome):
-                built.append(0)
-                return super().real_view(outcome)
+            def run_session(self, rng):
+                sessions.append(rng)
+                return super().run_session(rng)
 
             def fake(self, outcome, rng):
-                built.append(1)
+                faked.append(len(sessions) - 1)
                 return super().fake(outcome, rng)
 
         proto = Counted(Bb84Config(n=7, delta=0.5), n_decoys=8)
         coercer_experiment(proto, CoinFlipDistinguisher(), 120, master_seed=23)
         master = RandomStream(23)
-        assert built == [master.substream("challenge", i).bit() for i in range(120)]
+        bits = [master.substream("challenge", i).bit() for i in range(120)]
+        assert len(sessions) == 120
+        assert faked == [i for i, b in enumerate(bits) if b == 1]
 
     def test_protocol_without_faker_rejected(self):
         class KeyOnly:
             def run_session(self, rng):
                 return None
 
-        class NoRealView(KeyOnly):
+        class NoView(KeyOnly):  # the parts of a view, but no view(trial_rng, b)
+            def real_view(self, session):
+                return None
+
             def fake(self, session, rng):
                 return None
 
-        for protocol in (KeyOnly(), NoRealView()):
-            with pytest.raises(TypeError):
+        for protocol in (KeyOnly(), NoView()):
+            with pytest.raises(TypeError, match="view"):
                 coercer_experiment(protocol, CoinFlipDistinguisher(), 200, master_seed=1)
 
 
@@ -472,14 +478,8 @@ class DcQkeViews:
             Bb84Config(n=7, delta=0.5), TimeBinChannel(4096, 0.05, 0.08), PrngSpec("strong")
         )
 
-    def run_session(self, rng):
-        return run_dc_qke(self.config, rng)
-
-    def real_view(self, views):
-        return views[0]
-
-    def fake(self, views, rng):
-        return views[1]
+    def view(self, rng, b):
+        return run_dc_qke(self.config, rng.substream("session"), b)
 
 
 class KeySetDistinguisher:
@@ -535,8 +535,7 @@ def test_fake_view_discloses_what_the_real_view_does(name):
     proto = make()
     root = RandomStream(41)
     for i in range(20):
-        session = proto.run_session(root.substream("s", i))
-        real, fake = proto.real_view(session), proto.fake(session, root.substream("f", i))
+        real, fake = (proto.view(root.substream("s", i), b) for b in (0, 1))
         assert _layout(fake) == _layout(real)
     # equal names in every trial: the key-set guess never depends on the
     # challenge bit, so its advantage is zero and the game cannot tell

@@ -36,9 +36,8 @@ def loaded():
 config = bb84.Bb84Config(n=14, delta=0.5)
 bb84.run_session(config, channel.QubitChannel(), RandomStream(1))
 protocol = denial.NaiveBb84DenialProtocol(config, n_decoys=2)
-session = protocol.run_session(RandomStream(2))
-for view in (protocol.real_view(session), protocol.fake(session, RandomStream(3))):
-    denial.JudgeDistinguisher().decide(view, RandomStream(4))
+for b in (0, 1):
+    denial.JudgeDistinguisher().decide(protocol.view(RandomStream(2), b), RandomStream(4))
 params = ue.UeParams(4, 4)
 ue.qke_from_ue(params, ue.generate_ue_key(params, RandomStream(5)), RandomStream(6))
 channel.warden_bias_exact(channel.TimeBinChannel(64, 0.1, 0.5), 4)

@@ -165,6 +165,15 @@ class TestRandomStream:
                  id="sample-used-3.0"),
     pytest.param(lambda: CounterModePrng(1).sample_distinct(10, False), "slots in use",
                  id="sample-used-False"),
+    # bits(True) once drew 1 bit, bits(2.7) and uniforms(2.9) drew 2, and
+    # substream("x", 1.5) was the stream of index 1
+    pytest.param(lambda: RandomStream(5).bits(True), "bit count", id="bits-True"),
+    pytest.param(lambda: RandomStream(5).bits(2.7), "bit count", id="bits-2.7"),
+    pytest.param(lambda: RandomStream(5).uniforms(2.9), "uniform count", id="uniforms-2.9"),
+    pytest.param(lambda: RandomStream(5).substream("x", 1.5), "substream index",
+                 id="substream-1.5"),
+    pytest.param(lambda: RandomStream(5).substream("x", True), "substream index",
+                 id="substream-True"),
 ])
 def test_protocol_sizes_must_be_integers(call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
@@ -186,11 +195,26 @@ def test_protocol_sizes_must_be_integers(call, name):
                  "slot count must lie in [1, 2**32], not -5", id="sample-slots--5"),
     pytest.param(lambda: CounterModePrng(1).sample_distinct(2**33, 1),
                  "slot count must lie in [1, 2**32], not 8589934592", id="sample-slots-2**33"),
+    # a substream index outside 64 bits once raised OverflowError
+    pytest.param(lambda: RandomStream(5).substream("x", -1),
+                 "substream index must lie in [0, 2**64), not -1", id="substream--1"),
+    pytest.param(lambda: RandomStream(5).substream("x", 2**64),
+                 "substream index must lie in [0, 2**64), not 18446744073709551616",
+                 id="substream-2**64"),
 ])
 def test_keystream_sizes_out_of_range_raise_one_line(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_numpy_integer_stream_sizes_and_indices_are_the_int_ones():
+    assert np.array_equal(RandomStream(5).bits(np.int64(9)), RandomStream(5).bits(9))
+    assert np.array_equal(RandomStream(5).uniforms(np.uint8(3)), RandomStream(5).uniforms(3))
+    root = RandomStream(5)
+    for index in (3, 2**64 - 1):
+        a, b = root.substream("x", np.uint64(index)), root.substream("x", index)
+        assert a.random() == b.random()
 
 
 def test_numpy_integer_protocol_sizes_are_read_as_ints():

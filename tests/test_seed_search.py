@@ -54,18 +54,26 @@ def test_table_equals_scalar_sample_distinct_on_every_seed(n_slots, n_used):
         assert np.array_equal(table[seed], _scalar_row(seed, n_slots, n_used)), seed
 
 
-def test_rows_the_first_draw_cannot_fill_fall_back(monkeypatch):
-    # 308 draws from 300 values hold about 194 distinct ones, short of 250
-    seeds = range(1000, 1032)
-    expected = np.array([_scalar_row(seed, 300, 250) for seed in seeds])
-    scalar_calls = []
+def _scalar_calls(monkeypatch) -> list[int]:
+    """Seeds of every scalar `CounterModePrng.sample_distinct` call from here on."""
+    calls = []
     scalar = CounterModePrng.sample_distinct
 
     def counted(self, n_slots, n_used):
-        scalar_calls.append(self.key)
+        calls.append(self.key)
         return scalar(self, n_slots, n_used)
 
     monkeypatch.setattr(CounterModePrng, "sample_distinct", counted)
+    return calls
+
+
+def test_rows_the_first_draw_cannot_fill_fall_back(monkeypatch):
+    # a first draw of 308 words from 300 values holds about 194 distinct
+    # ones, short of 250 (the 4-sd demand is 664 words)
+    seeds = range(1000, 1032)
+    expected = np.array([_scalar_row(seed, 300, 250) for seed in seeds])
+    monkeypatch.setattr(rng, "_first_draw", lambda n_slots, n_used: 308)
+    scalar_calls = _scalar_calls(monkeypatch)
     got = _distinct_rows(seeds, 300, 250)
     assert scalar_calls == list(seeds)
     assert got.dtype == np.int32 and np.array_equal(got, expected)
@@ -101,22 +109,19 @@ def test_first_draw_is_computed_once_per_size():
     assert _first_draw.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("n_slots, n_used", [(16384, 182), (2048, 24), (1000, 37), (300, 250)])
-def test_first_draw_is_never_wider_than_the_scalar_first_prefix(monkeypatch, n_slots, n_used):
-    assert _first_draw(n_slots, n_used) <= _refill_size(n_used)
-    calls = _hashed_blocks(monkeypatch)
-    _distinct_rows(range(8), n_slots, n_used)
-    assert calls[0] == (8, -(-_first_draw(n_slots, n_used) // 8))
-    assert calls[0][1] <= -(-_refill_size(n_used) // 8)
-
-
-def test_rejected_words_are_skipped_in_draw_order():
+def test_rejected_words_are_skipped_in_draw_order(monkeypatch):
     # 2**32 % n_slots is about a quarter of 2**32, so about a quarter of the
-    # words are rejected; at the table sizes above rejections almost never occur
+    # words are rejected; at the table sizes above rejections almost never
+    # occur. The 4-sd demand is 40 words, more than the scalar path's first
+    # prefix of 32, which seeds 23 and 52 would not fill
     n_slots = 3 * 2**29 + 1
     seeds = range(64)
+    expected = [_scalar_row(seed, n_slots, 20) for seed in seeds]
+    assert _first_draw(n_slots, 20) == 40 > _refill_size(20)
+    scalar_calls = _scalar_calls(monkeypatch)
     got = _distinct_rows(seeds, n_slots, 20)
-    assert np.array_equal(got, [_scalar_row(seed, n_slots, 20) for seed in seeds])
+    assert scalar_calls == []
+    assert np.array_equal(got, expected)
 
 
 # (n_slots, n_used) around the uint32 limit of the packed sort key
@@ -163,14 +168,7 @@ def test_packed_key_rows_equal_scalar_rows_at_the_uint32_limit(
     seeds = range(64)
     expected = np.array([_scalar_row(seed, n_slots, n_used) for seed in seeds])
     assert (expected == n_slots - 1).any(axis=1).all()
-    scalar_calls = []
-    scalar = CounterModePrng.sample_distinct
-
-    def counted(self, n_slots, n_used):
-        scalar_calls.append(self.key)
-        return scalar(self, n_slots, n_used)
-
-    monkeypatch.setattr(CounterModePrng, "sample_distinct", counted)
+    scalar_calls = _scalar_calls(monkeypatch)
     got = _distinct_rows(seeds, n_slots, n_used)
     assert scalar_calls == []  # every row came from the packed keys
     assert got.dtype == np.int32 and np.array_equal(got, expected)

@@ -65,8 +65,8 @@ class Bb84Config:
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise ValueError("n must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be non-negative")
+        if not 0 <= self.delta < float("inf"):  # nan fails both comparisons
+            raise ValueError(f"delta must be finite and non-negative, not {self.delta}")
         if not 0.0 <= self.error_threshold <= 1.0:
             raise ValueError("error threshold must lie in [0, 1]")
         if self.n % self.codes.c1.n:

@@ -471,7 +471,7 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, ValueError, OverflowError, OSError, csv.Error) as exc:
         # a rejected parameter, or a file that cannot be read, decoded, parsed or
-        # written, is a configuration error (OverflowError: e.g. an infinite delta)
+        # written, is a configuration error (OverflowError: e.g. delta 1e308)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ExperimentAbort, RuntimeError) as exc:

@@ -6,11 +6,17 @@ into a transmission schedule; every protocol event (each qubit and each
 classical bit of the covert sub-session) occupies one scheduled slot, so a
 session's footprint on the warden's detector is occupancy alone. The
 deniable construction runs the covert session for the real key and an
-ordinary, fully visible session for a fake key; under coercion the parties
-hand over the fake session's key and coins, honestly and completely.
+ordinary, fully visible session beside it; under coercion the parties
+hand over the ordinary session's key and coins, honestly and completely,
+and keep the covert key.
 
 `run_dc_qke` returns the real or the fake story as a `denial.CoercionView`,
-the view the naive-denial game uses too.
+the view the naive-denial game uses too. Both stories disclose the same
+ordinary session and differ only in the warden's window, active or idle.
+This is the shape of Canetti et al.'s deniable encryption, and it is what
+the reduction to covertness needs: a view holding the covert session's own
+coins beside the ordinary transcript would be told apart by comparing the
+two, however covert the window.
 
 Distinguishing a coerced disclosure from an honest one then amounts to
 deciding whether the covert session happened at all, which is exactly the
@@ -21,7 +27,7 @@ so that the reduction inequality can be checked on paired seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
@@ -120,7 +126,6 @@ class CovertRunResult:
     key: np.ndarray
     schedule: np.ndarray  # the used slots, sorted
     warden_view: WardenObservation
-    randomness: dict[str, np.ndarray]
 
 
 def _sample_window(
@@ -155,7 +160,6 @@ def run_covert_qke(config: CovertQkeConfig, rng: RandomStream) -> CovertRunResul
         key=outcome.alice.session_key,
         schedule=schedule,
         warden_view=obs,
-        randomness=dict(outcome.alice.private_values),
     )
 
 
@@ -319,47 +323,35 @@ def covert_game(
 # -- the deniable construction -------------------------------------------------
 
 
+def _ordinary_session(
+    config: CovertQkeConfig, rng: RandomStream, interceptor
+) -> bb84_mod.Bb84Outcome:
+    """The ordinary BB84 session of one run, on the "fake-session"
+    substream; under an interceptor, aborts are resampled."""
+    return bb84_mod.run_session(
+        config.bb84,
+        QubitChannel(flip_probability=0.0, interceptor=interceptor),
+        rng.substream("fake-session"),
+        retry_abort=interceptor is not None,
+    )
+
+
 def run_dc_qke(
-    config: CovertQkeConfig, rng: RandomStream, b: int, fake_interceptor=None
+    config: CovertQkeConfig, rng: RandomStream, b: int, interceptor=None
 ) -> CoercionView:
     """The real (b = 0) or fake (b = 1) coercer view of one run of the
-    deniable construction; only that view is built.
+    deniable construction.
 
-    A covert session makes the real key and an ordinary session the fake
-    key; both sessions use the same protocol parameters, so disclosed coin
-    vectors have identical shapes in either story, and both stories share
-    the ordinary session's public transcript. The ordinary session always
-    runs, on the "fake-session" substream. The real view carries the
-    covert session's key and coins and the warden-facing observation of the
-    covert window; no interceptor ever found the covert slots, so it holds
-    no interceptor record.
-
-    The fake view is the faking program's output: the ordinary session's
-    key, its complete coins, its interceptor record, and a fresh
-    idle-channel observation (dark counts included). Everything in it is an
-    honest record of a session that really ran; nothing references the
-    covert sub-session. The ordinary session is the one an eavesdropper may
-    attack head-on, so it accepts an optional interceptor; its coins are
-    disclosed honestly under coercion, which is exactly why decoy records
-    never bite.
+    Both views are the honest disclosure of the ordinary session: its key,
+    its complete coins, its transcript and the record of `interceptor`,
+    which may attack it head-on. They differ only in the window, the
+    active covert one for b = 0 and an idle one for b = 1, sampled as in
+    `covert_game`. The covert key and coins stay with the parties: beside
+    the ordinary transcript they would give the real view away.
     """
     config.require_session_capacity()
-    ordinary = bb84_mod.run_session(
-        config.bb84,
-        QubitChannel(flip_probability=0.0, interceptor=fake_interceptor),
-        rng.substream("fake-session"),
-        retry_abort=fake_interceptor is not None,
-    )
-    if b == 0:
-        covert = run_covert_qke(config, rng)
-        return CoercionView(
-            key=covert.key,
-            randomness=covert.randomness,
-            transcript=ordinary.session.transcript,
-            eve_record=None,
-            covert_window=covert.warden_view,
-        )
-    return CoercionView.of_session(ordinary, _sample_window(config, rng, active=False)[0])
+    window = _sample_window(config, rng, active=b == 0)[0]
+    return CoercionView.of_session(_ordinary_session(config, rng, interceptor), window)
 
 
 def deniability_experiment(
@@ -377,10 +369,15 @@ def deniability_experiment(
 class ReductionDistinguisher:
     """Covert-game warden built from a view distinguisher.
 
-    Synthesizes the remainder of a coercer view around the observed window
-    (one locally simulated run) and declares 'session ran' exactly when the
-    wrapped adversary calls the synthesized view real. Invokes the adversary
-    once per decision.
+    Completes a coercer view around the observed window: it runs one
+    ordinary session locally, on the "synth" substream and without an
+    interceptor, as `deniability_experiment` runs it, and declares
+    'session ran' exactly when the wrapped adversary calls that view real.
+    Since `run_dc_qke`'s views differ only in the window, the synthesized
+    view is distributed as the real view on an active window and as the
+    fake view on an idle one: the wrapper's covert advantage has the
+    adversary's deniability advantage as its expectation. Invokes the
+    adversary once per decision.
     """
 
     def __init__(self, adversary, config: CovertQkeConfig):
@@ -394,9 +391,9 @@ class ReductionDistinguisher:
 
     def decide(self, observation, rng: RandomStream) -> int:
         window = _window_of(observation)
-        local_real = run_dc_qke(self.config, rng.substream("synth"), 0)
+        view = CoercionView.of_session(
+            _ordinary_session(self.config, rng.substream("synth"), None), window
+        )
         self.invocations += 1
-        view = replace(local_real, covert_window=window)
         guess_fake = self.adversary.decide(view, rng.substream("wrapped"))
         return 0 if guess_fake == 0 else 1
-

@@ -10,8 +10,10 @@ preparation explains the record. With n_decoys expected measurements over
 n_qubits transmissions, a single random flip is caught with probability
 n_decoys / (2 * n_qubits).
 
-`CoercionView` is the one coercer view, here and in `dcqke`: naive denial
-fills its interceptor record, the deniable construction its covert window.
+`CoercionView` is the one coercer view, here and in `dcqke`. Naive denial
+fills its interceptor record and changes the coins. The deniable
+construction discloses one ordinary session honestly in both views, record
+included, and fills the covert window, the only field its views differ in.
 """
 
 from __future__ import annotations

@@ -285,6 +285,8 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Bb84Config(n=10)
 
-    def test_negative_delta(self):
-        with pytest.raises(ValueError):
-            Bb84Config(n=7, delta=-0.1)
+    @pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
+    def test_negative_delta(self, delta):
+        # an infinite delta raised OverflowError and nan a bare conversion error
+        with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+            Bb84Config(n=7, delta=delta)

@@ -1,12 +1,13 @@
 """Covert scheduling, DC-QKE views, and the deniability-covertness reduction."""
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from qdeny import dcqke
+from qdeny import bb84, dcqke, gf2
 from qdeny.bb84 import Bb84Config, run_session
 from qdeny.channel import QubitChannel, TimeBinChannel, warden_bias_exact
 from qdeny.dcqke import (
@@ -20,8 +21,8 @@ from qdeny.dcqke import (
     run_covert_qke,
     run_dc_qke,
 )
-from qdeny.denial import EvePolicy, EveRecord, JudgeDistinguisher, coercer_experiment, judge_check
-from qdeny.games import CoinFlipDistinguisher
+from qdeny.denial import EvePolicy, JudgeDistinguisher, judge_check
+from qdeny.games import CoinFlipDistinguisher, run_experiment
 from qdeny.rng import RandomStream
 
 
@@ -34,11 +35,92 @@ def strong_config(n_slots=4096, p_dark=0.05, p_signal=0.08, n_used=None):
     )
 
 
+def weak_config():
+    # the weak generator on the golden and acceptance channel, at the
+    # session's own slot demand, so both games can run on it
+    return CovertQkeConfig(
+        bb84=Bb84Config(n=7, delta=0.5),
+        timebin=TimeBinChannel(16384, 0.3, 0.95),
+        prng=PrngSpec("weak"),
+    )
+
+
 def assert_same_transcript(got, want):
     assert len(got) == len(want)
     for m, w in zip(got, want):
         assert (m.sender, m.label) == (w.sender, w.label)
         assert np.array_equal(m.bits, w.bits)
+
+
+def replay_mismatch(view, codes):
+    """The first announcement that the view's disclosed coins fail to
+    reproduce, or None when they replay as an honest BB84 session: the
+    announced bases, Alice's check values, the correction, and a codeword
+    in C1."""
+    coins = view.randomness
+    by_label = {m.label: m.bits for m in view.transcript}
+    check_pos = np.flatnonzero(by_label["check-mask"])
+    payload_pos = np.flatnonzero(by_label["payload-mask"])
+    if not np.array_equal(by_label["bases"], coins["bases"]):
+        return "bases"
+    if not np.array_equal(by_label["check-values-alice"], coins["raw_bits"][check_pos]):
+        return "check-values-alice"
+    if not np.array_equal(
+        by_label["correction"], coins["codeword"] ^ coins["raw_bits"][payload_pos]
+    ):
+        return "correction"
+    if gf2.syndrome(codes.c1, coins["codeword"].reshape(-1, codes.c1.n)).any():
+        return "codeword"
+    return None
+
+
+def assert_same_disclosure(real, fake):
+    # everything but the covert window: key, coins, transcript and record
+    assert np.array_equal(real.key, fake.key)
+    assert set(real.randomness) == set(fake.randomness)
+    for name, value in real.randomness.items():
+        assert np.array_equal(value, fake.randomness[name])
+    assert_same_transcript(real.transcript, fake.transcript)
+    if real.eve_record is None:
+        assert fake.eve_record is None
+    else:
+        for name in ("positions", "bases", "outcomes"):
+            assert np.array_equal(getattr(real.eve_record, name), getattr(fake.eve_record, name))
+
+
+class ReplayCoercer:
+    """Guesses "real" exactly when the disclosed coins fail to replay the
+    announced transcript."""
+
+    name = "replay"
+
+    def __init__(self, codes):
+        self.codes = codes
+
+    def decide(self, view, rng):
+        return 0 if replay_mismatch(view, self.codes) else 1
+
+
+class RecordLengthCoercer:
+    """Guesses "real" exactly when the view holds no interceptor record."""
+
+    name = "record-length"
+
+    def decide(self, view, rng):
+        return 0 if view.eve_record is None else 1
+
+
+class GuessLog:
+    """Wraps a distinguisher and logs its guesses in trial order."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.guesses = []
+
+    def decide(self, observation, rng):
+        guess = self.inner.decide(observation, rng)
+        self.guesses.append(guess)
+        return guess
 
 
 class TestPrngSpec:
@@ -167,13 +249,16 @@ class TestDcQkeSessions:
         assert real.key.size == fake.key.size == 3
 
     def test_keys_independent_uniform(self):
+        # the covert key the parties keep against the ordinary key either
+        # view discloses, on the same trial stream
         config = strong_config()
         root = RandomStream(9)
         table = np.zeros((8, 8), dtype=int)
         for i in range(800):
-            real, fake = (run_dc_qke(config, root.substream("t", i), b) for b in (0, 1))
-            ka = int("".join(map(str, real.key)), 2)
-            kb = int("".join(map(str, fake.key)), 2)
+            kept = run_covert_qke(config, root.substream("t", i)).key
+            disclosed = run_dc_qke(config, root.substream("t", i), i % 2).key
+            ka = int("".join(map(str, kept)), 2)
+            kb = int("".join(map(str, disclosed)), 2)
             table[ka, kb] += 1
         _, p, _, _ = stats.chi2_contingency(table)
         assert p > 1e-3
@@ -182,24 +267,33 @@ class TestDcQkeSessions:
         assert p_a > 1e-3 and p_b > 1e-3
 
     def test_fake_session_replays_as_honest_bb84(self):
-        # the disclosed coins reproduce every announced message bit-exactly
+        # the disclosed coins reproduce every announced message bit-exactly,
+        # in either view
         config = strong_config()
         root = RandomStream(10)
         for i in range(50):
-            fake = run_dc_qke(config, root.substream("t", i), 1)
-            coins = fake.randomness
-            by_label = {m.label: m.bits for m in fake.transcript}
-            assert np.array_equal(by_label["bases"], coins["bases"])
-            q = by_label["bases"].size
-            payload_pos = np.where(by_label["payload-mask"])[0]
-            check_pos = np.where(by_label["check-mask"])[0]
-            assert np.array_equal(
-                by_label["correction"],
-                coins["codeword"] ^ coins["raw_bits"][payload_pos],
-            )
-            assert np.array_equal(
-                by_label["check-values-alice"], coins["raw_bits"][check_pos]
-            )
+            for b in (0, 1):
+                view = run_dc_qke(config, root.substream("t", i), b)
+                assert replay_mismatch(view, config.bb84.codes) is None
+
+    def test_replay_check_catches_each_kind_of_lie(self):
+        config = strong_config()
+        view = run_dc_qke(config, RandomStream(10), 1)
+        masks = {m.label: np.flatnonzero(m.bits) for m in view.transcript if "mask" in m.label}
+        check, payload = masks["check-mask"][0], masks["payload-mask"][0]
+        lies = {  # flipped coin positions, and the announcement each breaks
+            "bases": {"bases": 0},
+            "check-values-alice": {"raw_bits": check},
+            "correction": {"codeword": 0},
+            # the correction still matches, but the codeword leaves C1
+            "codeword": {"codeword": 0, "raw_bits": payload},
+        }
+        for expected, flips in lies.items():
+            coins = dict(view.randomness)
+            for name, pos in flips.items():
+                coins[name] = coins[name].copy()
+                coins[name][pos] ^= 1
+            assert replay_mismatch(replace(view, randomness=coins), config.bb84.codes) == expected
 
     def test_honest_disclosure_survives_decoy_records(self):
         # judge replay over sessions where the ordinary exchange was itself
@@ -208,44 +302,37 @@ class TestDcQkeSessions:
         root = RandomStream(11)
         policy = EvePolicy(0.25)
         for i in range(300):
-            fake = run_dc_qke(config, root.substream("t", i), 1, fake_interceptor=policy)
-            coins = fake.randomness
-            assert judge_check(coins["raw_bits"], coins["bases"], fake.eve_record) is None
+            view = run_dc_qke(config, root.substream("t", i), i % 2, interceptor=policy)
+            coins = view.randomness
+            assert judge_check(coins["raw_bits"], coins["bases"], view.eve_record) is None
 
-    def test_fake_view_is_the_ordinary_session(self):
-        # the faking program discloses the ordinary session as it ran, on
-        # its own substream, with the interceptor's record of it
+    def test_each_view_is_the_ordinary_session(self):
+        # both views disclose the ordinary session as it ran, on its own
+        # substream, with the interceptor's record of it
         config = strong_config()
         policy = EvePolicy(0.25)
-        fake = run_dc_qke(config, RandomStream(12), 1, fake_interceptor=policy)
         rerun = run_session(
             config.bb84,
             QubitChannel(0.0, interceptor=policy),
             RandomStream(12).substream("fake-session"),
             retry_abort=True,
         )
-        assert np.array_equal(fake.key, rerun.alice.session_key)
-        assert set(fake.randomness) == set(rerun.alice.private_values)
-        for name, value in fake.randomness.items():
-            assert np.array_equal(value, rerun.alice.private_values[name])
-        assert_same_transcript(fake.transcript, rerun.session.transcript)
-        for name in ("positions", "bases", "outcomes"):
-            assert np.array_equal(
-                getattr(fake.eve_record, name), getattr(rerun.session.eve_record, name)
-            )
+        for b in (0, 1):
+            view = run_dc_qke(config, RandomStream(12), b, interceptor=policy)
+            assert view.eve_record is not None
+            assert_same_disclosure(view, dcqke.CoercionView.of_session(rerun, None))
 
 
 class TestViews:
-    def test_views_share_clear_transcript(self):
+    def test_views_differ_only_in_the_window(self):
         config = strong_config()
         real, fake = (run_dc_qke(config, RandomStream(13), b) for b in (0, 1))
-        assert_same_transcript(real.transcript, fake.transcript)
+        assert_same_disclosure(real, fake)
         assert real.eve_record is None and fake.eve_record is None  # no interceptor
         active, _ = dcqke._sample_window(config, RandomStream(13), active=True)
         idle, _ = dcqke._sample_window(config, RandomStream(13), active=False)
         assert np.array_equal(real.covert_window.detections, active.detections)
         assert np.array_equal(fake.covert_window.detections, idle.detections)
-        assert set(real.randomness) == set(fake.randomness)  # same coin schema
 
     def test_equal_rates_views_identically_distributed(self):
         config = strong_config(p_dark=0.2, p_signal=0.2)
@@ -257,15 +344,6 @@ class TestViews:
             fake_counts.append(fake.covert_window.count)
         _, p = stats.mannwhitneyu(real_counts, fake_counts)
         assert p > 1e-3
-
-    def test_fake_view_replay_consistent(self):
-        fake = run_dc_qke(strong_config(), RandomStream(15), 1)
-        by_label = {m.label: m.bits for m in fake.transcript}
-        payload_pos = np.where(by_label["payload-mask"])[0]
-        assert np.array_equal(
-            by_label["correction"],
-            fake.randomness["codeword"] ^ fake.randomness["raw_bits"][payload_pos],
-        )
 
 
 class TestDeniabilityExperiment:
@@ -282,31 +360,65 @@ class TestDeniabilityExperiment:
         assert den.advantage <= cov.advantage + 2 * sigma
         assert den.advantage == cov.advantage  # shared substreams pair exactly
 
+    @pytest.mark.parametrize("make_config, make_warden, trials", [
+        (strong_config, CountTestWarden, 400),
+        (weak_config, SeedSearchWarden, 100),
+    ])
+    def test_wardens_guess_alike_trial_by_trial(self, make_config, make_warden, trials):
+        # both games show the warden the same window on every trial index
+        config = make_config()
+        warden = make_warden(config)
+        cov, den = GuessLog(warden), GuessLog(warden)
+        covert_game(config, trials, master_seed=17, warden=cov)
+        deniability_experiment(config, den, trials, master_seed=17)
+        assert len(cov.guesses) == trials
+        assert den.guesses == cov.guesses
+
+    @pytest.mark.parametrize("coercer, interceptor", [
+        (ReplayCoercer(strong_config().bb84.codes), None),
+        (RecordLengthCoercer(), EvePolicy(0.25)),
+    ], ids=["coins-vs-transcript", "record-length"])
+    def test_coercer_meets_its_reduction(self, coercer, interceptor):
+        # both views disclose one honest session, coins and record alike, so
+        # neither coercer does better than it does on the window alone
+        config = strong_config()
+        views = partial(run_dc_qke, config, interceptor=interceptor)
+        den = run_experiment(views, coercer, 400, master_seed=17)
+        wrapper = ReductionDistinguisher(coercer, config)
+        cov = covert_game(config, 400, master_seed=17, warden=wrapper)
+        sigma = np.sqrt(den.std_error**2 + cov.std_error**2)
+        assert den.advantage <= cov.advantage + 2 * sigma
+
     def test_each_trial_builds_only_the_view_it_shows(self, monkeypatch):
-        # the covert session runs only for b = 0 and the idle window is
-        # sampled only for b = 1; the reduction synthesizes a real view alone
+        # one ordinary session and the one window shown per trial, and never
+        # the covert session; the reduction runs one session around the
+        # window it is given
         config = strong_config()
         observation, _ = dcqke._sample_window(config, RandomStream(25), active=True)
         built = []
-        covert, window = dcqke.run_covert_qke, dcqke._sample_window
+        session, window = bb84.run_session, dcqke._sample_window
 
-        def counted_covert(config, rng):
-            built.append(0)
-            return covert(config, rng)
+        def counted_session(*args, **kwargs):
+            built.append("session")
+            return session(*args, **kwargs)
 
         def counted_window(config, trial_rng, active):
-            if not active:
-                built.append(1)
+            built.append("active" if active else "idle")
             return window(config, trial_rng, active)
 
-        monkeypatch.setattr(dcqke, "run_covert_qke", counted_covert)
+        def no_covert(config, rng):
+            raise AssertionError("a game ran the covert session")
+
+        monkeypatch.setattr(bb84, "run_session", counted_session)
         monkeypatch.setattr(dcqke, "_sample_window", counted_window)
+        monkeypatch.setattr(dcqke, "run_covert_qke", no_covert)
         deniability_experiment(config, CountTestWarden(config), 120, master_seed=24)
         master = RandomStream(24)
-        assert built == [master.substream("challenge", i).bit() for i in range(120)]
+        bits = [master.substream("challenge", i).bit() for i in range(120)]
+        assert built == [e for b in bits for e in ("idle" if b else "active", "session")]
         built.clear()
         ReductionDistinguisher(CoinFlipDistinguisher(), config).decide(observation, RandomStream(26))
-        assert built == [0]
+        assert built == ["session"]
 
     def test_interval_contains_exact_bias(self):
         config = strong_config()
@@ -316,31 +428,13 @@ class TestDeniabilityExperiment:
         assert est.ci_low <= exact <= est.ci_high
 
 
-class DcQkeCoercionAdapter:
-    """Present DC-QKE to the generic coercer game in record-checkable form.
-
-    The denial story discloses the ordinary session's coins, checkable
-    against that session's decoy record; the honest story discloses the
-    covert session's coins, of which the eavesdropper holds no channel
-    record at all (she never found the slots).
-    """
-
-    def __init__(self, config, eve_policy):
-        self.config = config
-        self.policy = eve_policy
-
-    def view(self, rng, b):
-        view = run_dc_qke(self.config, rng.substream("session"), b, fake_interceptor=self.policy)
-        return replace(view, eve_record=EveRecord([], [], [])) if b == 0 else view
-
-
 class TestJudgeAdversaryAgainstDcQke:
     def test_record_checking_gains_nothing(self):
         # the strategy that breaks naive BB84 denial: here both stories
         # survive every record check, so the adversary is reduced to guessing
         config = strong_config()
-        adapter = DcQkeCoercionAdapter(config, EvePolicy(0.25))
-        est = coercer_experiment(adapter, JudgeDistinguisher(), 300, master_seed=31)
+        views = partial(run_dc_qke, config, interceptor=EvePolicy(0.25))
+        est = run_experiment(views, JudgeDistinguisher(), 300, master_seed=31)
         assert est.ci_low == 0.0
 
 

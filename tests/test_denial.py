@@ -509,8 +509,10 @@ class RowRecorder:
         return guess
 
 
-# protocol, the distinguisher behind its seeded rows, and those rows' digest
-# as recorded before the fake view stopped disclosing flipped positions
+# protocol, the distinguisher behind its seeded rows, and those rows' digest:
+# naive denial's as recorded before the fake view stopped disclosing flipped
+# positions, DC-QKE's since its real view discloses the ordinary session's
+# key (the rows without the key column hash as before)
 VIEW_PROTOCOLS = {
     "naive-bb84-denial": (
         lambda: NaiveBb84DenialProtocol(Bb84Config(n=14), n_decoys=8, flips=1),
@@ -520,7 +522,7 @@ VIEW_PROTOCOLS = {
     "dc-qke": (
         DcQkeViews,
         lambda proto: CountTestWarden(proto.config),
-        "3a76639adca8d36788db9351ae69a5dc3267e12c96cae63c2799098ecb7dec27",
+        "6b957d6ee4f01aeeec3832bae3b117efcb55d4a31f8a2c6d63e3afe3d8ac296c",
     ),
 }
 

@@ -73,10 +73,9 @@ class Bb84Config:
             raise ValueError(
                 f"n = {self.n} must be a multiple of the code block length {self.codes.c1.n}"
             )
-        if self.qubit_count > MAX_QUBIT_COUNT:
-            raise ValueError(
-                f"session needs {self.qubit_count} qubits, more than the limit {MAX_QUBIT_COUNT}"
-            )
+        qubits = np.ceil((4 + self.delta) * self.n)  # a float, inf for a huge delta
+        if qubits > MAX_QUBIT_COUNT:
+            raise ValueError(f"session needs {qubits:.0f} qubits, over the limit {MAX_QUBIT_COUNT}")
 
     @property
     def qubit_count(self) -> int:

@@ -470,8 +470,8 @@ def main(argv=None) -> int:
             _emit(_render_json(args.experiment, columns, rows, detail), args.out)
         return 0
     except (ConfigError, ValueError, OverflowError, OSError, csv.Error) as exc:
-        # a rejected parameter, or a file that cannot be read, decoded, parsed or
-        # written, is a configuration error (OverflowError: e.g. delta 1e308)
+        # a rejected parameter, a number too large to compute with, or a file that
+        # cannot be read, decoded, parsed or written, is a configuration error
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ExperimentAbort, RuntimeError) as exc:

@@ -285,8 +285,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Bb84Config(n=10)
 
-    @pytest.mark.parametrize("delta", [-0.1, float("nan"), float("inf")])
-    def test_negative_delta(self, delta):
-        # an infinite delta raised OverflowError and nan a bare conversion error
-        with pytest.raises(ValueError, match="delta must be finite and non-negative"):
+    @pytest.mark.parametrize("delta, message", [
+        (-0.1, "delta must be finite and non-negative"),
+        (float("nan"), "delta must be finite and non-negative"),
+        (float("inf"), "delta must be finite and non-negative"),
+        (1e308, "session needs inf qubits"),
+    ], ids=["-0.1", "nan", "inf", "1e308"])
+    def test_negative_delta(self, delta, message):
+        # an infinite or finite huge delta raised OverflowError, nan a bare
+        # conversion error
+        with pytest.raises(ValueError, match=message):
             Bb84Config(n=7, delta=delta)

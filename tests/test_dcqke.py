@@ -35,16 +35,6 @@ def strong_config(n_slots=4096, p_dark=0.05, p_signal=0.08, n_used=None):
     )
 
 
-def weak_config():
-    # the weak generator on the golden and acceptance channel, at the
-    # session's own slot demand, so both games can run on it
-    return CovertQkeConfig(
-        bb84=Bb84Config(n=7, delta=0.5),
-        timebin=TimeBinChannel(16384, 0.3, 0.95),
-        prng=PrngSpec("weak"),
-    )
-
-
 def assert_same_transcript(got, want):
     assert len(got) == len(want)
     for m, w in zip(got, want):
@@ -345,6 +335,10 @@ class TestViews:
         _, p = stats.mannwhitneyu(real_counts, fake_counts)
         assert p > 1e-3
 
+    def test_fake_view_replay_consistent(self):
+        config = strong_config()
+        assert replay_mismatch(run_dc_qke(config, RandomStream(15), 1), config.bb84.codes) is None
+
 
 class TestDeniabilityExperiment:
     def test_coin_flip_adversary(self):
@@ -360,18 +354,17 @@ class TestDeniabilityExperiment:
         assert den.advantage <= cov.advantage + 2 * sigma
         assert den.advantage == cov.advantage  # shared substreams pair exactly
 
-    @pytest.mark.parametrize("make_config, make_warden, trials", [
-        (strong_config, CountTestWarden, 400),
-        (weak_config, SeedSearchWarden, 100),
-    ])
-    def test_wardens_guess_alike_trial_by_trial(self, make_config, make_warden, trials):
+    def test_wardens_guess_alike_trial_by_trial(self):
         # both games show the warden the same window on every trial index
-        config = make_config()
-        warden = make_warden(config)
+        # (the seed-search warden's guesses are pinned equal, trial by
+        # trial, by the seed_search_covert_40 and seed_search_deniability_40
+        # golden digests)
+        config = strong_config()
+        warden = CountTestWarden(config)
         cov, den = GuessLog(warden), GuessLog(warden)
-        covert_game(config, trials, master_seed=17, warden=cov)
-        deniability_experiment(config, den, trials, master_seed=17)
-        assert len(cov.guesses) == trials
+        covert_game(config, 400, master_seed=17, warden=cov)
+        deniability_experiment(config, den, 400, master_seed=17)
+        assert len(cov.guesses) == 400
         assert den.guesses == cov.guesses
 
     @pytest.mark.parametrize("coercer, interceptor", [
@@ -380,7 +373,11 @@ class TestDeniabilityExperiment:
     ], ids=["coins-vs-transcript", "record-length"])
     def test_coercer_meets_its_reduction(self, coercer, interceptor):
         # both views disclose one honest session, coins and record alike, so
-        # neither coercer does better than it does on the window alone
+        # neither coercer does better than it does on the window alone. The
+        # reduction synthesizes its session without an interceptor, so it is
+        # the exact reduction only of the game without one: with a decoy
+        # record in the game the pairing alone shows little, and the
+        # advantage is also checked against zero directly
         config = strong_config()
         views = partial(run_dc_qke, config, interceptor=interceptor)
         den = run_experiment(views, coercer, 400, master_seed=17)
@@ -388,6 +385,8 @@ class TestDeniabilityExperiment:
         cov = covert_game(config, 400, master_seed=17, warden=wrapper)
         sigma = np.sqrt(den.std_error**2 + cov.std_error**2)
         assert den.advantage <= cov.advantage + 2 * sigma
+        if interceptor is not None:
+            assert abs(den.advantage) <= 2 * den.std_error
 
     def test_each_trial_builds_only_the_view_it_shows(self, monkeypatch):
         # one ordinary session and the one window shown per trial, and never

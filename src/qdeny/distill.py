@@ -1,14 +1,14 @@
 """Entanglement filtering, teleportation, and the decoupling check behind
 the information-theoretic denial argument.
 
-Partially entangled pairs cos(theta)|00> + sin(theta)|11> are filtered one
-at a time by a local two-outcome operation on the first qubit; success
+Partially entangled pairs cos(theta)|00> + sin(theta)|11> are filtered
+pair by pair by a local two-outcome operation on the first qubit; success
 leaves a perfect ebit and happens with probability 2*sin^2(theta) for
 theta <= pi/4 (the filter attacks the other amplitude past pi/4). The
 asymptotic conversion ceiling for such pairs is the entanglement entropy
 H2(cos^2 theta); single-pair filtering stays below it and the gap is
 reported, not hidden. Every success at one theta is the same immutable
-ebit, so a batch reports a count of successes alongside that one state.
+ebit, so a batch counts its successes in one array draw of uniforms.
 
 Once the ebit passes verification, teleporting a fresh qubit through it
 consumes the pair and publishes two uniformly random classical bits that
@@ -44,6 +44,7 @@ __all__ = [
 
 _EBIT_TOL = 1e-9
 FILTER_ATTEMPTS = 50  # filter batches qke_over_teleportation runs before it gives up
+_CHUNK = 2**16  # most uniforms distill_batch holds at once
 _PHI_PLUS = qcore.bell_state(BellKind.PHI_PLUS)
 
 
@@ -136,15 +137,16 @@ def procrustean_filter(pair: PartialPair, rng: RandomStream) -> StateVector | No
 
 
 def distill_batch(n: int, theta: float, rng: RandomStream) -> DistillReport:
-    """Filter n independent pairs, one `procrustean_filter` draw each, and
-    report how many became the shared ebit, with the achieved rate against
-    the ceiling. The ebit itself is `_filter_output(theta)[0]`."""
+    """Filter n independent pairs and report how many became the shared
+    ebit `_filter_output(theta)[0]`, with the achieved rate against the
+    ceiling. Pair i succeeds iff rng's i-th uniform, drawn _CHUNK at a time,
+    lies below the success probability: n `procrustean_filter` draws."""
     n = _integer(n, "pair count")
     if n < 1:
         raise ValueError("need at least one pair")
-    pair = PartialPair(theta)
-    succeeded = sum(procrustean_filter(pair, rng) is not None for _ in range(n))
-    fid = _filter_output(theta)[2]
+    _, p_success, fid = _filter_output(theta)
+    succeeded = sum(int(np.count_nonzero(rng.uniforms(min(_CHUNK, n - start)) < p_success))
+                    for start in range(0, n, _CHUNK))
     return DistillReport(
         attempted=n,
         succeeded=succeeded,
@@ -179,15 +181,15 @@ _CNOT = np.array(
 _BRANCH_TOL = np.sqrt(_EBIT_TOL) + 2 * _EBIT_TOL
 
 
-class _ForcedDraw:
-    """Stands in for a RandomStream with one fixed draw: 0.0 forces outcome 0
-    of `qcore.measure_subsystem`, the largest double below 1 outcome 1."""
+class _Draws:
+    """A RandomStream stand-in whose `random()` returns the given values in
+    turn; _FORCED[k] forces outcome k of a test u < P(0), 0 < P(0) < 1."""
 
-    def __init__(self, outcome: int):
-        self._u = float(np.nextafter(1.0, 0.0)) if outcome else 0.0
+    def __init__(self, *values: float):
+        self.random = iter(values).__next__
 
-    def random(self) -> float:
-        return self._u
+
+_FORCED = (0.0, float(np.nextafter(1.0, 0.0)))
 
 
 @lru_cache(maxsize=256)
@@ -214,14 +216,14 @@ def _teleport_table(psi: StateVector, ebit: StateVector):
     p_phase = qcore._p0_of_qubit(joint.tensor_shape(), 0)
     p_bit, outputs = [], []
     for m_phase in (0, 1):
-        _, phased = qcore.measure_subsystem(joint, 0, 0, _ForcedDraw(m_phase))
+        _, phased = qcore.measure_subsystem(joint, 0, 0, _Draws(_FORCED[m_phase]))
         p_bit.append(qcore._p0_of_qubit(phased.tensor_shape(), 1))
         row = []
         for m_bit in (0, 1):
             p = abs(m_phase - p_phase) * abs(m_bit - p_bit[m_phase])  # P(m) is |m - P(0)|
             if abs(p - 0.25) > _BRANCH_TOL:
                 raise RuntimeError(f"teleportation branch {m_phase}{m_bit} has probability {p}")
-            _, fixed = qcore.measure_subsystem(phased, 1, 0, _ForcedDraw(m_bit))
+            _, fixed = qcore.measure_subsystem(phased, 1, 0, _Draws(_FORCED[m_bit]))
             if m_bit:
                 fixed = qcore.apply_unitary(fixed, qcore.PAULI_X, [2])
             if m_phase:
@@ -249,6 +251,23 @@ def teleport(
     m_phase = 0 if rng.random() < p_phase else 1
     m_bit = 0 if rng.random() < p_bit[m_phase] else 1
     return outputs[m_phase][m_bit], (m_phase, m_bit)
+
+
+@lru_cache(maxsize=64)
+def _exchange_table(ebit: StateVector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`teleport`'s thresholds p_phase[s], p_bit[s, m_phase] for the BB84
+    state s = 2*bit + basis through ebit, and P(0) in each basis of each
+    branch's output, p0[s, m_phase, m_bit, basis], from forced `teleport`s."""
+    p_phase, p_bit, p0 = np.empty(4), np.empty((4, 2)), np.empty((4, 2, 2, 2))
+    for s, (bit, basis) in enumerate(np.ndindex(2, 2)):
+        psi = qcore.bb84_state(bit, basis)
+        p_phase[s], p_bit[s] = _teleport_table(psi, ebit)[:2]
+        for m_phase, m_bit in np.ndindex(2, 2):
+            received, _ = teleport(psi, ebit, _Draws(_FORCED[m_phase], _FORCED[m_bit]))
+            p0[s, m_phase, m_bit] = [qcore._p0(received.amplitudes, m_basis) for m_basis in (0, 1)]
+    for table in (p_phase, p_bit, p0):
+        table.setflags(write=False)
+    return p_phase, p_bit, p0
 
 
 def eve_decoupling_check(
@@ -287,24 +306,21 @@ def qke_over_teleportation(
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Key exchange where the quantum layer rides teleportation.
 
-    Distills at least m ebits from partially entangled pairs, verifies a
-    sample, teleports m fresh BB84 states, then runs the usual sifting and
-    check steps on the measurement records. Every filter success at theta
-    is the one shared ebit (`_filter_output`), so the batches report a count
-    and each qubit is teleported through that ebit. The classical transcript
-    holds exactly 2m teleportation bits plus the usual protocol messages.
-    The m teleportations draw in turn from the exchange's one `teleport`
-    substream, two draws each. Bob's outcomes are one `uniforms(m)` draw
-    against the received states' P(0).
+    Distills at least m ebits from partially entangled pairs (the batches
+    count successes of the one shared ebit, the filter's success branch),
+    verifies a sample, teleports m fresh BB84 states through it, then sifts
+    and checks. The transcript holds exactly 2m teleportation bits plus the
+    usual protocol messages. The m teleportations are one `uniforms(2m)`
+    draw, the draws of m `teleport` calls, against the ebit's
+    `_exchange_table`; Bob's outcomes are one `uniforms(m)` draw against
+    the received states' P(0).
 
-    Sifting and the check-reconcile tail are the plain protocol's own
-    private path (`bb84._announce_bases`, `_split_check`,
-    `_check_and_reconcile`); this exchange keeps its own choices: half of
-    the sifted bits are checked and any disagreement aborts (an error rate
-    above 0.0). Whole blocks of payload bits feed the same coset
-    construction as the plain protocol. At m=14 about 7 bases match and
-    half of them are checked, so the 7-bit blocks of the default pair are
-    (almost) never filled and the keys are the raw payload bits.
+    Sifting and the check-reconcile tail are `bb84`'s private path
+    (`_announce_bases`, `_split_check`, `_check_and_reconcile`); this
+    exchange checks half of the sifted bits and aborts on any disagreement
+    (an error rate above 0.0). At m=14 about 7 bases match and half are
+    checked, so the default pair's 7-bit blocks are (almost) never filled
+    and the keys are the raw payload bits.
     """
     m = _integer(m, "teleported qubit count")
     if m < 1:
@@ -317,24 +333,21 @@ def qke_over_teleportation(
             break
     if distilled < needed:
         raise RuntimeError(f"distillation shortfall: {distilled} of {needed} ebits")
-    ebit = _filter_output(theta)[0]
+    ebit = procrustean_filter(PartialPair(theta), _Draws(0.0))  # the success branch
     if not verify_ebits(ebit, distilled, distilled - m):
         raise RuntimeError("ebit verification failed")
+    p_phase, p_bit, p0 = _exchange_table(ebit)
 
     cchan = ClassicalAuthChannel()
     rng_a, rng_b = rng.substream("alice"), rng.substream("bob")
     a, b = rng_a.bits(m), rng_a.bits(m)
     b_prime = rng_b.bits(m)
-    rng_t = rng.substream("teleport")
-    p0 = np.empty(m)
-    teleport_bits = np.empty(2 * m, dtype=np.uint8)
-    for i in range(m):
-        state = qcore.bb84_state(int(a[i]), int(b[i]))
-        received, bits = teleport(state, ebit, rng_t)
-        teleport_bits[2 * i : 2 * i + 2] = bits
-        p0[i] = qcore._p0(received.amplitudes, b_prime[i])
-    a_prime = (rng_b.uniforms(m) >= p0).astype(np.uint8)
-    cchan._send("alice", "teleport-bits", teleport_bits)
+    s = 2 * a + b
+    u = rng.substream("teleport").uniforms(2 * m).reshape(m, 2)
+    m_phase = (u[:, 0] >= p_phase[s]).astype(np.uint8)
+    m_bit = (u[:, 1] >= p_bit[s, m_phase]).astype(np.uint8)
+    a_prime = (rng_b.uniforms(m) >= p0[s, m_phase, m_bit, b_prime]).astype(np.uint8)
+    cchan._send("alice", "teleport-bits", np.column_stack((m_phase, m_bit)).ravel())
 
     matched = bb84._matching(b, b_prime)
     bb84._announce_bases(cchan, b, matched)

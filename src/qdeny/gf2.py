@@ -47,7 +47,6 @@ __all__ = [
     "is_nested",
     "is_dual_containing",
     "load_code",
-    "dump_code",
     "hamming74",
     "repetition_code",
     "default_nested_pair",
@@ -474,11 +473,6 @@ def load_code(text: str) -> BinaryLinearCode:
     if any(len(ln) != n for ln in lines[1:]):
         raise ValueError(f"generator rows must hold {n} bits")
     return BinaryLinearCode.from_generator([bits(ln) for ln in lines[1:]])
-
-
-def dump_code(code: BinaryLinearCode) -> str:
-    rows = "\n".join(bits_to_str(row) for row in code.generator)
-    return f"{code.n} {code.k}\n{rows}\n"
 
 
 def hamming74() -> BinaryLinearCode:

@@ -50,7 +50,6 @@ __all__ = [
     "tensor",
     "partial_trace",
     "fidelity",
-    "von_neumann_entropy",
     "bell_state",
     "apply_unitary",
     "permute_qubits",
@@ -361,14 +360,6 @@ def fidelity(psi: StateVector, rho: DensityMatrix) -> float:
     if abs(value.imag) > 1e-10:
         raise ValueError("fidelity came out non-real; inputs are inconsistent")
     return float(value.real)
-
-
-def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Entropy of rho in bits (base-2 logarithm)."""
-    eigs = np.linalg.eigvalsh(rho.matrix)
-    eigs = np.clip(eigs.real, 0.0, None)
-    nz = eigs[eigs > 1e-15]
-    return float(-np.sum(nz * np.log2(nz)))
 
 
 def bell_state(kind: BellKind) -> StateVector:

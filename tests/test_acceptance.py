@@ -15,6 +15,7 @@ from qdeny.channel import QubitChannel, TimeBinChannel, count_distributions, max
 from qdeny.cli import main
 from qdeny.qcore import BellKind
 from qdeny.rng import RandomStream
+from test_qcore import von_neumann_entropy
 
 
 def report(criterion: int, description: str, ok: bool, detail: str = ""):
@@ -254,8 +255,8 @@ def test_criterion_9_numeric_core_invariants():
         ok = ok and abs(qcore.fidelity(psi, qcore.to_density(psi)) - 1) < 1e-10
         single = qcore.DensityMatrix(1, np.diag([w[0], w[1]]))
         joint = qcore.tensor(single, rho)
-        additivity = qcore.von_neumann_entropy(joint) - (
-            qcore.von_neumann_entropy(single) + qcore.von_neumann_entropy(rho)
+        additivity = von_neumann_entropy(joint) - (
+            von_neumann_entropy(single) + von_neumann_entropy(rho)
         )
         ok = ok and abs(additivity) < 1e-10
         if not ok:

@@ -85,6 +85,19 @@ class NearHalfStream:
             return 0.5 + (u - 0.5) * 1e-5
         return 0.5 + int(self._gen.integers(-4, 5)) * 2.0**-54
 
+    def uniforms(self, n: int) -> np.ndarray:
+        return np.array([self.random() for _ in range(n)])
+
+
+class NearHalfTeleports:
+    """A RandomStream whose `teleport` substream is a NearHalfStream."""
+
+    def __init__(self, seed: int):
+        self._rng, self._seed = RandomStream(seed), seed
+
+    def substream(self, label: str, index: int = 0):
+        return NearHalfStream(self._seed) if label == "teleport" else self._rng.substream(label, index)
+
 
 def near_ebit(infidelity: float) -> StateVector:
     """sqrt(1 - e) Phi+ + sqrt(e) Phi-: fidelity 1 - e with Phi+."""
@@ -180,13 +193,21 @@ class TestBatch:
             assert report.rate <= report.rate_bound + 3 * sigma
             assert abs(report.rate - expect) <= 3.5 * max(sigma, 1e-9)
 
-    @pytest.mark.parametrize("theta", [np.pi / 6, 0.3, 1.1])
+    @pytest.mark.parametrize("theta", [np.pi / 6, 0.3, 1.1, 0.02])
     def test_count_is_the_filter_successes_of_an_equal_stream(self, theta):
-        pair, fast, oracle = PartialPair(theta), RandomStream(34), RandomStream(34)
-        report = distill_batch(500, theta, fast)
-        hits = sum(procrustean_filter(pair, oracle) is not None for _ in range(500))
-        assert 0 < report.succeeded == hits < 500
+        n, pair, fast, oracle = 20_000, PartialPair(theta), RandomStream(34), RandomStream(34)
+        report = distill_batch(n, theta, fast)
+        hits = sum(procrustean_filter(pair, oracle) is not None for _ in range(n))
+        assert 0 < report.succeeded == hits < n
         assert fast.random() == oracle.random()  # one draw a pair, no more
+
+    def test_count_across_a_chunk_boundary_equals_one_draw(self):
+        n, theta = distill._CHUNK + 3, 0.3
+        fast, oracle = RandomStream(37), RandomStream(37)
+        report = distill_batch(n, theta, fast)
+        p_success = PartialPair(theta).success_probability
+        assert report.succeeded == np.count_nonzero(oracle.uniforms(n) < p_success)
+        assert fast.random() == oracle.random()
 
     def test_no_success_reports_zero_fidelity_and_rate(self):
         pair, oracle = PartialPair(0.02), RandomStream(35)
@@ -564,7 +585,9 @@ class TestTeleportedKeyExchange:
 
     @pytest.mark.parametrize("theta", [np.pi / 6, 1.1])
     def test_verifies_and_teleports_through_the_counted_shared_ebit(self, monkeypatch, theta):
-        m, counts, verified, teleported = 14, [], [], set()
+        # the exchange's teleport table is built afresh here, one forced
+        # `teleport` call per BB84 state and branch, all through the ebit
+        m, counts, verified, teleported = 14, [], [], []
         batch, verify, tele = distill.distill_batch, distill.verify_ebits, distill.teleport
 
         def counted_batch(n, t, rng):
@@ -576,24 +599,40 @@ class TestTeleportedKeyExchange:
         monkeypatch.setattr(distill, "verify_ebits", lambda ebit, count, n_sample: (
             verified.append((id(ebit), count, n_sample)) or verify(ebit, count, n_sample)))
         monkeypatch.setattr(distill, "teleport", lambda psi, ebit, rng: (
-            teleported.add(id(ebit)) or tele(psi, ebit, rng)))
+            teleported.append(id(ebit)) or tele(psi, ebit, rng)))
+        distill._exchange_table.cache_clear()
         qke_over_teleportation(m, theta, RandomStream(36), CODES)
         shared = id(distill._filter_output(theta)[0])
         assert verified == [(shared, sum(counts), sum(counts) - m)]
         assert sum(counts) >= m + max(4, m // 4)
-        assert teleported == {shared}
+        assert teleported == [shared] * 16
 
-    def test_teleport_bits_are_successive_draws_of_the_teleport_stream(self):
-        m, theta, rng = 14, np.pi / 6, RandomStream(31)
-        _, _, transcript = qke_over_teleportation(m, theta, rng, CODES)
-        ebit, r = None, RandomStream(0)
-        while ebit is None:  # every success at theta is the one shared ebit
-            ebit = procrustean_filter(PartialPair(theta), r)
-        rng_a, rng_t = rng.substream("alice"), rng.substream("teleport")
-        a, b = rng_a.bits(m), rng_a.bits(m)
-        want = [teleport(qcore.bb84_state(int(a[i]), int(b[i])), ebit, rng_t)[1] for i in range(m)]
-        got = next(msg for msg in transcript if msg.label == "teleport-bits").bits
-        assert got.tolist() == [bit for pair in want for bit in pair]
+    def test_teleport_bits_are_successive_draws_of_the_teleport_stream(self, monkeypatch):
+        # the oracle: one `teleport` call per qubit, from the teleport
+        # stream, and Bob's outcomes drawn against each received state's P(0);
+        # near-1/2 teleport draws tell apart thresholds an ulp or two apart
+        outcomes = []
+        check_and_reconcile = bb84._check_and_reconcile
+        monkeypatch.setattr(bb84, "_check_and_reconcile", lambda *args: (  # args[3] is a_prime
+            outcomes.append(args[3].tolist()) or check_and_reconcile(*args)))
+        m, root = 14, RandomStream(31)
+        for theta in (np.pi / 6, np.pi / 5, 1.1):
+            ebit, r = None, RandomStream(0)
+            while ebit is None:  # every success at theta is the one shared ebit
+                ebit = procrustean_filter(PartialPair(theta), r)
+            for i in range(400):
+                rng = root.substream(f"theta {theta}", i) if i % 2 else NearHalfTeleports(i)
+                _, _, transcript = qke_over_teleportation(m, theta, rng, CODES)
+                rng_a, rng_b = rng.substream("alice"), rng.substream("bob")
+                a, b, b_prime = rng_a.bits(m), rng_a.bits(m), rng_b.bits(m)
+                rng_t, p0, want = rng.substream("teleport"), np.empty(m), []
+                for j in range(m):
+                    received, bits = teleport(qcore.bb84_state(int(a[j]), int(b[j])), ebit, rng_t)
+                    want.extend(bits)
+                    p0[j] = qcore._p0(received.amplitudes, b_prime[j])
+                got = next(msg for msg in transcript if msg.label == "teleport-bits").bits
+                assert got.tolist() == want
+                assert outcomes.pop() == (rng_b.uniforms(m) >= p0).astype(np.uint8).tolist()
 
     def test_distillation_shortfall_raises(self):
         with pytest.raises(RuntimeError, match="distillation shortfall"):

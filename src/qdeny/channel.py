@@ -202,9 +202,9 @@ def count_distributions(channel: TimeBinChannel, n_used: int) -> tuple[np.ndarra
 
 def warden_bias_exact(channel: TimeBinChannel, n_used: int) -> float:
     """Detection bias: half the total variation distance between the idle and
-    active count distributions (the optimal warden's advantage over 1/2)."""
-    if n_used == 0 or channel.p_dark == channel.p_signal:
-        return 0.0  # observation distributions coincide by construction
+    active count distributions (the optimal warden's advantage over 1/2).
+    It is exactly 0.0 at no slots in use and at equal rates, where
+    `count_distributions` returns two equal pmfs."""
     idle, active = count_distributions(channel, n_used)
     tv = 0.5 * float(np.abs(idle - active).sum())
     return 0.5 * tv
@@ -212,6 +212,8 @@ def warden_bias_exact(channel: TimeBinChannel, n_used: int) -> float:
 
 def max_covert_slots(channel: TimeBinChannel, bias_target: float) -> int:
     """Largest occupancy whose exact warden bias stays within bias_target."""
+    if not bias_target >= 0:
+        raise ValueError(f"bias target must be non-negative, not {bias_target}")
     lo, hi = 0, channel.n_slots
     while lo < hi:
         mid = (lo + hi + 1) // 2

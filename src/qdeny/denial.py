@@ -7,8 +7,8 @@ later claiming different raw bits is caught exactly when a flipped claim
 lands on a position the interceptor measured in the claimed basis: the
 claimed state and the recorded one are then orthogonal, so no alternative
 preparation explains the record. With n_decoys expected measurements over
-n_qubits transmissions, a single random flip is caught with probability
-n_decoys / (2 * n_qubits).
+n_qubits transmissions, each position is checkable independently with
+probability p = n_decoys / (2 * n_qubits): f distinct flips escape at (1 - p)**f.
 
 `CoercionView` is the one coercer view, here and in `dcqke`. Naive denial
 fills its interceptor record and changes the coins. The deniable
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -42,9 +41,6 @@ __all__ = [
     "NaiveBb84DenialProtocol",
     "JudgeDistinguisher",
 ]
-
-_EXACT_CAP = 64  # exact enumeration is quadratic in n_qubits; plenty here
-
 
 @dataclass(frozen=True)
 class EvePolicy:
@@ -122,9 +118,10 @@ def judge_check(bits, bases, record: EveRecord) -> int | None:
 # "checkable" iff the interceptor measured it in the basis the claim uses
 # (probability measure_probability / 2, independently per position), and a
 # flip is detected iff it lands on a checkable position. Sifting keeps a
-# position with independent probability 1/2. The Monte-Carlo sampler below
-# simulates those per-position masks directly, which is exact for BB84 with
-# single-qubit states; the full quantum path is cross-checked in tests.
+# position with independent probability 1/2, so each of f distinct flips
+# escapes on its own: the exact rate is 1 - (1 - measure_probability / 2)**f.
+# The Monte-Carlo sampler below draws those per-position masks, which is
+# exact for BB84 with single-qubit states; tests cross-check the quantum path.
 
 _CHUNK = 20000  # trials per block of draws; the block layout fixes the stream
 MAX_DETECTION_QUBITS = 1024  # a block is 20000 x N bytes per draw; the largest N in use is 512
@@ -151,18 +148,10 @@ def detection_probability(
     rate is a quantized ratio that differs from the exact fraction by at
     most 2**-23.
     """
-    counts = {"qubit": n_qubits, "decoy": n_decoys, "flip": flips, "trial": trials}
-    n_qubits, n_decoys, flips, trials = (_integer(v, f"{k} count") for k, v in counts.items())
-    if n_qubits > MAX_DETECTION_QUBITS:
-        raise ValueError(f"{n_qubits} qubits is more than the limit {MAX_DETECTION_QUBITS}")
-    if flips < 1:
-        raise ValueError("need at least one flip")
-    if flips > n_qubits:
-        raise ValueError(f"cannot flip {flips} of {n_qubits} qubits")
+    n_qubits, n_decoys, flips = _detection_sizes(n_qubits, n_decoys, flips)
+    trials = _integer(trials, "trial count")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not 0 <= n_decoys <= n_qubits:
-        raise ValueError("n_decoys must lie in [0, n_qubits]")
     g = RandomStream(master_seed).substream("detection-mc").generator
     detected = 0
     done = 0
@@ -194,31 +183,27 @@ def detection_probability(
 
 
 def exact_detection_probability(n_qubits: int, n_decoys: int, flips: int) -> float:
-    """Exact detection rate by enumeration over (sifted size, checkable count).
+    """Exact detection rate, 1 - (1 - n_decoys / 2N)**flips in rationals, on
+    `detection_probability`'s domain; conditioning on a sifted set large
+    enough to flip, as its sampler does, leaves the rate unchanged."""
+    n_qubits, n_decoys, flips = _detection_sizes(n_qubits, n_decoys, flips)
+    return float(1 - (1 - Fraction(n_decoys, 2 * n_qubits)) ** flips)
 
-    Conditions on the sifted set being large enough to flip, matching the
-    Monte-Carlo sampler. Exact rational arithmetic throughout.
-    """
+
+def _detection_sizes(n_qubits, n_decoys, flips) -> tuple[int, int, int]:
+    """The qubit, decoy and flip counts as ints, checked: N at most
+    `MAX_DETECTION_QUBITS`, 1 <= flips <= N and 0 <= n_decoys <= N."""
     counts = {"qubit": n_qubits, "decoy": n_decoys, "flip": flips}
     n_qubits, n_decoys, flips = (_integer(v, f"{k} count") for k, v in counts.items())
-    if n_qubits > _EXACT_CAP:
-        raise ValueError(f"exact enumeration capped at {_EXACT_CAP} qubits")
-    if flips < 1 or flips > n_qubits:
-        raise ValueError("flips out of range")
-    p_check = Fraction(n_decoys, 2 * n_qubits)
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    norm = Fraction(0)
-    for s in range(flips, n_qubits + 1):
-        w_s = comb(n_qubits, s) * half**n_qubits
-        norm += w_s
-        miss = Fraction(0)
-        for c in range(0, s + 1):
-            w_c = comb(s, c) * p_check**c * (1 - p_check) ** (s - c)
-            if s - c >= flips:
-                miss += w_c * Fraction(comb(s - c, flips), comb(s, flips))
-        total += w_s * (1 - miss)
-    return float(total / norm)
+    if n_qubits > MAX_DETECTION_QUBITS:
+        raise ValueError(f"{n_qubits} qubits is more than the limit {MAX_DETECTION_QUBITS}")
+    if flips < 1:
+        raise ValueError("need at least one flip")
+    if flips > n_qubits:
+        raise ValueError(f"cannot flip {flips} of {n_qubits} qubits")
+    if not 0 <= n_decoys <= n_qubits:
+        raise ValueError("n_decoys must lie in [0, n_qubits]")
+    return n_qubits, n_decoys, flips
 
 
 # -- coercer experiment -------------------------------------------------------

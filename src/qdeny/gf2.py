@@ -481,7 +481,7 @@ def hamming74() -> BinaryLinearCode:
     return BinaryLinearCode(n=7, k=4, generator=nullspace(h), parity_check=h)
 
 
-def repetition_code(n: int = 7) -> BinaryLinearCode:
+def repetition_code(n: int) -> BinaryLinearCode:
     """The [n,1] repetition code {0^n, 1^n}, distance n."""
     g = np.ones((1, n), dtype=np.uint8)
     return BinaryLinearCode.from_generator(g)

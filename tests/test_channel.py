@@ -319,6 +319,14 @@ class TestExactBias:
         assert warden_bias_exact(TimeBinChannel(100, 0.1, 0.5), 0) == 0.0
         assert warden_bias_exact(TimeBinChannel(100, 0.1, 0.1), 10) == 0.0
 
+    @pytest.mark.parametrize("p_dark, p_signal, n_used", [
+        # the equal-rates shortcut once returned 0.0 for these two
+        (0.3, 0.3, -1), (0.3, 0.3, 17), (0.1, 0.5, -1), (0.1, 0.5, 17),
+    ])
+    def test_slots_in_use_out_of_range_rejected(self, p_dark, p_signal, n_used):
+        with pytest.raises(ValueError, match="^n_used out of range$"):
+            warden_bias_exact(TimeBinChannel(16, p_dark, p_signal), n_used)
+
     def test_golden_value(self):
         # frozen from the per-slot Bernoulli convolution oracle before the build
         tb = TimeBinChannel(100, 0.01, 0.5)
@@ -392,6 +400,12 @@ class TestCountTestConvergence:
 
 
 class TestSquareRootLaw:
+    @pytest.mark.parametrize("bias_target", [-0.1, float("nan")])
+    def test_bias_target_below_zero_rejected(self, bias_target):
+        # both once returned 0 slots, whose bias 0.0 is not within the target
+        with pytest.raises(ValueError, match="^bias target must be non-negative"):
+            max_covert_slots(TimeBinChannel(64, 0.05, 0.10), bias_target)
+
     def test_loglog_slope_near_half(self):
         # reduced grid; the acceptance suite runs the full 2^8..2^14 sweep
         ns = [2**k for k in range(8, 13)]

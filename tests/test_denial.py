@@ -1,6 +1,7 @@
 """Decoy eavesdropping, judge soundness, detection rates, coercer game."""
 
 import hashlib
+import re
 from fractions import Fraction
 from math import comb
 
@@ -29,8 +30,8 @@ from qdeny.rng import RandomStream
 def naive_detection_oracle(n_qubits: int, flips: int, p_check: Fraction) -> float:
     """Fully naive enumeration over sift masks and checkable masks.
 
-    Exponential in n_qubits; only for cross-validating the production
-    (sifted-size, checkable-count) enumeration at toy sizes.
+    Exponential in n_qubits; only for cross-checking the production closed
+    form 1 - (1 - p_check)**flips at toy sizes.
     """
     total = Fraction(0)
     norm = Fraction(0)
@@ -313,9 +314,23 @@ class TestDetectionRates:
         assert est.ci_low <= 32 / 1024 <= est.ci_high
         assert abs(est.rate - 0.03125) < 0.005
 
+    @pytest.mark.parametrize("sizes, message", [
+        # the exact oracle once returned 1.25 and -0.25 for these two
+        pytest.param((8, 20, 1), "n_decoys must lie in [0, n_qubits]", id="decoys-20-of-8"),
+        pytest.param((8, -4, 1), "n_decoys must lie in [0, n_qubits]", id="decoys--4"),
+        pytest.param((2000, 2, 1), "2000 qubits is more than the limit 1024", id="qubits-2000"),
+        pytest.param((8, 2, 0), "need at least one flip", id="flips-0"),
+        pytest.param((8, 2, 9), "cannot flip 9 of 8 qubits", id="flips-9-of-8"),
+    ])
+    def test_sizes_out_of_range_rejected_by_both_paths(self, sizes, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            exact_detection_probability(*sizes)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            detection_probability(*sizes, 100, master_seed=1)
+
     def test_exact_matches_naive_enumeration(self):
-        # production enumeration against the fully naive 4^n oracle
-        for n, eta, flips in [(6, 2, 1), (6, 3, 2), (8, 4, 1), (8, 2, 3)]:
+        # production closed form against the fully naive 4^n oracle
+        for n, eta, flips in [(6, 2, 1), (6, 3, 2), (8, 4, 1), (8, 2, 3), (6, 3, 6)]:
             production = exact_detection_probability(n, eta, flips)
             naive = naive_detection_oracle(n, flips, Fraction(eta, 2 * n))
             assert production == pytest.approx(naive, abs=1e-12), (n, eta, flips)
@@ -328,7 +343,8 @@ class TestDetectionRates:
             )
 
     def test_monte_carlo_matches_exact_small(self):
-        for n, eta, flips in [(16, 4, 1), (16, 8, 2), (12, 6, 3)]:
+        # (512, 32, *) is the attack-deny default size
+        for n, eta, flips in [(16, 4, 1), (16, 8, 2), (12, 6, 3), (512, 32, 2), (512, 32, 3)]:
             exact = exact_detection_probability(n, eta, flips)
             est = detection_probability(n, eta, flips, 40_000, master_seed=3)
             sigma = np.sqrt(exact * (1 - exact) / est.trials)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qdeny.bb84 import Bb84Config
+from qdeny.channel import TimeBinChannel, warden_bias_exact
 from qdeny.denial import detection_probability, exact_detection_probability
 from qdeny.distill import distill_batch, qke_over_teleportation, verify_ebits
 from qdeny.gf2 import default_nested_pair
@@ -152,6 +153,14 @@ class TestRandomStream:
                  id="exact-decoy count"),
     pytest.param(lambda: exact_detection_probability(8, 2, 1.0), "flip count",
                  id="exact-flip count"),
+    # these three once returned 0.0 through the no-slots and equal-rates
+    # shortcut
+    pytest.param(lambda: warden_bias_exact(TimeBinChannel(16, 0.1, 0.5), False), "slots in use",
+                 id="bias-used-False"),
+    pytest.param(lambda: warden_bias_exact(TimeBinChannel(16, 0.1, 0.5), 0.0), "slots in use",
+                 id="bias-used-0.0"),
+    pytest.param(lambda: warden_bias_exact(TimeBinChannel(16, 0.3, 0.3), 2.5), "slots in use",
+                 id="bias-equal-rates-used-2.5"),
     # words(2.5) once raised a bare TypeError and words(True) read one word;
     # sample_distinct(10.5, 3) once drew [2 7 8]
     pytest.param(lambda: CounterModePrng(1).words(2.5), "word count", id="words-2.5"),
